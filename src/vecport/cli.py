@@ -25,7 +25,7 @@ from .errors import ConfigurationError, ParseError, UsageError, VecportError
 from .executors import CommandExecutor, MockExecutor, ToolchainConfig
 from .liveness import analyze_source
 from .llm_client import RemoteClient, ReplayClient
-from .metrics import OutcomeSummary, emit_report
+from .metrics import DEFAULT_UP_LIMIT, OutcomeSummary, emit_report
 from .orchestrator import Budgets, TaskDeps, run_task
 from .parser import dump_ir, parse_function
 
@@ -146,8 +146,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="recompute metrics from persisted outcomes")
     r.add_argument("out_dir", help="output directory of a previous translate run")
-    r.add_argument("--up-limit", type=int, default=10)
-    r.add_argument("--exclude-failed", dest="include_failed", action="store_false")
+    r.add_argument("--up-limit", type=int, default=None,
+                   help="efficiency budget (default: the run's, from report.json)")
+    r.add_argument("--exclude-failed", dest="include_failed", action="store_const",
+                   const=False, default=None,
+                   help="score without failed cases (default: as the run did)")
     return p
 
 
@@ -297,6 +300,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_scoring(out_dir: Path) -> tuple[int, bool]:
+    """The budget and failed-case rule the run scored with, from report.json."""
+    try:
+        data = json.loads((out_dir / "report.json").read_text())
+        return int(data["up_limit"]), bool(data["include_failed"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"warning: unreadable report.json ({exc}); scoring with budget "
+              f"{DEFAULT_UP_LIMIT}, failed cases included", file=sys.stderr)
+        return DEFAULT_UP_LIMIT, True
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     outcome_dir = Path(args.out_dir) / "outcomes"
     if not outcome_dir.is_dir():
@@ -319,8 +333,11 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"warning: skipping corrupt outcome {path.name}: {exc}", file=sys.stderr)
     if not summaries:
         raise UsageError(f"no readable outcomes under {args.out_dir}")
-    up_limit = getattr(args, "up_limit", 10)
-    include_failed = getattr(args, "include_failed", True)
+    up_limit, include_failed = _run_scoring(Path(args.out_dir))
+    if args.up_limit is not None:
+        up_limit = args.up_limit
+    if args.include_failed is not None:
+        include_failed = args.include_failed
     print(emit_report(summaries, "text_table", up_limit, include_failed))
     return 0
 

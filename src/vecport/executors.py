@@ -1,19 +1,30 @@
 """External toolchain drivers: cross-compile, emulated functional tests across
 vector lengths, and benchmark runs.
 
-Everything shells out through command templates so a different compiler,
-emulator, or a real board behind an ssh wrapper slots in without code
-changes. Candidates never touch the case directory; each attempt gets its own
-scratch directory under ``work/<case>/<tag>/``, kept only when requested.
+The compiler is driven as ``cc flags ...`` and the emulator through a command
+template, so a different compiler, emulator, or a real board behind an ssh
+wrapper slots in without code changes. Candidates never touch the case
+directory; each attempt gets its own scratch directory under
+``work/<case>/<tag>/``, kept only when requested.
+
+Nothing that cannot change within a case is rebuilt or re-measured: each
+case's test and bench harnesses are compiled to objects once, each distinct
+candidate source is compiled to an object once, and every build links one
+candidate object with one harness object (objects live in ``work/<case>/obj/``).
+The native reference's median-of-N cost is measured on the first ``run_perf``
+of a case and reused for every later variant; each variant's own cost is
+always a fresh median of N runs.
 
 Functional pass/fail is the exit-code contract (0 = pass); benchmark cost is
 the final stdout line, a bare integer nanosecond count. Perf always runs both
 binaries on the same runner at the largest configured VLEN, so speedups are
-comparative even under emulation, never absolute hardware claims.
+comparative even under emulation, never absolute hardware claims. Tool output
+is decoded leniently: bytes that are not UTF-8 become U+FFFD, never an error.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 import shlex
 import shutil
@@ -30,7 +41,6 @@ from .errors import ConfigurationError, PerfError
 DEFAULT_CC = "riscv64-linux-gnu-gcc"
 DEFAULT_FLAGS = "-march=rv64gcv -O3"
 DEFAULT_RUNNER = "qemu-riscv64"
-DEFAULT_COMPILE_TEMPLATE = "{cc} {flags} {inputs} -o {output}"
 DEFAULT_RUNNER_TEMPLATE = (
     "{runner} -cpu rv64,v=true,vlen={vlen},elen=64,vext_spec=v1.0 {binary}"
 )
@@ -42,7 +52,6 @@ _COST_RE = re.compile(r"^[0-9]+$")
 class ToolchainConfig:
     cc: str = DEFAULT_CC
     flags: str = DEFAULT_FLAGS
-    compile_cmd_template: str = DEFAULT_COMPILE_TEMPLATE
     runner: str = DEFAULT_RUNNER
     runner_cmd_template: str = DEFAULT_RUNNER_TEMPLATE
     vlens: tuple[int, ...] = (128, 256)
@@ -126,15 +135,34 @@ def _harness_path(case: ValidatedCase, which: str) -> Path:
     raise ValueError(f"unknown harness {which!r}")
 
 
+def _remove_scratch(work_dir: Path) -> None:
+    """Delete every per-case subdirectory of ``work_dir`` except ``log/``."""
+    if not work_dir.exists():
+        return
+    for case_dir in work_dir.iterdir():
+        if not case_dir.is_dir():
+            continue
+        for sub in case_dir.iterdir():
+            if sub.is_dir() and sub.name != "log":
+                shutil.rmtree(sub, ignore_errors=True)
+
+
 class CommandExecutor:
-    """Runs the real cross-compiler and emulator per the configured templates."""
+    """Runs the real cross-compiler and emulator per the configured toolchain.
+
+    Objects and native costs are cached per instance, keyed by case id; a case
+    runs on one thread, so no two threads ever fill the same key.
+    """
 
     def __init__(self, config: ToolchainConfig, work_dir: Path | str,
                  keep_scratch: bool = False):
         self.config = config
         self.work_dir = Path(work_dir)
         self.keep_scratch = keep_scratch
-        self._tag_counter = 0
+        # (case_id, harness name or "cand-<sha256>") -> (object, diagnostics)
+        self._objects: dict[tuple[str, str], tuple[Path, str]] = {}
+        # (native artifact, vlen, runs) -> median cost in ns
+        self._native_costs: dict[tuple[Path, int, int], int] = {}
 
     def probe(self) -> None:
         """Fail fast, and distinctly from a compile failure, on missing tools."""
@@ -148,41 +176,60 @@ class CommandExecutor:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
+    def _cc(self, *args: str) -> tuple[bool, str]:
+        """Run ``cc flags args``; returns (exit status 0, stderr + stdout)."""
+        argv = [*shlex.split(self.config.cc), *shlex.split(self.config.flags), *args]
+        try:
+            proc = subprocess.run(
+                argv,
+                capture_output=True,
+                text=True,
+                errors="replace",
+                timeout=self.config.compile_timeout_s,
+            )
+        except subprocess.TimeoutExpired:
+            return False, f"compile timeout after {self.config.compile_timeout_s}s"
+        except FileNotFoundError as exc:
+            raise ConfigurationError(f"compiler not runnable: {exc}") from exc
+        return proc.returncode == 0, (proc.stderr or "") + (proc.stdout or "")
+
+    def _object(self, case_id: str, name: str, source: Path) -> tuple[Path | None, str]:
+        """Compile ``source`` to ``obj/<name>.o`` once per case; only successes
+        are kept. Returns the object (None on failure) and its diagnostics."""
+        hit = self._objects.get((case_id, name))
+        if hit is not None:
+            return hit
+        obj = self.work_dir / case_id / "obj" / f"{name}.o"
+        obj.parent.mkdir(parents=True, exist_ok=True)
+        ok, diagnostics = self._cc("-c", str(source), "-o", str(obj))
+        if not ok or not obj.exists():
+            return None, diagnostics
+        self._objects[(case_id, name)] = (obj, diagnostics)
+        return obj, diagnostics
+
     def compile_candidate(
         self,
         candidate_source: str,
         case: ValidatedCase,
         which_harness: str,
-        tag: str | None = None,
+        tag: str,
     ) -> CompileResult:
-        if tag is None:
-            self._tag_counter += 1
-            tag = f"attempt{self._tag_counter}"
+        """Build the candidate against one harness: two cached objects, one link."""
+        harness = _harness_path(case, which_harness)
         scratch = self._scratch(case.case_id, tag)
         candidate = scratch / "candidate.c"
         candidate.write_text(candidate_source)
-        harness = _harness_path(case, which_harness)
+        digest = hashlib.sha256(candidate_source.encode()).hexdigest()
+        candidate_obj, candidate_diag = self._object(case.case_id, f"cand-{digest}", candidate)
+        harness_obj, harness_diag = self._object(case.case_id, which_harness, harness)
+        diagnostics = candidate_diag + harness_diag
         output = scratch / f"bin_{which_harness}"
-        cmd = self.config.compile_cmd_template.format(
-            cc=self.config.cc,
-            flags=self.config.flags,
-            inputs=f"{shlex.quote(str(candidate))} {shlex.quote(str(harness))}",
-            output=shlex.quote(str(output)),
-        )
-        try:
-            proc = subprocess.run(
-                shlex.split(cmd),
-                capture_output=True,
-                text=True,
-                timeout=self.config.compile_timeout_s,
-            )
-        except subprocess.TimeoutExpired:
-            return CompileResult(False, f"compile timeout after {self.config.compile_timeout_s}s")
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"compiler not runnable: {exc}") from exc
-        diagnostics = (proc.stderr or "") + (proc.stdout or "")
+        ok = candidate_obj is not None and harness_obj is not None
+        if ok:
+            ok, link_diag = self._cc(str(candidate_obj), str(harness_obj), "-o", str(output))
+            diagnostics += link_diag
         (scratch / "compile_stderr.txt").write_text(diagnostics)
-        if proc.returncode != 0 or not output.exists():
+        if not ok or not output.exists():
             return CompileResult(False, _tail(diagnostics, 16384))
         return CompileResult(True, _tail(diagnostics, 16384), artifact_path=output)
 
@@ -195,6 +242,7 @@ class CommandExecutor:
                 shlex.split(cmd),
                 capture_output=True,
                 text=True,
+                errors="replace",
                 timeout=self.config.run_timeout_s,
             )
         except subprocess.TimeoutExpired:
@@ -241,9 +289,17 @@ class CommandExecutor:
     def run_perf(
         self, translated_artifact: Path, native_artifact: Path, runs: int = 5
     ) -> PerfResult:
-        """Median-of-N cost for both binaries at the largest configured VLEN."""
+        """Median-of-N cost for both binaries at the largest configured VLEN.
+
+        The native median is measured on the first call for an artifact and
+        reused after; the translated median is always fresh.
+        """
         vlen = max(self.config.vlens)
-        native = self._measure_cost(native_artifact, vlen, runs)
+        key = (Path(native_artifact), vlen, runs)
+        native = self._native_costs.get(key)
+        if native is None:  # measured once per case; failures are not kept
+            native = self._measure_cost(native_artifact, vlen, runs)
+            self._native_costs[key] = native
         translated = self._measure_cost(translated_artifact, vlen, runs)
         return PerfResult(
             translated_cost_ns=translated,
@@ -253,18 +309,15 @@ class CommandExecutor:
         )
 
     def cleanup(self) -> None:
-        """Drop per-attempt scratch unless retention was requested.
+        """Drop per-attempt scratch and objects unless retention was requested.
 
         Attempt logs live under ``work/<case>/log/`` and always survive.
         """
-        if self.keep_scratch or not self.work_dir.exists():
+        if self.keep_scratch:
             return
-        for case_dir in self.work_dir.iterdir():
-            if not case_dir.is_dir():
-                continue
-            for sub in case_dir.iterdir():
-                if sub.is_dir() and sub.name != "log":
-                    shutil.rmtree(sub, ignore_errors=True)
+        _remove_scratch(self.work_dir)
+        self._objects.clear()
+        self._native_costs.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +357,6 @@ class MockExecutor:
         self.work_dir = Path(work_dir) if work_dir is not None else Path(
             tempfile.mkdtemp(prefix="vecport-mock-")
         )
-        self._tag_counter = 0
 
     def probe(self) -> None:
         return None
@@ -314,12 +366,9 @@ class MockExecutor:
         candidate_source: str,
         case: ValidatedCase,
         which_harness: str,
-        tag: str | None = None,
+        tag: str,
     ) -> CompileResult:
         _harness_path(case, which_harness)  # validates the harness choice
-        if tag is None:
-            self._tag_counter += 1
-            tag = f"attempt{self._tag_counter}"
         m = _MOCK_COMPILE_RE.search(candidate_source)
         if m:
             return CompileResult(False, m.group(1).strip() or "mock compile error")
@@ -374,11 +423,4 @@ class MockExecutor:
         )
 
     def cleanup(self) -> None:
-        if not self.work_dir.exists():
-            return
-        for case_dir in self.work_dir.iterdir():
-            if not case_dir.is_dir():
-                continue
-            for sub in case_dir.iterdir():
-                if sub.is_dir() and sub.name != "log":
-                    shutil.rmtree(sub, ignore_errors=True)
+        _remove_scratch(self.work_dir)

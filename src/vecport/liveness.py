@@ -17,6 +17,7 @@ enumeration and exists purely to cross-check the solver.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -196,9 +197,12 @@ def oracle_liveness(
     at i reads it before any redefinition; live at exit when such a path
     starts at one of i's successors. Paths longer than ``path_bound``
     statements are not explored, so the result matches the fixpoint whenever
-    the bound covers every simple path plus one loop unrolling. Exceeding
-    ``max_steps`` DFS steps raises PathExplosionError rather than returning a
-    truncated answer.
+    the bound covers every simple path plus one loop unrolling. Paths that
+    reach the same statement having killed the same variables are explored
+    once, so the work is bounded by the number of (statement, killed set)
+    pairs, not the number of paths. Exceeding
+    ``max_steps`` search steps raises PathExplosionError rather than returning
+    a truncated answer.
     """
     stmts = ir.stmts
     if not stmts:
@@ -214,23 +218,28 @@ def oracle_liveness(
     def live_from(start: int) -> frozenset[str]:
         nonlocal steps
         found: set[str] = set()
-        # Each stack entry: (stmt, depth, vars killed on the way here).
-        stack: list[tuple[int, int, frozenset[str]]] = [(start, 1, frozenset())]
-        while stack:
+        # Breadth-first over (stmt, vars killed on the way here): every path
+        # that reaches a state with the same killed set reads the same values
+        # onward, and the first visit is the shallowest, so a revisit can add
+        # nothing within the bound.
+        seen: set[tuple[int, frozenset[str]]] = {(start, frozenset())}
+        queue: deque[tuple[int, frozenset[str], int]] = deque([(start, frozenset(), 1)])
+        while queue:
             steps += 1
             if steps > max_steps:
                 raise PathExplosionError(
                     f"path enumeration exceeded {max_steps} steps; "
                     f"input too large for the oracle"
                 )
-            i, depth, killed = stack.pop()
+            i, killed, depth = queue.popleft()
             found |= uses[i] - killed
             killed = killed | defs[i]
             if depth >= path_bound:
                 continue
             for j in succ[i]:
-                if j != EXIT:
-                    stack.append((j, depth + 1, killed))
+                if j != EXIT and (j, killed) not in seen:
+                    seen.add((j, killed))
+                    queue.append((j, killed, depth + 1))
         return frozenset(found)
 
     entry_live = {s.stmt_id: live_from(s.stmt_id) for s in stmts}

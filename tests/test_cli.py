@@ -225,6 +225,25 @@ def test_report_recomputes_identical_numbers(tmp_path, capsys):
     assert printed.strip() == (out / "report.txt").read_text().strip()
 
 
+def test_report_scores_with_the_runs_budget(tmp_path, capsys):
+    # Solved on the second try under budget 3: efficiency 2/3, not 9/10.
+    replay = write_replay(
+        tmp_path, {"vec_add": ["no code in this reply", fenced(GOOD_RVV), fenced(GOOD_RVV)]}
+    )
+    out = tmp_path / "out"
+    rc = main(["translate", "--replay", str(replay), "--no-exec", "--case", "vec_add",
+               "--translate-max", "3", "--optimize-max", "1", "--out", str(out)])
+    assert rc == 0
+    report_txt = (out / "report.txt").read_text()
+    assert "efficiency score: 0.7 (budget 3, failed cases included)" in report_txt
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == report_txt.strip()
+    # An explicit flag still overrides what the run used.
+    assert main(["report", str(out), "--up-limit", "10"]) == 0
+    assert "efficiency score: 0.9 (budget 10" in capsys.readouterr().out
+
+
 def test_report_empty_dir_is_usage_error(tmp_path, capsys):
     rc = main(["report", str(tmp_path)])
     assert rc == 1

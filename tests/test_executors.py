@@ -67,9 +67,9 @@ int main(void) {
 GOOD_CANDIDATE = "int mini_identity(int x) { return x; }\n"
 
 
-def host_config(**kw) -> ToolchainConfig:
+def host_config(cc=None, **kw) -> ToolchainConfig:
     return ToolchainConfig(
-        cc=HOST_GCC or "gcc",
+        cc=cc or HOST_GCC or "gcc",
         flags="-O1",
         runner_cmd_template="{binary}",
         runner="/bin/sh",  # probed but unused by the template
@@ -78,6 +78,27 @@ def host_config(**kw) -> ToolchainConfig:
         run_timeout_s=5,
         **kw,
     )
+
+
+def _script(path: Path, body: str) -> Path:
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(0o755)
+    return path
+
+
+def _script_config(cc="/bin/true") -> ToolchainConfig:
+    """Runs each binary directly; the script under test stands in for it."""
+    return ToolchainConfig(
+        cc=str(cc), runner="/bin/sh", runner_cmd_template="{binary}",
+        vlens=(128, 256), run_timeout_s=10,
+    )
+
+
+def _logging_cc(tmp_path):
+    """A cc that appends its argv to a log, then runs host gcc."""
+    log = tmp_path / "cc.log"
+    cc = _script(tmp_path / "logging-cc", f'echo "$*" >> "{log}"\nexec "{HOST_GCC}" "$@"\n')
+    return str(cc), log
 
 
 def test_toolchain_config_validates_vlens():
@@ -160,6 +181,57 @@ class TestCommandExecutorOnHost:
         assert perf.native_cost_ns == 120000
         assert perf.speedup == 1
         assert perf.runs == 3
+
+    def test_harness_objects_built_once_per_case(self, tmp_path):
+        case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+        cc, log = _logging_cc(tmp_path)
+        ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
+        for n in range(3):
+            candidate = f"int mini_identity(int x) {{ return x + {n} - {n}; }}\n"
+            for which in ("functional", "perf"):
+                result = ex.compile_candidate(candidate, case, which, tag=f"t{n}-{which}")
+                assert result.success, result.diagnostics
+        calls = log.read_text().splitlines()
+        assert sum("test.c" in c for c in calls) == 1
+        assert sum("bench.c" in c for c in calls) == 1
+        assert sum("candidate.c" in c for c in calls) == 3
+        assert ex.run_functional_tests(result.artifact_path).all_passed
+
+    def test_candidate_compiled_once_for_both_harnesses(self, tmp_path):
+        case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+        cc, log = _logging_cc(tmp_path)
+        ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
+        functional = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+        perf = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="t1-perf")
+        assert functional.success and perf.success
+        calls = log.read_text().splitlines()
+        assert sum("candidate.c" in c for c in calls) == 1
+        assert ex.run_functional_tests(functional.artifact_path).all_passed
+        assert ex.run_perf(perf.artifact_path, perf.artifact_path, runs=1).speedup == 1
+
+    def test_failed_candidate_compile_is_not_cached(self, tmp_path):
+        case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+        cc, log = _logging_cc(tmp_path)
+        ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
+        bad = "int mini_identity(int x) { return x }\n"
+        for tag in ("t1", "t2"):
+            result = ex.compile_candidate(bad, case, "functional", tag=tag)
+            assert not result.success
+            assert f"{tag}/candidate.c" in result.diagnostics
+        assert sum("candidate.c" in c for c in log.read_text().splitlines()) == 2
+
+    def test_cleanup_removes_objects_and_keeps_logs(self, tmp_path):
+        case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+        ex = CommandExecutor(host_config(), tmp_path / "work")
+        assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1").success
+        case_work = tmp_path / "work" / case.case_id
+        (case_work / "log").mkdir()
+        assert (case_work / "obj").is_dir()
+        ex.cleanup()
+        assert sorted(p.name for p in case_work.iterdir()) == ["log"]
+        # the executor rebuilds what cleanup removed
+        again = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t2")
+        assert again.success and ex.run_functional_tests(again.artifact_path).all_passed
 
     def test_unparsable_cost_is_a_perf_error(self, tmp_path):
         bench = '#include <stdio.h>\nint mini_identity(int x);\nint main(void) { printf("no numbers here\\n"); return 0; }\n'
@@ -250,6 +322,50 @@ def test_perf_median_invariant_under_run_order(tmp_path):
     b = ex.run_perf(shuffled, native, runs=3)
     assert a.translated_cost_ns == b.translated_cost_ns == 100000
     assert a.speedup == b.speedup == Fraction(2)
+
+
+def test_native_reference_measured_once_per_artifact(tmp_path):
+    ex = CommandExecutor(_script_config(), tmp_path / "work")
+    first = _cost_script(tmp_path / "first.py", [100000])
+    second = _cost_script(tmp_path / "second.py", [50000])
+    native = _cost_script(tmp_path / "native.py", [200000])
+    a = ex.run_perf(first, native, runs=3)
+    b = ex.run_perf(second, native, runs=3)
+    assert (a.speedup, b.speedup) == (Fraction(2), Fraction(4))
+    assert a.native_cost_ns == b.native_cost_ns == 200000
+    assert (tmp_path / "native.py.count").read_text() == "3"
+    assert (tmp_path / "second.py.count").read_text() == "3"
+
+
+# --- hostile tool output -----------------------------------------------------
+
+def test_non_utf8_test_output_is_a_failed_test(tmp_path):
+    ex = CommandExecutor(_script_config(), tmp_path / "work")
+    binary = _script(tmp_path / "bin_functional", "printf 'bad \\377\\376 bytes\\n'\nexit 1\n")
+    tested = ex.run_functional_tests(binary)
+    assert not tested.all_passed
+    assert tested.per_vlen[128].exit_code == 1
+    assert "bad \ufffd\ufffd bytes" in tested.per_vlen[128].output_tail
+    assert "\ufffd" in tested.describe()
+
+
+def test_non_utf8_compiler_diagnostics_are_a_failed_compile(tmp_path):
+    cc = _script(tmp_path / "cc", "printf 'error: \\377 not here\\n' >&2\nexit 1\n")
+    case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+    ex = CommandExecutor(_script_config(cc), tmp_path / "work")
+    result = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+    assert not result.success
+    assert "error: \ufffd not here" in result.diagnostics
+
+
+def test_non_utf8_perf_output_is_parsed_or_a_perf_error(tmp_path):
+    ex = CommandExecutor(_script_config(), tmp_path / "work")
+    native = _cost_script(tmp_path / "native.py", [200000])
+    noisy = _script(tmp_path / "noisy", "printf '\\377\\377\\n100000\\n'\n")
+    assert ex.run_perf(noisy, native, runs=3).speedup == Fraction(2)
+    garbage = _script(tmp_path / "garbage", "printf '\\377\\377\\n'\n")
+    with pytest.raises(PerfError, match="cost line"):
+        ex.run_perf(garbage, native, runs=3)
 
 
 def test_adding_a_vlen_only_tightens_all_passed():

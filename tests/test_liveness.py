@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_ir, random_ir, straight_line_ir
@@ -183,6 +183,7 @@ def test_oracle_refuses_to_explode():
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 10_000))
+@example(2871)  # 11-statement CFG whose paths outnumber the oracle's step bound
 def test_property_solver_equals_oracle_and_fixpoint_holds(seed):
     ir = random_ir(random.Random(seed))
     live = solve_liveness(ir)

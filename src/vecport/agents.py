@@ -20,7 +20,6 @@ from .errors import NoCodeError, PromptError
 from .liveness import PressureReport
 
 ROLES = ("system", "user", "assistant")
-PURPOSES = ("translate", "repair_compile", "repair_test", "optimize")
 
 DEFAULT_FEEDBACK_BUDGET = 8000  # characters kept from diagnostics
 

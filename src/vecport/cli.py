@@ -154,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> tuple[RunConfig, Budgets]:
     file_values = load_config_file(args.config) if args.config else {}
     flag_values = {
         f.name: getattr(args, f.name, None) for f in fields(RunConfig)
@@ -166,15 +166,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise UsageError("choose one of --endpoint or --replay, not both")
     if not cfg.endpoint and not cfg.replay:
         raise UsageError("one of --endpoint or --replay is required")
-    if cfg.translate_max < 1 or cfg.optimize_max < 1:
-        raise UsageError("iteration budgets must be at least 1")
+    try:
+        budgets = Budgets(cfg.translate_max, cfg.optimize_max)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if cfg.parallelism < 1:
         raise UsageError("parallelism must be at least 1")
-    return cfg
+    return cfg, budgets
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    cfg, budgets = _config_from_args(args)
     corpus_dir = Path(cfg.corpus) if cfg.corpus else bundled_corpus_dir()
     listing = load_corpus(corpus_dir)
     for case_dir, problem in listing.problems:
@@ -233,7 +235,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
             print(f"warning: {w}", file=sys.stderr)
         cases.append(case)
 
-    budgets = Budgets(cfg.translate_max, cfg.optimize_max)
     deps = TaskDeps(
         client=client,
         executor=executor,

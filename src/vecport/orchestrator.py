@@ -7,9 +7,14 @@ on the current best variant with register-pressure and speedup feedback;
 failed optimization rounds consume budget but can never lose the correct
 baseline, so the returned best variant always passed all tests.
 
+Both loops share one evaluate step (LLM call, extract, compile, test at every
+VLEN, record) and one measure step (pressure, perf harness, speedup), which
+serves the baseline and every optimized variant.
+
 Every LLM call is recorded as one Attempt; with a replay client and mock
 executors the whole trace, log included, reproduces byte-for-byte except for
-timestamps.
+timestamps. With a real executor it does not: each optimization prompt embeds
+the anchor's measured speedup, so its prompt digest follows timing noise.
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ class Budgets:
     optimize_max: int = 10
 
     def __post_init__(self):
-        if self.translate_max < 1 or self.optimize_max < 0:
-            raise ValueError("budgets must be positive")
+        if self.translate_max < 1 or self.optimize_max < 1:
+            raise ValueError("iteration budgets must be at least 1")
 
 
 @dataclass
@@ -99,7 +104,6 @@ class Variant:
     code: str
     pressure: PressureReport | None = None
     perf: PerfResult | None = None
-    passed_all_tests: bool = True
 
 
 @dataclass
@@ -193,6 +197,34 @@ def _safe_pressure(code: str, signature: str, mode: str) -> PressureReport | Non
         return None
 
 
+@dataclass(frozen=True)
+class _Phase:
+    """What differs between the correctness and the optimization loop."""
+
+    name: str  # Attempt.phase
+    tag: str  # executor tag prefix: {tag}{n} and {tag}{n}-perf
+    compile_state: FsmState
+    test_state: FsmState
+    no_code_hint: str
+    no_perf_note: str
+    no_harness_note: str
+
+
+_TRANSLATION = _Phase(
+    "translation", "t", FsmState.COMPILE, FsmState.FUNC_TEST,
+    "the previous reply contained no code block; reply with exactly one fenced "
+    "code block holding the complete C file",
+    "baseline perf unavailable: {exc}",
+    "baseline perf harness failed to compile",
+)
+_OPTIMIZATION = _Phase(
+    "optimization", "opt", FsmState.OPT_COMPILE, FsmState.OPT_TEST,
+    "the previous reply contained no code block",
+    "variant {id}: no perf data ({exc})",
+    "variant {id}: perf harness failed to compile",
+)
+
+
 def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutcome:
     """Drive one case through the full FSM; see the module docstring.
 
@@ -201,82 +233,89 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
     """
     trace = [FsmState.INIT]
     attempts: list[Attempt] = []
+    variants: list[Variant] = []
     notes: list[str] = []
     log = _TaskLog(deps.log_dir, case.case_id)
-    client = deps.client.session(case.case_id) if hasattr(deps.client, "session") else deps.client
+    client = deps.client.session(case.case_id)
 
-    def call_llm(bundle) -> tuple[str, str]:
-        text = client.complete(bundle.messages, deps.temperature, deps.max_tokens)
-        return text, hashlib.sha256(text.encode()).hexdigest()
+    def evaluate(
+        phase: _Phase, attempt_no: int, bundle, pressure: PressureReport | None = None
+    ) -> tuple[str, Diagnostics | None]:
+        """Ask the model, then extract, compile, test and record one attempt.
+
+        Returns the extracted code (the raw reply when it held none) and the
+        repair feedback, which is None when the code passed at every VLEN.
+        """
+        response = client.complete(bundle.messages, deps.temperature, deps.max_tokens)
+        attempt = Attempt(
+            attempt_no=attempt_no,
+            phase=phase.name,
+            prompt_digest=bundle.context_digest,
+            response_digest=hashlib.sha256(response.encode()).hexdigest(),
+            code="",
+            pressure=pressure.to_dict() if pressure is not None else None,
+            timestamp=time.time(),
+        )
+        feedback = None
+        try:
+            code = attempt.code = extract_code(response)
+        except NoCodeError:
+            attempt.note = "no code emitted"
+            code, feedback = response, Diagnostics("compile", phase.no_code_hint)
+        else:
+            trace.append(phase.compile_state)
+            compiled: CompileResult = deps.executor.compile_candidate(
+                code, case, "functional", tag=f"{phase.tag}{attempt_no}"
+            )
+            attempt.compile_ok = compiled.success
+            attempt.compile_diagnostics = compiled.diagnostics
+            if not compiled.success:
+                feedback = Diagnostics("compile", compiled.diagnostics)
+            else:
+                trace.append(phase.test_state)
+                tested: TestResult = deps.executor.run_functional_tests(compiled.artifact_path)
+                attempt.tests_passed = tested.all_passed
+                attempt.test_report = tested.describe()
+                if not tested.all_passed:
+                    feedback = Diagnostics("test", attempt.test_report)
+        attempts.append(attempt)
+        log.record(attempt)
+        return code, feedback
+
+    def measure(phase: _Phase, n: int, code: str) -> None:
+        """Add passing code as the next variant, with its pressure and, when
+        the native reference compiled, its speedup over it."""
+        variant = Variant(
+            variant_id=len(variants),
+            code=code,
+            pressure=_safe_pressure(code, case.function_signature, deps.pressure_mode),
+        )
+        variants.append(variant)
+        if native_artifact is None:
+            return
+        compiled = deps.executor.compile_candidate(code, case, "perf", tag=f"{phase.tag}{n}-perf")
+        if not compiled.success:
+            notes.append(phase.no_harness_note.format(id=variant.variant_id))
+            return
+        try:
+            variant.perf = deps.executor.run_perf(
+                compiled.artifact_path, native_artifact, deps.perf_runs
+            )
+        except PerfError as exc:
+            notes.append(phase.no_perf_note.format(id=variant.variant_id, exc=exc))
 
     # --- correctness loop -------------------------------------------------
     feedback: Diagnostics | None = None
-    prev_code = ""
-    v0: Variant | None = None
-    attempts_used = budgets.translate_max
-
-    for attempt_no in range(1, budgets.translate_max + 1):
+    for attempts_used in range(1, budgets.translate_max + 1):
         trace.append(FsmState.TRANSLATE)
         if feedback is None:
             bundle = build_translate_prompt(case)
         else:
-            bundle = build_repair_prompt(case, prev_code, feedback)
-        response, response_digest = call_llm(bundle)
-        attempt = Attempt(
-            attempt_no=attempt_no,
-            phase="translation",
-            prompt_digest=bundle.context_digest,
-            response_digest=response_digest,
-            code="",
-            timestamp=time.time(),
-        )
-        try:
-            code = extract_code(response)
-        except NoCodeError:
-            attempt.note = "no code emitted"
-            attempts.append(attempt)
-            log.record(attempt)
-            prev_code = response
-            feedback = Diagnostics(
-                "compile",
-                "the previous reply contained no code block; reply with exactly "
-                "one fenced code block holding the complete C file",
-            )
-            continue
-        attempt.code = code
-        prev_code = code
-
-        trace.append(FsmState.COMPILE)
-        compiled: CompileResult = deps.executor.compile_candidate(
-            code, case, "functional", tag=f"t{attempt_no}"
-        )
-        attempt.compile_ok = compiled.success
-        attempt.compile_diagnostics = compiled.diagnostics
-        if not compiled.success:
-            attempts.append(attempt)
-            log.record(attempt)
-            feedback = Diagnostics("compile", compiled.diagnostics)
-            continue
-
-        trace.append(FsmState.FUNC_TEST)
-        tested: TestResult = deps.executor.run_functional_tests(compiled.artifact_path)
-        attempt.tests_passed = tested.all_passed
-        attempt.test_report = tested.describe()
-        attempts.append(attempt)
-        log.record(attempt)
-        if not tested.all_passed:
-            feedback = Diagnostics("test", tested.describe())
-            continue
-
-        attempts_used = attempt_no
-        v0 = Variant(
-            variant_id=0,
-            code=code,
-            pressure=_safe_pressure(code, case.function_signature, deps.pressure_mode),
-        )
-        break
-
-    if v0 is None:
+            bundle = build_repair_prompt(case, code, feedback)
+        code, feedback = evaluate(_TRANSLATION, attempts_used, bundle)
+        if feedback is None:
+            break
+    else:
         trace.append(FsmState.FAILED)
         return TaskOutcome(
             case_id=case.case_id,
@@ -290,114 +329,32 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
 
     # --- baseline measurement ---------------------------------------------
     trace.append(FsmState.BASELINE_PERF)
-    native_artifact = None
-    native_compiled = deps.executor.compile_candidate(
-        case.native_text, case, "perf", tag="native"
-    )
-    if native_compiled.success:
-        native_artifact = native_compiled.artifact_path
-    else:
+    native = deps.executor.compile_candidate(case.native_text, case, "perf", tag="native")
+    native_artifact = native.artifact_path if native.success else None
+    if native_artifact is None:
         notes.append("native reference failed to compile; no perf data for this case")
-    if native_artifact is not None:
-        v0_perf_compiled = deps.executor.compile_candidate(
-            v0.code, case, "perf", tag="t0-perf"
-        )
-        if v0_perf_compiled.success:
-            try:
-                v0.perf = deps.executor.run_perf(
-                    v0_perf_compiled.artifact_path, native_artifact, deps.perf_runs
-                )
-            except PerfError as exc:
-                notes.append(f"baseline perf unavailable: {exc}")
-        else:
-            notes.append("baseline perf harness failed to compile")
-
-    variants = [v0]
+    measure(_TRANSLATION, 0, code)
 
     # --- optimization loop --------------------------------------------------
-    opt_feedback: Diagnostics | None = None
+    feedback = None
     for opt_no in range(1, budgets.optimize_max + 1):
         trace.append(FsmState.OPTIMIZE)
         anchor = select_best(variants)
-        pressure = _safe_pressure(anchor.code, case.function_signature, deps.pressure_mode)
         bundle = build_optimize_prompt(
             case,
             anchor.code,
-            pressure,
+            anchor.pressure,
             speedup=anchor.perf.speedup if anchor.perf else None,
-            feedback=opt_feedback,
+            feedback=feedback,
         )
         try:
-            response, response_digest = call_llm(bundle)
+            code, feedback = evaluate(_OPTIMIZATION, opt_no, bundle, anchor.pressure)
         except ReplayExhaustedError:
             notes.append(f"replay script exhausted after {opt_no - 1} optimization rounds")
             break
-        attempt = Attempt(
-            attempt_no=opt_no,
-            phase="optimization",
-            prompt_digest=bundle.context_digest,
-            response_digest=response_digest,
-            code="",
-            pressure=pressure.to_dict() if pressure is not None else None,
-            timestamp=time.time(),
-        )
-        try:
-            code = extract_code(response)
-        except NoCodeError:
-            attempt.note = "no code emitted"
-            attempts.append(attempt)
-            log.record(attempt)
-            opt_feedback = Diagnostics(
-                "compile", "the previous reply contained no code block"
-            )
-            continue
-        attempt.code = code
-
-        trace.append(FsmState.OPT_COMPILE)
-        compiled = deps.executor.compile_candidate(
-            code, case, "functional", tag=f"opt{opt_no}"
-        )
-        attempt.compile_ok = compiled.success
-        attempt.compile_diagnostics = compiled.diagnostics
-        if not compiled.success:
-            attempts.append(attempt)
-            log.record(attempt)
-            opt_feedback = Diagnostics("compile", compiled.diagnostics)
-            continue
-
-        trace.append(FsmState.OPT_TEST)
-        tested = deps.executor.run_functional_tests(compiled.artifact_path)
-        attempt.tests_passed = tested.all_passed
-        attempt.test_report = tested.describe()
-        if not tested.all_passed:
-            attempts.append(attempt)
-            log.record(attempt)
-            opt_feedback = Diagnostics("test", tested.describe())
-            continue
-        attempts.append(attempt)
-        log.record(attempt)
-
-        variant = Variant(
-            variant_id=len(variants),
-            code=code,
-            pressure=_safe_pressure(code, case.function_signature, deps.pressure_mode),
-        )
-        trace.append(FsmState.OPT_PERF)
-        if native_artifact is not None:
-            perf_compiled = deps.executor.compile_candidate(
-                code, case, "perf", tag=f"opt{opt_no}-perf"
-            )
-            if perf_compiled.success:
-                try:
-                    variant.perf = deps.executor.run_perf(
-                        perf_compiled.artifact_path, native_artifact, deps.perf_runs
-                    )
-                except PerfError as exc:
-                    notes.append(f"variant {variant.variant_id}: no perf data ({exc})")
-            else:
-                notes.append(f"variant {variant.variant_id}: perf harness failed to compile")
-        variants.append(variant)
-        opt_feedback = None
+        if feedback is None:
+            trace.append(FsmState.OPT_PERF)
+            measure(_OPTIMIZATION, opt_no, code)
 
     # --- selection -----------------------------------------------------------
     trace.append(FsmState.SELECT_BEST)

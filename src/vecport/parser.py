@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .errors import AnalysisError, ParseError
 from .rvv_types import VectorType, parse_vector_type
 
-STMT_KINDS = ("decl", "assign", "call", "return", "scalar_other")
 
 _KEYWORDS = {
     "if", "else", "while", "for", "do", "return", "break", "continue",

@@ -1,0 +1,81 @@
+"""Corpus goldens: a scripted translate run over the bundled corpus must keep
+producing the committed outputs, modulo timestamps.
+
+``golden/replay.json`` drives ``vecport translate --no-exec`` with budgets 3/3
+through every FSM branch that mock executors can reach: a no-code reply, a
+compile error and a VLEN-specific test failure in each phase; a failed case;
+a baseline and a variant whose ``mock-cost: 0`` raises ``PerfError``; winning,
+tied and losing variants; a variant the analyzer cannot parse; and a replay
+script that runs out before and in the middle of optimization.
+
+``golden/expected/`` mirrors the run directory with every ``timestamp`` set
+to null. After an intended behaviour change, regenerate it with
+
+    VECPORT_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
+"""
+
+import json
+import os
+from pathlib import Path
+
+from vecport.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+EXPECTED = GOLDEN / "expected"
+COMPARED = ("outcomes/*.json", "work/*/log/attempts.ndjson", "report.json", "report.txt")
+
+
+def _null_timestamps(value):
+    if isinstance(value, dict):
+        return {k: None if k == "timestamp" else _null_timestamps(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_null_timestamps(v) for v in value]
+    return value
+
+
+def _normalized(path: Path) -> str:
+    text = path.read_text()
+    if path.suffix == ".json":
+        return json.dumps(_null_timestamps(json.loads(text)), indent=2, sort_keys=True) + "\n"
+    if path.suffix == ".ndjson":
+        return "".join(
+            json.dumps(_null_timestamps(json.loads(line)), sort_keys=True) + "\n"
+            for line in text.splitlines()
+        )
+    return text
+
+
+def _outputs(root: Path) -> dict[str, str]:
+    return {
+        str(p.relative_to(root)): _normalized(p)
+        for pattern in COMPARED
+        for p in sorted(root.glob(pattern))
+    }
+
+
+def test_scripted_corpus_run_matches_goldens(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main([
+        "translate", "--no-exec",
+        "--replay", str(GOLDEN / "replay.json"),
+        "--translate-max", "3", "--optimize-max", "3",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    actual = _outputs(out)
+    assert len(actual) == 7 + 7 + 2
+
+    if os.environ.get("VECPORT_UPDATE_GOLDEN"):
+        for rel, text in actual.items():
+            target = EXPECTED / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text)
+
+    expected = {
+        str(p.relative_to(EXPECTED)): p.read_text()
+        for p in sorted(EXPECTED.rglob("*")) if p.is_file()
+    }
+    assert sorted(actual) == sorted(expected)
+    for rel in sorted(expected):
+        assert actual[rel] == expected[rel], f"{rel} differs from its golden"
+    assert capsys.readouterr().out == expected["report.txt"] + "\n"

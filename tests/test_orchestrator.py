@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from vecport.executors import MockExecutor, PerfResult
+from vecport.executors import CompileResult, MockExecutor, PerfResult
 from vecport.llm_client import ReplayClient
 from vecport.orchestrator import (
     Budgets,
@@ -134,7 +134,10 @@ def test_failed_optimization_never_loses_the_baseline(tmp_path, vec_add_case):
     outcome = run_task(vec_add_case, Budgets(10, 2), deps)
     assert outcome.passed
     assert outcome.best_variant.variant_id == 0
-    assert outcome.best_variant.passed_all_tests
+    assert any(
+        a.tests_passed is True and a.code == outcome.best_variant.code
+        for a in outcome.all_attempts
+    )
     assert len(outcome.variants) == 1
     opt_attempts = [a for a in outcome.all_attempts if a.phase == "optimization"]
     assert len(opt_attempts) == 2
@@ -144,10 +147,86 @@ def test_failed_optimization_never_loses_the_baseline(tmp_path, vec_add_case):
 
 def test_no_code_response_consumes_an_attempt(tmp_path, vec_add_case):
     deps = deps_for(tmp_path, ["I cannot write code today.", fenced(GOOD_RVV)])
-    outcome = run_task(vec_add_case, Budgets(10, 0), deps)
+    outcome = run_task(vec_add_case, Budgets(10, 1), deps)
     assert outcome.passed
     assert outcome.attempts_used == 2
     assert outcome.all_attempts[0].note == "no code emitted"
+
+
+def test_no_code_reply_in_an_optimize_round_feeds_the_next_round(tmp_path, vec_add_case):
+    deps = deps_for(tmp_path, [fenced(GOOD_RVV), "Unrolling should help.", fenced(GOOD_RVV)])
+    outcome = run_task(vec_add_case, Budgets(10, 2), deps)
+    assert outcome.passed
+    opt = [a for a in outcome.all_attempts if a.phase == "optimization"]
+    assert [a.note for a in opt] == ["no code emitted", ""]
+    assert opt[0].code == "" and opt[0].compile_ok is None
+    assert opt[0].prompt_digest != opt[1].prompt_digest  # the hint reached the prompt
+    assert [v.variant_id for v in outcome.variants] == [0, 1]
+    assert outcome.fsm_trace[-8:] == [
+        S.BASELINE_PERF,
+        S.OPTIMIZE,
+        S.OPTIMIZE, S.OPT_COMPILE, S.OPT_TEST, S.OPT_PERF,
+        S.SELECT_BEST, S.DONE,
+    ]
+
+
+def test_baseline_perf_error_is_a_note_and_a_measured_variant_wins(tmp_path, vec_add_case):
+    deps = deps_for(tmp_path, [fenced(with_cost(GOOD_RVV, 0)), fenced(GOOD_RVV)])
+    outcome = run_task(vec_add_case, Budgets(10, 1), deps)
+    assert outcome.passed
+    assert outcome.notes == ["baseline perf unavailable: mock cost must be positive"]
+    assert outcome.variants[0].perf is None
+    assert outcome.best_variant.variant_id == 1
+    assert outcome.final_speedup == 1
+
+
+def test_variant_perf_error_is_a_note_and_keeps_the_baseline(tmp_path, vec_add_case):
+    deps = deps_for(tmp_path, [fenced(GOOD_RVV), fenced(with_cost(GOOD_RVV, 0))])
+    outcome = run_task(vec_add_case, Budgets(10, 1), deps)
+    assert outcome.notes == ["variant 1: no perf data (mock cost must be positive)"]
+    assert len(outcome.variants) == 2 and outcome.variants[1].perf is None
+    assert outcome.best_variant.variant_id == 0
+    assert outcome.final_speedup == 1
+
+
+class PerfHarnessBreaks(MockExecutor):
+    """Functional builds succeed; perf builds of chosen tags fail to compile."""
+
+    def __init__(self, broken_tags, **kw):
+        super().__init__(**kw)
+        self.broken_tags = set(broken_tags)
+
+    def compile_candidate(self, candidate_source, case, which_harness, tag):
+        if which_harness == "perf" and tag in self.broken_tags:
+            return CompileResult(False, "bench.c: error: undefined reference to 'kernel'")
+        return super().compile_candidate(candidate_source, case, which_harness, tag)
+
+
+@pytest.mark.parametrize(
+    ("broken", "note", "measured"),
+    [
+        ("t0-perf", "baseline perf harness failed to compile", [False, True]),
+        ("opt1-perf", "variant 1: perf harness failed to compile", [True, False]),
+    ],
+)
+def test_perf_harness_compile_failure_is_a_note(tmp_path, vec_add_case, broken, note, measured):
+    deps = TaskDeps(
+        client=ReplayClient([fenced(GOOD_RVV), fenced(GOOD_RVV)]),
+        executor=PerfHarnessBreaks({broken}, work_dir=tmp_path / "mock"),
+        log_dir=tmp_path / "work",
+    )
+    outcome = run_task(vec_add_case, Budgets(10, 1), deps)
+    assert outcome.passed
+    assert outcome.notes == [note]
+    assert [v.perf is not None for v in outcome.variants] == measured
+    assert outcome.final_speedup == 1
+    assert all(a.tests_passed for a in outcome.all_attempts)
+
+
+def test_budgets_below_one_are_rejected():
+    for translate_max, optimize_max in ((0, 1), (1, 0), (-1, 10)):
+        with pytest.raises(ValueError, match="iteration budgets must be at least 1"):
+            Budgets(translate_max, optimize_max)
 
 
 def test_replay_exhaustion_mid_optimization_stops_gracefully(tmp_path, vec_add_case):

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .corpus import ValidatedCase
 from .errors import NoCodeError, PromptError
-from .liveness import PressureReport
+from .liveness import PressureReport, fmt_fraction
 
 ROLES = ("system", "user", "assistant")
 
@@ -167,20 +167,20 @@ def build_optimize_prompt(
         budget = pressure.register_budget
         if pressure.spills_predicted:
             parts.append(
-                f"Peak demand {_fmt_frac(pressure.pressure)} exceeds the "
+                f"Peak demand {fmt_fraction(pressure.pressure)} exceeds the "
                 f"{budget}-register file: reduce the number of simultaneously "
                 f"live vector values (smaller LMUL, shorter live ranges, or "
                 f"recompute values instead of holding them)."
             )
         elif pressure.pressure * 2 <= budget:
             parts.append(
-                f"Only {_fmt_frac(pressure.pressure)} of {budget} registers are "
+                f"Only {fmt_fraction(pressure.pressure)} of {budget} registers are "
                 f"used at the hottest point, so there is headroom: try a larger "
                 f"LMUL or unroll the loop to keep more of the register file busy."
             )
         else:
             parts.append(
-                f"Peak demand {_fmt_frac(pressure.pressure)} of {budget} leaves "
+                f"Peak demand {fmt_fraction(pressure.pressure)} of {budget} leaves "
                 f"little headroom; prefer optimizations that do not add live values."
             )
     else:
@@ -209,10 +209,6 @@ def build_optimize_prompt(
     system = ChatMessage("system", _OPTIMIZER_SYSTEM)
     user = ChatMessage("user", "\n".join(parts))
     return _bundle("optimize", system, user)
-
-
-def _fmt_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def truncate_middle(text: str, budget: int) -> str:

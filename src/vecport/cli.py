@@ -205,8 +205,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
             )
             parallelism = 1
     else:
-        client = RemoteClient(endpoint=cfg.endpoint, model=cfg.model,
-                              timeout_s=120.0)
+        client = RemoteClient(endpoint=cfg.endpoint, model=cfg.model)
         parallelism = cfg.parallelism
 
     out_dir = Path(cfg.out)

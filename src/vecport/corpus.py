@@ -28,7 +28,6 @@ _NEON_HINT_RE = re.compile(r"\bv[a-z][a-z0-9]*q?_[a-z0-9_]+")
 @dataclass(frozen=True)
 class CaseManifest:
     case_id: str
-    source_arch: str
     source_path: Path
     functional_test_path: Path
     perf_test_path: Path
@@ -40,8 +39,6 @@ class CaseManifest:
 class ValidatedCase:
     manifest: CaseManifest
     source_text: str
-    test_text: str
-    bench_text: str
     native_text: str
     warnings: tuple[str, ...] = ()
 
@@ -105,7 +102,6 @@ def _manifest_from_dir(case_dir: Path) -> CaseManifest:
         raise CorpusError(f"{case_dir}: bad signature: {exc}") from exc
     return CaseManifest(
         case_id=values["id"],
-        source_arch=values["arch"],
         source_path=paths["source"],
         functional_test_path=paths["test"],
         perf_test_path=paths["bench"],
@@ -181,8 +177,6 @@ def validate_case(manifest: CaseManifest) -> ValidatedCase:
     return ValidatedCase(
         manifest=manifest,
         source_text=texts["source"],
-        test_text=texts["test"],
-        bench_text=texts["bench"],
         native_text=texts["native"],
         warnings=tuple(warnings),
     )

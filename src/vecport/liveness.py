@@ -55,7 +55,7 @@ class PressureReport:
 
     def to_text(self) -> str:
         lines = [
-            f"peak vector register pressure: {_fmt(self.pressure)} of {self.register_budget}",
+            f"peak vector register pressure: {fmt_fraction(self.pressure)} of {self.register_budget}",
         ]
         if self.hot_stmt is not None:
             where = f"statement {self.hot_stmt}"
@@ -63,7 +63,7 @@ class PressureReport:
                 where += f" (line {self.hot_line})"
             lines.append(f"hot statement: {where}: {self.hot_text or ''}".rstrip())
             live = ", ".join(
-                f"{name}={_fmt(fp)}" for name, fp in sorted(self.live_at_hot)
+                f"{name}={fmt_fraction(fp)}" for name, fp in sorted(self.live_at_hot)
             )
             lines.append(f"live there: {live or '(none)'}")
         if self.spills_predicted:
@@ -87,7 +87,7 @@ class PressureReport:
         }
 
 
-def _fmt(x: Fraction) -> str:
+def fmt_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -6,10 +6,13 @@ a JSON file, keyed by call order. Two layouts are accepted:
   ["response 1", "response 2", ...]            one shared sequence
   {"case_a": [...], "case_b": [...]}           one sequence per case id
 
-The per-case layout keeps parallel runs deterministic, since each task owns
-its own cursor. The remote client talks to any chat-completion style HTTP
-endpoint; the API key travels only via environment variable so it can never
-leak into logs or attempt records.
+The per-case layout keeps parallel runs deterministic, since each case gets
+its own child client with its own position. The remote client POSTs to any
+chat-completion style HTTP endpoint with the standard library's
+``urllib.request`` (imported on the first call, so replay runs never load
+it; ``HTTP(S)_PROXY`` is honoured). The API key travels only via the
+``VECPORT_API_KEY`` environment variable so it can never leak into logs or
+attempt records.
 """
 
 from __future__ import annotations
@@ -18,11 +21,9 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
-
-import requests
 
 from .agents import ChatMessage
 from .errors import ConfigurationError, LlmError, ReplayExhaustedError
@@ -40,45 +41,26 @@ class LlmClient(Protocol):
     def session(self, case_id: str) -> "LlmClient": ...
 
 
-class _ReplayCursor:
-    """One ordered response list with a thread-safe position."""
-
-    def __init__(self, responses: list[str], label: str):
-        self._responses = responses
-        self._label = label
-        self._pos = 0
-        self._lock = threading.Lock()
-
-    def next_response(self) -> str:
-        with self._lock:
-            if self._pos >= len(self._responses):
-                raise ReplayExhaustedError(
-                    f"replay script {self._label} exhausted after "
-                    f"{len(self._responses)} responses"
-                )
-            out = self._responses[self._pos]
-            self._pos += 1
-            return out
-
-    @property
-    def calls_made(self) -> int:
-        return self._pos
-
-
 class ReplayClient:
-    """Scripted responses; fully deterministic, ignores sampling parameters."""
+    """Scripted responses; fully deterministic, ignores sampling parameters.
+
+    A list script is one shared, thread-safe sequence and is its own session.
+    A per-case script holds one child ``ReplayClient`` per case id, and
+    ``session(case_id)`` returns that child.
+    """
 
     def __init__(self, responses: list[str] | dict[str, list[str]], label: str = "<memory>"):
         self.label = label
+        self._pos = 0
+        self._lock = threading.Lock()
         if isinstance(responses, dict):
-            self._per_case = {
-                case: _ReplayCursor(list(seq), f"{label}[{case}]")
-                for case, seq in responses.items()
+            self._responses = None
+            self._children = {
+                case: ReplayClient(seq, f"{label}[{case}]") for case, seq in responses.items()
             }
-            self._shared = None
         else:
-            self._per_case = None
-            self._shared = _ReplayCursor(list(responses), label)
+            self._responses = list(responses)
+            self._children = None
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ReplayClient":
@@ -104,33 +86,36 @@ class ReplayClient:
 
     @property
     def per_case(self) -> bool:
-        return self._per_case is not None
+        return self._children is not None
 
     def session(self, case_id: str) -> "ReplayClient":
-        if self._per_case is None:
+        if self._children is None:
             return self
-        if case_id not in self._per_case:
+        if case_id not in self._children:
             raise ConfigurationError(
                 f"replay script {self.label} has no responses for case {case_id!r}"
             )
-        view = ReplayClient.__new__(ReplayClient)
-        view.label = f"{self.label}[{case_id}]"
-        view._per_case = None
-        view._shared = self._per_case[case_id]
-        return view
+        return self._children[case_id]
 
     def complete(self, messages, temperature: float = 0.2, max_tokens: int = 4096) -> str:
-        if self._shared is None:
+        if self._responses is None:
             raise ConfigurationError(
                 "per-case replay client must be narrowed with session(case_id) first"
             )
-        return self._shared.next_response()
+        with self._lock:
+            if self._pos >= len(self._responses):
+                raise ReplayExhaustedError(
+                    f"replay script {self.label} exhausted after "
+                    f"{len(self._responses)} responses"
+                )
+            self._pos += 1
+            return self._responses[self._pos - 1]
 
     @property
     def calls_made(self) -> int:
-        if self._shared is not None:
-            return self._shared.calls_made
-        return sum(c.calls_made for c in self._per_case.values())
+        if self._children is None:
+            return self._pos
+        return sum(c.calls_made for c in self._children.values())
 
 
 @dataclass
@@ -139,24 +124,27 @@ class RemoteClient:
 
     endpoint: str
     model: str
-    api_key_env: str = API_KEY_ENV
     timeout_s: float = DEFAULT_TIMEOUT_S
     retries: int = DEFAULT_RETRIES
     backoff_base_s: float = 1.0
-    _session: requests.Session = field(default_factory=requests.Session, repr=False)
 
     def session(self, case_id: str) -> "RemoteClient":
         return self
 
     def complete(self, messages, temperature: float = 0.2, max_tokens: int = 4096) -> str:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         payload = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
+        body = json.dumps(payload).encode()
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env, "")
+        api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
@@ -164,29 +152,34 @@ class RemoteClient:
         for attempt in range(self.retries):
             if attempt:
                 time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+            request = urllib.request.Request(self.endpoint, data=body, headers=headers,
+                                             method="POST")
             try:
-                resp = self._session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout_s
-                )
-            except requests.RequestException as exc:
+                try:
+                    resp = urllib.request.urlopen(request, timeout=self.timeout_s)
+                except urllib.error.HTTPError as exc:
+                    resp = exc  # a non-2xx reply; it carries the status and body
+                with resp:
+                    status, raw = resp.status, resp.read()
+            # URLError, refused connections and timeouts are all OSErrors.
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if resp.status_code in RETRYABLE_STATUSES:
-                last_error = LlmError(f"endpoint returned HTTP {resp.status_code}")
+            if status in RETRYABLE_STATUSES:
+                last_error = LlmError(f"endpoint returned HTTP {status}")
                 continue
-            if resp.status_code != 200:
-                raise LlmError(
-                    f"endpoint returned HTTP {resp.status_code}: {resp.text[:500]}"
-                )
-            return self._parse_content(resp)
+            if status != 200:
+                text = raw.decode("utf-8", errors="replace")
+                raise LlmError(f"endpoint returned HTTP {status}: {text[:500]}")
+            return self._parse_content(raw)
         raise LlmError(
             f"LLM call failed after {self.retries} attempts: {last_error}"
         ) from last_error
 
     @staticmethod
-    def _parse_content(resp) -> str:
+    def _parse_content(raw: bytes) -> str:
         try:
-            data = resp.json()
+            data = json.loads(raw)
             return data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise LlmError(f"malformed completion response: {exc}") from exc

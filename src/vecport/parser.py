@@ -342,9 +342,8 @@ def _is_type_start(tokens: list[Token], i: int) -> bool:
 class _SimpleStmtParser:
     """Turns one simple statement's tokens into a RawStmt, registering decls."""
 
-    def __init__(self, symbols: dict[str, VectorType], declared_order: list[str]):
+    def __init__(self, symbols: dict[str, VectorType]):
         self.symbols = symbols
-        self.declared_order = declared_order
 
     def parse(self, tokens: list[Token], text: str) -> RawStmt:
         line, col = tokens[0].line, tokens[0].col
@@ -408,7 +407,6 @@ class _SimpleStmtParser:
                         f"'{name}' redeclared with a different vector type", line=line
                     )
                 self.symbols[name] = base_vec
-                self.declared_order.append(name)
                 stmt.decl_names.add(name)
                 if init_tokens:
                     stmt.decl_defs.add(name)
@@ -447,14 +445,10 @@ class _SimpleStmtParser:
 
 
 class _BodyParser:
-    def __init__(self, tokens: list[Token], source: str,
-                 symbols: dict[str, VectorType]):
+    def __init__(self, tokens: list[Token], symbols: dict[str, VectorType]):
         self.toks = tokens
         self.pos = 0
-        self.symbols = symbols
-        self.declared_order: list[str] = []
-        self.simple = _SimpleStmtParser(symbols, self.declared_order)
-        self._source = source
+        self.simple = _SimpleStmtParser(symbols)
 
     def at_end(self) -> bool:
         return self.pos >= len(self.toks)
@@ -501,9 +495,6 @@ class _BodyParser:
                 return out
             out.append(self.advance())
 
-    def _text_of(self, tokens: list[Token]) -> str:
-        return _render_tokens(tokens)
-
     def parse_block(self) -> BlockNode:
         self.expect("{")
         node = BlockNode()
@@ -524,7 +515,7 @@ class _BodyParser:
         return node
 
     def _cond_stmt(self, tokens: list[Token], line: int, col: int) -> RawStmt:
-        stmt = RawStmt(kind="scalar_other", text=self._text_of(tokens), line=line, col=col)
+        stmt = RawStmt(kind="scalar_other", text=_render_tokens(tokens), line=line, col=col)
         stmt.use_candidates |= _identifier_candidates(tokens)
         return stmt
 
@@ -558,7 +549,7 @@ class _BodyParser:
         if tok.text == "return":
             line = self.advance().line
             expr = self._collect_until(";")
-            stmt = RawStmt(kind="return", text="return" + (" " + self._text_of(expr) if expr else ""),
+            stmt = RawStmt(kind="return", text="return" + (" " + _render_tokens(expr) if expr else ""),
                            line=line, col=tok.col)
             stmt.use_candidates |= _identifier_candidates(expr)
             return ReturnNode(stmt)
@@ -573,7 +564,7 @@ class _BodyParser:
 
         tokens = [self.advance()]
         tokens.extend(self._collect_until(";"))
-        return LeafNode(self.simple.parse(tokens, self._text_of(tokens)))
+        return LeafNode(self.simple.parse(tokens, _render_tokens(tokens)))
 
     def _parse_if(self) -> IfNode:
         tok = self.expect("if")
@@ -606,11 +597,11 @@ class _BodyParser:
         tok = self.expect("for")
         self.expect("(")
         init_toks = self._collect_until(";")
-        init = self.simple.parse(init_toks, self._text_of(init_toks)) if init_toks else None
+        init = self.simple.parse(init_toks, _render_tokens(init_toks)) if init_toks else None
         cond_toks = self._collect_until(";")
         cond = self._cond_stmt(cond_toks, tok.line, tok.col) if cond_toks else None
         step_toks = self._collect_until(")")
-        step = self.simple.parse(step_toks, self._text_of(step_toks)) if step_toks else None
+        step = self.simple.parse(step_toks, _render_tokens(step_toks)) if step_toks else None
         body = self._parse_body_or_single()
         return ForNode(init, cond, step, body)
 
@@ -1018,7 +1009,7 @@ def parse_function(source: str, signature: str) -> FunctionIr:
     params, symbols = _parse_params(params_tokens)
 
     body_tokens = _body_slice(tokens, body_open)
-    body = _BodyParser(body_tokens, source, symbols)
+    body = _BodyParser(body_tokens, symbols)
     structure = body.parse_block()
     if not body.at_end():
         tok = body.peek()
@@ -1102,7 +1093,7 @@ def extract_use_def(stmt, symbols: dict[str, VectorType]) -> tuple[set[str], set
         return set(), set()
     tokens = tokenize(text)
     local_syms = dict(symbols)
-    parser = _SimpleStmtParser(local_syms, [])
+    parser = _SimpleStmtParser(local_syms)
     raw = parser.parse(tokens, text)
     uses = {n for n in raw.use_candidates if n in local_syms}
     defs = set(raw.decl_defs)

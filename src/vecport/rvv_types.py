@@ -73,9 +73,6 @@ class VectorType:
         tup = f"x{self.tuple_fields}" if self.tuple_fields > 1 else ""
         return f"v{_KIND_PREFIX[self.elem_kind]}{self.elem_bits}{mul}{tup}_t"
 
-    def footprint(self, mode: str = "literal") -> Fraction:
-        return register_footprint(self, mode)
-
 
 def _legal_lmuls(elem_bits: int) -> tuple[Fraction, ...]:
     # SEW/LMUL <= ELEN, i.e. lmul >= elem_bits / ELEN.

@@ -111,7 +111,6 @@ def _fake_case():
 
     manifest = CaseManifest(
         case_id="fake",
-        source_arch="neon",
         source_path=Path("fake.c"),
         functional_test_path=Path("t.c"),
         perf_test_path=Path("b.c"),
@@ -121,8 +120,6 @@ def _fake_case():
     return ValidatedCase(
         manifest=manifest,
         source_text="void hog(void) { vaddq_s32; }",
-        test_text="",
-        bench_text="",
         native_text="",
     )
 

@@ -117,12 +117,15 @@ def test_bad_signature_rejected(tmp_path):
 
 
 def test_validate_reads_all_texts(tmp_path):
-    write_case(tmp_path, "ok")
+    d = write_case(tmp_path, "ok")
     (manifest,) = load_corpus(tmp_path).manifests
     case = validate_case(manifest)
     assert "vaddq_s32" in case.source_text
+    assert case.native_text == "void add1(void) {}\n"
     assert case.warnings == ()
-    assert case.test_text.startswith("int main")
+    (d / "bench.c").unlink()
+    with pytest.raises(CorpusError, match="cannot read bench file"):
+        validate_case(manifest)
 
 
 def test_validate_warns_on_scalar_looking_source(tmp_path):

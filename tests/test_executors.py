@@ -26,7 +26,6 @@ def make_case(tmp_path, test_c, bench_c, case_id="mini") -> ValidatedCase:
     (d / "bench.c").write_text(bench_c)
     manifest = CaseManifest(
         case_id=case_id,
-        source_arch="neon",
         source_path=d / "neon.c",
         functional_test_path=d / "test.c",
         perf_test_path=d / "bench.c",
@@ -36,8 +35,6 @@ def make_case(tmp_path, test_c, bench_c, case_id="mini") -> ValidatedCase:
     return ValidatedCase(
         manifest=manifest,
         source_text=(d / "neon.c").read_text(),
-        test_text=test_c,
-        bench_text=bench_c,
         native_text=(d / "native.c").read_text(),
     )
 

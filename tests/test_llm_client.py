@@ -1,8 +1,16 @@
+import http.server
 import json
+import os
+import socket
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
-import requests
 
+import vecport
 from vecport.agents import ChatMessage
 from vecport.errors import ConfigurationError, LlmError, ReplayExhaustedError
 from vecport.llm_client import RemoteClient, ReplayClient
@@ -71,98 +79,148 @@ def test_replay_from_file_forms(tmp_path):
         ReplayClient.from_file(bad)
 
 
-# --- remote client ------------------------------------------------------------
+# --- remote client, against a loopback HTTP server ---------------------------
 
-class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+PROXY_VARS = ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY",
+              "all_proxy", "ALL_PROXY", "no_proxy", "NO_PROXY")
 
 
 def _completion(content):
-    return {"choices": [{"message": {"content": content}}]}
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 
 
-def _client(post_fn, retries=3):
-    client = RemoteClient(endpoint="http://example.invalid/v1/chat", model="m",
-                          retries=retries, backoff_base_s=0.0)
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """Records each POST and answers with the next scripted (status, body, delay)."""
 
-    class _S:
-        post = staticmethod(post_fn)
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.path, self.headers, json.loads(body)))
+        status, reply, delay = self.server.replies.pop(0)
+        time.sleep(delay)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
 
-    client._session = _S()
-    return client
+    def log_message(self, *args):
+        pass
 
 
-def test_remote_success_first_try():
-    calls = []
+class _Server(http.server.ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a handler writing to a client that timed out
 
-    def post(url, json=None, headers=None, timeout=None):
-        calls.append(json)
-        return _FakeResponse(200, _completion("hi there"))
 
-    client = _client(post)
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    for var in PROXY_VARS + ("VECPORT_API_KEY",):
+        monkeypatch.delenv(var, raising=False)
+
+
+@pytest.fixture
+def server(no_proxy_env):
+    srv = _Server(("127.0.0.1", 0), _Handler)
+    srv.seen, srv.replies = [], []
+    thread = threading.Thread(target=srv.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def _client(port, **kwargs):
+    return RemoteClient(endpoint=f"http://127.0.0.1:{port}/v1/chat", model="m",
+                        backoff_base_s=0.0, **kwargs)
+
+
+def _reply(srv, status, body=b"", delay=0.0):
+    srv.replies.append((status, body, delay))
+
+
+def test_remote_success_first_try(server):
+    _reply(server, 200, _completion("hi there"))
+    client = _client(server.server_port)
     assert client.complete(MSGS, temperature=0.2, max_tokens=64) == "hi there"
-    assert calls[0]["model"] == "m"
-    assert calls[0]["messages"] == [{"role": "user", "content": "hello"}]
-    assert calls[0]["temperature"] == 0.2
+    ((path, headers, payload),) = server.seen
+    assert path == "/v1/chat"
+    assert headers["Content-Type"] == "application/json"
+    assert "Authorization" not in headers
+    assert payload == {"model": "m", "messages": [{"role": "user", "content": "hello"}],
+                       "temperature": 0.2, "max_tokens": 64}
 
 
-def test_remote_retries_on_server_error_then_succeeds():
-    responses = [_FakeResponse(503), _FakeResponse(200, _completion("ok"))]
-
-    def post(url, **kwargs):
-        return responses.pop(0)
-
-    assert _client(post).complete(MSGS) == "ok"
+def test_remote_retries_on_server_error_then_succeeds(server):
+    _reply(server, 503)
+    _reply(server, 200, _completion("ok"))
+    assert _client(server.server_port).complete(MSGS) == "ok"
+    assert len(server.seen) == 2
 
 
-def test_remote_retries_exhausted():
-    def post(url, **kwargs):
-        raise requests.ConnectionError("refused")
-
-    with pytest.raises(LlmError, match="after 3 attempts"):
-        _client(post).complete(MSGS)
-
-
-def test_remote_non_retryable_error_raises_immediately():
-    attempts = []
-
-    def post(url, **kwargs):
-        attempts.append(1)
-        return _FakeResponse(401, text="bad key")
-
-    with pytest.raises(LlmError, match="401"):
-        _client(post).complete(MSGS)
-    assert len(attempts) == 1
+def test_remote_retries_exhausted(no_proxy_env):
+    with socket.socket() as sock:  # a port nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(LlmError, match="after 3 attempts") as excinfo:
+        _client(port).complete(MSGS)
+    assert isinstance(excinfo.value.__cause__, OSError)
 
 
-def test_remote_malformed_payload():
-    def post(url, **kwargs):
-        return _FakeResponse(200, {"nope": True})
+def test_remote_non_retryable_error_raises_immediately(server):
+    _reply(server, 401, b"bad key")
+    _reply(server, 201, _completion("x"))  # a 2xx other than 200 is an error too
+    client = _client(server.server_port)
+    with pytest.raises(LlmError, match="HTTP 401: bad key"):
+        client.complete(MSGS)
+    assert len(server.seen) == 1
+    with pytest.raises(LlmError, match="HTTP 201"):
+        client.complete(MSGS)
+    assert len(server.seen) == 2
 
-    with pytest.raises(LlmError, match="malformed"):
-        _client(post).complete(MSGS)
+
+def test_remote_malformed_payload(server):
+    _reply(server, 200, b'{"nope": true}')
+    _reply(server, 200, b"not json")
+    client = _client(server.server_port)
+    for _ in range(2):
+        with pytest.raises(LlmError, match="malformed"):
+            client.complete(MSGS)
+    assert len(server.seen) == 2
 
 
-def test_remote_api_key_via_environment(monkeypatch):
-    seen = {}
+def test_remote_read_timeout_is_retried(server):
+    for _ in range(3):
+        _reply(server, 200, _completion("late"), delay=0.5)
+    with pytest.raises(LlmError, match="after 3 attempts.*timed out"):
+        _client(server.server_port, timeout_s=0.1).complete(MSGS)
 
-    def post(url, json=None, headers=None, timeout=None):
-        seen.update(headers)
-        return _FakeResponse(200, _completion("x"))
 
+def test_remote_api_key_via_environment(server, monkeypatch):
+    _reply(server, 200, _completion("x"))
+    _reply(server, 200, _completion("x"))
+    client = _client(server.server_port)
+    client.complete(MSGS)
     monkeypatch.setenv("VECPORT_API_KEY", "sk-secret")
-    _client(post).complete(MSGS)
-    assert seen["Authorization"] == "Bearer sk-secret"
+    client.complete(MSGS)
+    (_, without_key, _), (_, with_key, _) = server.seen
+    assert "Authorization" not in without_key
+    assert with_key["Authorization"] == "Bearer sk-secret"
 
 
 def test_remote_session_is_shared():
     client = RemoteClient(endpoint="http://e", model="m")
     assert client.session("anything") is client
+
+
+def test_cli_import_loads_only_the_standard_library():
+    """Replay, analyze and report runs never pay for an HTTP stack."""
+    src = str(Path(vecport.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; before = set(sys.modules); import vecport.cli; "
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(added - sys.stdlib_module_names - {'vecport'}), "
+            "'urllib.request' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["[]", "False"]

@@ -1,5 +1,6 @@
 """Corpus goldens: a scripted translate run over the bundled corpus must keep
-producing the committed outputs, modulo timestamps.
+producing the committed outputs, modulo timestamps, and ``vecport analyze
+--dump-ir`` must keep printing the committed IR and report.
 
 ``golden/replay.json`` drives ``vecport translate --no-exec`` with budgets 3/3
 through every FSM branch that mock executors can reach: a no-code reply, a
@@ -9,7 +10,9 @@ tied and losing variants; a variant the analyzer cannot parse; and a replay
 script that runs out before and in the middle of optimization.
 
 ``golden/expected/`` mirrors the run directory with every ``timestamp`` set
-to null. After an intended behaviour change, regenerate it with
+to null. ``golden/analyze/`` holds the analyze stdout, in both modes, for each
+bundled ``native.c`` and for ``constructs.c``, which uses every construct the
+parser accepts. After an intended behaviour change, regenerate both with
 
     VECPORT_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 """
@@ -18,10 +21,17 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
 from vecport.cli import main
+from vecport.corpus import bundled_corpus_dir, load_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected"
+ANALYZE = GOLDEN / "analyze"
+ANALYZED = {m.case_id: (m.native_reference_path, m.function_signature)
+            for m in load_corpus(bundled_corpus_dir())}
+ANALYZED["constructs"] = (ANALYZE / "constructs.c", "constructs")
 COMPARED = ("outcomes/*.json", "work/*/log/attempts.ndjson", "report.json", "report.txt")
 
 
@@ -79,3 +89,15 @@ def test_scripted_corpus_run_matches_goldens(tmp_path, capsys):
     for rel in sorted(expected):
         assert actual[rel] == expected[rel], f"{rel} differs from its golden"
     assert capsys.readouterr().out == expected["report.txt"] + "\n"
+
+
+@pytest.mark.parametrize("mode", ["literal", "physical"])
+@pytest.mark.parametrize("name", sorted(ANALYZED))
+def test_analyze_dump_ir_matches_golden(name, mode, capsys):
+    path, function = ANALYZED[name]
+    assert main(["analyze", str(path), function, "--mode", mode, "--dump-ir"]) == 0
+    actual = capsys.readouterr().out
+    golden = ANALYZE / f"{name}.{mode}.txt"
+    if os.environ.get("VECPORT_UPDATE_GOLDEN"):
+        golden.write_text(actual)
+    assert actual == golden.read_text()

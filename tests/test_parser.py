@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vecport.errors import AnalysisError, ParseError
@@ -6,6 +8,7 @@ from vecport.parser import (
     parse_function,
     print_function,
     signature_name,
+    tokenize,
     validate_signature,
 )
 from vecport.rvv_types import parse_vector_type
@@ -15,6 +18,81 @@ VEC_ADD_SIG = "void vec_add_s32(const int32_t *a, const int32_t *b, int32_t *c, 
 
 def _sym(**kv):
     return {name: parse_vector_type(t) for name, t in kv.items()}
+
+
+# --- lexer ------------------------------------------------------------------
+
+def _spans(source):
+    return [(t.text, t.kind, t.line, t.col) for t in tokenize(source)]
+
+
+def test_tokens_after_multiline_block_comment_keep_line_and_col():
+    src = "int a; /* one\ntwo\n  three */ b = 1;\n  c;"
+    assert _spans(src) == [
+        ("int", "id", 1, 1), ("a", "id", 1, 5), (";", "punct", 1, 6),
+        ("b", "id", 3, 12), ("=", "punct", 3, 14), ("1", "num", 3, 16),
+        (";", "punct", 3, 17), ("c", "id", 4, 3), (";", "punct", 4, 4),
+    ]
+
+
+def test_comment_markers_inside_literals_are_not_comments():
+    src = 's = "//"; t = \'/*\'; u = "/* x */"; // gone\nv = \'/\';'
+    assert [t.text for t in tokenize(src) if t.kind == "str"] == [
+        '"//"', "'/*'", '"/* x */"', "'/'",
+    ]
+    assert [t.text for t in tokenize(src)][-4:] == ["v", "=", "'/'", ";"]
+
+
+def test_continued_directive_is_skipped():
+    src = "  #define A \\\n  1 \\  \t\n  + 2\nint x;"
+    assert _spans(src) == [("int", "id", 4, 1), ("x", "id", 4, 5), (";", "punct", 4, 6)]
+    # A backslash that is not the last non-blank character continues nothing.
+    assert [t.text for t in tokenize("#define A \\ x\nint y;")] == ["int", "y", ";"]
+
+
+def test_hash_after_code_is_not_a_directive():
+    with pytest.raises(ParseError, match="unexpected character '#'"):
+        tokenize("int a; #define X 1\n")
+
+
+def test_unterminated_block_comment_names_its_line():
+    with pytest.raises(ParseError, match=r"unterminated block comment \(line 3\)"):
+        tokenize("int a;\n\nint b; /* never closed\nint c;\n")
+
+
+def test_stray_character_names_its_line():
+    with pytest.raises(ParseError, match=r"unexpected character '@' \(line 3\)"):
+        tokenize("int a;\n/* x\n y */ int @;")
+
+
+_LEX_FRAGMENTS = [
+    "x = a + b;",
+    "/* one\n  two */",
+    "// c /* d \"e\"",
+    '"//" "/*" "a\\"b"',
+    "'/' '*' '\\''",
+    "\tvint32m1_t v = f(p, 0x1fu, 1.5e3f, .5);",
+    "a->b <<= c >= d ... ;",
+    "{ [ ( ) ] }",
+]
+_LEX_DIRECTIVES = ["#include <a.h>", "#define M(x) \\\n  (x) \\   \n  + 1", "#if 0 // x"]
+
+
+def test_token_positions_address_their_text_on_random_splices():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 8)):
+            if rng.random() < 0.25:
+                parts.append("\n" + rng.choice(["", "  ", "\t"]) + rng.choice(_LEX_DIRECTIVES) + "\n")
+            else:
+                parts.append(rng.choice(_LEX_FRAGMENTS) + rng.choice([" ", "\n", "\t", " \n  "]))
+        src = "".join(parts)
+        starts = [0]
+        for line in src.split("\n"):
+            starts.append(starts[-1] + len(line) + 1)
+        for tok in tokenize(src):
+            assert src.startswith(tok.text, starts[tok.line - 1] + tok.col - 1), (src, tok)
 
 
 # --- use/def extraction -----------------------------------------------------

@@ -23,7 +23,7 @@ from pathlib import Path
 from .corpus import bundled_corpus_dir, load_corpus, validate_case
 from .errors import ConfigurationError, ParseError, UsageError, VecportError
 from .executors import CommandExecutor, MockExecutor, ToolchainConfig
-from .liveness import analyze_source
+from .liveness import compute_pressure, solve_liveness
 from .llm_client import RemoteClient, ReplayClient
 from .metrics import DEFAULT_UP_LIMIT, OutcomeSummary, emit_report
 from .orchestrator import Budgets, TaskDeps, run_task
@@ -291,10 +291,9 @@ def _write_outputs(out_dir: Path, outcomes: dict, cfg: RunConfig) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    source = Path(args.file).read_text()
-    report = analyze_source(source, args.function, args.mode)
+    ir = parse_function(Path(args.file).read_text(), args.function)
+    report = compute_pressure(ir, solve_liveness(ir), args.mode)
     if args.dump_ir:
-        ir = parse_function(source, args.function)
         print(dump_ir(ir))
     print(report.to_text())
     return 0

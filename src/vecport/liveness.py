@@ -6,8 +6,10 @@ redefinition. The solver iterates
     IN(i)  = (OUT(i) - DEF(i)) | USE(i)
     OUT(i) = union of IN(j) over successor statements j
 
-to a fixpoint; sets grow monotonically inside a finite universe, so
-termination is bounded by |vars| * |stmts| sweeps. Register pressure at a
+to a fixpoint over the statement edges of ``FunctionIr.successors``, which
+the solver, ``check_fixpoint`` and the oracle share; sets grow monotonically
+inside a finite universe, so termination is bounded by |vars| * |stmts|
+sweeps. Register pressure at a
 statement is the sum of the LMUL-weighted footprints of IN(i) | OUT(i); the
 report carries the peak across the function against the 32-register file.
 
@@ -23,11 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AnalysisError, PathExplosionError
-from .parser import FunctionIr
+from .parser import EXIT, FunctionIr
 from .rvv_types import register_footprint
-
-# Statement-level successor marker for "falls off the function".
-EXIT = -1
 
 REGISTER_BUDGET = 32
 
@@ -91,44 +90,6 @@ def fmt_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def stmt_successors(ir: FunctionIr) -> dict[int, tuple[int, ...]]:
-    """Successor statements of each statement; EXIT marks leaving the function.
-
-    Block-level edges are translated by taking the first statement of each
-    successor block, skipping through empty blocks transitively. ``seen``
-    guards cycles made purely of empty blocks, which contribute nothing.
-    """
-
-    def first_stmts(block_id: int, seen: frozenset[int]) -> list[int]:
-        if block_id == ir.cfg.exit:
-            return [EXIT]
-        block = ir.cfg.block(block_id)
-        if block.stmt_ids:
-            return [block.stmt_ids[0]]
-        if block_id in seen:
-            return []
-        out: list[int] = []
-        for s in ir.cfg.successors(block_id):
-            for t in first_stmts(s, seen | {block_id}):
-                if t not in out:
-                    out.append(t)
-        return out
-
-    succ: dict[int, tuple[int, ...]] = {}
-    for block in ir.cfg.blocks:
-        for idx, sid in enumerate(block.stmt_ids):
-            if idx + 1 < len(block.stmt_ids):
-                succ[sid] = (block.stmt_ids[idx + 1],)
-            else:
-                out = []
-                for s in ir.cfg.successors(block.block_id):
-                    for t in first_stmts(s, frozenset()):
-                        if t not in out:
-                            out.append(t)
-                succ[sid] = tuple(out)
-    return succ
-
-
 def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> LivenessResult:
     """Iterate the dataflow equations to a fixpoint.
 
@@ -139,7 +100,7 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
     stmts = ir.stmts
     if not stmts:
         return LivenessResult({}, {})
-    succ = stmt_successors(ir)
+    succ = ir.successors
     if order is None:
         sweep = [s.stmt_id for s in reversed(stmts)]
     else:
@@ -172,7 +133,7 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
 
 def check_fixpoint(ir: FunctionIr, live: LivenessResult) -> None:
     """Raise AnalysisError unless ``live`` satisfies the dataflow equations exactly."""
-    succ = stmt_successors(ir)
+    succ = ir.successors
     for s in ir.stmts:
         i = s.stmt_id
         expected_in = (live.live_out[i] - s.defs) | s.uses
@@ -207,7 +168,7 @@ def oracle_liveness(
     stmts = ir.stmts
     if not stmts:
         return LivenessResult({}, {})
-    succ = stmt_successors(ir)
+    succ = ir.successors
     if path_bound is None:
         path_bound = 2 * (len(stmts) + 2)
 

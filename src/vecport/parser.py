@@ -7,6 +7,13 @@ assignments, calls, compound statements, if/else, for, while, do-while,
 break/continue, return. goto and switch are rejected with a located
 diagnostic rather than analyzed wrongly.
 
+The lexer is one pass of one master regex over the original source:
+comments, preprocessor directives and blanks are skipped in place, so every
+token's (line, col) points into the text as written. A ``while`` loop is laid
+out as a ``for`` loop with no init and no step. Statement-level successor
+edges are derived from the block graph once per IR, as
+``FunctionIr.successors``.
+
 Scalar and pointer-typed values are invisible to the analysis: use/def sets
 contain only names with a vector type in the function's symbol table, so a
 ``vsetvl`` result or a pointer bump contributes nothing.
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from .errors import AnalysisError, ParseError
 from .rvv_types import VectorType, parse_vector_type
 
@@ -49,13 +57,22 @@ _OPERATORS = [
 ]
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
-_TOKEN_RE = re.compile(
+# One master pattern, tried left to right at each position. ``skip`` is one
+# piece of text that yields no token: a preprocessor directive (only at line
+# start, running on through backslash-continued lines), a newline, a run of
+# blanks, or a comment. A newline is its own piece, after the directive, so a
+# blank run never swallows it and hides the ``#`` of an indented directive.
+# ``open`` is a ``/*`` that no ``*/`` closes.
+_LEX_RE = re.compile(
     r"""
-    (?P<id>[A-Za-z_]\w*)
+    (?P<skip>(?m:^)[ \t]*\#(?:[^\n]*\\[ \t]*\n)*[^\n]*
+      | \n | [ \t\r\f\v]+ | //[^\n]* | /\*(?s:.*?)\*/)
+  | (?P<open>/\*)
+  | (?P<id>[A-Za-z_]\w*)
   | (?P<num>0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFuUlL]*)
   | (?P<str>"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*')
-  | (?P<op>""" + "|".join(re.escape(op) for op in _OPERATORS) + r""")
-  | (?P<punct>[{}()\[\];,\.\+\-\*/%<>=!&\|\^~\?:])
+  | (?P<punct>""" + "|".join(re.escape(op) for op in _OPERATORS) + r"""
+      | [{}()\[\];,\.\+\-\*/%<>=!&\|\^~\?:])
     """,
     re.VERBOSE,
 )
@@ -69,93 +86,22 @@ class Token:
     col: int
 
 
-def strip_comments_and_directives(source: str) -> str:
-    """Blank out comments and preprocessor lines, preserving line structure."""
-    out = []
-    i = 0
-    n = len(source)
-    at_line_start = True
-    while i < n:
-        c = source[i]
-        if at_line_start and c in " \t":
-            out.append(c)
-            i += 1
-            continue
-        if at_line_start and c == "#":
-            # Directive runs to end of line, honoring backslash continuations.
-            while i < n:
-                if source[i] == "\n":
-                    j = i - 1
-                    while j >= 0 and source[j] in " \t":
-                        j -= 1
-                    if j >= 0 and source[j] == "\\":
-                        out.append("\n")
-                        i += 1
-                        continue
-                    break
-                out.append(" " if source[i] != "\n" else "\n")
-                i += 1
-            continue
-        at_line_start = False
-        if c == "\n":
-            out.append("\n")
-            at_line_start = True
-            i += 1
-        elif source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                out.append(" ")
-                i += 1
-        elif source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated block comment",
-                                 line=source.count("\n", 0, i) + 1)
-            for k in range(i, end + 2):
-                out.append("\n" if source[k] == "\n" else " ")
-            i = end + 2
-        elif c in "\"'":
-            quote = c
-            out.append(c)
-            i += 1
-            while i < n and source[i] != quote:
-                out.append(source[i])
-                if source[i] == "\\" and i + 1 < n:
-                    i += 1
-                    out.append(source[i])
-                i += 1
-            if i < n:
-                out.append(source[i])
-                i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
 def tokenize(source: str) -> list[Token]:
-    cleaned = strip_comments_and_directives(source)
     tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    n = len(cleaned)
-    while pos < n:
-        c = cleaned[pos]
-        if c == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if c in " \t\r\f\v":
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(cleaned, pos)
+    line, line_start, pos = 1, 0, 0
+    while pos < len(source):
+        m = _LEX_RE.match(source, pos)
         if m is None:
-            raise ParseError(f"unexpected character {c!r}", line=line)
-        kind = m.lastgroup
-        if kind == "op":
-            kind = "punct"
-        tokens.append(Token(m.group(), kind, line, pos - line_start + 1))
+            raise ParseError(f"unexpected character {source[pos]!r}", line=line)
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = pos + text.rindex("\n") + 1
+        elif kind == "open":
+            raise ParseError("unterminated block comment", line=line)
+        else:
+            tokens.append(Token(text, kind, line, pos - line_start + 1))
         pos = m.end()
     return tokens
 
@@ -191,10 +137,7 @@ class Cfg:
     exit: int
 
     def block(self, block_id: int) -> BasicBlock:
-        for b in self.blocks:
-            if b.block_id == block_id:
-                return b
-        raise KeyError(block_id)
+        return self.blocks[block_id]  # blocks are numbered densely from 0
 
     def successors(self, block_id: int) -> tuple[int, ...]:
         return self.succs.get(block_id, ())
@@ -269,6 +212,10 @@ class ForNode:
     body: BlockNode
 
 
+# Statement-level successor marker for "falls off the function".
+EXIT = -1
+
+
 @dataclass
 class FunctionIr:
     name: str
@@ -281,6 +228,47 @@ class FunctionIr:
 
     def stmt(self, stmt_id: int) -> Stmt:
         return self.stmts[stmt_id]
+
+    @cached_property
+    def successors(self) -> dict[int, tuple[int, ...]]:
+        """Successor statements of each statement; EXIT marks leaving the function.
+
+        Block-level edges are translated by taking the first statement of each
+        successor block, skipping through empty blocks transitively. ``seen``
+        guards cycles made purely of empty blocks, which contribute nothing.
+        Computed once per IR: the solver, its fixpoint check and the oracle
+        all read the same edges.
+        """
+        cfg = self.cfg
+
+        def first_stmts(block_id: int, seen: frozenset[int]) -> list[int]:
+            if block_id == cfg.exit:
+                return [EXIT]
+            block = cfg.block(block_id)
+            if block.stmt_ids:
+                return [block.stmt_ids[0]]
+            if block_id in seen:
+                return []
+            out: list[int] = []
+            for s in cfg.successors(block_id):
+                for t in first_stmts(s, seen | {block_id}):
+                    if t not in out:
+                        out.append(t)
+            return out
+
+        succ: dict[int, tuple[int, ...]] = {}
+        for block in cfg.blocks:
+            for idx, sid in enumerate(block.stmt_ids):
+                if idx + 1 < len(block.stmt_ids):
+                    succ[sid] = (block.stmt_ids[idx + 1],)
+                else:
+                    out = []
+                    for s in cfg.successors(block.block_id):
+                        for t in first_stmts(s, frozenset()):
+                            if t not in out:
+                                out.append(t)
+                    succ[sid] = tuple(out)
+        return succ
 
 
 # ---------------------------------------------------------------------------
@@ -689,27 +677,7 @@ class _CfgBuilder:
                 self.edge(else_end, join)
             self.current = join
         elif isinstance(node, WhileNode):
-            pre = self.ensure_current()
-            header = self.new_block()
-            self.edge(pre, header)
-            self.current = header
-            self.emit(node.cond)
-            ctx = _LoopCtx()
-            self.loop_stack.append(ctx)
-            body_entry = self.new_block()
-            self.edge(header, body_entry)
-            self.current = body_entry
-            self.walk(node.body)
-            if self.current is not None:
-                self.edge(self.current, header)
-            for src in ctx.continue_sources:
-                self.edge(src, header)
-            self.loop_stack.pop()
-            join = self.new_block()
-            self.edge(header, join)
-            for src in ctx.break_sources:
-                self.edge(src, join)
-            self.current = join
+            self.walk(ForNode(None, node.cond, None, node.body))
         elif isinstance(node, DoWhileNode):
             pre = self.ensure_current()
             body_entry = self.new_block()
@@ -872,30 +840,42 @@ def build_cfg(structure: BlockNode) -> tuple[Cfg, list[RawStmt]]:
 # Whole-function parsing.
 
 
+def _read_declarator(signature: str) -> tuple[str, list[str]]:
+    """The stripped signature and the identifiers before its first '('."""
+    sig = signature.strip()
+    return sig, re.findall(r"[A-Za-z_]\w*", sig.split("(", 1)[0])
+
+
 def signature_name(signature: str) -> str:
     """Function name from a C declarator, or the string itself if it is a bare name."""
-    sig = signature.strip()
-    if "(" not in sig:
-        if re.fullmatch(r"[A-Za-z_]\w*", sig):
-            return sig
-        raise ParseError(f"cannot read a function name from {signature!r}")
-    head = sig.split("(", 1)[0]
-    idents = re.findall(r"[A-Za-z_]\w*", head)
-    if not idents:
-        raise ParseError(f"cannot read a function name from {signature!r}")
-    return idents[-1]
+    sig, idents = _read_declarator(signature)
+    if idents and ("(" in sig or idents == [sig]):
+        return idents[-1]
+    raise ParseError(f"cannot read a function name from {signature!r}")
 
 
 def validate_signature(signature: str) -> str:
     """Check that a signature is a plausible C function declarator; returns the name."""
-    sig = signature.strip()
-    if "(" not in sig or not sig.endswith(")"):
-        raise ParseError(f"not a function declarator: {signature!r}")
-    head = sig.split("(", 1)[0]
-    idents = re.findall(r"[A-Za-z_]\w*", head)
-    if len(idents) < 2:  # needs at least a return type and a name
+    sig, idents = _read_declarator(signature)
+    # Needs at least a return type and a name before the parameter list.
+    if "(" not in sig or not sig.endswith(")") or len(idents) < 2:
         raise ParseError(f"not a function declarator: {signature!r}")
     return idents[-1]
+
+
+def _closing(tokens: list[Token], i: int, what: str) -> int:
+    """Index of the bracket that closes the '(' or '{' at ``tokens[i]``."""
+    opener = tokens[i].text
+    closer = ")" if opener == "(" else "}"
+    depth = 0
+    for j in range(i, len(tokens)):
+        if tokens[j].text == opener:
+            depth += 1
+        elif tokens[j].text == closer:
+            depth -= 1
+            if depth == 0:
+                return j
+    raise ParseError(f"unbalanced {what}", line=tokens[i].line)
 
 
 def _find_function(tokens: list[Token], name: str) -> tuple[int, int, int]:
@@ -920,16 +900,7 @@ def _find_function(tokens: list[Token], name: str) -> tuple[int, int, int]:
             and i + 1 < len(tokens)
             and tokens[i + 1].text == "("
         ):
-            j = i + 1
-            pdepth = 0
-            while j < len(tokens):
-                if tokens[j].text == "(":
-                    pdepth += 1
-                elif tokens[j].text == ")":
-                    pdepth -= 1
-                    if pdepth == 0:
-                        break
-                j += 1
+            j = _closing(tokens, i + 1, "parentheses")
             if j + 1 < len(tokens) and tokens[j + 1].text == "{":
                 return sig_start, j + 1, i + 1
             i = j  # prototype or call; skip past the parens
@@ -1005,11 +976,10 @@ def parse_function(source: str, signature: str) -> FunctionIr:
 
     sig_tokens = tokens[sig_start:body_open]
     sig_text = _render_tokens(sig_tokens)
-    params_tokens = tokens[paren_open + 1:_matching_paren(tokens, paren_open)]
-    params, symbols = _parse_params(params_tokens)
+    params, symbols = _parse_params(tokens[paren_open + 1:body_open - 1])
 
-    body_tokens = _body_slice(tokens, body_open)
-    body = _BodyParser(body_tokens, symbols)
+    body_close = _closing(tokens, body_open, "braces in function body")
+    body = _BodyParser(tokens[body_open:body_close + 1], symbols)
     structure = body.parse_block()
     if not body.at_end():
         tok = body.peek()
@@ -1027,30 +997,6 @@ def parse_function(source: str, signature: str) -> FunctionIr:
         structure=structure,
     )
     return ir
-
-
-def _matching_paren(tokens: list[Token], open_index: int) -> int:
-    depth = 0
-    for i in range(open_index, len(tokens)):
-        if tokens[i].text == "(":
-            depth += 1
-        elif tokens[i].text == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise ParseError("unbalanced parentheses", line=tokens[open_index].line)
-
-
-def _body_slice(tokens: list[Token], body_open: int) -> list[Token]:
-    depth = 0
-    for i in range(body_open, len(tokens)):
-        if tokens[i].text == "{":
-            depth += 1
-        elif tokens[i].text == "}":
-            depth -= 1
-            if depth == 0:
-                return tokens[body_open:i + 1]
-    raise ParseError("unbalanced braces in function body", line=tokens[body_open].line)
 
 
 _NO_SPACE_AFTER = {"(", "[", ".", "->", "!", "~", "++", "--"}
@@ -1076,30 +1022,6 @@ def _needs_space(prev: Token, cur: Token) -> bool:
     if prev.text == "*" and cur.kind == "id":
         return False
     return True
-
-
-def extract_use_def(stmt, symbols: dict[str, VectorType]) -> tuple[set[str], set[str]]:
-    """USE/DEF sets of one statement, restricted to vector-typed names.
-
-    Accepts a Stmt or raw statement text (trailing ';' optional). Identifiers
-    that resolve through ``symbols`` participate, including mask and
-    tail/merge operands of masked intrinsic forms; everything else is scalar
-    and invisible, so a vsetvl result or pointer arithmetic contributes
-    nothing. A declaration introduces its own name, vector-typed or not.
-    """
-    text = stmt.text if isinstance(stmt, Stmt) else str(stmt)
-    text = text.strip().rstrip(";")
-    if not text:
-        return set(), set()
-    tokens = tokenize(text)
-    local_syms = dict(symbols)
-    parser = _SimpleStmtParser(local_syms)
-    raw = parser.parse(tokens, text)
-    uses = {n for n in raw.use_candidates if n in local_syms}
-    defs = set(raw.decl_defs)
-    if raw.lhs_name is not None and raw.lhs_name in local_syms:
-        defs.add(raw.lhs_name)
-    return uses, defs
 
 
 # ---------------------------------------------------------------------------

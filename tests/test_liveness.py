@@ -11,7 +11,6 @@ from vecport.liveness import (
     compute_pressure,
     oracle_liveness,
     solve_liveness,
-    stmt_successors,
 )
 from vecport.parser import parse_function
 
@@ -240,8 +239,7 @@ def test_successors_skip_empty_blocks():
         {0: (1,), 1: (2,), 2: (3,)},
         {"x": M2},
     )
-    succ = stmt_successors(ir)
-    assert succ[0] == (1,)  # hops across the empty block
+    assert ir.successors[0] == (1,)  # hops across the empty block
 
 
 def test_parsed_loop_example_end_to_end(vec_add_case):

@@ -4,20 +4,14 @@ import pytest
 
 from vecport.errors import AnalysisError, ParseError
 from vecport.parser import (
-    extract_use_def,
     parse_function,
     print_function,
     signature_name,
     tokenize,
     validate_signature,
 )
-from vecport.rvv_types import parse_vector_type
 
 VEC_ADD_SIG = "void vec_add_s32(const int32_t *a, const int32_t *b, int32_t *c, size_t n)"
-
-
-def _sym(**kv):
-    return {name: parse_vector_type(t) for name, t in kv.items()}
 
 
 # --- lexer ------------------------------------------------------------------
@@ -97,47 +91,56 @@ def test_token_positions_address_their_text_on_random_splices():
 
 # --- use/def extraction -----------------------------------------------------
 
+def _last_use_def(vector_params, stmt):
+    """USE/DEF of ``stmt`` parsed as the last statement of a function body."""
+    params = ", ".join(p for p in (vector_params, "int32_t *c, size_t n, size_t vl") if p)
+    ir = parse_function(f"void f({params}) {{ {stmt} }}", "f")
+    return ir.stmts[-1].uses, ir.stmts[-1].defs
+
+
 def test_use_def_plain_call_assignment():
-    syms = _sym(va="vint32m2_t", vb="vint32m2_t", vc="vint32m2_t")
-    uses, defs = extract_use_def("vc = __riscv_vadd_vv_i32m2(va, vb, vl);", syms)
+    uses, defs = _last_use_def(
+        "vint32m2_t va, vint32m2_t vb, vint32m2_t vc",
+        "vc = __riscv_vadd_vv_i32m2(va, vb, vl);",
+    )
     assert uses == {"va", "vb"}
     assert defs == {"vc"}
 
 
 def test_use_def_accumulator_reads_and_writes():
-    syms = _sym(vacc="vint32m2_t", va="vint32m2_t", vb="vint32m2_t")
-    uses, defs = extract_use_def(
-        "vacc = __riscv_vmacc_vv_i32m2(vacc, va, vb, vl);", syms
+    uses, defs = _last_use_def(
+        "vint32m2_t vacc, vint32m2_t va, vint32m2_t vb",
+        "vacc = __riscv_vmacc_vv_i32m2(vacc, va, vb, vl);",
     )
     assert uses == {"vacc", "va", "vb"}
     assert defs == {"vacc"}
 
 
 def test_use_def_scalar_vsetvl_is_invisible():
-    uses, defs = extract_use_def("size_t vl = __riscv_vsetvl_e32m2(n);", {})
+    uses, defs = _last_use_def("", "size_t vl = __riscv_vsetvl_e32m2(n);")
     assert uses == set()
     assert defs == set()
 
 
 def test_use_def_masked_form_counts_mask_and_merge():
-    syms = _sym(dst="vint32m2_t", m="vbool16_t", va="vint32m2_t", vb="vint32m2_t")
-    uses, defs = extract_use_def(
-        "dst = __riscv_vadd_vv_i32m2_m(m, va, vb, vl);", syms
+    uses, defs = _last_use_def(
+        "vint32m2_t dst, vbool16_t m, vint32m2_t va, vint32m2_t vb",
+        "dst = __riscv_vadd_vv_i32m2_m(m, va, vb, vl);",
     )
     assert uses == {"m", "va", "vb"}
     assert defs == {"dst"}
 
 
 def test_use_def_decl_with_initializer():
-    syms = _sym(va="vint32m2_t")
-    uses, defs = extract_use_def("vint32m2_t vc = __riscv_vmv_v_v_i32m2(va, vl);", syms)
+    uses, defs = _last_use_def(
+        "vint32m2_t va", "vint32m2_t vc = __riscv_vmv_v_v_i32m2(va, vl);"
+    )
     assert uses == {"va"}
     assert defs == {"vc"}
 
 
 def test_use_def_store_through_pointer():
-    syms = _sym(vc="vint32m2_t")
-    uses, defs = extract_use_def("__riscv_vse32_v_i32m2(c, vc, vl);", syms)
+    uses, defs = _last_use_def("vint32m2_t vc", "__riscv_vse32_v_i32m2(c, vc, vl);")
     assert uses == {"vc"}
     assert defs == set()
 
@@ -390,6 +393,16 @@ def test_function_not_found():
         parse_function("void g(void) {}", "void f(void)")
 
 
+def test_prototype_without_a_body_is_not_found():
+    with pytest.raises(ParseError, match="function 'f' not found"):
+        parse_function("void f(void);\nvoid g(void) { }", "f")
+
+
+def test_unbalanced_parameter_list_names_its_line():
+    with pytest.raises(ParseError, match=r"unbalanced parentheses \(line 2\)"):
+        parse_function("int x;\nvoid f(int a {\n}", "f")
+
+
 def test_prototype_is_skipped():
     src = """
     void f(void);
@@ -423,14 +436,6 @@ def test_cfg_invariants_hold_on_bundled_corpus(bundled_cases):
                 assert len(ir.cfg.successors(b.block_id)) >= 1
         for s in ir.stmts:
             assert s.uses | s.defs <= set(ir.symbol_table)
-
-
-def test_extract_use_def_accepts_parsed_stmts(vec_add_case):
-    ir = parse_function(vec_add_case.native_text, vec_add_case.function_signature)
-    vadd = ir.stmts[4]
-    uses, defs = extract_use_def(vadd, ir.symbol_table)
-    assert uses == set(vadd.uses)
-    assert defs == set(vadd.defs)
 
 
 def test_initializer_braces_inside_statements():

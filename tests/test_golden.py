@@ -11,8 +11,10 @@ script that runs out before and in the middle of optimization.
 
 ``golden/expected/`` mirrors the run directory with every ``timestamp`` set
 to null. ``golden/analyze/`` holds the analyze stdout, in both modes, for each
-bundled ``native.c`` and for ``constructs.c``, which uses every construct the
-parser accepts. After an intended behaviour change, regenerate both with
+bundled ``native.c``, for ``constructs.c``, which uses every construct the
+parser accepts, and for ``spills.c``, whose peak exceeds the register file and
+which defines a vector it never reads. After an intended behaviour change,
+regenerate both with
 
     VECPORT_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 """
@@ -32,6 +34,7 @@ ANALYZE = GOLDEN / "analyze"
 ANALYZED = {m.case_id: (m.native_reference_path, m.function_signature)
             for m in load_corpus(bundled_corpus_dir())}
 ANALYZED["constructs"] = (ANALYZE / "constructs.c", "constructs")
+ANALYZED["spills"] = (ANALYZE / "spills.c", "spills")
 COMPARED = ("outcomes/*.json", "work/*/log/attempts.ndjson", "report.json", "report.txt")
 
 

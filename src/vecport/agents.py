@@ -21,7 +21,7 @@ from .liveness import PressureReport, fmt_fraction
 
 ROLES = ("system", "user", "assistant")
 
-DEFAULT_FEEDBACK_BUDGET = 8000  # characters kept from diagnostics
+FEEDBACK_BUDGET = 8000  # characters kept from diagnostics
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,6 @@ def build_repair_prompt(
     case: ValidatedCase,
     previous_code: str,
     feedback: Diagnostics,
-    feedback_budget: int = DEFAULT_FEEDBACK_BUDGET,
 ) -> PromptBundle:
     """Repair round: previous candidate plus verbatim (truncated) feedback."""
     if feedback is None or not feedback.text.strip():
@@ -126,7 +125,7 @@ def build_repair_prompt(
         "```\n\n"
         f"{label}\n"
         "```\n"
-        f"{truncate_middle(feedback.text, feedback_budget)}\n"
+        f"{truncate_middle(feedback.text, FEEDBACK_BUDGET)}\n"
         "```\n\n"
         "Fix the problem and reply with exactly one fenced code block "
         "containing the complete corrected C file.",
@@ -150,7 +149,6 @@ def build_optimize_prompt(
     pressure: PressureReport | None,
     speedup: Fraction | None = None,
     feedback: Diagnostics | None = None,
-    feedback_budget: int = DEFAULT_FEEDBACK_BUDGET,
 ) -> PromptBundle:
     """Optimization round anchored on the current best correct candidate."""
     if not correct_code.strip():
@@ -198,7 +196,7 @@ def build_optimize_prompt(
             "",
             "Your previous optimization attempt failed; its feedback was:",
             "```",
-            truncate_middle(feedback.text, feedback_budget),
+            truncate_middle(feedback.text, FEEDBACK_BUDGET),
             "```",
         ]
     parts.append("")

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .corpus import bundled_corpus_dir, load_corpus, validate_case
+from .corpus import bundled_corpus_dir, load_corpus, read_key_values, validate_case
 from .errors import ConfigurationError, ParseError, UsageError, VecportError
 from .executors import CommandExecutor, MockExecutor, ToolchainConfig
 from .liveness import compute_pressure, solve_liveness
@@ -28,8 +27,6 @@ from .llm_client import RemoteClient, ReplayClient
 from .metrics import DEFAULT_UP_LIMIT, OutcomeSummary, emit_report
 from .orchestrator import Budgets, TaskDeps, run_task
 from .parser import dump_ir, parse_function
-
-_CONFIG_KV_RE = re.compile(r'^\s*(\w+)\s*=\s*"(.*)"\s*$')
 
 
 @dataclass
@@ -73,14 +70,7 @@ def load_config_file(path: Path | str) -> dict:
     """Flat key = "value" file; keys mirror the translate flags."""
     values: dict = {}
     known = {f.name for f in fields(RunConfig)}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _CONFIG_KV_RE.match(line)
-        if m is None:
-            raise UsageError(f"{path}: line {lineno}: expected key = \"value\"")
-        key, value = m.groups()
+    for key, value in read_key_values(path, UsageError):
         if key not in known:
             raise UsageError(f"{path}: unknown config key {key!r}")
         parser = _FIELD_PARSERS.get(key, str)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .errors import CorpusError, NoCasesError
 from .parser import validate_signature
@@ -65,16 +66,23 @@ class CorpusListing:
         return len(self.manifests)
 
 
-def _parse_manifest(path: Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+def read_key_values(path: Path | str, error: type[Exception]) -> Iterator[tuple[str, str]]:
+    """``(key, value)`` for each ``key = "value"`` line of ``path``, in file order.
+
+    Blank lines and ``#`` comments are skipped; any other line raises ``error``.
+    """
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         m = _KV_RE.match(line)
         if m is None:
-            raise CorpusError(f"{path}: line {lineno}: expected key = \"value\"")
-        values[m.group(1)] = m.group(2)
+            raise error(f"{path}: line {lineno}: expected key = \"value\"")
+        yield m.group(1), m.group(2)
+
+
+def _parse_manifest(path: Path) -> dict[str, str]:
+    values = dict(read_key_values(path, CorpusError))
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise CorpusError(f"{path}: missing keys: {', '.join(missing)}")

@@ -86,8 +86,11 @@ class VlenRun:
 class TestResult:
     __test__ = False  # domain type, not a pytest suite
 
-    all_passed: bool
     per_vlen: dict[int, VlenRun]
+
+    @property
+    def all_passed(self) -> bool:
+        return all(r.passed for r in self.per_vlen.values())
 
     def describe(self) -> str:
         """Report suitable for a repair prompt; names every VLEN tried."""
@@ -111,8 +114,11 @@ class TestResult:
 class PerfResult:
     translated_cost_ns: int
     native_cost_ns: int
-    speedup: Fraction
     runs: int
+
+    @property
+    def speedup(self) -> Fraction:
+        return Fraction(self.native_cost_ns, self.translated_cost_ns)
 
     def to_dict(self) -> dict:
         return {
@@ -233,7 +239,8 @@ class CommandExecutor:
             return CompileResult(False, _tail(diagnostics, 16384))
         return CompileResult(True, _tail(diagnostics, 16384), artifact_path=output)
 
-    def _run_binary(self, binary: Path, vlen: int) -> tuple[int | None, str]:
+    def _run_binary(self, binary: Path, vlen: int) -> tuple[int | None, str, str]:
+        """Exit code (None on timeout), stdout and stderr of one run."""
         cmd = self.config.runner_cmd_template.format(
             runner=self.config.runner, vlen=vlen, binary=shlex.quote(str(binary))
         )
@@ -246,7 +253,7 @@ class CommandExecutor:
                 timeout=self.config.run_timeout_s,
             )
         except subprocess.TimeoutExpired:
-            return None, f"timeout after {self.config.run_timeout_s}s"
+            return None, "", f"timeout after {self.config.run_timeout_s}s"
         except FileNotFoundError as exc:
             raise ConfigurationError(f"runner not runnable: {exc}") from exc
         try:  # post-mortem copies next to the binary; last run wins
@@ -254,31 +261,29 @@ class CommandExecutor:
             (binary.parent / "stderr.txt").write_text(proc.stderr or "")
         except OSError:
             pass
-        return proc.returncode, (proc.stdout or "") + (proc.stderr or "")
+        return proc.returncode, proc.stdout or "", proc.stderr or ""
 
     def run_functional_tests(self, artifact: Path) -> TestResult:
         per_vlen: dict[int, VlenRun] = {}
         for vlen in self.config.vlens:
-            code, output = self._run_binary(artifact, vlen)
+            code, stdout, stderr = self._run_binary(artifact, vlen)
             per_vlen[vlen] = VlenRun(
-                passed=(code == 0), exit_code=code, output_tail=_tail(output)
+                passed=(code == 0), exit_code=code, output_tail=_tail(stdout + stderr)
             )
-        return TestResult(
-            all_passed=all(r.passed for r in per_vlen.values()), per_vlen=per_vlen
-        )
+        return TestResult(per_vlen=per_vlen)
 
     def _measure_cost(self, binary: Path, vlen: int, runs: int) -> int:
         costs = []
         for _ in range(runs):
-            code, output = self._run_binary(binary, vlen)
+            code, stdout, _ = self._run_binary(binary, vlen)
             if code != 0:
                 raise PerfError(
                     f"benchmark binary exited with {code if code is not None else 'timeout'}"
                 )
-            lines = [ln.strip() for ln in output.splitlines() if ln.strip()]
+            lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
             if not lines or not _COST_RE.match(lines[-1]):
                 raise PerfError(
-                    f"benchmark output has no nanosecond cost line: {_tail(output, 300)!r}"
+                    f"benchmark output has no nanosecond cost line: {_tail(stdout, 300)!r}"
                 )
             cost = int(lines[-1])
             if cost <= 0:
@@ -301,12 +306,7 @@ class CommandExecutor:
             native = self._measure_cost(native_artifact, vlen, runs)
             self._native_costs[key] = native
         translated = self._measure_cost(translated_artifact, vlen, runs)
-        return PerfResult(
-            translated_cost_ns=translated,
-            native_cost_ns=native,
-            speedup=Fraction(native, translated),
-            runs=runs,
-        )
+        return PerfResult(translated_cost_ns=translated, native_cost_ns=native, runs=runs)
 
     def cleanup(self) -> None:
         """Drop per-attempt scratch and objects unless retention was requested.
@@ -327,6 +327,7 @@ _MOCK_COMPILE_RE = re.compile(r"mock-compile-error:\s*(.*)")
 _MOCK_TEST_RE = re.compile(r"mock-test-fail(?::\s*vlen=(\d+))?(?::?\s*(.*))?")
 _MOCK_COST_RE = re.compile(r"mock-cost:\s*(\d+)")
 _MOCK_TIMEOUT_RE = re.compile(r"mock-run-timeout")
+MOCK_COST_NS = 100_000  # cost of a candidate with no mock-cost marker
 
 
 class MockExecutor:
@@ -338,7 +339,7 @@ class MockExecutor:
         /* mock-cost: 120000 */             benchmark cost in nanoseconds
         /* mock-run-timeout */              every run times out
 
-    Unmarked sources compile, pass, and cost ``default_cost_ns``. The native
+    Unmarked sources compile, pass, and cost ``MOCK_COST_NS``. The native
     reference costs its own mock-cost marker if present, else
     ``native_cost_ns``. Everything is pure string inspection, so a replay
     script fully determines the pipeline's behavior.
@@ -347,13 +348,11 @@ class MockExecutor:
     def __init__(
         self,
         vlens: tuple[int, ...] = (128, 256),
-        native_cost_ns: int = 100_000,
-        default_cost_ns: int = 100_000,
+        native_cost_ns: int = MOCK_COST_NS,
         work_dir: Path | str | None = None,
     ):
         self.vlens = tuple(vlens)
         self.native_cost_ns = native_cost_ns
-        self.default_cost_ns = default_cost_ns
         self.work_dir = Path(work_dir) if work_dir is not None else Path(
             tempfile.mkdtemp(prefix="vecport-mock-")
         )
@@ -399,9 +398,7 @@ class MockExecutor:
                 per_vlen[vlen] = VlenRun(False, 1, fail_msg)
             else:
                 per_vlen[vlen] = VlenRun(True, 0, "ok")
-        return TestResult(
-            all_passed=all(r.passed for r in per_vlen.values()), per_vlen=per_vlen
-        )
+        return TestResult(per_vlen=per_vlen)
 
     def _cost_of(self, artifact: Path, default: int) -> int:
         source = Path(artifact).read_text()
@@ -412,15 +409,10 @@ class MockExecutor:
         self, translated_artifact: Path, native_artifact: Path, runs: int = 5
     ) -> PerfResult:
         native = self._cost_of(native_artifact, self.native_cost_ns)
-        translated = self._cost_of(translated_artifact, self.default_cost_ns)
+        translated = self._cost_of(translated_artifact, MOCK_COST_NS)
         if native <= 0 or translated <= 0:
             raise PerfError("mock cost must be positive")
-        return PerfResult(
-            translated_cost_ns=translated,
-            native_cost_ns=native,
-            speedup=Fraction(native, translated),
-            runs=runs,
-        )
+        return PerfResult(translated_cost_ns=translated, native_cost_ns=native, runs=runs)
 
     def cleanup(self) -> None:
         _remove_scratch(self.work_dir)

@@ -7,11 +7,13 @@ redefinition. The solver iterates
     OUT(i) = union of IN(j) over successor statements j
 
 to a fixpoint over the statement edges of ``FunctionIr.successors``, which
-the solver, ``check_fixpoint`` and the oracle share; sets grow monotonically
-inside a finite universe, so termination is bounded by |vars| * |stmts|
-sweeps. Register pressure at a
-statement is the sum of the LMUL-weighted footprints of IN(i) | OUT(i); the
-report carries the peak across the function against the 32-register file.
+the solver, ``check_fixpoint`` and the oracle share. A statement that leaves
+the function has no successor there, so nothing is live after it. Sets grow
+monotonically inside a finite universe, so termination is bounded by
+|vars| * |stmts| sweeps. Register pressure at a statement is the sum of the
+LMUL-weighted footprints of IN(i) | OUT(i), each symbol's footprint computed
+once; the report carries the peak across the function against the
+32-register file.
 
 ``oracle_liveness`` answers the same question by brute-force path
 enumeration and exists purely to cross-check the solver.
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AnalysisError, PathExplosionError
-from .parser import EXIT, FunctionIr
+from .parser import FunctionIr
 from .rvv_types import register_footprint
 
 REGISTER_BUDGET = 32
@@ -118,8 +120,7 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
         for i in sweep:
             out: set[str] = set()
             for j in succ[i]:
-                if j != EXIT:
-                    out |= live_in[j]
+                out |= live_in[j]
             new_out = frozenset(out)
             new_in = frozenset((new_out - defs[i]) | uses[i])
             if new_out != live_out[i] or new_in != live_in[i]:
@@ -141,8 +142,7 @@ def check_fixpoint(ir: FunctionIr, live: LivenessResult) -> None:
             raise AnalysisError(f"liveness not a fixpoint at statement {i} (IN)")
         out: set[str] = set()
         for j in succ[i]:
-            if j != EXIT:
-                out |= live.live_in[j]
+            out |= live.live_in[j]
         if live.live_out[i] != frozenset(out):
             raise AnalysisError(f"liveness not a fixpoint at statement {i} (OUT)")
 
@@ -198,7 +198,7 @@ def oracle_liveness(
             if depth >= path_bound:
                 continue
             for j in succ[i]:
-                if j != EXIT and (j, killed) not in seen:
+                if (j, killed) not in seen:
                     seen.add((j, killed))
                     queue.append((j, killed, depth + 1))
         return frozenset(found)
@@ -208,8 +208,7 @@ def oracle_liveness(
     for s in stmts:
         out: set[str] = set()
         for j in succ[s.stmt_id]:
-            if j != EXIT:
-                out |= entry_live[j]
+            out |= entry_live[j]
         live_out[s.stmt_id] = frozenset(out)
     return LivenessResult(entry_live, live_out)
 
@@ -224,11 +223,12 @@ def compute_pressure(
     surfaced in ``dead_defs`` instead of being silently dropped.
     """
     check_fixpoint(ir, live)
+    footprint = {name: register_footprint(t, mode) for name, t in ir.symbol_table.items()}
     per_stmt: dict[int, Fraction] = {}
     for s in ir.stmts:
         total = Fraction(0)
         for name in live.live_in[s.stmt_id] | live.live_out[s.stmt_id]:
-            total += register_footprint(ir.symbol_table[name], mode)
+            total += footprint[name]
         per_stmt[s.stmt_id] = total
 
     all_defs: set[str] = set()
@@ -243,8 +243,7 @@ def compute_pressure(
         hot = min(i for i, p in per_stmt.items() if p == pressure)
         hot_stmt = ir.stmt(hot)
         live_at_hot = frozenset(
-            (name, register_footprint(ir.symbol_table[name], mode))
-            for name in live.live_in[hot] | live.live_out[hot]
+            (name, footprint[name]) for name in live.live_in[hot] | live.live_out[hot]
         )
         return PressureReport(
             pressure=pressure,

@@ -30,7 +30,7 @@ from .errors import ConfigurationError, LlmError, ReplayExhaustedError
 
 API_KEY_ENV = "VECPORT_API_KEY"
 DEFAULT_TIMEOUT_S = 120.0
-DEFAULT_RETRIES = 3
+RETRIES = 3
 RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
 
 
@@ -125,7 +125,6 @@ class RemoteClient:
     endpoint: str
     model: str
     timeout_s: float = DEFAULT_TIMEOUT_S
-    retries: int = DEFAULT_RETRIES
     backoff_base_s: float = 1.0
 
     def session(self, case_id: str) -> "RemoteClient":
@@ -149,7 +148,7 @@ class RemoteClient:
             headers["Authorization"] = f"Bearer {api_key}"
 
         last_error: Exception | None = None
-        for attempt in range(self.retries):
+        for attempt in range(RETRIES):
             if attempt:
                 time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
             request = urllib.request.Request(self.endpoint, data=body, headers=headers,
@@ -173,7 +172,7 @@ class RemoteClient:
                 raise LlmError(f"endpoint returned HTTP {status}: {text[:500]}")
             return self._parse_content(raw)
         raise LlmError(
-            f"LLM call failed after {self.retries} attempts: {last_error}"
+            f"LLM call failed after {RETRIES} attempts: {last_error}"
         ) from last_error
 
     @staticmethod

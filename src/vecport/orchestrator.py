@@ -40,6 +40,8 @@ from .executors import CompileResult, PerfResult, TestResult
 from .liveness import PressureReport, analyze_source
 from .metrics import OutcomeSummary
 
+MAX_TOKENS = 4096  # completion length asked of the model
+
 
 class FsmState(Enum):
     INIT = "Init"
@@ -155,7 +157,6 @@ class TaskDeps:
     client: object  # LlmClient
     executor: object  # CommandExecutor | MockExecutor
     temperature: float = 0.2
-    max_tokens: int = 4096
     pressure_mode: str = "literal"
     log_dir: Path | None = None
     perf_runs: int = 5
@@ -246,7 +247,7 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
         Returns the extracted code (the raw reply when it held none) and the
         repair feedback, which is None when the code passed at every VLEN.
         """
-        response = client.complete(bundle.messages, deps.temperature, deps.max_tokens)
+        response = client.complete(bundle.messages, deps.temperature, MAX_TOKENS)
         attempt = Attempt(
             attempt_no=attempt_no,
             phase=phase.name,

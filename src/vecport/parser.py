@@ -12,7 +12,8 @@ comments, preprocessor directives and blanks are skipped in place, so every
 token's (line, col) points into the text as written. A ``while`` loop is laid
 out as a ``for`` loop with no init and no step. Statement-level successor
 edges are derived from the block graph once per IR, as
-``FunctionIr.successors``.
+``FunctionIr.successors``; they list statements only, so a statement that
+leaves the function has no successor.
 
 Scalar and pointer-typed values are invisible to the analysis: use/def sets
 contain only names with a vector type in the function's symbol table, so a
@@ -62,7 +63,8 @@ _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="
 # start, running on through backslash-continued lines), a newline, a run of
 # blanks, or a comment. A newline is its own piece, after the directive, so a
 # blank run never swallows it and hides the ``#`` of an indented directive.
-# ``open`` is a ``/*`` that no ``*/`` closes.
+# ``open`` is a ``/*`` that no ``*/`` closes. A string or char literal ends
+# on its line: neither a raw newline nor a backslash-newline continues it.
 _LEX_RE = re.compile(
     r"""
     (?P<skip>(?m:^)[ \t]*\#(?:[^\n]*\\[ \t]*\n)*[^\n]*
@@ -70,7 +72,7 @@ _LEX_RE = re.compile(
   | (?P<open>/\*)
   | (?P<id>[A-Za-z_]\w*)
   | (?P<num>0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFuUlL]*)
-  | (?P<str>"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*')
+  | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
   | (?P<punct>""" + "|".join(re.escape(op) for op in _OPERATORS) + r"""
       | [{}()\[\];,\.\+\-\*/%<>=!&\|\^~\?:])
     """,
@@ -212,15 +214,10 @@ class ForNode:
     body: BlockNode
 
 
-# Statement-level successor marker for "falls off the function".
-EXIT = -1
-
-
 @dataclass
 class FunctionIr:
     name: str
     signature: str
-    params: list[tuple[str, str]]  # (name, declared type text)
     symbol_table: dict[str, VectorType]
     stmts: list[Stmt]
     cfg: Cfg
@@ -231,7 +228,7 @@ class FunctionIr:
 
     @cached_property
     def successors(self) -> dict[int, tuple[int, ...]]:
-        """Successor statements of each statement; EXIT marks leaving the function.
+        """Successor statements of each statement; leaving the function adds none.
 
         Block-level edges are translated by taking the first statement of each
         successor block, skipping through empty blocks transitively. ``seen``
@@ -243,7 +240,7 @@ class FunctionIr:
 
         def first_stmts(block_id: int, seen: frozenset[int]) -> list[int]:
             if block_id == cfg.exit:
-                return [EXIT]
+                return []
             block = cfg.block(block_id)
             if block.stmt_ids:
                 return [block.stmt_ids[0]]
@@ -327,105 +324,91 @@ def _is_type_start(tokens: list[Token], i: int) -> bool:
     return False
 
 
-class _SimpleStmtParser:
-    """Turns one simple statement's tokens into a RawStmt, registering decls."""
+def _parse_simple(tokens: list[Token], symbols: dict[str, VectorType]) -> RawStmt:
+    """One simple statement's RawStmt; a declaration registers its vector names."""
+    stmt = RawStmt(kind="scalar_other", text=_render_tokens(tokens),
+                   line=tokens[0].line, col=tokens[0].col)
+    i = 0
+    while i < len(tokens) and tokens[i].text in _QUALIFIERS:
+        i += 1
+    if i < len(tokens) and _is_type_start(tokens, i):
+        _read_decl(tokens, i, symbols, stmt)
+    else:
+        _read_expr_stmt(tokens, stmt)
+    return stmt
 
-    def __init__(self, symbols: dict[str, VectorType]):
-        self.symbols = symbols
 
-    def parse(self, tokens: list[Token], text: str) -> RawStmt:
-        line, col = tokens[0].line, tokens[0].col
-        i = 0
-        while i < len(tokens) and tokens[i].text in _QUALIFIERS:
-            i += 1
-        if i < len(tokens) and _is_type_start(tokens, i):
-            return self._parse_decl(tokens, text, line, col)
-        return self._parse_expr_stmt(tokens, text, line, col)
-
-    def _parse_decl(self, tokens: list[Token], text: str, line: int, col: int) -> RawStmt:
-        i = 0
-        base_vec: VectorType | None = None
-        saw_type_word = False
-        while i < len(tokens):
-            t = tokens[i]
-            if t.text in _QUALIFIERS:
-                i += 1
-                continue
-            if t.text in ("struct", "union", "enum"):
-                i += 2  # tag name follows
-                saw_type_word = True
-                continue
-            vt = parse_vector_type(t.text)
-            if vt is not None:
-                base_vec = vt
-                saw_type_word = True
-                i += 1
-                continue
-            if t.text in _SCALAR_TYPE_WORDS:
-                saw_type_word = True
-                i += 1
-                continue
+def _read_decl(tokens: list[Token], i: int, symbols: dict[str, VectorType],
+               stmt: RawStmt) -> None:
+    """Fill ``stmt`` from a declaration whose type words start at ``tokens[i]``."""
+    base_vec: VectorType | None = None
+    while i < len(tokens):
+        t = tokens[i]
+        if t.text in ("struct", "union", "enum"):
+            i += 2  # tag name follows
+            continue
+        vt = parse_vector_type(t.text)
+        if vt is not None:
+            base_vec = vt
+        elif t.text not in _QUALIFIERS and t.text not in _SCALAR_TYPE_WORDS:
             break
-        if not saw_type_word:
-            return self._parse_expr_stmt(tokens, text, line, col)
+        i += 1
 
-        stmt = RawStmt(kind="decl", text=text, line=line, col=col)
-        for declarator in _split_top_level(tokens[i:], ","):
-            if not declarator:
-                continue
-            j = 0
-            stars = 0
-            while j < len(declarator) and declarator[j].text in ("*",) + tuple(_QUALIFIERS):
-                if declarator[j].text == "*":
-                    stars += 1
-                j += 1
-            if j >= len(declarator) or declarator[j].kind != "id":
-                continue
-            name = declarator[j].text
-            is_array = j + 1 < len(declarator) and declarator[j + 1].text == "["
-            init_tokens: list[Token] = []
-            for k in range(j + 1, len(declarator)):
-                if declarator[k].text == "=" and declarator[k].kind == "punct":
-                    init_tokens = declarator[k + 1:]
-                    break
-            if base_vec is not None and stars == 0 and not is_array:
-                prior = self.symbols.get(name)
-                if prior is not None and prior != base_vec:
-                    raise ParseError(
-                        f"'{name}' redeclared with a different vector type", line=line
-                    )
-                self.symbols[name] = base_vec
-                stmt.decl_names.add(name)
-                if init_tokens:
-                    stmt.decl_defs.add(name)
+    stmt.kind = "decl"
+    for declarator in _split_top_level(tokens[i:], ","):
+        if not declarator:
+            continue
+        j = 0
+        stars = 0
+        while j < len(declarator) and declarator[j].text in ("*",) + tuple(_QUALIFIERS):
+            if declarator[j].text == "*":
+                stars += 1
+            j += 1
+        if j >= len(declarator) or declarator[j].kind != "id":
+            continue
+        name = declarator[j].text
+        is_array = j + 1 < len(declarator) and declarator[j + 1].text == "["
+        init_tokens: list[Token] = []
+        for k in range(j + 1, len(declarator)):
+            if declarator[k].text == "=" and declarator[k].kind == "punct":
+                init_tokens = declarator[k + 1:]
+                break
+        if base_vec is not None and stars == 0 and not is_array:
+            prior = symbols.get(name)
+            if prior is not None and prior != base_vec:
+                raise ParseError(
+                    f"'{name}' redeclared with a different vector type", line=stmt.line
+                )
+            symbols[name] = base_vec
+            stmt.decl_names.add(name)
             if init_tokens:
-                stmt.use_candidates |= _identifier_candidates(init_tokens)
-        return stmt
+                stmt.decl_defs.add(name)
+        if init_tokens:
+            stmt.use_candidates |= _identifier_candidates(init_tokens)
 
-    def _parse_expr_stmt(self, tokens: list[Token], text: str, line: int, col: int) -> RawStmt:
-        stmt = RawStmt(kind="scalar_other", text=text, line=line, col=col)
-        k = _top_level_assign_index(tokens)
-        if k is not None:
-            lhs, rhs = tokens[:k], tokens[k + 1:]
-            stmt.kind = "assign"
-            if len(lhs) == 1 and lhs[0].kind == "id":
-                stmt.lhs_name = lhs[0].text
-                if tokens[k].text != "=":  # compound op reads the target too
-                    stmt.use_candidates.add(lhs[0].text)
-            else:
-                stmt.use_candidates |= _identifier_candidates(lhs)
-            stmt.use_candidates |= _identifier_candidates(rhs)
+
+def _read_expr_stmt(tokens: list[Token], stmt: RawStmt) -> None:
+    k = _top_level_assign_index(tokens)
+    if k is not None:
+        lhs, rhs = tokens[:k], tokens[k + 1:]
+        stmt.kind = "assign"
+        if len(lhs) == 1 and lhs[0].kind == "id":
+            stmt.lhs_name = lhs[0].text
+            if tokens[k].text != "=":  # compound op reads the target too
+                stmt.use_candidates.add(lhs[0].text)
         else:
-            stmt.use_candidates |= _identifier_candidates(tokens)
-            has_call = any(
-                tok.kind == "id"
-                and tok.text not in _KEYWORDS
-                and idx + 1 < len(tokens)
-                and tokens[idx + 1].text == "("
-                for idx, tok in enumerate(tokens)
-            )
-            stmt.kind = "call" if has_call else "scalar_other"
-        return stmt
+            stmt.use_candidates |= _identifier_candidates(lhs)
+        stmt.use_candidates |= _identifier_candidates(rhs)
+    else:
+        stmt.use_candidates |= _identifier_candidates(tokens)
+        has_call = any(
+            tok.kind == "id"
+            and tok.text not in _KEYWORDS
+            and idx + 1 < len(tokens)
+            and tokens[idx + 1].text == "("
+            for idx, tok in enumerate(tokens)
+        )
+        stmt.kind = "call" if has_call else "scalar_other"
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +419,7 @@ class _BodyParser:
     def __init__(self, tokens: list[Token], symbols: dict[str, VectorType]):
         self.toks = tokens
         self.pos = 0
-        self.simple = _SimpleStmtParser(symbols)
+        self.symbols = symbols
 
     def at_end(self) -> bool:
         return self.pos >= len(self.toks)
@@ -552,7 +535,7 @@ class _BodyParser:
 
         tokens = [self.advance()]
         tokens.extend(self._collect_until(";"))
-        return LeafNode(self.simple.parse(tokens, _render_tokens(tokens)))
+        return LeafNode(_parse_simple(tokens, self.symbols))
 
     def _parse_if(self) -> IfNode:
         tok = self.expect("if")
@@ -585,11 +568,11 @@ class _BodyParser:
         tok = self.expect("for")
         self.expect("(")
         init_toks = self._collect_until(";")
-        init = self.simple.parse(init_toks, _render_tokens(init_toks)) if init_toks else None
+        init = _parse_simple(init_toks, self.symbols) if init_toks else None
         cond_toks = self._collect_until(";")
         cond = self._cond_stmt(cond_toks, tok.line, tok.col) if cond_toks else None
         step_toks = self._collect_until(")")
-        step = self.simple.parse(step_toks, _render_tokens(step_toks)) if step_toks else None
+        step = _parse_simple(step_toks, self.symbols) if step_toks else None
         body = self._parse_body_or_single()
         return ForNode(init, cond, step, body)
 
@@ -607,7 +590,6 @@ class _CfgBuilder:
     def __init__(self):
         self.block_stmts: dict[int, list[RawStmt]] = {}
         self.succs: dict[int, list[int]] = {}
-        self.order: list[int] = []
         self.next_block = 0
         self.current: int | None = None
         self.loop_stack: list[_LoopCtx] = []
@@ -617,7 +599,6 @@ class _CfgBuilder:
         self.next_block += 1
         self.block_stmts[bid] = []
         self.succs[bid] = []
-        self.order.append(bid)
         return bid
 
     def edge(self, a: int, b: int) -> None:
@@ -743,8 +724,9 @@ class _CfgBuilder:
         else:
             raise AssertionError(f"unknown structure node {node!r}")
 
-    def build(self, structure: BlockNode) -> tuple[list[int], dict[int, list[int]],
+    def build(self, structure: BlockNode) -> tuple[dict[int, list[int]],
                                                    dict[int, list[RawStmt]], int, int]:
+        """Blocks numbered in layout order; the exit block comes last."""
         self.return_sources: list[int] = []
         entry = self.new_block()
         self.current = entry
@@ -754,13 +736,10 @@ class _CfgBuilder:
             self.edge(self.current, exit_block)
         for src in self.return_sources:
             self.edge(src, exit_block)
-        # exit keeps no successors
-        self.order.remove(exit_block)
-        self.order.append(exit_block)
-        return self.order, self.succs, self.block_stmts, entry, exit_block
+        return self.succs, self.block_stmts, entry, exit_block
 
 
-def _prune_and_simplify(order, succs, block_stmts, entry, exit_block):
+def _prune_and_simplify(succs, block_stmts, entry, exit_block):
     """Drop unreachable blocks, then splice out empty single-successor blocks."""
     reachable = set()
     stack = [entry]
@@ -770,7 +749,7 @@ def _prune_and_simplify(order, succs, block_stmts, entry, exit_block):
             continue
         reachable.add(b)
         stack.extend(succs[b])
-    order = [b for b in order if b in reachable]
+    order = [b for b in succs if b in reachable]
     if exit_block not in reachable:
         # Function whose every path loops forever; keep exit for shape.
         order.append(exit_block)
@@ -810,8 +789,8 @@ def build_cfg(structure: BlockNode) -> tuple[Cfg, list[RawStmt]]:
     graph plus the ordered statements.
     """
     builder = _CfgBuilder()
-    order, succs, block_stmts, entry, exit_block = builder.build(structure)
-    order, succs, entry = _prune_and_simplify(order, succs, block_stmts, entry, exit_block)
+    succs, block_stmts, entry, exit_block = builder.build(structure)
+    order, succs, entry = _prune_and_simplify(succs, block_stmts, entry, exit_block)
 
     ordered_stmts: list[RawStmt] = []
     blocks = []
@@ -908,11 +887,12 @@ def _find_function(tokens: list[Token], name: str) -> tuple[int, int, int]:
     raise ParseError(f"function '{name}' not found")
 
 
-def _parse_params(tokens: list[Token]) -> tuple[list[tuple[str, str]], dict[str, VectorType]]:
-    params: list[tuple[str, str]] = []
+def _parse_params(tokens: list[Token]) -> tuple[list[str], dict[str, VectorType]]:
+    """Parameter names, and the vector type of each non-pointer vector parameter."""
+    names: list[str] = []
     vec_syms: dict[str, VectorType] = {}
     if not tokens or (len(tokens) == 1 and tokens[0].text == "void"):
-        return params, vec_syms
+        return names, vec_syms
     for part in _split_top_level(tokens, ","):
         if not part:
             continue
@@ -923,15 +903,14 @@ def _parse_params(tokens: list[Token]) -> tuple[list[tuple[str, str]], dict[str,
                 break
         if name_tok is None:
             continue
-        type_text = " ".join(t.text for t in part if t is not name_tok)
-        params.append((name_tok.text, type_text))
+        names.append(name_tok.text)
         has_star = any(t.text == "*" for t in part)
         for tok in part:
             vt = parse_vector_type(tok.text)
             if vt is not None and not has_star and tok is not name_tok:
                 vec_syms[name_tok.text] = vt
                 break
-    return params, vec_syms
+    return names, vec_syms
 
 
 def _finalize_stmts(raw_stmts: list[RawStmt], symbols: dict[str, VectorType],
@@ -976,7 +955,7 @@ def parse_function(source: str, signature: str) -> FunctionIr:
 
     sig_tokens = tokens[sig_start:body_open]
     sig_text = _render_tokens(sig_tokens)
-    params, symbols = _parse_params(tokens[paren_open + 1:body_open - 1])
+    param_names, symbols = _parse_params(tokens[paren_open + 1:body_open - 1])
 
     body_close = _closing(tokens, body_open, "braces in function body")
     body = _BodyParser(tokens[body_open:body_close + 1], symbols)
@@ -986,11 +965,10 @@ def parse_function(source: str, signature: str) -> FunctionIr:
         raise ParseError(f"unexpected {tok.text!r} after function body", line=tok.line)
 
     cfg, raw_stmts = build_cfg(structure)
-    stmts = _finalize_stmts(raw_stmts, symbols, {p for p, _ in params})
+    stmts = _finalize_stmts(raw_stmts, symbols, set(param_names))
     ir = FunctionIr(
         name=name,
         signature=sig_text,
-        params=params,
         symbol_table=symbols,
         stmts=stmts,
         cfg=cfg,

@@ -1,14 +1,16 @@
 """RVV v1.0 intrinsic type names: parsing, legality, and register footprints.
 
 Vector type names follow the grammar ``v{int|uint|float}{8,16,32,64}m{f?}{1,2,4,8}(x{2..8})?_t``
-plus the mask family ``vbool{1,2,4,8,16,32,64}_t``. A type's register footprint is its
-group multiplier (LMUL) times its tuple field count; masks always occupy one register.
+plus the mask family ``vbool{1,2,4,8,16,32,64}_t``. The legal names are exactly
+the names of ``iter_vector_types()``, which holds every legality rule once;
+``parse_vector_type`` looks a name up in that enumeration. A type's register
+footprint is its group multiplier (LMUL) times its tuple field count; masks
+always occupy one register.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -39,9 +41,6 @@ ELEN = 64
 # "physical" charges whole registers since a fractional-LMUL value still
 # occupies one.
 FOOTPRINT_MODES = ("literal", "physical")
-
-_VEC_RE = re.compile(r"^v(int|uint|float)(8|16|32|64)(m|mf)([1248])(?:x([2-8]))?_t$")
-_MASK_RE = re.compile(r"^vbool(1|2|4|8|16|32|64)_t$")
 
 _KIND_PREFIX = {SIGNED_INT: "int", UNSIGNED_INT: "uint", FLOAT: "float"}
 
@@ -74,48 +73,6 @@ class VectorType:
         return f"v{_KIND_PREFIX[self.elem_kind]}{self.elem_bits}{mul}{tup}_t"
 
 
-def _legal_lmuls(elem_bits: int) -> tuple[Fraction, ...]:
-    # SEW/LMUL <= ELEN, i.e. lmul >= elem_bits / ELEN.
-    floor = Fraction(elem_bits, ELEN)
-    return tuple(m for m in LMULS if m >= floor)
-
-
-def parse_vector_type(type_name: str) -> VectorType | None:
-    """Decode an RVV intrinsic type name; None when the name is not a vector type.
-
-    A non-match is an expected outcome (callers use it to filter scalar
-    declarations), so illegal names never raise.
-    """
-    m = _MASK_RE.match(type_name)
-    if m:
-        return VectorType(
-            elem_kind=MASK,
-            lmul=Fraction(1),
-            tuple_fields=1,
-            mask_ratio=int(m.group(1)),
-        )
-
-    m = _VEC_RE.match(type_name)
-    if m is None:
-        return None
-    base, bits_s, mprefix, mval_s, fields_s = m.groups()
-    bits = int(bits_s)
-    mval = int(mval_s)
-    lmul = Fraction(1, mval) if mprefix == "mf" else Fraction(mval)
-    fields = int(fields_s) if fields_s else 1
-
-    if mprefix == "mf" and mval == 1:
-        return None  # "mf1" is not a legal multiplier token
-    kind = {"int": SIGNED_INT, "uint": UNSIGNED_INT, "float": FLOAT}[base]
-    if kind == FLOAT and bits not in FLOAT_WIDTHS:
-        return None
-    if lmul not in _legal_lmuls(bits):
-        return None
-    if lmul * fields > 8:
-        return None  # grouped registers cannot exceed the register file
-    return VectorType(elem_kind=kind, lmul=lmul, tuple_fields=fields, elem_bits=bits)
-
-
 def register_footprint(t: VectorType, mode: str = "literal") -> Fraction:
     """Registers demanded by one live value of type ``t``.
 
@@ -136,9 +93,9 @@ def iter_vector_types() -> Iterator[VectorType]:
     for kind in (SIGNED_INT, UNSIGNED_INT, FLOAT):
         widths = FLOAT_WIDTHS if kind == FLOAT else INT_WIDTHS
         for bits in widths:
-            for lmul in _legal_lmuls(bits):
-                max_fields = min(8, int(8 / lmul)) if lmul <= 4 else 1
-                for fields in range(1, max_fields + 1):
+            # SEW/LMUL <= ELEN; LMUL * fields <= 8, with at most 8 fields.
+            for lmul in (m for m in LMULS if m >= Fraction(bits, ELEN)):
+                for fields in range(1, min(8, int(8 / lmul)) + 1):
                     yield VectorType(
                         elem_kind=kind, lmul=lmul, tuple_fields=fields, elem_bits=bits
                     )
@@ -149,3 +106,16 @@ def iter_vector_types() -> Iterator[VectorType]:
 def iter_vector_type_names() -> Iterator[str]:
     for t in iter_vector_types():
         yield t.name()
+
+
+# Every legal name, built once from the enumeration (292 entries).
+_BY_NAME = {t.name(): t for t in iter_vector_types()}
+
+
+def parse_vector_type(type_name: str) -> VectorType | None:
+    """Decode an RVV intrinsic type name; None when the name is not a vector type.
+
+    A non-match is an expected outcome (callers use it to filter scalar
+    declarations), so illegal names never raise.
+    """
+    return _BY_NAME.get(type_name)

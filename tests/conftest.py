@@ -52,7 +52,6 @@ def make_ir(
     return FunctionIr(
         name="synthetic",
         signature="void synthetic(void)",
-        params=[],
         symbol_table=table,
         stmts=stmts,
         cfg=cfg,

@@ -287,6 +287,20 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         load_config_file(cfg_file)
 
 
+def test_config_file_problems_are_reported_in_file_order(tmp_path, capsys):
+    from vecport.errors import UsageError
+
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text('# budgets\n\ntempurature = "0.7"\nnot a pair\n')
+    with pytest.raises(UsageError, match="unknown config key 'tempurature'"):
+        load_config_file(cfg_file)
+    cfg_file.write_text('# budgets\n\ntemperature = "0.7"\nnot a pair\n')
+    with pytest.raises(UsageError, match='line 4: expected key = "value"'):
+        load_config_file(cfg_file)
+    assert main(["translate", "--no-exec", "--config", str(cfg_file)]) == 1
+    assert 'line 4: expected key = "value"' in capsys.readouterr().err
+
+
 _TRISTATE_FIELDS = [
     ("temperature", 0.5, 0.9),
     ("translate_max", 3, 7),

@@ -107,6 +107,7 @@ def test_malformed_manifest_recorded(tmp_path):
     listing = load_corpus(tmp_path)
     assert listing.manifests == []
     assert len(listing.problems) == 1
+    assert 'line 1: expected key = "value"' in listing.problems[0][1]
 
 
 def test_bad_signature_rejected(tmp_path):

@@ -365,11 +365,28 @@ def test_non_utf8_perf_output_is_parsed_or_a_perf_error(tmp_path):
         ex.run_perf(garbage, native, runs=3)
 
 
+def test_perf_cost_is_the_last_stdout_line_whatever_stderr_says(tmp_path):
+    ex = CommandExecutor(_script_config(), tmp_path / "work")
+    native = _cost_script(tmp_path / "native.py", [240000])
+    warned = _script(tmp_path / "warned", "echo 120000\necho warning >&2\n")
+    assert ex.run_perf(warned, native, runs=3).translated_cost_ns == 120000
+    only_stderr = _script(tmp_path / "only_stderr", "echo 120000 >&2\n")
+    with pytest.raises(PerfError, match="cost line"):
+        ex.run_perf(only_stderr, native, runs=3)
+
+
+def test_functional_output_tail_keeps_stdout_and_stderr(tmp_path):
+    ex = CommandExecutor(_script_config(), tmp_path / "work")
+    binary = _script(tmp_path / "bin_both", "echo on-stdout\necho on-stderr >&2\nexit 1\n")
+    tail = ex.run_functional_tests(binary).per_vlen[128].output_tail
+    assert "on-stdout" in tail and "on-stderr" in tail
+
+
 def test_adding_a_vlen_only_tightens_all_passed():
     runs_two = {128: VlenRun(True, 0, ""), 256: VlenRun(True, 0, "")}
-    ok = TestResult(all_passed=all(r.passed for r in runs_two.values()), per_vlen=runs_two)
+    ok = TestResult(per_vlen=runs_two)
     assert ok.all_passed
     runs_three = dict(runs_two)
     runs_three[512] = VlenRun(False, 1, "tail bug")
-    worse = TestResult(all_passed=all(r.passed for r in runs_three.values()), per_vlen=runs_three)
+    worse = TestResult(per_vlen=runs_three)
     assert not worse.all_passed

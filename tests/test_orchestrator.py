@@ -295,9 +295,8 @@ def _variant(vid, speedup=None):
     if speedup is not None:
         s = Fraction(speedup)
         perf = PerfResult(
-            translated_cost_ns=int(100000 / s),
-            native_cost_ns=100000,
-            speedup=s,
+            translated_cost_ns=s.denominator * 10000,
+            native_cost_ns=s.numerator * 10000,
             runs=5,
         )
     return Variant(variant_id=vid, code=f"// v{vid}", perf=perf)

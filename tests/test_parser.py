@@ -59,6 +59,12 @@ def test_stray_character_names_its_line():
         tokenize("int a;\n/* x\n y */ int @;")
 
 
+@pytest.mark.parametrize("source", ['"x\ny"\nz', "c = 'a\nb';", 's = "x\\\ny";'])
+def test_literal_cannot_span_a_newline(source):
+    with pytest.raises(ParseError, match=r"unexpected character ['\"].*\(line 1\)"):
+        tokenize(source)
+
+
 _LEX_FRAGMENTS = [
     "x = a + b;",
     "/* one\n  two */",

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -65,6 +66,55 @@ def test_literal_cannot_span_a_newline(source):
         tokenize(source)
 
 
+@pytest.mark.parametrize("source", ["", "   ", " \t\n\n  \t \n", "\f\v\r\n"])
+def test_blank_source_has_no_tokens(source):
+    assert tokenize(source) == []
+
+
+@pytest.mark.parametrize("tail", ["  ", "\t", " \t \t", "\n  \t"])
+def test_trailing_blanks_end_the_token_stream(tail):
+    assert _spans("int x;" + tail) == [
+        ("int", "id", 1, 1), ("x", "id", 1, 5), (";", "punct", 1, 6),
+    ]
+
+
+def test_first_token_after_a_blank_run_has_its_own_column():
+    assert _spans("   \t x  y\n \f\tz") == [
+        ("x", "id", 1, 6), ("y", "id", 1, 9), ("z", "id", 2, 4),
+    ]
+
+
+@pytest.mark.parametrize("source", ["int a; \t #define X 1\n", "\n\nx = 1;  # y"])
+def test_blanks_then_hash_mid_line_is_a_stray_character(source):
+    line = source.count("\n", 0, source.index("#")) + 1
+    with pytest.raises(ParseError, match=rf"^unexpected character '#' \(line {line}\)$"):
+        tokenize(source)
+
+
+@pytest.mark.parametrize("blank", ["\r", "\f", "\v", " \r", "\f\t"])
+def test_only_spaces_and_tabs_may_indent_a_directive(blank):
+    with pytest.raises(ParseError, match=r"^unexpected character '#' \(line 2\)$"):
+        tokenize(f"int a;\n{blank}#define X 1\nint b;")
+
+
+def test_indented_directive_after_a_blank_line_is_skipped():
+    assert _spans("int a;\n\n \t #define X \\\n 1\n  b;") == [
+        ("int", "id", 1, 1), ("a", "id", 1, 5), (";", "punct", 1, 6),
+        ("b", "id", 5, 3), (";", "punct", 5, 4),
+    ]
+
+
+def test_blanks_then_unterminated_block_comment_names_its_line():
+    with pytest.raises(ParseError, match=r"^unterminated block comment \(line 2\)$"):
+        tokenize("a;\n  \t/* never closed\n")
+
+
+@pytest.mark.parametrize("char", ["@", "$", "`"])
+def test_blanks_then_stray_character_names_it(char):
+    with pytest.raises(ParseError, match=rf"^unexpected character '{re.escape(char)}' \(line 2\)$"):
+        tokenize(f"a;\n \t {char} b;")
+
+
 _LEX_FRAGMENTS = [
     "x = a + b;",
     "/* one\n  two */",
@@ -74,6 +124,8 @@ _LEX_FRAGMENTS = [
     "\tvint32m1_t v = f(p, 0x1fu, 1.5e3f, .5);",
     "a->b <<= c >= d ... ;",
     "{ [ ( ) ] }",
+    "\r\f\vq\r;",
+    "y; \t ",
 ]
 _LEX_DIRECTIVES = ["#include <a.h>", "#define M(x) \\\n  (x) \\   \n  + 1", "#if 0 // x"]
 
@@ -84,9 +136,10 @@ def test_token_positions_address_their_text_on_random_splices():
         parts = []
         for _ in range(rng.randint(1, 8)):
             if rng.random() < 0.25:
-                parts.append("\n" + rng.choice(["", "  ", "\t"]) + rng.choice(_LEX_DIRECTIVES) + "\n")
+                indent = rng.choice(["", "  ", "\t", " \t  "])
+                parts.append("\n" + indent + rng.choice(_LEX_DIRECTIVES) + "\n")
             else:
-                parts.append(rng.choice(_LEX_FRAGMENTS) + rng.choice([" ", "\n", "\t", " \n  "]))
+                parts.append(rng.choice(_LEX_FRAGMENTS) + rng.choice([" ", "\n", "\t", " \n  ", "\r\n", "\f"]))
         src = "".join(parts)
         starts = [0]
         for line in src.split("\n"):

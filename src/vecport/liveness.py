@@ -12,7 +12,9 @@ the function has no successor there, so nothing is live after it. Sets grow
 monotonically inside a finite universe, so termination is bounded by
 |vars| * |stmts| sweeps. Register pressure at a statement is the sum of the
 LMUL-weighted footprints of IN(i) | OUT(i), each symbol's footprint computed
-once; the report carries the peak across the function against the
+once. Every footprint is a whole number of eighths of a register, so the sum
+is taken in integer eighths and stored as one exact ``Fraction`` per
+statement; the report carries the peak across the function against the
 32-register file.
 
 ``oracle_liveness`` answers the same question by brute-force path
@@ -224,12 +226,15 @@ def compute_pressure(
     """
     check_fixpoint(ir, live)
     footprint = {name: register_footprint(t, mode) for name, t in ir.symbol_table.items()}
-    per_stmt: dict[int, Fraction] = {}
-    for s in ir.stmts:
-        total = Fraction(0)
-        for name in live.live_in[s.stmt_id] | live.live_out[s.stmt_id]:
-            total += footprint[name]
-        per_stmt[s.stmt_id] = total
+    # Every legal LMUL is a multiple of 1/8, so each footprint is a whole
+    # number of eighths of a register and the sums can be done in ints.
+    eighths = {name: int(fp * 8) for name, fp in footprint.items()}
+    live_in, live_out = live.live_in, live.live_out
+    totals = {
+        s.stmt_id: sum(eighths[name] for name in live_in[s.stmt_id] | live_out[s.stmt_id])
+        for s in ir.stmts
+    }
+    per_stmt = {i: Fraction(total, 8) for i, total in totals.items()}
 
     all_defs: set[str] = set()
     all_uses: set[str] = set()
@@ -238,9 +243,10 @@ def compute_pressure(
         all_uses |= s.uses
     dead = frozenset(all_defs - all_uses)
 
-    if per_stmt:
-        pressure = max(per_stmt.values())
-        hot = min(i for i, p in per_stmt.items() if p == pressure)
+    if totals:
+        peak = max(totals.values())
+        hot = min(i for i, total in totals.items() if total == peak)
+        pressure = per_stmt[hot]
         hot_stmt = ir.stmt(hot)
         live_at_hot = frozenset(
             (name, footprint[name]) for name in live.live_in[hot] | live.live_out[hot]

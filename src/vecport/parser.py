@@ -42,6 +42,9 @@ _QUALIFIERS = {
     "unsigned", "signed",
 }
 
+# What may precede a declarator's name: pointer stars and their qualifiers.
+_DECLARATOR_PREFIX = frozenset({"*"} | _QUALIFIERS)
+
 _SCALAR_TYPE_WORDS = {
     "void", "char", "short", "int", "long", "float", "double", "_Bool", "bool",
     "unsigned", "signed", "size_t", "ptrdiff_t", "ssize_t", "intptr_t",
@@ -58,30 +61,39 @@ _OPERATORS = [
 ]
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
-# One master pattern, tried left to right at each position. ``skip`` is one
-# piece of text that yields no token: a preprocessor directive (only at line
-# start, running on through backslash-continued lines), a newline, a run of
-# blanks, or a comment. A newline is its own piece, after the directive, so a
-# blank run never swallows it and hides the ``#`` of an indented directive.
-# ``open`` is a ``/*`` that no ``*/`` closes. A string or char literal ends
-# on its line: neither a raw newline nor a backslash-newline continues it.
+# One master pattern whose matches tile the source, so ``finditer`` walks it
+# with one match per piece. The directive alternative comes first, on its own:
+# it starts a line after spaces or tabs only and runs on through lines
+# continued by a backslash (LF or CRLF). Every other alternative shares one
+# blank-run prefix: a newline, a comment, the end (trailing blanks), ``open``
+# (a ``/*`` that no ``*/`` closes), a token, or ``bad``, one character that
+# starts nothing. A string or char literal ends on its line: neither a raw
+# newline nor a backslash-newline continues it.
 _LEX_RE = re.compile(
     r"""
-    (?P<skip>(?m:^)[ \t]*\#(?:[^\n]*\\[ \t]*\n)*[^\n]*
-      | \n | [ \t\r\f\v]+ | //[^\n]* | /\*(?s:.*?)\*/)
-  | (?P<open>/\*)
-  | (?P<id>[A-Za-z_]\w*)
-  | (?P<num>0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFuUlL]*)
-  | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
-  | (?P<punct>""" + "|".join(re.escape(op) for op in _OPERATORS) + r"""
-      | [{}()\[\];,\.\+\-\*/%<>=!&\|\^~\?:])
+    (?P<directive>(?m:^)[ \t]*\#(?:[^\n]*\\[ \t]*\r?\n)*[^\n]*)
+  | [ \t\r\f\v]*
+    (?: (?P<newline>\n)
+      | (?P<comment>//[^\n]* | /\*(?s:.*?)\*/)
+      | (?P<end>\Z)
+      | (?P<open>/\*)
+      | (?P<id>[A-Za-z_]\w*)
+      | (?P<num>0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFuUlL]*)
+      | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+      | (?P<punct>""" + "|".join(re.escape(op) for op in _OPERATORS) + r"""
+          | [{}()\[\];,\.\+\-\*/%<>=!&\|\^~\?:])
+      | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
+_TOKEN_KINDS = frozenset({"id", "num", "str", "punct"})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
+    # Not frozen: a frozen dataclass pays a __setattr__ call per field on
+    # every token built, and slots read faster than NamedTuple fields.
     text: str
     kind: str  # id | num | str | punct
     line: int
@@ -90,21 +102,23 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens = []
-    line, line_start, pos = 1, 0, 0
-    while pos < len(source):
-        m = _LEX_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line=line)
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = pos + text.rindex("\n") + 1
+    line, line_start = 1, 0
+    for m in _LEX_RE.finditer(source):
+        kind = m.lastgroup
+        if kind in _TOKEN_KINDS:
+            tokens.append(Token(m[kind], kind, line, m.start(kind) - line_start + 1))
+        elif kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line=line)
         elif kind == "open":
             raise ParseError("unterminated block comment", line=line)
-        else:
-            tokens.append(Token(text, kind, line, pos - line_start + 1))
-        pos = m.end()
+        else:  # directive, comment or end: skipped, but may span lines
+            text = m[kind]
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start(kind) + text.rindex("\n") + 1
     return tokens
 
 
@@ -360,7 +374,7 @@ def _read_decl(tokens: list[Token], i: int, symbols: dict[str, VectorType],
             continue
         j = 0
         stars = 0
-        while j < len(declarator) and declarator[j].text in ("*",) + tuple(_QUALIFIERS):
+        while j < len(declarator) and declarator[j].text in _DECLARATOR_PREFIX:
             if declarator[j].text == "*":
                 stars += 1
             j += 1
@@ -446,25 +460,24 @@ class _BodyParser:
         Braces nest too: mid-statement they can only be initializer lists or
         compound literals, never block structure.
         """
-        out: list[Token] = []
+        toks = self.toks
+        start = self.pos
         depth = 0
-        while True:
-            tok = self.peek()
-            if tok.text in "([{":
+        for i in range(start, len(toks)):
+            text = toks[i].text
+            if text in "([{":
                 depth += 1
-            elif tok.text in ")]}":
-                if depth == 0 and tok.text == stop:
-                    self.advance()
-                    return out
+            elif text in ")]}":
+                if depth == 0 and text == stop:
+                    self.pos = i + 1
+                    return toks[start:i]
                 if depth == 0:
-                    raise ParseError(
-                        f"expected {stop!r} before {tok.text!r}", line=tok.line
-                    )
+                    raise ParseError(f"expected {stop!r} before {text!r}", line=toks[i].line)
                 depth -= 1
-            elif tok.text == stop and depth == 0:
-                self.advance()
-                return out
-            out.append(self.advance())
+            elif text == stop and depth == 0:
+                self.pos = i + 1
+                return toks[start:i]
+        raise ParseError("unexpected end of input (unbalanced braces?)")
 
     def parse_block(self) -> BlockNode:
         self.expect("{")
@@ -533,8 +546,7 @@ class _BodyParser:
             self.expect(";")
             return ContinueNode(tok.line)
 
-        tokens = [self.advance()]
-        tokens.extend(self._collect_until(";"))
+        tokens = [self.advance(), *self._collect_until(";")]
         return LeafNode(_parse_simple(tokens, self.symbols))
 
     def _parse_if(self) -> IfNode:

@@ -68,14 +68,15 @@ def straight_line_ir(
 RANDOM_TYPES = ("vint32mf2_t", "vint32m1_t", "vint32m2_t", "vint32m4_t")
 
 
-def random_ir(rng: random.Random) -> FunctionIr:
+def random_ir(rng: random.Random, types: tuple[str, ...] = RANDOM_TYPES) -> FunctionIr:
     """Random CFG within the property-test envelope: at most 6 blocks, 12
-    statements, 6 variables, mixed LMUL from {1/2, 1, 2, 4}, block
-    out-degree at most 2, everything reachable from the entry chain."""
+    statements, 6 variables typed from ``types`` (by default mixed LMUL from
+    {1/2, 1, 2, 4}), block out-degree at most 2, everything reachable from the
+    entry chain."""
     n_blocks = rng.randint(1, 6)
     n_vars = rng.randint(1, 6)
     names = [f"v{i}" for i in range(n_vars)]
-    symbols = {v: rng.choice(RANDOM_TYPES) for v in names}
+    symbols = {v: rng.choice(types) for v in names}
 
     n_stmts = rng.randint(0, 12)
     per_block: list[list[tuple[set[str], set[str]]]] = [[] for _ in range(n_blocks)]

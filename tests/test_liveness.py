@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from vecport.liveness import (
     solve_liveness,
 )
 from vecport.parser import parse_function
+from vecport.rvv_types import FOOTPRINT_MODES, iter_vector_type_names, register_footprint
 
 M2 = "vint32m2_t"
 
@@ -231,6 +233,65 @@ def test_property_adding_a_use_is_monotone(seed):
         assert base.live_in[i] <= grown.live_in[i]
         assert base.live_out[i] <= grown.live_out[i]
     assert compute_pressure(ir, grown).pressure >= base_pressure
+
+
+ALL_TYPE_NAMES = tuple(iter_vector_type_names())
+
+
+def _fraction_sum_report(ir, live, mode):
+    """What compute_pressure must report, from Fraction sums of footprints."""
+    footprint = {n: register_footprint(t, mode) for n, t in ir.symbol_table.items()}
+    per_stmt = {}
+    for s in ir.stmts:
+        total = Fraction(0)
+        for name in live.live_in[s.stmt_id] | live.live_out[s.stmt_id]:
+            total += footprint[name]
+        per_stmt[s.stmt_id] = total
+    peak = max(per_stmt.values(), default=Fraction(0))
+    hot = min((i for i, p in per_stmt.items() if p == peak), default=None)
+    live_at_hot = frozenset() if hot is None else frozenset(
+        (n, footprint[n]) for n in live.live_in[hot] | live.live_out[hot]
+    )
+    defs = set().union(*(s.defs for s in ir.stmts))
+    uses = set().union(*(s.uses for s in ir.stmts))
+    as_dict = {
+        "pressure": str(peak),
+        "hot_stmt": hot,
+        "spills_predicted": peak > 32,
+        "register_budget": 32,
+        "dead_defs": sorted(defs - uses),
+        "mode": mode,
+    }
+    return per_stmt, peak, live_at_hot, as_dict
+
+
+def _assert_matches_fraction_sum(ir, mode):
+    live = solve_liveness(ir)
+    report = compute_pressure(ir, live, mode)
+    per_stmt, peak, live_at_hot, as_dict = _fraction_sum_report(ir, live, mode)
+    assert report.per_stmt_pressure == per_stmt
+    assert all(type(p) is Fraction for p in report.per_stmt_pressure.values())
+    assert type(report.pressure) is Fraction and report.pressure == peak
+    assert str(report.pressure) == str(peak)
+    assert report.live_at_hot == live_at_hot
+    assert report.to_dict() == as_dict
+
+
+@pytest.mark.parametrize("mode", FOOTPRINT_MODES)
+def test_every_vector_type_costs_its_footprint(mode):
+    assert len(ALL_TYPE_NAMES) == 292
+    for name in ALL_TYPE_NAMES:
+        _assert_matches_fraction_sum(
+            straight_line_ir([(set(), {"v"}), ({"v"}, set())], {"v": name}), mode
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000))
+def test_property_pressure_equals_a_fraction_sum_over_every_type(seed):
+    ir = random_ir(random.Random(seed), types=ALL_TYPE_NAMES)
+    for mode in FOOTPRINT_MODES:
+        _assert_matches_fraction_sum(ir, mode)
 
 
 def test_successors_skip_empty_blocks():

@@ -45,6 +45,12 @@ def test_continued_directive_is_skipped():
     assert [t.text for t in tokenize("#define A \\ x\nint y;")] == ["int", "y", ";"]
 
 
+def test_crlf_continued_directive_is_skipped():
+    for eol in ("\n", "\r\n"):
+        src = f"#define X 1 \\{eol}  + 2 \\ \t{eol}  - 3{eol}int y;"
+        assert _spans(src) == [("int", "id", 4, 1), ("y", "id", 4, 5), (";", "punct", 4, 6)]
+
+
 def test_hash_after_code_is_not_a_directive():
     with pytest.raises(ParseError, match="unexpected character '#'"):
         tokenize("int a; #define X 1\n")
@@ -111,7 +117,8 @@ def test_blanks_then_unterminated_block_comment_names_its_line():
 
 @pytest.mark.parametrize("char", ["@", "$", "`"])
 def test_blanks_then_stray_character_names_it(char):
-    with pytest.raises(ParseError, match=rf"^unexpected character '{re.escape(char)}' \(line 2\)$"):
+    message = rf"^unexpected character '{re.escape(char)}' \(line 2\)$"
+    with pytest.raises(ParseError, match=message):
         tokenize(f"a;\n \t {char} b;")
 
 
@@ -139,7 +146,8 @@ def test_token_positions_address_their_text_on_random_splices():
                 indent = rng.choice(["", "  ", "\t", " \t  "])
                 parts.append("\n" + indent + rng.choice(_LEX_DIRECTIVES) + "\n")
             else:
-                parts.append(rng.choice(_LEX_FRAGMENTS) + rng.choice([" ", "\n", "\t", " \n  ", "\r\n", "\f"]))
+                gap = rng.choice([" ", "\n", "\t", " \n  ", "\r\n", "\f"])
+                parts.append(rng.choice(_LEX_FRAGMENTS) + gap)
         src = "".join(parts)
         starts = [0]
         for line in src.split("\n"):

@@ -1,5 +1,7 @@
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from vecport.parser import (
 )
 
 VEC_ADD_SIG = "void vec_add_s32(const int32_t *a, const int32_t *b, int32_t *c, size_t n)"
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ANALYZE = GOLDEN / "analyze"
 
 
 # --- lexer ------------------------------------------------------------------
@@ -470,6 +474,40 @@ def test_unbalanced_parameter_list_names_its_line():
         parse_function("int x;\nvoid f(int a {\n}", "f")
 
 
+@pytest.mark.parametrize("source, signature, error, message", [
+    ("void f(void) {\n    break;\n}", "f", ParseError, "break outside a loop (line 2)"),
+    ("void f(int n) {\n    if (n)\n        continue;\n}", "f", ParseError,
+     "continue outside a loop (line 3)"),
+    ("void f(int x) {\n    x = 1;\n    case 1: x = 2;\n}", "f", ParseError,
+     "unsupported construct: case label (line 3)"),
+    ("void f(int x) {\n\n    default: x = 2;\n}", "f", ParseError,
+     "unsupported construct: default label (line 3)"),
+    ("void f(int x) {\n    if x) { }\n}", "f", ParseError, "expected '(', found 'x' (line 2)"),
+    ("void f(int x) {\n    break x;\n}", "f", ParseError, "expected ';', found 'x' (line 2)"),
+    ("void f(int x) {\n    do x++; until (x);\n}", "f", ParseError,
+     "expected 'while', found 'until' (line 2)"),
+    ("void f(int x) {\n    x = (1;\n}", "f", ParseError,
+     "unexpected end of input (unbalanced braces?)"),
+    ("void f(int x) {\n    x = { 1 );\n} y;\n}", "f", ParseError,
+     "unexpected 'y' after function body (line 3)"),
+    ("void f(void) { }", "int f", ParseError, "cannot read a function name from 'int f'"),
+    ("void f(void) { }", "", ParseError, "cannot read a function name from ''"),
+    ("void f(size_t vl) {\n    vint32m1_t a;\n    a = __riscv_vadd_vv_i32m1(b, a, vl);\n"
+     "    vint32m1_t b;\n}", "f", AnalysisError,
+     "vector value 'b' referenced before its declaration (line 3)"),
+])
+def test_parse_function_diagnostics(source, signature, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_function(source, signature)
+
+
+@pytest.mark.parametrize("signature", ["not a signature", "just_a_name", "int f(", "f(void)"])
+def test_validate_signature_names_the_rejected_text(signature):
+    message = f"not a function declarator: {signature!r}"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        validate_signature(signature)
+
+
 def test_prototype_is_skipped():
     src = """
     void f(void);
@@ -528,12 +566,51 @@ def _structure_fingerprint(ir):
     )
 
 
+def _assert_round_trip(source, signature):
+    ir = parse_function(source, signature)
+    ir2 = parse_function(print_function(ir), signature)
+    assert _structure_fingerprint(ir) == _structure_fingerprint(ir2)
+
+
 def test_pretty_print_round_trip_on_bundled_corpus(bundled_cases):
     for case in bundled_cases.values():
         ir = parse_function(case.native_text, case.function_signature)
         printed = print_function(ir)
         ir2 = parse_function(printed, case.function_signature)
         assert _structure_fingerprint(ir) == _structure_fingerprint(ir2), case.case_id
+
+
+@pytest.mark.parametrize("name", ["constructs", "spills"])
+def test_pretty_print_round_trip_on_analyze_goldens(name):
+    _assert_round_trip((GOLDEN_ANALYZE / f"{name}.c").read_text(), name)
+
+
+def test_pretty_print_round_trip_on_replay_fences(bundled_cases):
+    replay = json.loads((GOLDEN / "replay.json").read_text())
+    rejected = []
+    parsed = 0
+    for case_id, replies in replay.items():
+        signature = bundled_cases[case_id].function_signature
+        for reply in replies:
+            for block in re.findall(r"```[^\n]*\n(.*?)```", reply, re.DOTALL):
+                try:
+                    parse_function(block, signature)
+                except ParseError as exc:
+                    rejected.append((case_id, str(exc)))
+                    continue
+                _assert_round_trip(block, signature)
+                parsed += 1
+    assert parsed == 24
+    assert rejected == [("deinterleave_rgb", "unsupported construct: goto (line 3)")]
+
+
+@pytest.mark.parametrize("loop", [
+    "for (; c; ) { c -= 1; }",
+    "for (;;) { if (c) { break; } c += 1; }",
+    "while (c) c--;",
+])
+def test_pretty_print_round_trip_on_bare_loops(loop):
+    _assert_round_trip(f"void f(int c) {{ {loop} c = 0; }}", "f")
 
 
 def test_pretty_print_round_trip_with_all_loop_forms():
@@ -555,6 +632,4 @@ def test_pretty_print_round_trip_with_all_loop_forms():
         }
     }
     """
-    ir = parse_function(src, "f")
-    ir2 = parse_function(print_function(ir), "f")
-    assert _structure_fingerprint(ir) == _structure_fingerprint(ir2)
+    _assert_round_trip(src, "f")

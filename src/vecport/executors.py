@@ -48,6 +48,17 @@ OUTPUT_TAIL_BYTES = 4096
 _COST_RE = re.compile(r"^[0-9]+$")
 
 
+def validate_vlens(vlens: tuple[int, ...]) -> None:
+    """The VLEN rule both executors apply: at least one, each a power of two in [32, 65536]."""
+    if not vlens:
+        raise ConfigurationError("at least one VLEN must be configured")
+    for v in vlens:
+        if v < 32 or v > 65536 or v & (v - 1):
+            raise ConfigurationError(
+                f"VLEN {v} invalid: must be a power of two in [32, 65536]"
+            )
+
+
 @dataclass
 class ToolchainConfig:
     cc: str = DEFAULT_CC
@@ -59,13 +70,7 @@ class ToolchainConfig:
     run_timeout_s: int = 60
 
     def __post_init__(self):
-        if not self.vlens:
-            raise ConfigurationError("at least one VLEN must be configured")
-        for v in self.vlens:
-            if v < 32 or v > 65536 or v & (v - 1):
-                raise ConfigurationError(
-                    f"VLEN {v} invalid: must be a power of two in [32, 65536]"
-                )
+        validate_vlens(self.vlens)
 
 
 @dataclass
@@ -352,6 +357,7 @@ class MockExecutor:
         work_dir: Path | str | None = None,
     ):
         self.vlens = tuple(vlens)
+        validate_vlens(self.vlens)
         self.native_cost_ns = native_cost_ns
         self.work_dir = Path(work_dir) if work_dir is not None else Path(
             tempfile.mkdtemp(prefix="vecport-mock-")

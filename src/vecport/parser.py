@@ -9,11 +9,23 @@ diagnostic rather than analyzed wrongly.
 
 The lexer is one pass of one master regex over the original source:
 comments, preprocessor directives and blanks are skipped in place, so every
-token's (line, col) points into the text as written. A ``while`` loop is laid
-out as a ``for`` loop with no init and no step. Statement-level successor
-edges are derived from the block graph once per IR, as
-``FunctionIr.successors``; they list statements only, so a statement that
-leaves the function has no successor.
+token's (line, col) points into the text as written. Parameters are read by
+the same declaration reader as body statements.
+
+The parser builds a structure tree that ``build_cfg`` lays out into basic
+blocks. A ``BlockNode`` holds items of four kinds:
+
+- a ``RawStmt``: a simple statement or a ``return`` (``kind == "return"``);
+- a ``JumpNode``: ``break`` or ``continue``;
+- a nested ``BlockNode``;
+- an ``IfNode``, a ``DoWhileNode`` or a ``ForNode``.
+
+A ``while`` loop is stored as a ``ForNode`` with no init and no step, so
+``print_function`` prints every ``ForNode`` that has a condition but neither
+init nor step as ``while (cond)``; ``for (;;)`` stays a ``for``.
+Statement-level successor edges are derived from the block graph once per
+IR, as ``FunctionIr.successors``; they list statements only, so a statement
+that leaves the function has no successor.
 
 Scalar and pointer-typed values are invisible to the analysis: use/def sets
 contain only names with a vector type in the function's symbol table, so a
@@ -177,28 +189,14 @@ class RawStmt:
 
 
 @dataclass
-class LeafNode:
-    stmt: RawStmt
-
-
-@dataclass
-class ReturnNode:
-    stmt: RawStmt
-
-
-@dataclass
-class BreakNode:
-    line: int
-
-
-@dataclass
-class ContinueNode:
+class JumpNode:
+    kind: str  # break | continue
     line: int
 
 
 @dataclass
 class BlockNode:
-    items: list = field(default_factory=list)
+    items: list = field(default_factory=list)  # RawStmt, JumpNode or a nested node
 
 
 @dataclass
@@ -209,12 +207,6 @@ class IfNode:
 
 
 @dataclass
-class WhileNode:
-    cond: RawStmt
-    body: BlockNode
-
-
-@dataclass
 class DoWhileNode:
     body: BlockNode
     cond: RawStmt
@@ -222,6 +214,8 @@ class DoWhileNode:
 
 @dataclass
 class ForNode:
+    """A ``for`` loop; a ``while`` loop is one with no init and no step."""
+
     init: RawStmt | None
     cond: RawStmt | None
     step: RawStmt | None
@@ -252,17 +246,13 @@ class FunctionIr:
         """
         cfg = self.cfg
 
-        def first_stmts(block_id: int, seen: frozenset[int]) -> list[int]:
-            if block_id == cfg.exit:
-                return []
-            block = cfg.block(block_id)
-            if block.stmt_ids:
-                return [block.stmt_ids[0]]
-            if block_id in seen:
-                return []
+        def first_stmts(block_ids: tuple[int, ...], seen: frozenset[int]) -> list[int]:
             out: list[int] = []
-            for s in cfg.successors(block_id):
-                for t in first_stmts(s, seen | {block_id}):
+            for b in block_ids:
+                stmt_ids = cfg.block(b).stmt_ids
+                if b == cfg.exit or (b in seen and not stmt_ids):
+                    continue
+                for t in stmt_ids[:1] or first_stmts(cfg.successors(b), seen | {b}):
                     if t not in out:
                         out.append(t)
             return out
@@ -273,12 +263,7 @@ class FunctionIr:
                 if idx + 1 < len(block.stmt_ids):
                     succ[sid] = (block.stmt_ids[idx + 1],)
                 else:
-                    out = []
-                    for s in cfg.successors(block.block_id):
-                        for t in first_stmts(s, frozenset()):
-                            if t not in out:
-                                out.append(t)
-                    succ[sid] = tuple(out)
+                    succ[sid] = tuple(first_stmts(cfg.successors(block.block_id), frozenset()))
         return succ
 
 
@@ -350,6 +335,12 @@ def _parse_simple(tokens: list[Token], symbols: dict[str, VectorType]) -> RawStm
     else:
         _read_expr_stmt(tokens, stmt)
     return stmt
+
+
+def _cond_stmt(tokens: list[Token], at: Token) -> RawStmt:
+    """A condition: it reads ``tokens``, declares nothing, and sits at ``at``."""
+    return RawStmt("scalar_other", _render_tokens(tokens), at.line, at.col,
+                   _identifier_candidates(tokens))
 
 
 def _read_decl(tokens: list[Token], i: int, symbols: dict[str, VectorType],
@@ -489,19 +480,18 @@ class _BodyParser:
         self.expect("}")
         return node
 
-    def _parse_body_or_single(self) -> BlockNode:
-        if self.peek().text == "{":
-            return self.parse_block()
-        node = BlockNode()
+    def _parse_body(self) -> BlockNode:
+        """A loop or branch body: a block, or one statement as a block."""
         item = self.parse_statement()
-        if item is not None:
-            node.items.append(item)
-        return node
+        if isinstance(item, BlockNode):
+            return item
+        return BlockNode([] if item is None else [item])
 
-    def _cond_stmt(self, tokens: list[Token], line: int, col: int) -> RawStmt:
-        stmt = RawStmt(kind="scalar_other", text=_render_tokens(tokens), line=line, col=col)
-        stmt.use_candidates |= _identifier_candidates(tokens)
-        return stmt
+    def _parse_cond(self, keyword: str) -> RawStmt:
+        """``keyword ( cond )``; the condition is placed at the keyword."""
+        tok = self.expect(keyword)
+        self.expect("(")
+        return _cond_stmt(self._collect_until(")"), tok)
 
     def parse_statement(self):
         tok = self.peek()
@@ -523,80 +513,49 @@ class _BodyParser:
             self.advance()
             return None
         if tok.text == "if":
-            return self._parse_if()
+            cond = self._parse_cond("if")
+            then = self._parse_body()
+            orelse = None
+            if not self.at_end() and self.peek().text == "else":
+                self.advance()
+                orelse = self._parse_body()
+            return IfNode(cond, then, orelse)
         if tok.text == "while":
-            return self._parse_while()
+            cond = self._parse_cond("while")
+            return ForNode(None, cond, None, self._parse_body())
         if tok.text == "do":
-            return self._parse_do_while()
+            self.advance()
+            body = self._parse_body()
+            cond = self._parse_cond("while")
+            self.expect(";")
+            return DoWhileNode(body, cond)
         if tok.text == "for":
             return self._parse_for()
         if tok.text == "return":
-            line = self.advance().line
+            self.advance()
             expr = self._collect_until(";")
-            stmt = RawStmt(kind="return", text="return" + (" " + _render_tokens(expr) if expr else ""),
-                           line=line, col=tok.col)
-            stmt.use_candidates |= _identifier_candidates(expr)
-            return ReturnNode(stmt)
-        if tok.text == "break":
+            text = "return " + _render_tokens(expr) if expr else "return"
+            return RawStmt("return", text, tok.line, tok.col, _identifier_candidates(expr))
+        if tok.text in ("break", "continue"):
             self.advance()
             self.expect(";")
-            return BreakNode(tok.line)
-        if tok.text == "continue":
-            self.advance()
-            self.expect(";")
-            return ContinueNode(tok.line)
-
-        tokens = [self.advance(), *self._collect_until(";")]
-        return LeafNode(_parse_simple(tokens, self.symbols))
-
-    def _parse_if(self) -> IfNode:
-        tok = self.expect("if")
-        self.expect("(")
-        cond = self._cond_stmt(self._collect_until(")"), tok.line, tok.col)
-        then = self._parse_body_or_single()
-        orelse = None
-        if not self.at_end() and self.peek().text == "else":
-            self.advance()
-            orelse = self._parse_body_or_single()
-        return IfNode(cond, then, orelse)
-
-    def _parse_while(self) -> WhileNode:
-        tok = self.expect("while")
-        self.expect("(")
-        cond = self._cond_stmt(self._collect_until(")"), tok.line, tok.col)
-        body = self._parse_body_or_single()
-        return WhileNode(cond, body)
-
-    def _parse_do_while(self) -> DoWhileNode:
-        self.expect("do")
-        body = self._parse_body_or_single()
-        tok = self.expect("while")
-        self.expect("(")
-        cond = self._cond_stmt(self._collect_until(")"), tok.line, tok.col)
-        self.expect(";")
-        return DoWhileNode(body, cond)
+            return JumpNode(tok.text, tok.line)
+        return _parse_simple(self._collect_until(";"), self.symbols)
 
     def _parse_for(self) -> ForNode:
         tok = self.expect("for")
         self.expect("(")
-        init_toks = self._collect_until(";")
-        init = _parse_simple(init_toks, self.symbols) if init_toks else None
-        cond_toks = self._collect_until(";")
-        cond = self._cond_stmt(cond_toks, tok.line, tok.col) if cond_toks else None
-        step_toks = self._collect_until(")")
-        step = _parse_simple(step_toks, self.symbols) if step_toks else None
-        body = self._parse_body_or_single()
-        return ForNode(init, cond, step, body)
+        init = self._collect_until(";")
+        init = _parse_simple(init, self.symbols) if init else None
+        cond = self._collect_until(";")
+        cond = _cond_stmt(cond, tok) if cond else None
+        step = self._collect_until(")")
+        step = _parse_simple(step, self.symbols) if step else None
+        return ForNode(init, cond, step, self._parse_body())
 
 
 # ---------------------------------------------------------------------------
 # CFG construction.
-
-class _LoopCtx:
-    def __init__(self):
-        self.break_sources: list[int] = []
-        self.continue_sources: list[int] = []
-
 
 class _CfgBuilder:
     def __init__(self):
@@ -604,7 +563,7 @@ class _CfgBuilder:
         self.succs: dict[int, list[int]] = {}
         self.next_block = 0
         self.current: int | None = None
-        self.loop_stack: list[_LoopCtx] = []
+        self.loop_stack: list[dict[str, list[int]]] = []  # break/continue sources
 
     def new_block(self) -> int:
         bid = self.next_block
@@ -617,6 +576,12 @@ class _CfgBuilder:
         if b not in self.succs[a]:
             self.succs[a].append(b)
 
+    def link(self, sources: list[int | None], target: int) -> None:
+        """Edges into ``target`` from each source that is still reachable."""
+        for src in sources:
+            if src is not None:
+                self.edge(src, target)
+
     def ensure_current(self) -> int:
         if self.current is None:
             self.current = self.new_block()  # unreachable; pruned later
@@ -626,113 +591,75 @@ class _CfgBuilder:
         self.block_stmts[self.ensure_current()].append(stmt)
 
     def walk(self, node) -> None:
-        if isinstance(node, BlockNode):
+        if isinstance(node, RawStmt):
+            self.emit(node)
+            if node.kind == "return":
+                self.return_sources.append(self.current)
+                self.current = None
+        elif isinstance(node, BlockNode):
             for item in node.items:
                 self.walk(item)
-        elif isinstance(node, LeafNode):
-            self.emit(node.stmt)
-        elif isinstance(node, ReturnNode):
-            self.emit(node.stmt)
-            self.return_sources.append(self.current)
-            self.current = None
-        elif isinstance(node, BreakNode):
+        elif isinstance(node, JumpNode):
             if not self.loop_stack:
-                raise ParseError("break outside a loop", line=node.line)
-            self.loop_stack[-1].break_sources.append(self.ensure_current())
-            self.current = None
-        elif isinstance(node, ContinueNode):
-            if not self.loop_stack:
-                raise ParseError("continue outside a loop", line=node.line)
-            self.loop_stack[-1].continue_sources.append(self.ensure_current())
+                raise ParseError(f"{node.kind} outside a loop", line=node.line)
+            self.loop_stack[-1][node.kind].append(self.ensure_current())
             self.current = None
         elif isinstance(node, IfNode):
             self.emit(node.cond)
             cond_block = self.current
-            then_entry = self.new_block()
-            self.edge(cond_block, then_entry)
-            self.current = then_entry
-            self.walk(node.then)
-            then_end = self.current
-            else_end = None
-            else_present = node.orelse is not None
-            if else_present:
-                else_entry = self.new_block()
-                self.edge(cond_block, else_entry)
-                self.current = else_entry
-                self.walk(node.orelse)
-                else_end = self.current
-            join = self.new_block()
-            if not else_present:
-                self.edge(cond_block, join)
-            if then_end is not None:
-                self.edge(then_end, join)
-            if else_end is not None:
-                self.edge(else_end, join)
-            self.current = join
-        elif isinstance(node, WhileNode):
-            self.walk(ForNode(None, node.cond, None, node.body))
+            # Without an else, a false condition goes straight to the join.
+            ends = [] if node.orelse is not None else [cond_block]
+            for branch in (node.then, node.orelse):
+                if branch is not None:
+                    self.current = self.new_block()
+                    self.edge(cond_block, self.current)
+                    self.walk(branch)
+                    ends.append(self.current)
+            self.current = self.new_block()
+            self.link(ends, self.current)
         elif isinstance(node, DoWhileNode):
             pre = self.ensure_current()
             body_entry = self.new_block()
             self.edge(pre, body_entry)
-            ctx = _LoopCtx()
-            self.loop_stack.append(ctx)
+            jumps = {"break": [], "continue": []}
+            self.loop_stack.append(jumps)
             self.current = body_entry
             self.walk(node.body)
-            body_end = self.current
+            self.loop_stack.pop()
             cond_block = self.new_block()
-            if body_end is not None:
-                self.edge(body_end, cond_block)
-            for src in ctx.continue_sources:
-                self.edge(src, cond_block)
+            self.link([self.current, *jumps["continue"]], cond_block)
             self.current = cond_block
             self.emit(node.cond)
             self.edge(cond_block, body_entry)
-            self.loop_stack.pop()
-            join = self.new_block()
-            self.edge(cond_block, join)
-            for src in ctx.break_sources:
-                self.edge(src, join)
-            self.current = join
+            self.current = self.new_block()
+            self.link([cond_block, *jumps["break"]], self.current)
         elif isinstance(node, ForNode):
             self.ensure_current()
             if node.init is not None:
                 self.emit(node.init)
-            pre = self.current
             header = self.new_block()
-            self.edge(pre, header)
+            self.edge(self.current, header)
             self.current = header
             if node.cond is not None:
                 self.emit(node.cond)
-            ctx = _LoopCtx()
-            self.loop_stack.append(ctx)
-            body_entry = self.new_block()
-            self.edge(header, body_entry)
-            self.current = body_entry
+            jumps = {"break": [], "continue": []}
+            self.loop_stack.append(jumps)
+            self.current = self.new_block()
+            self.edge(header, self.current)
             self.walk(node.body)
-            body_end = self.current
-            if node.step is not None:
-                latch = self.new_block()
-                if body_end is not None:
-                    self.edge(body_end, latch)
-                for src in ctx.continue_sources:
-                    self.edge(src, latch)
-                self.current = latch
-                self.emit(node.step)
-                self.edge(latch, header)
-            else:
-                if body_end is not None:
-                    self.edge(body_end, header)
-                for src in ctx.continue_sources:
-                    self.edge(src, header)
             self.loop_stack.pop()
-            join = self.new_block()
+            back = [self.current, *jumps["continue"]]
+            if node.step is None:
+                self.link(back, header)
+            else:
+                self.current = self.new_block()
+                self.link(back, self.current)
+                self.emit(node.step)
+                self.edge(self.current, header)
             # Taken even with an empty condition: liveness may-analysis only
             # gains safety from a conservative loop-exit edge.
-            self.edge(header, join)
-            for src in ctx.break_sources:
-                self.edge(src, join)
-            self.current = join
+            self.current = self.new_block()
+            self.link([header, *jumps["break"]], self.current)
         else:
             raise AssertionError(f"unknown structure node {node!r}")
 
@@ -761,11 +688,8 @@ def _prune_and_simplify(succs, block_stmts, entry, exit_block):
             continue
         reachable.add(b)
         stack.extend(succs[b])
+    reachable.add(exit_block)  # kept for shape when every path loops forever
     order = [b for b in succs if b in reachable]
-    if exit_block not in reachable:
-        # Function whose every path loops forever; keep exit for shape.
-        order.append(exit_block)
-        reachable.add(exit_block)
     succs = {b: [s for s in succs[b] if s in reachable] for b in order}
 
     changed = True
@@ -899,35 +823,18 @@ def _find_function(tokens: list[Token], name: str) -> tuple[int, int, int]:
     raise ParseError(f"function '{name}' not found")
 
 
-def _parse_params(tokens: list[Token]) -> tuple[list[str], dict[str, VectorType]]:
-    """Parameter names, and the vector type of each non-pointer vector parameter."""
-    names: list[str] = []
-    vec_syms: dict[str, VectorType] = {}
-    if not tokens or (len(tokens) == 1 and tokens[0].text == "void"):
-        return names, vec_syms
+def _parse_params(tokens: list[Token]) -> dict[str, VectorType]:
+    """The symbol table the parameter list declares: each one is read as a declaration."""
+    symbols: dict[str, VectorType] = {}
     for part in _split_top_level(tokens, ","):
-        if not part:
-            continue
-        name_tok = None
-        for tok in reversed(part):
-            if tok.kind == "id" and tok.text not in _QUALIFIERS:
-                name_tok = tok
-                break
-        if name_tok is None:
-            continue
-        names.append(name_tok.text)
-        has_star = any(t.text == "*" for t in part)
-        for tok in part:
-            vt = parse_vector_type(tok.text)
-            if vt is not None and not has_star and tok is not name_tok:
-                vec_syms[name_tok.text] = vt
-                break
-    return names, vec_syms
+        if part:
+            _parse_simple(part, symbols)
+    return symbols
 
 
 def _finalize_stmts(raw_stmts: list[RawStmt], symbols: dict[str, VectorType],
-                    param_names: set[str]) -> list[Stmt]:
-    declared = {n for n in param_names if n in symbols}
+                    vector_params: set[str]) -> list[Stmt]:
+    declared = set(vector_params)
     final = []
     for raw in raw_stmts:
         uses = frozenset(n for n in raw.use_candidates if n in symbols)
@@ -967,7 +874,8 @@ def parse_function(source: str, signature: str) -> FunctionIr:
 
     sig_tokens = tokens[sig_start:body_open]
     sig_text = _render_tokens(sig_tokens)
-    param_names, symbols = _parse_params(tokens[paren_open + 1:body_open - 1])
+    symbols = _parse_params(tokens[paren_open + 1:body_open - 1])
+    vector_params = set(symbols)
 
     body_close = _closing(tokens, body_open, "braces in function body")
     body = _BodyParser(tokens[body_open:body_close + 1], symbols)
@@ -977,7 +885,7 @@ def parse_function(source: str, signature: str) -> FunctionIr:
         raise ParseError(f"unexpected {tok.text!r} after function body", line=tok.line)
 
     cfg, raw_stmts = build_cfg(structure)
-    stmts = _finalize_stmts(raw_stmts, symbols, set(param_names))
+    stmts = _finalize_stmts(raw_stmts, symbols, vector_params)
     ir = FunctionIr(
         name=name,
         signature=sig_text,
@@ -1031,16 +939,11 @@ def print_function(ir: FunctionIr) -> str:
 def _print_block(node: BlockNode, lines: list[str], depth: int) -> None:
     pad = "    " * depth
     for item in node.items:
-        if isinstance(item, LeafNode):
-            if item.stmt.stmt_id is not None:
-                lines.append(f"{pad}{item.stmt.text};")
-        elif isinstance(item, ReturnNode):
-            if item.stmt.stmt_id is not None:
-                lines.append(f"{pad}{item.stmt.text};")
-        elif isinstance(item, BreakNode):
-            lines.append(f"{pad}break;")
-        elif isinstance(item, ContinueNode):
-            lines.append(f"{pad}continue;")
+        if isinstance(item, RawStmt):
+            if item.stmt_id is not None:
+                lines.append(f"{pad}{item.text};")
+        elif isinstance(item, JumpNode):
+            lines.append(f"{pad}{item.kind};")
         elif isinstance(item, BlockNode):
             lines.append(f"{pad}{{")
             _print_block(item, lines, depth + 1)
@@ -1052,19 +955,18 @@ def _print_block(node: BlockNode, lines: list[str], depth: int) -> None:
                 lines.append(f"{pad}}} else {{")
                 _print_block(item.orelse, lines, depth + 1)
             lines.append(f"{pad}}}")
-        elif isinstance(item, WhileNode):
-            lines.append(f"{pad}while ({item.cond.text}) {{")
-            _print_block(item.body, lines, depth + 1)
-            lines.append(f"{pad}}}")
         elif isinstance(item, DoWhileNode):
             lines.append(f"{pad}do {{")
             _print_block(item.body, lines, depth + 1)
             lines.append(f"{pad}}} while ({item.cond.text});")
         elif isinstance(item, ForNode):
-            init = item.init.text if item.init else ""
-            cond = item.cond.text if item.cond else ""
-            step = item.step.text if item.step else ""
-            lines.append(f"{pad}for ({init}; {cond}; {step}) {{")
+            if item.cond is not None and item.init is None and item.step is None:
+                lines.append(f"{pad}while ({item.cond.text}) {{")
+            else:
+                init = item.init.text if item.init else ""
+                cond = item.cond.text if item.cond else ""
+                step = item.step.text if item.step else ""
+                lines.append(f"{pad}for ({init}; {cond}; {step}) {{")
             _print_block(item.body, lines, depth + 1)
             lines.append(f"{pad}}}")
         else:

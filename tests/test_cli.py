@@ -141,6 +141,21 @@ def test_translate_zero_budget_is_a_usage_error(tmp_path, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_mock_run_applies_the_vlen_rule_of_a_real_run(tmp_path, capsys):
+    replay = write_replay(tmp_path, {"vec_add": [fenced(GOOD_RVV)]})
+    argv = ["translate", "--replay", str(replay), "--case", "vec_add",
+            "--out", str(tmp_path / "out")]
+    errors = []
+    for executor in (["--no-exec"], []):
+        assert main(argv + executor + ["--vlens", "100"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: VLEN 100 invalid: must be a power of two in [32, 65536]\n"] * 2
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text('vlens = ""\n')
+    assert main(argv + ["--no-exec", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().err == "error: at least one VLEN must be configured\n"
+
+
 def test_translate_scratch_cleaned_but_logs_kept(tmp_path):
     rc, out = run_translate(tmp_path)
     assert rc == 0

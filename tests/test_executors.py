@@ -98,14 +98,16 @@ def _logging_cc(tmp_path):
     return str(cc), log
 
 
-def test_toolchain_config_validates_vlens():
-    with pytest.raises(ConfigurationError):
-        ToolchainConfig(vlens=())
-    with pytest.raises(ConfigurationError):
-        ToolchainConfig(vlens=(100,))
-    with pytest.raises(ConfigurationError):
-        ToolchainConfig(vlens=(16,))
-    ToolchainConfig(vlens=(32, 65536))  # extremes are legal
+def test_toolchain_config_validates_vlens(tmp_path):
+    for build in (lambda vlens: ToolchainConfig(vlens=vlens),
+                  lambda vlens: MockExecutor(vlens=vlens, work_dir=tmp_path / "mock")):
+        with pytest.raises(ConfigurationError):
+            build(())
+        with pytest.raises(ConfigurationError):
+            build((100,))
+        with pytest.raises(ConfigurationError):
+            build((16,))
+        build((32, 65536))  # extremes are legal
 
 
 def test_probe_names_the_missing_tool(tmp_path):

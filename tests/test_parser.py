@@ -437,6 +437,36 @@ def test_vector_param_visible_at_entry():
     assert ir.stmts[1].uses == {"y"}
 
 
+def test_statement_may_start_with_a_parenthesis():
+    ir = parse_function("void f(int *p, int n) { (void)n; (*p) = 1; }", "f")
+    assert [(s.kind, s.text) for s in ir.stmts] == [
+        ("scalar_other", "(void) n"), ("assign", "(*p) = 1"),
+    ]
+
+
+def test_array_of_vectors_parameter_is_not_a_vector_value():
+    ir = parse_function("void f(vint32m1_t a[], vint32m1_t b) { }", "f")
+    assert ir.symbol_table.keys() == {"b"}
+
+
+def test_parameter_redeclared_with_another_vector_type_is_rejected():
+    message = "'a' redeclared with a different vector type (line 2)"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_function("void f(vint32m1_t a,\n       vint32m2_t a) { }", "f")
+
+
+def test_scalar_parameter_is_not_a_declaration_of_a_later_vector():
+    src = """void f(const int32_t *b, size_t vl) {
+        g(b);
+        {
+            vint32m1_t b = __riscv_vmv_v_x_i32m1(0, vl);
+        }
+    }"""
+    message = "vector value 'b' referenced before its declaration (line 2)"
+    with pytest.raises(AnalysisError, match=f"^{re.escape(message)}$"):
+        parse_function(src, "f")
+
+
 def test_use_before_declaration_is_an_error():
     src = """
     void f(size_t vl) {
@@ -594,12 +624,11 @@ def test_pretty_print_round_trip_on_replay_fences(bundled_cases):
         for reply in replies:
             for block in re.findall(r"```[^\n]*\n(.*?)```", reply, re.DOTALL):
                 try:
-                    parse_function(block, signature)
+                    _assert_round_trip(block, signature)
                 except ParseError as exc:
                     rejected.append((case_id, str(exc)))
-                    continue
-                _assert_round_trip(block, signature)
-                parsed += 1
+                else:
+                    parsed += 1
     assert parsed == 24
     assert rejected == [("deinterleave_rgb", "unsupported construct: goto (line 3)")]
 
@@ -611,6 +640,17 @@ def test_pretty_print_round_trip_on_replay_fences(bundled_cases):
 ])
 def test_pretty_print_round_trip_on_bare_loops(loop):
     _assert_round_trip(f"void f(int c) {{ {loop} c = 0; }}", "f")
+
+
+@pytest.mark.parametrize("loop, head", [
+    ("for (; c; ) c -= 1;", "while (c) {"),
+    ("while (c) c--;", "while (c) {"),
+    ("for (;;) break;", "for (; ; ) {"),
+    ("for (c = 0; c; ) break;", "for (c = 0; c; ) {"),
+])
+def test_a_loop_with_only_a_condition_prints_as_while(loop, head):
+    printed = print_function(parse_function(f"void f(int c) {{ {loop} }}", "f"))
+    assert printed.splitlines()[1] == f"    {head}"
 
 
 def test_pretty_print_round_trip_with_all_loop_forms():

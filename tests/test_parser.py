@@ -648,7 +648,7 @@ def test_pretty_print_round_trip_on_bare_loops(loop):
     ("for (;;) break;", "for (; ; ) {"),
     ("for (c = 0; c; ) break;", "for (c = 0; c; ) {"),
 ])
-def test_a_loop_with_only_a_condition_prints_as_while(loop, head):
+def test_printed_loop_head(loop, head):
     printed = print_function(parse_function(f"void f(int c) {{ {loop} }}", "f"))
     assert printed.splitlines()[1] == f"    {head}"
 

@@ -126,7 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--no-exec", dest="no_exec", action="store_const", const=True,
                    help="mock executors: no compiler or emulator required")
     t.add_argument("--keep-scratch", dest="keep_scratch", action="store_const",
-                   const=True, help="retain per-attempt scratch directories")
+                   const=True,
+                   help="retain the real executor's per-attempt scratch directories; "
+                        "a --no-exec run writes only its logs and outputs")
 
     a = sub.add_parser("analyze", help="register pressure report for an RVV C file")
     a.add_argument("file", help="RVV intrinsic C source file")
@@ -208,12 +210,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if cfg.runner:
         tool_kwargs["runner"] = cfg.runner
     if cfg.no_exec:
-        executor = MockExecutor(vlens=cfg.vlens, work_dir=work_dir)
+        executor = MockExecutor(vlens=cfg.vlens)
     else:
         executor = CommandExecutor(
-            ToolchainConfig(vlens=cfg.vlens, **tool_kwargs),
-            work_dir=work_dir,
-            keep_scratch=cfg.keep_scratch,
+            ToolchainConfig(vlens=cfg.vlens, **tool_kwargs), work_dir=work_dir
         )
         executor.probe()
 

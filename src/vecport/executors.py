@@ -4,8 +4,10 @@ vector lengths, and benchmark runs.
 The compiler is driven as ``cc flags ...`` and the emulator through a command
 template, so a different compiler, emulator, or a real board behind an ssh
 wrapper slots in without code changes. Candidates never touch the case
-directory; each attempt gets its own scratch directory under
-``work/<case>/<tag>/``, kept only when requested.
+directory; each attempt of ``CommandExecutor`` gets its own scratch directory
+under ``work/<case>/<tag>/``, kept only when requested. ``MockExecutor`` works
+in memory and creates no scratch, so a ``--no-exec`` run writes only its logs
+and outputs.
 
 Nothing that cannot change within a case is rebuilt or re-measured: each
 case's test and bench harnesses are compiled to objects once, each distinct
@@ -30,7 +32,6 @@ import shlex
 import shutil
 import statistics
 import subprocess
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -146,18 +147,6 @@ def _harness_path(case: ValidatedCase, which: str) -> Path:
     raise ValueError(f"unknown harness {which!r}")
 
 
-def _remove_scratch(work_dir: Path) -> None:
-    """Delete every per-case subdirectory of ``work_dir`` except ``log/``."""
-    if not work_dir.exists():
-        return
-    for case_dir in work_dir.iterdir():
-        if not case_dir.is_dir():
-            continue
-        for sub in case_dir.iterdir():
-            if sub.is_dir() and sub.name != "log":
-                shutil.rmtree(sub, ignore_errors=True)
-
-
 class CommandExecutor:
     """Runs the real cross-compiler and emulator per the configured toolchain.
 
@@ -165,11 +154,9 @@ class CommandExecutor:
     runs on one thread, so no two threads ever fill the same key.
     """
 
-    def __init__(self, config: ToolchainConfig, work_dir: Path | str,
-                 keep_scratch: bool = False):
+    def __init__(self, config: ToolchainConfig, work_dir: Path | str):
         self.config = config
         self.work_dir = Path(work_dir)
-        self.keep_scratch = keep_scratch
         # (case_id, harness name or "cand-<sha256>") -> (object, diagnostics)
         self._objects: dict[tuple[str, str], tuple[Path, str]] = {}
         # (native artifact, vlen, runs) -> median cost in ns
@@ -314,13 +301,18 @@ class CommandExecutor:
         return PerfResult(translated_cost_ns=translated, native_cost_ns=native, runs=runs)
 
     def cleanup(self) -> None:
-        """Drop per-attempt scratch and objects unless retention was requested.
+        """Delete every per-case subdirectory of ``work_dir`` but ``log/``,
+        and forget the objects and native costs built there.
 
         Attempt logs live under ``work/<case>/log/`` and always survive.
         """
-        if self.keep_scratch:
-            return
-        _remove_scratch(self.work_dir)
+        if self.work_dir.exists():
+            for case_dir in self.work_dir.iterdir():
+                if not case_dir.is_dir():
+                    continue
+                for sub in case_dir.iterdir():
+                    if sub.is_dir() and sub.name != "log":
+                        shutil.rmtree(sub, ignore_errors=True)
         self._objects.clear()
         self._native_costs.clear()
 
@@ -333,6 +325,17 @@ _MOCK_TEST_RE = re.compile(r"mock-test-fail(?::\s*vlen=(\d+))?(?::?\s*(.*))?")
 _MOCK_COST_RE = re.compile(r"mock-cost:\s*(\d+)")
 _MOCK_TIMEOUT_RE = re.compile(r"mock-run-timeout")
 MOCK_COST_NS = 100_000  # cost of a candidate with no mock-cost marker
+
+
+@dataclass(frozen=True)
+class _MockBuild:
+    """What a mock candidate's markers script for its test and perf runs."""
+
+    timeout: bool
+    fail_vlen: int | None  # None: no VLEN-specific failure
+    fail_all: bool
+    fail_msg: str
+    cost_ns: int | None  # None: no mock-cost marker
 
 
 class MockExecutor:
@@ -348,20 +351,23 @@ class MockExecutor:
     reference costs its own mock-cost marker if present, else
     ``native_cost_ns``. Everything is pure string inspection, so a replay
     script fully determines the pipeline's behavior.
+
+    Nothing touches the disk. ``compile_candidate`` scans the markers once and
+    returns as its artifact an in-memory handle: a ``Path`` naming the case,
+    tag and harness, which is never created. The test and perf runs look the
+    handle up; ``cleanup`` forgets every handle. Handles are keyed by case id,
+    so cases may share one executor across threads.
     """
 
     def __init__(
         self,
         vlens: tuple[int, ...] = (128, 256),
         native_cost_ns: int = MOCK_COST_NS,
-        work_dir: Path | str | None = None,
     ):
         self.vlens = tuple(vlens)
         validate_vlens(self.vlens)
         self.native_cost_ns = native_cost_ns
-        self.work_dir = Path(work_dir) if work_dir is not None else Path(
-            tempfile.mkdtemp(prefix="vecport-mock-")
-        )
+        self._builds: dict[Path, _MockBuild] = {}
 
     def probe(self) -> None:
         return None
@@ -377,16 +383,8 @@ class MockExecutor:
         m = _MOCK_COMPILE_RE.search(candidate_source)
         if m:
             return CompileResult(False, m.group(1).strip() or "mock compile error")
-        scratch = self.work_dir / case.case_id / tag
-        scratch.mkdir(parents=True, exist_ok=True)
-        artifact = scratch / f"candidate_{which_harness}.c"
-        artifact.write_text(candidate_source)
-        return CompileResult(True, "", artifact_path=artifact)
-
-    def run_functional_tests(self, artifact: Path) -> TestResult:
-        source = Path(artifact).read_text()
-        per_vlen: dict[int, VlenRun] = {}
-        timeout = _MOCK_TIMEOUT_RE.search(source) is not None
+        # Markers are read with universal newlines: a '\r' ends a message.
+        source = candidate_source.replace("\r\n", "\n").replace("\r", "\n")
         fail_vlen: int | None = None
         fail_msg = ""
         fail_all = False
@@ -397,19 +395,32 @@ class MockExecutor:
             else:
                 fail_all = True
             fail_msg = (m.group(2) or "").removesuffix("*/").strip() or "mock test failure"
+        cost = _MOCK_COST_RE.search(source)
+        handle = Path(case.case_id, tag, f"candidate_{which_harness}.c")
+        self._builds[handle] = _MockBuild(
+            timeout=_MOCK_TIMEOUT_RE.search(source) is not None,
+            fail_vlen=fail_vlen,
+            fail_all=fail_all,
+            fail_msg=fail_msg,
+            cost_ns=int(cost.group(1)) if cost else None,
+        )
+        return CompileResult(True, "", artifact_path=handle)
+
+    def run_functional_tests(self, artifact: Path) -> TestResult:
+        build = self._builds[Path(artifact)]
+        per_vlen: dict[int, VlenRun] = {}
         for vlen in self.vlens:
-            if timeout:
+            if build.timeout:
                 per_vlen[vlen] = VlenRun(False, None, "timeout")
-            elif fail_all or fail_vlen == vlen:
-                per_vlen[vlen] = VlenRun(False, 1, fail_msg)
+            elif build.fail_all or build.fail_vlen == vlen:
+                per_vlen[vlen] = VlenRun(False, 1, build.fail_msg)
             else:
                 per_vlen[vlen] = VlenRun(True, 0, "ok")
         return TestResult(per_vlen=per_vlen)
 
     def _cost_of(self, artifact: Path, default: int) -> int:
-        source = Path(artifact).read_text()
-        m = _MOCK_COST_RE.search(source)
-        return int(m.group(1)) if m else default
+        cost = self._builds[Path(artifact)].cost_ns
+        return default if cost is None else cost
 
     def run_perf(
         self, translated_artifact: Path, native_artifact: Path, runs: int = 5
@@ -421,4 +432,4 @@ class MockExecutor:
         return PerfResult(translated_cost_ns=translated, native_cost_ns=native, runs=runs)
 
     def cleanup(self) -> None:
-        _remove_scratch(self.work_dir)
+        self._builds.clear()

@@ -133,7 +133,7 @@ def _vec_add_case():
 def _run(tmp_path, responses, budgets, **mock_kw):
     deps = TaskDeps(
         client=ReplayClient(responses),
-        executor=MockExecutor(work_dir=tmp_path / "mock", **mock_kw),
+        executor=MockExecutor(**mock_kw),
         log_dir=tmp_path / "work",
     )
     outcome = run_task(_vec_add_case(), budgets, deps)

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -165,12 +166,60 @@ def test_translate_scratch_cleaned_but_logs_kept(tmp_path):
     assert scratch == []
 
 
-def test_translate_keep_scratch_retains_attempt_dirs(tmp_path):
-    rc, out = run_translate(tmp_path, extra=("--keep-scratch",))
+def test_no_exec_run_writes_only_attempt_logs(tmp_path):
+    rc, out = run_translate(tmp_path, cases=("vec_add", "mulh_s16"), extra=("--keep-scratch",))
     assert rc == 0
-    case_work = out / "work" / "vec_add"
-    scratch = [d for d in case_work.iterdir() if d.is_dir() and d.name != "log"]
-    assert scratch  # per-attempt artifacts survive for post-mortem
+    work = out / "work"
+    assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == [
+        "mulh_s16", "mulh_s16/log", "mulh_s16/log/attempts.ndjson",
+        "vec_add", "vec_add/log", "vec_add/log/attempts.ndjson",
+    ]
+
+
+HOST_GCC = shutil.which("gcc")
+
+
+def write_plain_c_case(corpus: Path) -> None:
+    """A one-function case in plain C that host gcc builds and runs."""
+    d = corpus / "ident"
+    d.mkdir(parents=True)
+    (d / "manifest.txt").write_text(
+        'id = "ident"\narch = "neon"\nsource = "neon.c"\ntest = "test.c"\n'
+        'bench = "bench.c"\nnative = "native.c"\nsignature = "int ident(int x)"\n'
+    )
+    (d / "neon.c").write_text("int ident(int x) { return x; }\n")
+    (d / "native.c").write_text("int ident(int x) { return x; }\n")
+    (d / "test.c").write_text(
+        "int ident(int x);\nint main(void) { return ident(41) != 41; }\n"
+    )
+    (d / "bench.c").write_text(
+        '#include <stdio.h>\nint ident(int x);\n'
+        'int main(void) { printf("%d\\n", 1000 + ident(0)); return 0; }\n'
+    )
+
+
+@pytest.mark.skipif(HOST_GCC is None, reason="host gcc not available")
+@pytest.mark.parametrize("keep", [True, False], ids=["kept", "removed"])
+def test_keep_scratch_decides_what_the_real_executor_leaves(tmp_path, keep):
+    corpus = tmp_path / "corpus"
+    write_plain_c_case(corpus)
+    # the default runner template passes "-cpu ..." before the binary
+    runner = tmp_path / "run.sh"
+    runner.write_text('#!/bin/sh\nshift 2\nexec "$@"\n')
+    runner.chmod(0o755)
+    replay = write_replay(tmp_path, {"ident": [fenced("int ident(int x) { return x; }\n")]})
+    out = tmp_path / "out"
+    argv = ["translate", "--corpus", str(corpus), "--replay", str(replay),
+            "--cc", HOST_GCC, "--flags=-O1", "--runner", str(runner), "--vlens", "128",
+            "--translate-max", "1", "--optimize-max", "1", "--out", str(out)]
+    assert main(argv + ["--keep-scratch"] * keep) == 0
+    assert json.loads((out / "outcomes" / "ident.json").read_text())["passed"]
+    left = sorted(p.name for p in (out / "work" / "ident").iterdir())
+    if keep:  # per-attempt artifacts survive for post-mortem
+        assert {"log", "obj", "native", "t1", "t0-perf"} <= set(left)
+        assert (out / "work" / "ident" / "t1" / "candidate.c").is_file()
+    else:
+        assert left == ["log"]
 
 
 def test_bad_flag_value_is_a_usage_error():

@@ -1,4 +1,7 @@
 import shutil
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -100,7 +103,7 @@ def _logging_cc(tmp_path):
 
 def test_toolchain_config_validates_vlens(tmp_path):
     for build in (lambda vlens: ToolchainConfig(vlens=vlens),
-                  lambda vlens: MockExecutor(vlens=vlens, work_dir=tmp_path / "mock")):
+                  lambda vlens: MockExecutor(vlens=vlens)):
         with pytest.raises(ConfigurationError):
             build(())
         with pytest.raises(ConfigurationError):
@@ -245,7 +248,7 @@ class TestCommandExecutorOnHost:
 
 def test_mock_compile_error_marker(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-    ex = MockExecutor(work_dir=tmp_path / "mockwork")
+    ex = MockExecutor()
     bad = "/* mock-compile-error: error: unknown intrinsic __riscv_vfoo */\nvoid f(void) {}\n"
     result = ex.compile_candidate(bad, case, "functional", tag="t1")
     assert not result.success
@@ -254,7 +257,7 @@ def test_mock_compile_error_marker(tmp_path):
 
 def test_mock_clean_source_passes_everything(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-    ex = MockExecutor(work_dir=tmp_path / "mockwork")
+    ex = MockExecutor()
     result = ex.compile_candidate("void f(void) {}\n", case, "functional", tag="t1")
     assert result.success
     tested = ex.run_functional_tests(result.artifact_path)
@@ -264,7 +267,7 @@ def test_mock_clean_source_passes_everything(tmp_path):
 
 def test_mock_vlen_specific_failure(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-    ex = MockExecutor(work_dir=tmp_path / "mockwork")
+    ex = MockExecutor()
     lanes = "/* mock-test-fail: vlen=256 hardcoded 4-lane tail went wrong */\nvoid f(void) {}\n"
     result = ex.compile_candidate(lanes, case, "functional", tag="t1")
     tested = ex.run_functional_tests(result.artifact_path)
@@ -277,7 +280,7 @@ def test_mock_vlen_specific_failure(tmp_path):
 
 def test_mock_timeout_marker(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-    ex = MockExecutor(work_dir=tmp_path / "mockwork")
+    ex = MockExecutor()
     result = ex.compile_candidate("/* mock-run-timeout */\n", case, "functional", tag="t")
     tested = ex.run_functional_tests(result.artifact_path)
     assert not tested.all_passed
@@ -286,12 +289,62 @@ def test_mock_timeout_marker(tmp_path):
 
 def test_mock_costs_and_speedup(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-    ex = MockExecutor(work_dir=tmp_path / "mockwork", native_cost_ns=130000)
+    ex = MockExecutor(native_cost_ns=130000)
     fast = ex.compile_candidate("/* mock-cost: 100000 */\n", case, "perf", tag="a")
     native = ex.compile_candidate(case.native_text, case, "perf", tag="n")
     perf = ex.run_perf(fast.artifact_path, native.artifact_path)
     assert perf.speedup == Fraction(13, 10)
     assert perf.native_cost_ns == 130000
+
+
+def test_mock_failure_message_ends_at_any_line_break(tmp_path):
+    case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+    ex = MockExecutor()
+    for eol in ("\n", "\r\n", "\r"):
+        source = f"/* mock-test-fail: vlen=128 lanes went wrong */{eol}void f(void) {{}}{eol}"
+        result = ex.compile_candidate(source, case, "functional", tag="t1")
+        tested = ex.run_functional_tests(result.artifact_path)
+        assert tested.per_vlen[128].output_tail == "lanes went wrong"
+        assert tested.per_vlen[256].passed
+
+
+def test_mock_executor_creates_no_files(tmp_path, monkeypatch):
+    case = make_case(tmp_path / "corpus", TEST_HARNESS, BENCH_HARNESS)
+    tmpdir, cwd = tmp_path / "tmp", tmp_path / "cwd"
+    tmpdir.mkdir()
+    cwd.mkdir()
+    monkeypatch.setenv("TMPDIR", str(tmpdir))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    monkeypatch.chdir(cwd)
+    ex = MockExecutor()
+    fast = ex.compile_candidate("/* mock-cost: 50000 */\n", case, "perf", tag="t1-perf")
+    native = ex.compile_candidate(case.native_text, case, "perf", tag="native")
+    assert ex.run_functional_tests(fast.artifact_path).all_passed
+    assert ex.run_perf(fast.artifact_path, native.artifact_path).speedup == 2
+    ex.cleanup()
+    assert list(tmpdir.iterdir()) == list(cwd.iterdir()) == []
+
+
+def test_mock_executor_shared_across_threads(tmp_path):
+    cases = [make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS, case_id=f"c{i}") for i in range(8)]
+    ex = MockExecutor()
+
+    def costs_read_back(case):
+        base = 1000 * int(case.case_id[1:]) + 1000
+        read = []
+        for n in range(200):
+            built = ex.compile_candidate(f"/* mock-cost: {base + n} */\n", case, "perf", tag="t")
+            read.append(ex.run_perf(built.artifact_path, built.artifact_path).translated_cost_ns)
+        return read == [base + n for n in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+            results = list(pool.map(costs_read_back, cases, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * len(cases)
 
 
 def _cost_script(path: Path, costs):

@@ -51,7 +51,7 @@ def with_cost(code: str, cost: int) -> str:
 def deps_for(tmp_path, responses, **mock_kw) -> TaskDeps:
     return TaskDeps(
         client=ReplayClient(responses),
-        executor=MockExecutor(work_dir=tmp_path / "mock", **mock_kw),
+        executor=MockExecutor(**mock_kw),
         log_dir=tmp_path / "work",
     )
 
@@ -212,7 +212,7 @@ class PerfHarnessBreaks(MockExecutor):
 def test_perf_harness_compile_failure_is_a_note(tmp_path, vec_add_case, broken, note, measured):
     deps = TaskDeps(
         client=ReplayClient([fenced(GOOD_RVV), fenced(GOOD_RVV)]),
-        executor=PerfHarnessBreaks({broken}, work_dir=tmp_path / "mock"),
+        executor=PerfHarnessBreaks({broken}),
         log_dir=tmp_path / "work",
     )
     outcome = run_task(vec_add_case, Budgets(10, 1), deps)
@@ -275,7 +275,7 @@ def test_attempt_log_reproducible_modulo_timestamps(tmp_path, vec_add_case):
     def one_run(run_dir: Path):
         deps = TaskDeps(
             client=ReplayClient([fenced(BAD_COMPILE), fenced(GOOD_RVV), fenced(GOOD_RVV)]),
-            executor=MockExecutor(work_dir=run_dir / "mock"),
+            executor=MockExecutor(),
             log_dir=run_dir / "work",
         )
         run_task(vec_add_case, Budgets(10, 1), deps)

@@ -327,7 +327,7 @@ _MOCK_TIMEOUT_RE = re.compile(r"mock-run-timeout")
 MOCK_COST_NS = 100_000  # cost of a candidate with no mock-cost marker
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _MockBuild:
     """What a mock candidate's markers script for its test and perf runs."""
 

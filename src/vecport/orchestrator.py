@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -41,6 +42,9 @@ from .liveness import PressureReport, analyze_source
 from .metrics import OutcomeSummary
 
 MAX_TOKENS = 4096  # completion length asked of the model
+# Code points UTF-8 cannot encode: lone surrogates, which a reply's JSON can
+# carry as "\ud800". Like undecodable tool output, they become U+FFFD.
+_UNENCODABLE = re.compile("[\ud800-\udfff]")
 
 
 class FsmState(Enum):
@@ -248,6 +252,7 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
         repair feedback, which is None when the code passed at every VLEN.
         """
         response = client.complete(bundle.messages, deps.temperature, MAX_TOKENS)
+        response = _UNENCODABLE.sub("\ufffd", response)
         attempt = Attempt(
             attempt_no=attempt_no,
             phase=phase.name,

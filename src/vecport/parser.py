@@ -9,8 +9,11 @@ diagnostic rather than analyzed wrongly.
 
 The lexer is one pass of one master regex over the original source:
 comments, preprocessor directives and blanks are skipped in place, so every
-token's (line, col) points into the text as written. Parameters are read by
-the same declaration reader as body statements.
+token's (line, col) points into the text as written. The lexer also pairs
+every bracket, the one place nesting is decided: text whose brackets do not
+balance is rejected with its line, and each opener's ``span`` leads to its
+closer, so later scans step over whole groups. Parameters are read by the
+same declaration reader as body statements.
 
 The parser builds a structure tree that ``build_cfg`` lays out into basic
 blocks. A ``BlockNode`` holds items of four kinds:
@@ -35,6 +38,7 @@ contain only names with a vector type in the function's symbol table, so a
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from .errors import AnalysisError, ParseError
@@ -77,10 +81,11 @@ _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="
 # with one match per piece. The directive alternative comes first, on its own:
 # it starts a line after spaces or tabs only and runs on through lines
 # continued by a backslash (LF or CRLF). Every other alternative shares one
-# blank-run prefix: a newline, a comment, the end (trailing blanks), ``open``
-# (a ``/*`` that no ``*/`` closes), a token, or ``bad``, one character that
-# starts nothing. A string or char literal ends on its line: neither a raw
-# newline nor a backslash-newline continues it.
+# blank-run prefix: a newline, a comment, the end (trailing blanks),
+# ``unclosed`` (a ``/*`` that no ``*/`` closes), a token, or ``bad``, one
+# character that starts nothing. Brackets have alternatives of their own, so
+# only they take the pairing branch of ``tokenize``. A string or char literal
+# ends on its line: neither a raw newline nor a backslash-newline continues it.
 _LEX_RE = re.compile(
     r"""
     (?P<directive>(?m:^)[ \t]*\#(?:[^\n]*\\[ \t]*\r?\n)*[^\n]*)
@@ -88,18 +93,23 @@ _LEX_RE = re.compile(
     (?: (?P<newline>\n)
       | (?P<comment>//[^\n]* | /\*(?s:.*?)\*/)
       | (?P<end>\Z)
-      | (?P<open>/\*)
+      | (?P<unclosed>/\*)
       | (?P<id>[A-Za-z_]\w*)
       | (?P<num>0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFuUlL]*)
       | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+      | (?P<opener>[(\[{])
+      | (?P<closer>[)\]}])
       | (?P<punct>""" + "|".join(re.escape(op) for op in _OPERATORS) + r"""
-          | [{}()\[\];,\.\+\-\*/%<>=!&\|\^~\?:])
+          | [;,\.\+\-\*/%<>=!&\|\^~\?:])
       | (?P<bad>.)
     )
     """,
     re.VERBOSE,
 )
 _TOKEN_KINDS = frozenset({"id", "num", "str", "punct"})
+_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
+_CLOSERS = frozenset(_CLOSER_OF.values())
+_GROUP_NAME = {"(": "parentheses", "[": "brackets", "{": "braces"}
 
 
 @dataclass(slots=True)
@@ -110,10 +120,13 @@ class Token:
     kind: str  # id | num | str | punct
     line: int
     col: int
+    span: int = 0  # an opening bracket's offset to its closer; 0 otherwise
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of ``source``, each opening bracket paired with its closer."""
     tokens = []
+    openers = []  # indices of the brackets still open, innermost last
     line, line_start = 1, 0
     for m in _LEX_RE.finditer(source):
         kind = m.lastgroup
@@ -122,16 +135,40 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "newline":
             line += 1
             line_start = m.end()
+        elif kind == "opener":
+            openers.append(len(tokens))
+            tokens.append(Token(m[kind], "punct", line, m.start(kind) - line_start + 1))
+        elif kind == "closer":
+            text = m[kind]
+            if not openers or _CLOSER_OF[tokens[openers[-1]].text] != text:
+                raise ParseError(f"mismatched {text!r}", line=line)
+            opened = openers.pop()
+            tokens[opened].span = len(tokens) - opened
+            tokens.append(Token(text, "punct", line, m.start(kind) - line_start + 1))
         elif kind == "bad":
             raise ParseError(f"unexpected character {m[kind]!r}", line=line)
-        elif kind == "open":
+        elif kind == "unclosed":
             raise ParseError("unterminated block comment", line=line)
         else:  # directive, comment or end: skipped, but may span lines
             text = m[kind]
             if "\n" in text:
                 line += text.count("\n")
                 line_start = m.start(kind) + text.rindex("\n") + 1
+    if openers:
+        tok = tokens[openers[-1]]
+        raise ParseError(f"unbalanced {_GROUP_NAME[tok.text]}", line=tok.line)
     return tokens
+
+
+def _top_level(tokens: list[Token], start: int = 0) -> Iterator[int]:
+    """Indices from ``start`` on; a group yields its opener only.
+
+    A closer whose opener lies before ``start`` is yielded like any token.
+    """
+    i, end = start, len(tokens)
+    while i < end:
+        yield i
+        i += tokens[i].span + 1
 
 
 @dataclass(frozen=True)
@@ -286,29 +323,19 @@ def _identifier_candidates(tokens: list[Token]) -> set[str]:
 
 
 def _top_level_assign_index(tokens: list[Token]) -> int | None:
-    depth = 0
-    for i, tok in enumerate(tokens):
-        if tok.text in "([":
-            depth += 1
-        elif tok.text in ")]":
-            depth -= 1
-        elif depth == 0 and tok.text in _ASSIGN_OPS and tok.kind == "punct":
+    for i in _top_level(tokens):
+        if tokens[i].text in _ASSIGN_OPS and tokens[i].kind == "punct":
             return i
     return None
 
 
 def _split_top_level(tokens: list[Token], sep: str) -> list[list[Token]]:
-    parts: list[list[Token]] = [[]]
-    depth = 0
-    for tok in tokens:
-        if tok.text in "([{":
-            depth += 1
-        elif tok.text in ")]}":
-            depth -= 1
-        if tok.text == sep and depth == 0:
-            parts.append([])
-        else:
-            parts[-1].append(tok)
+    parts, start = [], 0
+    for i in _top_level(tokens):
+        if tokens[i].text == sep:
+            parts.append(tokens[start:i])
+            start = i + 1
+    parts.append(tokens[start:])
     return parts
 
 
@@ -426,12 +453,7 @@ class _BodyParser:
         self.pos = 0
         self.symbols = symbols
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
-
     def peek(self) -> Token:
-        if self.at_end():
-            raise ParseError("unexpected end of input (unbalanced braces?)")
         return self.toks[self.pos]
 
     def advance(self) -> Token:
@@ -449,26 +471,19 @@ class _BodyParser:
         """Tokens up to an unnested ``stop``; consumes the stop token.
 
         Braces nest too: mid-statement they can only be initializer lists or
-        compound literals, never block structure.
+        compound literals, never block structure. The closer of the block
+        being parsed is always reached at top level, so the walk ends there
+        if not before.
         """
         toks = self.toks
         start = self.pos
-        depth = 0
-        for i in range(start, len(toks)):
+        for i in _top_level(toks, start):
             text = toks[i].text
-            if text in "([{":
-                depth += 1
-            elif text in ")]}":
-                if depth == 0 and text == stop:
-                    self.pos = i + 1
-                    return toks[start:i]
-                if depth == 0:
-                    raise ParseError(f"expected {stop!r} before {text!r}", line=toks[i].line)
-                depth -= 1
-            elif text == stop and depth == 0:
+            if text == stop:
                 self.pos = i + 1
                 return toks[start:i]
-        raise ParseError("unexpected end of input (unbalanced braces?)")
+            if text in _CLOSERS:
+                raise ParseError(f"expected {stop!r} before {text!r}", line=toks[i].line)
 
     def parse_block(self) -> BlockNode:
         self.expect("{")
@@ -499,12 +514,8 @@ class _BodyParser:
             raise ParseError(f"unsupported construct: {tok.text}", line=tok.line)
         if tok.text in ("case", "default"):
             raise ParseError(f"unsupported construct: {tok.text} label", line=tok.line)
-        if (
-            tok.kind == "id"
-            and tok.text not in _KEYWORDS
-            and self.pos + 1 < len(self.toks)
-            and self.toks[self.pos + 1].text == ":"
-        ):
+        # An identifier is never the body's last token, its '}', so one follows.
+        if tok.kind == "id" and tok.text not in _KEYWORDS and self.toks[self.pos + 1].text == ":":
             raise ParseError(f"unsupported construct: label '{tok.text}'", line=tok.line)
 
         if tok.text == "{":
@@ -516,7 +527,7 @@ class _BodyParser:
             cond = self._parse_cond("if")
             then = self._parse_body()
             orelse = None
-            if not self.at_end() and self.peek().text == "else":
+            if self.peek().text == "else":
                 self.advance()
                 orelse = self._parse_body()
             return IfNode(cond, then, orelse)
@@ -778,48 +789,19 @@ def validate_signature(signature: str) -> str:
     return idents[-1]
 
 
-def _closing(tokens: list[Token], i: int, what: str) -> int:
-    """Index of the bracket that closes the '(' or '{' at ``tokens[i]``."""
-    opener = tokens[i].text
-    closer = ")" if opener == "(" else "}"
-    depth = 0
-    for j in range(i, len(tokens)):
-        if tokens[j].text == opener:
-            depth += 1
-        elif tokens[j].text == closer:
-            depth -= 1
-            if depth == 0:
-                return j
-    raise ParseError(f"unbalanced {what}", line=tokens[i].line)
-
-
 def _find_function(tokens: list[Token], name: str) -> tuple[int, int, int]:
     """(signature start, body '{' index, params '(' index) of a top-level definition."""
-    depth = 0
     sig_start = 0
-    i = 0
-    while i < len(tokens):
+    for i in _top_level(tokens):
         tok = tokens[i]
         if tok.text == "{":
-            depth += 1
-        elif tok.text == "}":
-            depth -= 1
-            if depth == 0:
-                sig_start = i + 1
-        elif tok.text == ";" and depth == 0:
+            sig_start = i + tok.span + 1
+        elif tok.text == ";":
             sig_start = i + 1
-        elif (
-            depth == 0
-            and tok.kind == "id"
-            and tok.text == name
-            and i + 1 < len(tokens)
-            and tokens[i + 1].text == "("
-        ):
-            j = _closing(tokens, i + 1, "parentheses")
-            if j + 1 < len(tokens) and tokens[j + 1].text == "{":
-                return sig_start, j + 1, i + 1
-            i = j  # prototype or call; skip past the parens
-        i += 1
+        elif tok.text == name and i + 1 < len(tokens) and tokens[i + 1].text == "(":
+            body_open = i + tokens[i + 1].span + 2  # the token after the ')'
+            if body_open < len(tokens) and tokens[body_open].text == "{":
+                return sig_start, body_open, i + 1
     raise ParseError(f"function '{name}' not found")
 
 
@@ -877,12 +859,8 @@ def parse_function(source: str, signature: str) -> FunctionIr:
     symbols = _parse_params(tokens[paren_open + 1:body_open - 1])
     vector_params = set(symbols)
 
-    body_close = _closing(tokens, body_open, "braces in function body")
-    body = _BodyParser(tokens[body_open:body_close + 1], symbols)
-    structure = body.parse_block()
-    if not body.at_end():
-        tok = body.peek()
-        raise ParseError(f"unexpected {tok.text!r} after function body", line=tok.line)
+    body_close = body_open + tokens[body_open].span
+    structure = _BodyParser(tokens[body_open:body_close + 1], symbols).parse_block()
 
     cfg, raw_stmts = build_cfg(structure)
     stmts = _finalize_stmts(raw_stmts, symbols, vector_params)

@@ -132,6 +132,18 @@ def test_translate_failed_case_is_a_result_not_an_error(tmp_path, capsys):
     assert outcome["attempts_used"] == 3
 
 
+def test_lone_surrogate_in_a_reply_is_a_recorded_attempt(tmp_path, capsys):
+    replay = write_replay(tmp_path, {"vec_add": [fenced("/* \ud800 */\n" + GOOD_RVV)]})
+    out = tmp_path / "out"
+    rc = main([
+        "translate", "--replay", str(replay), "--no-exec", "--case", "vec_add",
+        "--translate-max", "1", "--optimize-max", "1", "--out", str(out),
+    ])
+    assert rc == 0
+    outcome = json.loads((out / "outcomes" / "vec_add.json").read_text())
+    assert outcome["attempts"][0]["code"].startswith("/* \ufffd */\n")
+
+
 def test_translate_zero_budget_is_a_usage_error(tmp_path, capsys):
     replay = write_replay(tmp_path, {"vec_add": []})
     rc = main([

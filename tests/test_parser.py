@@ -4,6 +4,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecport.errors import AnalysisError, ParseError
 from vecport.parser import (
@@ -160,6 +162,58 @@ def test_token_positions_address_their_text_on_random_splices():
             assert src.startswith(tok.text, starts[tok.line - 1] + tok.col - 1), (src, tok)
 
 
+_BRACKET_ATOMS = ["x", "n1", ";"]
+
+
+def _group(inner):
+    return st.tuples(st.sampled_from(["()", "[]", "{}"]), st.lists(inner, max_size=3)).map(
+        lambda p: [p[0][0], *(t for part in p[1] for t in part), p[0][1]]
+    )
+
+
+@st.composite
+def _bracket_strings(draw):
+    """Balanced piece lists, then maybe one insertion or deletion: random
+    brackets alone are almost never balanced."""
+    nest = st.recursive(st.sampled_from(_BRACKET_ATOMS).map(lambda t: [t]), _group,
+                        max_leaves=12)
+    pieces = [t for part in draw(st.lists(nest, max_size=4)) for t in part]
+    at = draw(st.integers(0, len(pieces)))
+    edit = draw(st.sampled_from(["keep", "insert", "delete"]))
+    if edit == "insert":
+        pieces.insert(at, draw(st.sampled_from([*"()[]{}", *_BRACKET_ATOMS])))
+    elif edit == "delete" and at < len(pieces):
+        del pieces[at]
+    return pieces
+
+
+def _partners(pieces):
+    """Opener index -> closer index by a plain stack, or None if unbalanced."""
+    stack, partner = [], {}
+    for i, piece in enumerate(pieces):
+        if piece in "([{":
+            stack.append(i)
+        elif piece in ")]}":
+            if not stack or "([{".index(pieces[stack[-1]]) != ")]}".index(piece):
+                return None
+            partner[stack.pop()] = i
+    return None if stack else partner
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bracket_strings())
+def test_tokenize_pairs_exactly_the_balanced_bracket_strings(pieces):
+    partner = _partners(pieces)
+    if partner is None:
+        message = r"^(mismatched '[)\]}]'|unbalanced (parentheses|brackets|braces)) \(line 1\)$"
+        with pytest.raises(ParseError, match=message):
+            tokenize(" ".join(pieces))
+    else:
+        tokens = tokenize(" ".join(pieces))
+        assert [t.text for t in tokens] == pieces
+        assert {i: i + t.span for i, t in enumerate(tokens) if t.span} == partner
+
+
 # --- use/def extraction -----------------------------------------------------
 
 def _last_use_def(vector_params, stmt):
@@ -275,7 +329,7 @@ def test_switch_rejected():
 
 
 def test_unbalanced_braces_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^unbalanced braces \(line 1\)$"):
         parse_function("void f(void) { if (1) {", "void f(void)")
 
 
@@ -512,14 +566,22 @@ def test_unbalanced_parameter_list_names_its_line():
      "unsupported construct: case label (line 3)"),
     ("void f(int x) {\n\n    default: x = 2;\n}", "f", ParseError,
      "unsupported construct: default label (line 3)"),
-    ("void f(int x) {\n    if x) { }\n}", "f", ParseError, "expected '(', found 'x' (line 2)"),
+    ("void f(int x) {\n    if x { }\n}", "f", ParseError, "expected '(', found 'x' (line 2)"),
     ("void f(int x) {\n    break x;\n}", "f", ParseError, "expected ';', found 'x' (line 2)"),
     ("void f(int x) {\n    do x++; until (x);\n}", "f", ParseError,
      "expected 'while', found 'until' (line 2)"),
-    ("void f(int x) {\n    x = (1;\n}", "f", ParseError,
-     "unexpected end of input (unbalanced braces?)"),
-    ("void f(int x) {\n    x = { 1 );\n} y;\n}", "f", ParseError,
-     "unexpected 'y' after function body (line 3)"),
+    ("void f(int x) {\n    x = (1;\n}", "f", ParseError, "mismatched '}' (line 3)"),
+    ("void f(int x) {\n    x = { 1 );\n}", "f", ParseError, "mismatched ')' (line 2)"),
+    ("void f(int x, int *a) { x = (1]; a[0) = x; }", "f", ParseError,
+     "mismatched ']' (line 1)"),
+    ("void f(void) { }\n}", "f", ParseError, "mismatched '}' (line 2)"),
+    ("void f(int n) {\n    if (n) {\n        n = 1;\n", "f", ParseError,
+     "unbalanced braces (line 2)"),
+    ("void f(int *a) {\n    a[0] = 1;\n}\nint t[4", "f", ParseError,
+     "unbalanced brackets (line 4)"),
+    ("void f(int x) {\n    x = 1\n}", "f", ParseError, "expected ';' before '}' (line 3)"),
+    ("void f(int x) {\n    L: x = 1;\n}", "f", ParseError,
+     "unsupported construct: label 'L' (line 2)"),
     ("void f(void) { }", "int f", ParseError, "cannot read a function name from 'int f'"),
     ("void f(void) { }", "", ParseError, "cannot read a function name from ''"),
     ("void f(size_t vl) {\n    vint32m1_t a;\n    a = __riscv_vadd_vv_i32m1(b, a, vl);\n"

@@ -2,7 +2,7 @@
 
 from .corpus import bundled_corpus_dir, load_corpus, validate_case
 from .liveness import analyze_source, compute_pressure, oracle_liveness, solve_liveness
-from .metrics import MetricsReport, emit_report
+from .metrics import MetricsReport
 from .orchestrator import Budgets, TaskDeps, run_task, select_best
 from .parser import parse_function
 from .rvv_types import parse_vector_type, register_footprint
@@ -16,7 +16,6 @@ __all__ = [
     "analyze_source",
     "bundled_corpus_dir",
     "compute_pressure",
-    "emit_report",
     "load_corpus",
     "oracle_liveness",
     "parse_function",

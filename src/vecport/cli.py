@@ -4,9 +4,15 @@
     vecport analyze FILE FUNCTION [--mode literal|physical] [--dump-ir]
     vecport report OUTPUT_DIR
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 internal error.
-Translation failures are results, not process errors: a run that ends with
-failed cases still exits 0 and reports them.
+Exit codes: 0 success, 1 usage or configuration problem, 2 internal error,
+130 interrupted. Translation failures are results, not process errors: a run
+that ends with failed cases still exits 0 and reports them.
+
+``translate`` writes each case's outcome as soon as the case finishes. On
+every exit, completed, interrupted or aborted, it then scores the finished
+cases once into ``report.txt`` and ``report.json`` and removes the scratch
+directories unless ``--keep-scratch`` is given. ``report`` rescores those
+outcome files through the same summary reader.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from pathlib import Path
 
 from .corpus import bundled_corpus_dir, load_corpus, read_key_values, validate_case
@@ -24,7 +29,7 @@ from .errors import ConfigurationError, ParseError, UsageError, VecportError
 from .executors import CommandExecutor, MockExecutor, ToolchainConfig
 from .liveness import compute_pressure, solve_liveness
 from .llm_client import RemoteClient, ReplayClient
-from .metrics import DEFAULT_UP_LIMIT, OutcomeSummary, emit_report
+from .metrics import DEFAULT_UP_LIMIT, MetricsReport, OutcomeSummary, render_table
 from .orchestrator import Budgets, TaskDeps, run_task
 from .parser import dump_ir, parse_function
 
@@ -232,52 +237,46 @@ def cmd_translate(args: argparse.Namespace) -> int:
         log_dir=work_dir,
     )
 
-    outcomes = {}
+    # Each outcome is written as its case finishes, by the thread that ran
+    # it, so cases still in flight when a run stops are written too. Only the
+    # summaries are kept.
+    outcome_dir = out_dir / "outcomes"
+    outcome_dir.mkdir(parents=True, exist_ok=True)
+    summaries: list[OutcomeSummary] = []
+
+    def run_case(case) -> None:
+        record = run_task(case, budgets, deps).to_dict()
+        path = outcome_dir / f"{case.case_id}.json"
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        summaries.append(OutcomeSummary.from_record(record))
+
     try:
         if parallelism == 1:
             for case in cases:
-                outcomes[case.case_id] = run_task(case, budgets, deps)
+                run_case(case)
         else:
             pool = ThreadPoolExecutor(max_workers=parallelism)
             try:
-                futures = {
-                    pool.submit(run_task, case, budgets, deps): case.case_id
-                    for case in cases
-                }
-                for fut in as_completed(futures):
-                    outcomes[futures[fut]] = fut.result()
+                for fut in as_completed([pool.submit(run_case, case) for case in cases]):
+                    fut.result()
             finally:
                 # In-flight tasks finish (their external processes have
                 # timeouts); queued ones are dropped on interrupt.
                 pool.shutdown(wait=True, cancel_futures=True)
     except KeyboardInterrupt:
-        print("interrupted; flushing completed outcomes", file=sys.stderr)
-        _write_outputs(out_dir, outcomes, cfg)
+        print("interrupted; reporting the completed cases", file=sys.stderr)
         return 130
-
-    _write_outputs(out_dir, outcomes, cfg)
-    if not cfg.keep_scratch:
-        executor.cleanup()
-    summaries = [outcomes[c].summary() for c in sorted(outcomes)]
-    print(emit_report(summaries, "text_table", cfg.translate_max, cfg.include_failed))
+    finally:
+        # Completed, interrupted or aborted: score what finished, once.
+        if summaries:
+            report = MetricsReport.from_outcomes(summaries, cfg.translate_max, cfg.include_failed)
+            table = render_table(summaries, report)
+            (out_dir / "report.txt").write_text(table)
+            (out_dir / "report.json").write_text(report.to_json())
+        if not cfg.keep_scratch:
+            executor.cleanup()
+    print(table)
     return 0
-
-
-def _write_outputs(out_dir: Path, outcomes: dict, cfg: RunConfig) -> None:
-    if not outcomes:
-        return
-    outcome_dir = out_dir / "outcomes"
-    outcome_dir.mkdir(parents=True, exist_ok=True)
-    for case_id in sorted(outcomes):
-        path = outcome_dir / f"{case_id}.json"
-        path.write_text(json.dumps(outcomes[case_id].to_dict(), indent=2, sort_keys=True) + "\n")
-    summaries = [outcomes[c].summary() for c in sorted(outcomes)]
-    (out_dir / "report.txt").write_text(
-        emit_report(summaries, "text_table", cfg.translate_max, cfg.include_failed)
-    )
-    (out_dir / "report.json").write_text(
-        emit_report(summaries, "machine", cfg.translate_max, cfg.include_failed)
-    )
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -292,9 +291,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _run_scoring(out_dir: Path) -> tuple[int, bool]:
     """The budget and failed-case rule the run scored with, from report.json."""
     try:
-        data = json.loads((out_dir / "report.json").read_text())
-        return int(data["up_limit"]), bool(data["include_failed"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        report = MetricsReport.from_json((out_dir / "report.json").read_text())
+        return report.up_limit, report.include_failed
+    except (OSError, ValueError, KeyError, TypeError, VecportError) as exc:
         print(f"warning: unreadable report.json ({exc}); scoring with budget "
               f"{DEFAULT_UP_LIMIT}, failed cases included", file=sys.stderr)
         return DEFAULT_UP_LIMIT, True
@@ -307,18 +306,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     summaries = []
     for path in sorted(outcome_dir.glob("*.json")):
         try:
-            data = json.loads(path.read_text())
-            summaries.append(
-                OutcomeSummary(
-                    case_id=data["case_id"],
-                    passed=data["passed"],
-                    attempts_used=data["attempts_used"],
-                    final_speedup=Fraction(data["final_speedup"])
-                    if data.get("final_speedup")
-                    else None,
-                )
-            )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            summaries.append(OutcomeSummary.from_record(json.loads(path.read_text())))
+        except ValueError as exc:
             print(f"warning: skipping corrupt outcome {path.name}: {exc}", file=sys.stderr)
     if not summaries:
         raise UsageError(f"no readable outcomes under {args.out_dir}")
@@ -327,7 +316,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         up_limit = args.up_limit
     if args.include_failed is not None:
         include_failed = args.include_failed
-    print(emit_report(summaries, "text_table", up_limit, include_failed))
+    report = MetricsReport.from_outcomes(summaries, up_limit, include_failed)
+    print(render_table(summaries, report))
     return 0
 
 

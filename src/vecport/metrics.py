@@ -20,6 +20,13 @@ from .errors import VecportError
 
 SPEEDUP_BUCKETS = ("<0.5", "0.5-0.9", "0.9-1.1", "1.1-2.0", ">2.0")
 DEFAULT_UP_LIMIT = 10
+# The outcome-record fields a summary reads, with the JSON types they may hold.
+_RECORD_TYPES = (
+    ("case_id", str),
+    ("passed", bool),
+    ("attempts_used", int),
+    ("final_speedup", (str, type(None))),
+)
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,27 @@ class OutcomeSummary:
     passed: bool
     attempts_used: int
     final_speedup: Fraction | None = None
+
+    @classmethod
+    def from_record(cls, record) -> "OutcomeSummary":
+        """The summary of one ``outcomes/<case>.json`` record.
+
+        A record that is not an object, or a field of the wrong type, raises
+        ValueError; ``final_speedup`` may be absent.
+        """
+        if not isinstance(record, dict):
+            raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+        for name, types in _RECORD_TYPES:
+            value = record.get(name)
+            if not isinstance(value, types) or (types is int and isinstance(value, bool)):
+                raise ValueError(f"bad {name}: {value!r}")
+        speedup = record.get("final_speedup")
+        return cls(
+            case_id=record["case_id"],
+            passed=record["passed"],
+            attempts_used=record["attempts_used"],
+            final_speedup=Fraction(speedup) if speedup is not None else None,
+        )
 
 
 def pass_rate(outcomes: Sequence[OutcomeSummary]) -> Fraction:
@@ -148,7 +176,7 @@ class MetricsReport:
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
         data = json.loads(text)
-        if data.get("format") != "vecport-metrics-v1":
+        if not isinstance(data, dict) or data.get("format") != "vecport-metrics-v1":
             raise VecportError("not a metrics report file")
         return cls(
             n_total=data["n_total"],
@@ -195,16 +223,3 @@ def render_table(outcomes: Sequence[OutcomeSummary], report: MetricsReport) -> s
     rows.append(f"speedup buckets: {buckets}")
     return "\n".join(rows) + "\n"
 
-
-def emit_report(
-    outcomes: Sequence[OutcomeSummary],
-    fmt: str = "text_table",
-    up_limit: int = DEFAULT_UP_LIMIT,
-    include_failed: bool = True,
-) -> str:
-    report = MetricsReport.from_outcomes(outcomes, up_limit, include_failed)
-    if fmt == "text_table":
-        return render_table(outcomes, report)
-    if fmt == "machine":
-        return report.to_json()
-    raise VecportError(f"unknown report format {fmt!r}")

@@ -39,7 +39,6 @@ from .corpus import ValidatedCase
 from .errors import NoCodeError, PerfError, ReplayExhaustedError, VecportError
 from .executors import CompileResult, PerfResult, TestResult
 from .liveness import PressureReport, analyze_source
-from .metrics import OutcomeSummary
 
 MAX_TOKENS = 4096  # completion length asked of the model
 # Code points UTF-8 cannot encode: lone surrogates, which a reply's JSON can
@@ -123,14 +122,6 @@ class TaskOutcome:
     final_speedup: Fraction | None = None
     fsm_trace: list[FsmState] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-
-    def summary(self) -> OutcomeSummary:
-        return OutcomeSummary(
-            case_id=self.case_id,
-            passed=self.passed,
-            attempts_used=self.attempts_used,
-            final_speedup=self.final_speedup,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -240,8 +231,8 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
     attempts: list[Attempt] = []
     variants: list[Variant] = []
     notes: list[str] = []
-    log = _TaskLog(deps.log_dir, case.case_id)
     client = deps.client.session(case.case_id)
+    log = _TaskLog(deps.log_dir, case.case_id)
 
     def evaluate(
         phase: _Phase, attempt_no: int, bundle, pressure: PressureReport | None = None

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vecport.cli as cli
 from vecport.cli import RunConfig, load_config_file, main, resolve_config
 from vecport.corpus import bundled_corpus_dir
+from vecport.executors import MockExecutor
 
 GOOD_RVV = (bundled_corpus_dir() / "vec_add" / "native.c").read_text()
 MULH_RVV = (bundled_corpus_dir() / "mulh_s16" / "native.c").read_text()
@@ -188,6 +190,91 @@ def test_no_exec_run_writes_only_attempt_logs(tmp_path):
     ]
 
 
+@pytest.fixture
+def cleanups(monkeypatch):
+    """Records each MockExecutor.cleanup call, then runs the real one."""
+    calls = []
+    real = MockExecutor.cleanup
+
+    def counted(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(MockExecutor, "cleanup", counted)
+    return calls
+
+
+def native_reply(case_id: str) -> str:
+    return fenced((bundled_corpus_dir() / case_id / "native.c").read_text())
+
+
+def test_aborted_run_writes_and_reports_the_finished_cases(tmp_path, capsys, cleanups):
+    # Cases run in id order; max_s16, the third, has no replies and aborts the run.
+    replay = write_replay(
+        tmp_path, {c: [native_reply(c)] for c in ("deinterleave_rgb", "dot_f32")}
+    )
+    argv = ["translate", "--replay", str(replay), "--no-exec", "--optimize-max", "1"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "no responses for case 'max_s16'" in capsys.readouterr().err
+    assert sorted(p.name for p in (out / "outcomes").iterdir()) == [
+        "deinterleave_rgb.json", "dot_f32.json",
+    ]
+    assert not (out / "work" / "max_s16" / "log" / "attempts.ndjson").exists()
+    assert len(cleanups) == 1
+    # The reports score exactly the two finished cases, as a run of only them does.
+    two = tmp_path / "two"
+    assert main(argv + ["--case", "deinterleave_rgb", "--case", "dot_f32",
+                        "--out", str(two)]) == 0
+    for name in ("report.txt", "report.json"):
+        assert (out / name).read_bytes() == (two / name).read_bytes()
+    assert "cases: 2   passed: 2" in (out / "report.txt").read_text()
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "report.txt").read_text() + "\n"
+
+
+def test_parallel_abort_writes_the_cases_in_flight(tmp_path, capsys):
+    # deinterleave_rgb, the first case, aborts the run while a second worker
+    # may hold another case; every case that started must finish and be written.
+    replay = write_replay(tmp_path, {c: [native_reply(c)] for c in ("dot_f32", "max_s16")})
+    out = tmp_path / "out"
+    assert main(["translate", "--replay", str(replay), "--no-exec", "--optimize-max", "1",
+                 "--parallelism", "2", "--out", str(out)]) == 1
+    assert "no responses for case 'deinterleave_rgb'" in capsys.readouterr().err
+    started = sorted(p.name for p in (out / "work").iterdir())
+    written = sorted(p.stem for p in (out / "outcomes").iterdir())
+    assert written == started
+    assert "deinterleave_rgb" not in written
+    if written:
+        assert json.loads((out / "report.json").read_text())["n_total"] == len(written)
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["cleaned", "kept"])
+def test_interrupted_run_reports_the_finished_cases(tmp_path, capsys, monkeypatch,
+                                                    cleanups, keep):
+    real_run_task = cli.run_task
+    started = []
+
+    def interrupt_second_case(case, *args):
+        started.append(case.case_id)
+        if len(started) == 2:
+            raise KeyboardInterrupt
+        return real_run_task(case, *args)
+
+    monkeypatch.setattr(cli, "run_task", interrupt_second_case)
+    rc, out = run_translate(tmp_path, cases=("vec_add", "mulh_s16"),
+                            extra=("--keep-scratch",) * keep)
+    assert rc == 130
+    assert started == ["mulh_s16", "vec_add"]
+    assert "interrupted" in capsys.readouterr().err
+    assert [p.name for p in (out / "outcomes").iterdir()] == ["mulh_s16.json"]
+    report = json.loads((out / "report.json").read_text())
+    assert (report["n_total"], list(report["speedups"])) == (1, ["mulh_s16"])
+    assert "cases: 1   passed: 1" in (out / "report.txt").read_text()
+    assert len(cleanups) == (0 if keep else 1)
+
+
 HOST_GCC = shutil.which("gcc")
 
 
@@ -335,6 +422,52 @@ def test_report_skips_corrupt_outcomes_with_warning(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "skipping corrupt outcome" in captured.err
     assert "vec_add" in captured.out
+
+
+def test_report_skips_outcomes_of_the_wrong_shape(tmp_path, capsys):
+    rc, out = run_translate(tmp_path)
+    bad = {
+        "za_list.json": "[]",
+        "zb_attempts_str.json": '{"case_id": "zz", "passed": true, "attempts_used": "2"}',
+    }
+    for name, text in bad.items():
+        (out / "outcomes" / name).write_text(text)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    captured = capsys.readouterr()
+    for name in bad:
+        assert f"warning: skipping corrupt outcome {name}: " in captured.err
+    assert captured.out == (out / "report.txt").read_text() + "\n"
+
+
+@pytest.mark.parametrize("damage", ["missing", "not_json", "no_format", "list"])
+def test_report_falls_back_when_report_json_is_unreadable(tmp_path, capsys, damage):
+    replay = write_replay(
+        tmp_path, {"vec_add": ["no code"] * 3, "mulh_s16": [fenced(MULH_RVV)] * 2}
+    )
+    out = tmp_path / "out"
+    assert main(["translate", "--replay", str(replay), "--no-exec", "--case", "vec_add",
+                 "--case", "mulh_s16", "--translate-max", "3", "--optimize-max", "1",
+                 "--exclude-failed", "--out", str(out)]) == 0
+    assert "(budget 3, failed cases excluded)" in (out / "report.txt").read_text()
+    report_json = out / "report.json"
+    if damage == "missing":
+        report_json.unlink()
+    elif damage == "not_json":
+        report_json.write_text("{ not json")
+    elif damage == "no_format":
+        data = json.loads(report_json.read_text())
+        del data["format"]
+        report_json.write_text(json.dumps(data))
+    else:
+        report_json.write_text("[]")
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: unreadable report.json (")
+    assert captured.err.endswith("); scoring with budget 10, failed cases included\n")
+    assert "vec_add                  no             3        -" in captured.out
+    assert "(budget 10, failed cases included)" in captured.out
 
 
 # --- config handling ---------------------------------------------------------

@@ -11,8 +11,8 @@ from vecport.metrics import (
     OutcomeSummary,
     bucket_of,
     efficiency_score,
-    emit_report,
     pass_rate,
+    render_table,
     speedup,
 )
 
@@ -146,7 +146,7 @@ SAMPLE = [
 
 
 def test_report_rows_and_summary():
-    text = emit_report(SAMPLE, "text_table")
+    text = render_table(SAMPLE, MetricsReport.from_outcomes(SAMPLE))
     lines = text.splitlines()
     assert sum(1 for ln in lines if ln.startswith(("alpha", "beta", "gamma"))) == 3
     assert any("pass rate: 66.7%" in ln for ln in lines)
@@ -154,7 +154,7 @@ def test_report_rows_and_summary():
 
 
 def test_report_renders_empty_buckets_as_zero():
-    text = emit_report(SAMPLE, "text_table")
+    text = render_table(SAMPLE, MetricsReport.from_outcomes(SAMPLE))
     assert "<0.5: 0" in text
     assert ">2.0: 0" in text
 
@@ -188,3 +188,17 @@ def test_report_exact_fields():
 def test_report_requires_outcomes():
     with pytest.raises(VecportError):
         MetricsReport.from_outcomes([])
+
+
+def test_outcome_summary_from_record_checks_field_types():
+    record = {"case_id": "a", "passed": True, "attempts_used": 2, "final_speedup": "13/10"}
+    assert OutcomeSummary.from_record(record) == outcome("a", attempts=2, sp="13/10")
+    assert OutcomeSummary.from_record(
+        {"case_id": "a", "passed": False, "attempts_used": 10}
+    ) == outcome("a", passed=False, attempts=10)
+    for bad in ([], {"case_id": 1}, {**record, "passed": 1}, {**record, "attempts_used": "2"},
+                {**record, "attempts_used": True}, {**record, "final_speedup": 1.3},
+                {**record, "final_speedup": "fast"}):
+        with pytest.raises(ValueError):
+            OutcomeSummary.from_record(bad)
+

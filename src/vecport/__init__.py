@@ -1,7 +1,7 @@
 """Neon-to-RVV intrinsic translation pipeline with register-pressure feedback."""
 
 from .corpus import bundled_corpus_dir, load_corpus, validate_case
-from .liveness import analyze_source, compute_pressure, oracle_liveness, solve_liveness
+from .liveness import analyze_source, compute_pressure, solve_liveness
 from .metrics import MetricsReport
 from .orchestrator import Budgets, TaskDeps, run_task, select_best
 from .parser import parse_function
@@ -17,7 +17,6 @@ __all__ = [
     "bundled_corpus_dir",
     "compute_pressure",
     "load_corpus",
-    "oracle_liveness",
     "parse_function",
     "parse_vector_type",
     "register_footprint",

@@ -4,9 +4,9 @@
     vecport analyze FILE FUNCTION [--mode literal|physical] [--dump-ir]
     vecport report OUTPUT_DIR
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 internal error,
-130 interrupted. Translation failures are results, not process errors: a run
-that ends with failed cases still exits 0 and reports them.
+Exit codes: 0 success, 1 usage, configuration or corpus problem, 2 internal
+error, 130 interrupted. Translation failures are results, not process
+errors: a run that ends with failed cases still exits 0 and reports them.
 
 ``translate`` writes each case's outcome as soon as the case finishes. On
 every exit, completed, interrupted or aborted, it then scores the finished
@@ -25,11 +25,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import bundled_corpus_dir, load_corpus, read_key_values, validate_case
-from .errors import ConfigurationError, ParseError, UsageError, VecportError
+from .errors import ConfigurationError, CorpusError, ParseError, UsageError, VecportError
 from .executors import CommandExecutor, MockExecutor, ToolchainConfig
 from .liveness import compute_pressure, solve_liveness
 from .llm_client import RemoteClient, ReplayClient
-from .metrics import DEFAULT_UP_LIMIT, MetricsReport, OutcomeSummary, render_table
+from .metrics import DEFAULT_UP_LIMIT, REPORT_FORMAT, MetricsReport, OutcomeSummary, render_table
 from .orchestrator import Budgets, TaskDeps, run_task
 from .parser import dump_ir, parse_function
 
@@ -289,11 +289,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _run_scoring(out_dir: Path) -> tuple[int, bool]:
-    """The budget and failed-case rule the run scored with, from report.json."""
+    """The budget and failed-case rule the run scored with, from report.json.
+
+    Only those two fields and ``format`` are read; if the file is missing or
+    any of them is wrong, the defaults are used, with a warning."""
     try:
-        report = MetricsReport.from_json((out_dir / "report.json").read_text())
-        return report.up_limit, report.include_failed
-    except (OSError, ValueError, KeyError, TypeError, VecportError) as exc:
+        data = json.loads((out_dir / "report.json").read_text())
+        if not isinstance(data, dict) or data.get("format") != REPORT_FORMAT:
+            raise ValueError("not a metrics report file")
+        up_limit, include_failed = data.get("up_limit"), data.get("include_failed")
+        if type(up_limit) is not int or up_limit < 1:
+            raise ValueError(f"bad up_limit: {up_limit!r}")
+        if not isinstance(include_failed, bool):
+            raise ValueError(f"bad include_failed: {include_failed!r}")
+        return up_limit, include_failed
+    except (OSError, ValueError) as exc:
         print(f"warning: unreadable report.json ({exc}); scoring with budget "
               f"{DEFAULT_UP_LIMIT}, failed cases included", file=sys.stderr)
         return DEFAULT_UP_LIMIT, True
@@ -336,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return cmd_report(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, ConfigurationError) as exc:
+    except (UsageError, ConfigurationError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:

@@ -28,10 +28,6 @@ class AnalysisError(VecportError):
     """Liveness or pressure analysis was handed inconsistent inputs."""
 
 
-class PathExplosionError(AnalysisError):
-    """The path-enumeration oracle refused: too many paths within the bound."""
-
-
 class PromptError(VecportError):
     """A prompt builder was called with missing or empty context."""
 

@@ -7,8 +7,8 @@ redefinition. The solver iterates
     OUT(i) = union of IN(j) over successor statements j
 
 to a fixpoint over the statement edges of ``FunctionIr.successors``, which
-the solver, ``check_fixpoint`` and the oracle share. A statement that leaves
-the function has no successor there, so nothing is live after it. Sets grow
+the solver and ``check_fixpoint`` share. A statement that leaves the
+function has no successor there, so nothing is live after it. Sets grow
 monotonically inside a finite universe, so termination is bounded by
 |vars| * |stmts| sweeps. Register pressure at a statement is the sum of the
 LMUL-weighted footprints of IN(i) | OUT(i), each symbol's footprint computed
@@ -17,18 +17,17 @@ is taken in integer eighths and stored as one exact ``Fraction`` per
 statement; the report carries the peak across the function against the
 32-register file.
 
-``oracle_liveness`` answers the same question by brute-force path
-enumeration and exists purely to cross-check the solver.
+The brute-force path-enumeration oracle that cross-checks the solver lives
+in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AnalysisError, PathExplosionError
+from .errors import AnalysisError
 from .parser import FunctionIr
 from .rvv_types import register_footprint
 
@@ -147,72 +146,6 @@ def check_fixpoint(ir: FunctionIr, live: LivenessResult) -> None:
             out |= live.live_in[j]
         if live.live_out[i] != frozenset(out):
             raise AnalysisError(f"liveness not a fixpoint at statement {i} (OUT)")
-
-
-def oracle_liveness(
-    ir: FunctionIr,
-    path_bound: int | None = None,
-    max_steps: int = 2_000_000,
-) -> LivenessResult:
-    """Liveness by explicit path enumeration; independent of the solver.
-
-    A value is live at entry of statement i when some enumerated path starting
-    at i reads it before any redefinition; live at exit when such a path
-    starts at one of i's successors. Paths longer than ``path_bound``
-    statements are not explored, so the result matches the fixpoint whenever
-    the bound covers every simple path plus one loop unrolling. Paths that
-    reach the same statement having killed the same variables are explored
-    once, so the work is bounded by the number of (statement, killed set)
-    pairs, not the number of paths. Exceeding
-    ``max_steps`` search steps raises PathExplosionError rather than returning
-    a truncated answer.
-    """
-    stmts = ir.stmts
-    if not stmts:
-        return LivenessResult({}, {})
-    succ = ir.successors
-    if path_bound is None:
-        path_bound = 2 * (len(stmts) + 2)
-
-    uses = {s.stmt_id: s.uses for s in stmts}
-    defs = {s.stmt_id: s.defs for s in stmts}
-    steps = 0
-
-    def live_from(start: int) -> frozenset[str]:
-        nonlocal steps
-        found: set[str] = set()
-        # Breadth-first over (stmt, vars killed on the way here): every path
-        # that reaches a state with the same killed set reads the same values
-        # onward, and the first visit is the shallowest, so a revisit can add
-        # nothing within the bound.
-        seen: set[tuple[int, frozenset[str]]] = {(start, frozenset())}
-        queue: deque[tuple[int, frozenset[str], int]] = deque([(start, frozenset(), 1)])
-        while queue:
-            steps += 1
-            if steps > max_steps:
-                raise PathExplosionError(
-                    f"path enumeration exceeded {max_steps} steps; "
-                    f"input too large for the oracle"
-                )
-            i, killed, depth = queue.popleft()
-            found |= uses[i] - killed
-            killed = killed | defs[i]
-            if depth >= path_bound:
-                continue
-            for j in succ[i]:
-                if (j, killed) not in seen:
-                    seen.add((j, killed))
-                    queue.append((j, killed, depth + 1))
-        return frozenset(found)
-
-    entry_live = {s.stmt_id: live_from(s.stmt_id) for s in stmts}
-    live_out = {}
-    for s in stmts:
-        out: set[str] = set()
-        for j in succ[s.stmt_id]:
-            out |= entry_live[j]
-        live_out[s.stmt_id] = frozenset(out)
-    return LivenessResult(entry_live, live_out)
 
 
 def compute_pressure(

@@ -6,7 +6,8 @@ on attempt a out of an iteration budget u contributes (1 + u - a) / u, so a
 first-try solve is worth 1.0 and a last-try solve 1/u. Whether failed cases
 contribute the minimal term (as if they had consumed the whole budget) or are
 skipped entirely is a reporting choice exposed as ``include_failed``;
-including them is the default.
+including them is the default. Speedups arrive computed, as
+``PerfResult.speedup``; this module only lists and bands them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import VecportError
 
 SPEEDUP_BUCKETS = ("<0.5", "0.5-0.9", "0.9-1.1", "1.1-2.0", ">2.0")
 DEFAULT_UP_LIMIT = 10
+REPORT_FORMAT = "vecport-metrics-v1"  # report.json's "format"
 # The outcome-record fields a summary reads, with the JSON types they may hold.
 _RECORD_TYPES = (
     ("case_id", str),
@@ -92,15 +94,6 @@ def efficiency_score(
     return total
 
 
-def speedup(native_cost, translated_cost) -> Fraction:
-    """Native cost over translated cost; >1 means the translation is faster."""
-    native = Fraction(native_cost)
-    translated = Fraction(translated_cost)
-    if native <= 0 or translated <= 0:
-        raise VecportError("speedup requires positive costs")
-    return native / translated
-
-
 def bucket_of(value: Fraction) -> str:
     """Band a speedup; the inner band [0.9, 1.1] is parity with native."""
     if value < Fraction(1, 2):
@@ -160,7 +153,7 @@ class MetricsReport:
 
     def to_json(self) -> str:
         payload = {
-            "format": "vecport-metrics-v1",
+            "format": REPORT_FORMAT,
             "n_total": self.n_total,
             "n_passed": self.n_passed,
             "pass_rate": str(self.pass_rate),
@@ -172,23 +165,6 @@ class MetricsReport:
             "include_failed": self.include_failed,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        data = json.loads(text)
-        if not isinstance(data, dict) or data.get("format") != "vecport-metrics-v1":
-            raise VecportError("not a metrics report file")
-        return cls(
-            n_total=data["n_total"],
-            n_passed=data["n_passed"],
-            pass_rate=Fraction(data["pass_rate"]),
-            efficiency_score=Fraction(data["efficiency_score"]),
-            avg_attempts=Fraction(data["avg_attempts"]) if data["avg_attempts"] else None,
-            speedups={k: Fraction(v) for k, v in data["speedups"].items()},
-            speedup_buckets=dict(data["speedup_buckets"]),
-            up_limit=data["up_limit"],
-            include_failed=data["include_failed"],
-        )
 
 
 def _fmt1(x: Fraction) -> str:

@@ -147,13 +147,13 @@ class TaskOutcome:
 
 @dataclass
 class TaskDeps:
-    """Everything a task needs injected: the model client and the executors."""
+    """Everything a task needs injected: model client, executors, log directory."""
 
     client: object  # LlmClient
     executor: object  # CommandExecutor | MockExecutor
+    log_dir: Path  # attempts go to <log_dir>/<case>/log/attempts.ndjson
     temperature: float = 0.2
     pressure_mode: str = "literal"
-    log_dir: Path | None = None
     perf_runs: int = 5
 
 
@@ -169,21 +169,6 @@ def select_best(variants: list[Variant]) -> Variant:
         if best.perf is None or v.perf.speedup > best.perf.speedup:
             best = v
     return best
-
-
-class _TaskLog:
-    def __init__(self, log_dir: Path | None, case_id: str):
-        self.path = None
-        if log_dir is not None:
-            d = Path(log_dir) / case_id / "log"
-            d.mkdir(parents=True, exist_ok=True)
-            self.path = d / "attempts.ndjson"
-            self.path.write_text("")
-
-    def record(self, attempt: Attempt) -> None:
-        if self.path is not None:
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(attempt.to_record(), sort_keys=True) + "\n")
 
 
 def _safe_pressure(code: str, signature: str, mode: str) -> PressureReport | None:
@@ -232,7 +217,9 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
     variants: list[Variant] = []
     notes: list[str] = []
     client = deps.client.session(case.case_id)
-    log = _TaskLog(deps.log_dir, case.case_id)
+    log_path = Path(deps.log_dir) / case.case_id / "log" / "attempts.ndjson"
+    log_path.parent.mkdir(parents=True, exist_ok=True)
+    log_path.write_text("")
 
     def evaluate(
         phase: _Phase, attempt_no: int, bundle, pressure: PressureReport | None = None
@@ -276,7 +263,8 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
                 if not tested.all_passed:
                     feedback = Diagnostics("test", attempt.test_report)
         attempts.append(attempt)
-        log.record(attempt)
+        with log_path.open("a") as fh:
+            fh.write(json.dumps(attempt.to_record(), sort_keys=True) + "\n")
         return code, feedback
 
     def measure(phase: _Phase, n: int, code: str) -> None:

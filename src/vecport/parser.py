@@ -23,9 +23,7 @@ blocks. A ``BlockNode`` holds items of four kinds:
 - a nested ``BlockNode``;
 - an ``IfNode``, a ``DoWhileNode`` or a ``ForNode``.
 
-A ``while`` loop is stored as a ``ForNode`` with no init and no step, so
-``print_function`` prints every ``ForNode`` that has a condition but neither
-init nor step as ``while (cond)``; ``for (;;)`` stays a ``for``.
+A ``while`` loop is stored as a ``ForNode`` with no init and no step.
 Statement-level successor edges are derived from the block graph once per
 IR, as ``FunctionIr.successors``; they list statements only, so a statement
 that leaves the function has no successor.
@@ -278,8 +276,8 @@ class FunctionIr:
         Block-level edges are translated by taking the first statement of each
         successor block, skipping through empty blocks transitively. ``seen``
         guards cycles made purely of empty blocks, which contribute nothing.
-        Computed once per IR: the solver, its fixpoint check and the oracle
-        all read the same edges.
+        Computed once per IR: the solver, its fixpoint check and the test
+        suite's oracle all read the same edges.
         """
         cfg = self.cfg
 
@@ -901,54 +899,7 @@ def _needs_space(prev: Token, cur: Token) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printing and debug dump.
-
-
-def print_function(ir: FunctionIr) -> str:
-    """Emit re-parseable C for the IR; structure and use/def sets survive a round trip."""
-    if ir.structure is None:
-        raise ValueError("IR was built synthetically; no statement tree to print")
-    lines = [f"{ir.signature} {{"]
-    _print_block(ir.structure, lines, 1)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _print_block(node: BlockNode, lines: list[str], depth: int) -> None:
-    pad = "    " * depth
-    for item in node.items:
-        if isinstance(item, RawStmt):
-            if item.stmt_id is not None:
-                lines.append(f"{pad}{item.text};")
-        elif isinstance(item, JumpNode):
-            lines.append(f"{pad}{item.kind};")
-        elif isinstance(item, BlockNode):
-            lines.append(f"{pad}{{")
-            _print_block(item, lines, depth + 1)
-            lines.append(f"{pad}}}")
-        elif isinstance(item, IfNode):
-            lines.append(f"{pad}if ({item.cond.text}) {{")
-            _print_block(item.then, lines, depth + 1)
-            if item.orelse is not None:
-                lines.append(f"{pad}}} else {{")
-                _print_block(item.orelse, lines, depth + 1)
-            lines.append(f"{pad}}}")
-        elif isinstance(item, DoWhileNode):
-            lines.append(f"{pad}do {{")
-            _print_block(item.body, lines, depth + 1)
-            lines.append(f"{pad}}} while ({item.cond.text});")
-        elif isinstance(item, ForNode):
-            if item.cond is not None and item.init is None and item.step is None:
-                lines.append(f"{pad}while ({item.cond.text}) {{")
-            else:
-                init = item.init.text if item.init else ""
-                cond = item.cond.text if item.cond else ""
-                step = item.step.text if item.step else ""
-                lines.append(f"{pad}for ({init}; {cond}; {step}) {{")
-            _print_block(item.body, lines, depth + 1)
-            lines.append(f"{pad}}}")
-        else:
-            raise AssertionError(f"unknown node {item!r}")
+# Debug dump.
 
 
 def dump_ir(ir: FunctionIr) -> str:

@@ -1,4 +1,5 @@
-"""Shared test helpers: synthetic IR construction and random CFG generation."""
+"""Shared test helpers: synthetic IR construction, random CFG generation and
+the speedup every outcome carries."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from vecport.corpus import bundled_corpus_dir, load_corpus, validate_case
+from vecport.executors import PerfResult
 from vecport.parser import BasicBlock, Cfg, FunctionIr, Stmt
 from vecport.rvv_types import parse_vector_type
 
@@ -98,6 +100,11 @@ def random_ir(rng: random.Random, types: tuple[str, ...] = RANDOM_TYPES) -> Func
         if dst not in edges[src]:
             edges[src].append(dst)
     return make_ir(per_block, {b: tuple(v) for b, v in edges.items()}, symbols)
+
+
+def speedup(native_cost_ns: int, translated_cost_ns: int):
+    """``PerfResult.speedup`` for two costs: native over translated."""
+    return PerfResult(translated_cost_ns, native_cost_ns, runs=1).speedup
 
 
 @pytest.fixture(scope="session")

@@ -13,21 +13,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_ir, straight_line_ir
+from conftest import random_ir, speedup, straight_line_ir
+from oracles import oracle_liveness, print_function
 from vecport.corpus import bundled_corpus_dir, load_corpus, validate_case
 from vecport.errors import ParseError
 from vecport.executors import CommandExecutor, MockExecutor, ToolchainConfig
-from vecport.liveness import (
-    check_fixpoint,
-    compute_pressure,
-    oracle_liveness,
-    solve_liveness,
-)
+from vecport.liveness import check_fixpoint, compute_pressure, solve_liveness
 from vecport.llm_client import ReplayClient
-from vecport.metrics import efficiency_score, pass_rate, speedup
+from vecport.metrics import efficiency_score, pass_rate
 from vecport.metrics import OutcomeSummary
 from vecport.orchestrator import Budgets, FsmState, TaskDeps, run_task, select_best
-from vecport.parser import parse_function, print_function
+from vecport.parser import parse_function
 from vecport.rvv_types import iter_vector_type_names, parse_vector_type
 
 S = FsmState

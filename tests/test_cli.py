@@ -156,6 +156,37 @@ def test_translate_zero_budget_is_a_usage_error(tmp_path, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corpus", ["missing", "empty"])
+def test_translate_corpus_problem_is_a_usage_error(tmp_path, capsys, corpus):
+    corpus_dir = tmp_path / "corpus"
+    if corpus == "empty":
+        corpus_dir.mkdir()
+    replay = write_replay(tmp_path, {"vec_add": []})
+    rc = main(["translate", "--replay", str(replay), "--no-exec", "--corpus", str(corpus_dir),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    problem = "corpus directory not found:" if corpus == "missing" else "no cases found under"
+    assert capsys.readouterr().err == f"error: {problem} {corpus_dir}\n"
+
+
+def test_list_form_replay_runs_serially_under_parallelism(tmp_path, capsys):
+    replay = tmp_path / "list.json"
+    replay.write_text(json.dumps([fenced(MULH_RVV), "no code", fenced(GOOD_RVV), fenced(GOOD_RVV)]))
+    runs = {}
+    for parallelism in ("1", "2"):
+        out = tmp_path / f"p{parallelism}"
+        assert main(["translate", "--replay", str(replay), "--no-exec", "--case", "vec_add",
+                     "--case", "mulh_s16", "--optimize-max", "1",
+                     "--parallelism", parallelism, "--out", str(out)]) == 0
+        runs[parallelism] = capsys.readouterr(), (out / "report.json").read_bytes()
+    (serial, serial_json), (forced, forced_json) = runs["1"], runs["2"]
+    assert serial.err == ""
+    assert forced.err == ("warning: list-form replay script is one shared sequence; "
+                          "forcing parallelism 1 for determinism\n")
+    assert forced.out == serial.out
+    assert forced_json == serial_json
+
+
 def test_mock_run_applies_the_vlen_rule_of_a_real_run(tmp_path, capsys):
     replay = write_replay(tmp_path, {"vec_add": [fenced(GOOD_RVV)]})
     argv = ["translate", "--replay", str(replay), "--case", "vec_add",
@@ -440,7 +471,14 @@ def test_report_skips_outcomes_of_the_wrong_shape(tmp_path, capsys):
     assert captured.out == (out / "report.txt").read_text() + "\n"
 
 
-@pytest.mark.parametrize("damage", ["missing", "not_json", "no_format", "list"])
+DAMAGED_FIELDS = {
+    "up_limit_bool": ("up_limit", True),
+    "up_limit_str": ("up_limit", "10"),
+    "include_failed_str": ("include_failed", "no"),
+}
+
+
+@pytest.mark.parametrize("damage", ["missing", "not_json", "no_format", "list", *DAMAGED_FIELDS])
 def test_report_falls_back_when_report_json_is_unreadable(tmp_path, capsys, damage):
     replay = write_replay(
         tmp_path, {"vec_add": ["no code"] * 3, "mulh_s16": [fenced(MULH_RVV)] * 2}
@@ -459,6 +497,11 @@ def test_report_falls_back_when_report_json_is_unreadable(tmp_path, capsys, dama
         data = json.loads(report_json.read_text())
         del data["format"]
         report_json.write_text(json.dumps(data))
+    elif damage in DAMAGED_FIELDS:
+        name, value = DAMAGED_FIELDS[damage]
+        data = json.loads(report_json.read_text())
+        data[name] = value
+        report_json.write_text(json.dumps(data))
     else:
         report_json.write_text("[]")
     capsys.readouterr()
@@ -468,6 +511,19 @@ def test_report_falls_back_when_report_json_is_unreadable(tmp_path, capsys, dama
     assert captured.err.endswith("); scoring with budget 10, failed cases included\n")
     assert "vec_add                  no             3        -" in captured.out
     assert "(budget 10, failed cases included)" in captured.out
+
+
+def test_report_reads_only_the_scoring_fields_of_report_json(tmp_path, capsys):
+    rc, out = run_translate(tmp_path, cases=("vec_add", "mulh_s16"))
+    assert rc == 0
+    data = json.loads((out / "report.json").read_text())
+    data["speedups"] = []
+    (out / "report.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (out / "report.txt").read_text() + "\n"
 
 
 # --- config handling ---------------------------------------------------------
@@ -508,6 +564,13 @@ def test_config_file_problems_are_reported_in_file_order(tmp_path, capsys):
         load_config_file(cfg_file)
     assert main(["translate", "--no-exec", "--config", str(cfg_file)]) == 1
     assert 'line 4: expected key = "value"' in capsys.readouterr().err
+
+
+def test_config_file_bad_value_is_a_usage_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text('temperature = "hot"\n')
+    assert main(["translate", "--no-exec", "--config", str(cfg_file)]) == 1
+    assert "bad value for temperature" in capsys.readouterr().err
 
 
 _TRISTATE_FIELDS = [

@@ -243,6 +243,14 @@ class TestCommandExecutorOnHost:
         with pytest.raises(PerfError, match="cost line"):
             ex.run_perf(translated.artifact_path, translated.artifact_path, runs=1)
 
+    def test_zero_cost_is_a_perf_error(self, tmp_path):
+        bench = '#include <stdio.h>\nint mini_identity(int x);\nint main(void) { printf("0\\n"); return 0; }\n'
+        case = make_case(tmp_path, TEST_HARNESS, bench)
+        ex = CommandExecutor(host_config(), tmp_path / "work")
+        translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="tp")
+        with pytest.raises(PerfError, match="non-positive cost"):
+            ex.run_perf(translated.artifact_path, translated.artifact_path, runs=1)
+
 
 # --- mock executor ---------------------------------------------------------
 

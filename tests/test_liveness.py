@@ -6,13 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_ir, random_ir, straight_line_ir
-from vecport.errors import AnalysisError, PathExplosionError
-from vecport.liveness import (
-    check_fixpoint,
-    compute_pressure,
-    oracle_liveness,
-    solve_liveness,
-)
+from oracles import PathExplosionError, oracle_liveness
+from vecport.errors import AnalysisError
+from vecport.liveness import check_fixpoint, compute_pressure, solve_liveness
 from vecport.parser import parse_function
 from vecport.rvv_types import FOOTPRINT_MODES, iter_vector_type_names, register_footprint
 

@@ -79,6 +79,18 @@ def test_replay_from_file_forms(tmp_path):
         ReplayClient.from_file(bad)
 
 
+@pytest.mark.parametrize("data, message", [
+    (["r1", 2], "replay list must contain strings"),
+    ({"case": "r1"}, "replay entry 'case' must be a list of strings"),
+    (7, "replay file must be a JSON list or object"),
+], ids=["list_of_non_strings", "entry_not_a_list", "number"])
+def test_replay_from_file_rejects_bad_shapes(tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigurationError, match=message):
+        ReplayClient.from_file(path)
+
+
 # --- remote client, against a loopback HTTP server ---------------------------
 
 PROXY_VARS = ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY",

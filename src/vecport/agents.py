@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import ValidatedCase
-from .errors import NoCodeError, PromptError
+from .errors import NoCodeError
 from .liveness import PressureReport, fmt_fraction
-
-ROLES = ("system", "user", "assistant")
 
 FEEDBACK_BUDGET = 8000  # characters kept from diagnostics
 
@@ -28,12 +26,6 @@ FEEDBACK_BUDGET = 8000  # characters kept from diagnostics
 class ChatMessage:
     role: str
     content: str
-
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise PromptError(f"bad message role: {self.role!r}")
-        if not self.content:
-            raise PromptError("empty message content")
 
 
 @dataclass(frozen=True)
@@ -83,8 +75,6 @@ Arm Neon kernels to RVV. Hard requirements for every answer:
 
 def build_translate_prompt(case: ValidatedCase) -> PromptBundle:
     """Initial translation request: full Neon source in, one code block out."""
-    if not case.source_text.strip():
-        raise PromptError(f"{case.case_id}: empty source text")
     system = ChatMessage("system", _TRANSLATOR_SYSTEM.format(signature=case.function_signature))
     user = ChatMessage(
         "user",
@@ -104,18 +94,12 @@ def build_repair_prompt(
     feedback: Diagnostics,
 ) -> PromptBundle:
     """Repair round: previous candidate plus verbatim (truncated) feedback."""
-    if feedback is None or not feedback.text.strip():
-        raise PromptError("repair prompt requires non-empty feedback")
-    if not previous_code.strip():
-        raise PromptError("repair prompt requires the previous candidate")
     if feedback.kind == "compile":
         purpose = "repair_compile"
         label = "The candidate failed to compile. Compiler diagnostics:"
-    elif feedback.kind == "test":
+    else:
         purpose = "repair_test"
         label = "The candidate compiled but failed functional tests. Test report:"
-    else:
-        raise PromptError(f"unknown feedback kind {feedback.kind!r}")
     system = ChatMessage("system", _TRANSLATOR_SYSTEM.format(signature=case.function_signature))
     user = ChatMessage(
         "user",
@@ -151,8 +135,6 @@ def build_optimize_prompt(
     feedback: Diagnostics | None = None,
 ) -> PromptBundle:
     """Optimization round anchored on the current best correct candidate."""
-    if not correct_code.strip():
-        raise PromptError("optimize prompt requires the current correct code")
     parts = [
         f"Current correct RVV implementation of {case.function_signature}:",
         "```c",

@@ -32,6 +32,7 @@ from .llm_client import RemoteClient, ReplayClient
 from .metrics import DEFAULT_UP_LIMIT, REPORT_FORMAT, MetricsReport, OutcomeSummary, render_table
 from .orchestrator import Budgets, TaskDeps, run_task
 from .parser import dump_ir, parse_function
+from .rvv_types import FOOTPRINT_MODES
 
 
 @dataclass
@@ -58,16 +59,20 @@ class RunConfig:
 
 _DEFAULTS = RunConfig()
 
+# The config spellings of a boolean, in any case; anything else is a bad value.
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 _FIELD_PARSERS = {
     "cases": lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
     "temperature": float,
     "translate_max": int,
     "optimize_max": int,
     "vlens": lambda s: tuple(int(x) for x in s.split(",") if x.strip()),
+    "pressure_mode": {mode: mode for mode in FOOTPRINT_MODES}.__getitem__,
     "parallelism": int,
-    "include_failed": lambda s: s.lower() in ("1", "true", "yes"),
-    "no_exec": lambda s: s.lower() in ("1", "true", "yes"),
-    "keep_scratch": lambda s: s.lower() in ("1", "true", "yes"),
+    "include_failed": lambda s: _BOOLEANS[s.lower()],
+    "no_exec": lambda s: _BOOLEANS[s.lower()],
+    "keep_scratch": lambda s: _BOOLEANS[s.lower()],
 }
 
 
@@ -81,7 +86,7 @@ def load_config_file(path: Path | str) -> dict:
         parser = _FIELD_PARSERS.get(key, str)
         try:
             values[key] = parser(value)
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise UsageError(f"{path}: bad value for {key}: {exc}") from exc
     return values
 
@@ -120,8 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--runner", help="emulator/runner binary (default qemu-riscv64)")
     t.add_argument("--vlens", type=lambda s: tuple(int(x) for x in s.split(",")),
                    help="comma-separated VLENs for functional tests (default 128,256)")
-    t.add_argument("--pressure-mode", dest="pressure_mode",
-                   choices=("literal", "physical"))
+    t.add_argument("--pressure-mode", dest="pressure_mode", choices=FOOTPRINT_MODES)
     t.add_argument("--parallelism", type=int)
     t.add_argument("--out", help="output directory (default vecport-out)")
     t.add_argument("--include-failed", dest="include_failed", action="store_const",
@@ -138,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="register pressure report for an RVV C file")
     a.add_argument("file", help="RVV intrinsic C source file")
     a.add_argument("function", help="function name (or full signature)")
-    a.add_argument("--mode", choices=("literal", "physical"), default="literal")
+    a.add_argument("--mode", choices=FOOTPRINT_MODES, default="literal")
     a.add_argument("--dump-ir", action="store_true", help="also print the IR and CFG")
 
     r = sub.add_parser("report", help="recompute metrics from persisted outcomes")
@@ -323,9 +327,15 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise UsageError(f"no readable outcomes under {args.out_dir}")
     up_limit, include_failed = _run_scoring(Path(args.out_dir))
     if args.up_limit is not None:
+        if args.up_limit < 1:
+            raise UsageError(f"--up-limit must be at least 1, not {args.up_limit}")
         up_limit = args.up_limit
     if args.include_failed is not None:
         include_failed = args.include_failed
+    for s in summaries:
+        if s.passed and s.attempts_used > up_limit:
+            raise UsageError(f"{s.case_id} passed after {s.attempts_used} attempts, "
+                             f"more than the budget {up_limit}")
     report = MetricsReport.from_outcomes(summaries, up_limit, include_failed)
     print(render_table(summaries, report))
     return 0

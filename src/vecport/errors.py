@@ -28,10 +28,6 @@ class AnalysisError(VecportError):
     """Liveness or pressure analysis was handed inconsistent inputs."""
 
 
-class PromptError(VecportError):
-    """A prompt builder was called with missing or empty context."""
-
-
 class NoCodeError(VecportError):
     """No code block could be extracted from an LLM response."""
 

@@ -69,8 +69,6 @@ class ReplayClient:
             data = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot load replay file {path}: {exc}") from exc
-        if isinstance(data, dict) and "responses" in data:
-            data = data["responses"]
         if isinstance(data, list):
             if not all(isinstance(x, str) for x in data):
                 raise ConfigurationError(f"{path}: replay list must contain strings")

@@ -87,20 +87,7 @@ class Attempt:
     timestamp: float = 0.0
 
     def to_record(self) -> dict:
-        return {
-            "attempt_no": self.attempt_no,
-            "phase": self.phase,
-            "prompt_digest": self.prompt_digest,
-            "response_digest": self.response_digest,
-            "code": self.code,
-            "compile_ok": self.compile_ok,
-            "compile_diagnostics": self.compile_diagnostics,
-            "tests_passed": self.tests_passed,
-            "test_report": self.test_report,
-            "pressure": self.pressure,
-            "note": self.note,
-            "timestamp": self.timestamp,
-        }
+        return dict(vars(self))  # both writers sort the keys
 
 
 @dataclass

@@ -846,7 +846,8 @@ def parse_function(source: str, signature: str) -> FunctionIr:
 
     Statements come out in source layout order; declarations with initializers
     carry the declared name in their def set. Unsupported constructs (goto,
-    switch, labels) raise ParseError naming the construct and line.
+    switch, labels) raise ParseError naming the construct and line; nesting
+    too deep for Python's recursion limit raises one too.
     """
     name = signature_name(signature)
     tokens = tokenize(source)
@@ -858,9 +859,11 @@ def parse_function(source: str, signature: str) -> FunctionIr:
     vector_params = set(symbols)
 
     body_close = body_open + tokens[body_open].span
-    structure = _BodyParser(tokens[body_open:body_close + 1], symbols).parse_block()
-
-    cfg, raw_stmts = build_cfg(structure)
+    try:
+        structure = _BodyParser(tokens[body_open:body_close + 1], symbols).parse_block()
+        cfg, raw_stmts = build_cfg(structure)
+    except RecursionError:
+        raise ParseError("nesting too deep") from None
     stmts = _finalize_stmts(raw_stmts, symbols, vector_params)
     ir = FunctionIr(
         name=name,

@@ -1,5 +1,5 @@
-"""Shared test helpers: synthetic IR construction, random CFG generation and
-the speedup every outcome carries."""
+"""Shared test helpers: synthetic IR construction, random CFG generation,
+deeply nested function bodies and the speedup every outcome carries."""
 
 from __future__ import annotations
 
@@ -100,6 +100,14 @@ def random_ir(rng: random.Random, types: tuple[str, ...] = RANDOM_TYPES) -> Func
         if dst not in edges[src]:
             edges[src].append(dst)
     return make_ir(per_block, {b: tuple(v) for b, v in edges.items()}, symbols)
+
+
+# Statement nests of a given depth, for bodies that use a variable ``n``.
+DEEP_NESTING = {
+    "blocks": lambda depth: "{" * depth + "n = 1;" + "}" * depth,
+    "if_chain": lambda depth: "if (n) " * depth + "n = 1;",
+    "for_chain": lambda depth: "for (;;) " * depth + "n = 1;",
+}
 
 
 def speedup(native_cost_ns: int, translated_cost_ns: int):

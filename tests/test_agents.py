@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vecport.agents import (
-    ChatMessage,
     Diagnostics,
     build_optimize_prompt,
     build_repair_prompt,
@@ -13,7 +12,7 @@ from vecport.agents import (
     extract_code,
     truncate_middle,
 )
-from vecport.errors import NoCodeError, PromptError
+from vecport.errors import NoCodeError
 from vecport.liveness import analyze_source
 
 
@@ -32,14 +31,6 @@ def test_translate_prompt_is_deterministic(vec_add_case):
     b = build_translate_prompt(vec_add_case)
     assert a == b
     assert a.context_digest == b.context_digest
-
-
-def test_translate_prompt_rejects_empty_source(vec_add_case):
-    import dataclasses
-
-    empty = dataclasses.replace(vec_add_case, source_text="   \n")
-    with pytest.raises(PromptError):
-        build_translate_prompt(empty)
 
 
 def test_repair_prompt_embeds_compiler_output_verbatim(vec_add_case):
@@ -64,13 +55,6 @@ def test_repair_prompt_for_test_failure_names_the_vlen(vec_add_case):
     bundle = build_repair_prompt(vec_add_case, "void stub(void) {}", Diagnostics("test", report))
     assert bundle.purpose == "repair_test"
     assert "VLEN=256: FAIL" in bundle.messages[1].content
-
-
-def test_repair_prompt_requires_feedback(vec_add_case):
-    with pytest.raises(PromptError):
-        build_repair_prompt(vec_add_case, "code", Diagnostics("test", "   "))
-    with pytest.raises(PromptError):
-        build_repair_prompt(vec_add_case, "", Diagnostics("compile", "boom"))
 
 
 def test_optimize_prompt_headroom_suggests_bigger_lmul(vec_add_case):
@@ -135,13 +119,6 @@ def test_optimize_prompt_reports_speedup(vec_add_case):
 def test_optimize_prompt_without_pressure_says_so(vec_add_case):
     bundle = build_optimize_prompt(vec_add_case, vec_add_case.native_text, None)
     assert "No register pressure data" in bundle.messages[1].content
-
-
-def test_chat_message_validation():
-    with pytest.raises(PromptError):
-        ChatMessage("robot", "hi")
-    with pytest.raises(PromptError):
-        ChatMessage("user", "")
 
 
 # --- extraction ---------------------------------------------------------------

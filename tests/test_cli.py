@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vecport.cli as cli
+from conftest import DEEP_NESTING
 from vecport.cli import RunConfig, load_config_file, main, resolve_config
 from vecport.corpus import bundled_corpus_dir
 from vecport.executors import MockExecutor
@@ -144,6 +145,24 @@ def test_lone_surrogate_in_a_reply_is_a_recorded_attempt(tmp_path, capsys):
     assert rc == 0
     outcome = json.loads((out / "outcomes" / "vec_add.json").read_text())
     assert outcome["attempts"][0]["code"].startswith("/* \ufffd */\n")
+
+
+@pytest.mark.parametrize("first_reply, tools, expected", [
+    ("", ["--no-exec"], {"note": "no code emitted"}),
+    ("  \n", ["--no-exec"], {"note": "no code emitted"}),
+    ("```c\n```", ["--no-exec"], {"code": "", "compile_ok": True}),
+    (fenced(GOOD_RVV), ["--cc", "/bin/false", "--runner", "/bin/true"],
+     {"compile_ok": False, "compile_diagnostics": ""}),
+], ids=["blank_reply", "whitespace_reply", "empty_code_block", "silent_compiler"])
+def test_empty_reply_or_silent_compiler_is_a_failed_attempt(tmp_path, capsys,
+                                                            first_reply, tools, expected):
+    replay = write_replay(tmp_path, {"vec_add": [first_reply] + [fenced(GOOD_RVV)] * 2})
+    out = tmp_path / "out"
+    assert main(["translate", "--replay", str(replay), "--case", "vec_add",
+                 "--translate-max", "2", "--optimize-max", "1", "--out", str(out), *tools]) == 0
+    assert (out / "report.json").is_file()
+    first = json.loads((out / "outcomes" / "vec_add.json").read_text())["attempts"][0]
+    assert {key: first[key] for key in expected} == expected
 
 
 def test_translate_zero_budget_is_a_usage_error(tmp_path, capsys):
@@ -388,6 +407,24 @@ def test_analyze_goto_file_names_the_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("shape", DEEP_NESTING)
+def test_nesting_too_deep_is_a_parse_error_not_a_crash(tmp_path, capsys, shape):
+    f = tmp_path / "deep.c"
+    f.write_text(f"void f(int n) {{ {DEEP_NESTING[shape](600)} }}\n")
+    assert main(["analyze", str(f), "f"]) == 1
+    assert capsys.readouterr().err == "parse error: nesting too deep\n"
+    # In a candidate, it only costs the variant its pressure report.
+    deep = GOOD_RVV.replace("        n -= vl;\n", f"        n -= vl;\n{DEEP_NESTING[shape](600)}\n")
+    replay = write_replay(tmp_path, {"vec_add": [fenced(deep), fenced(deep)]})
+    out = tmp_path / "out"
+    assert main(["translate", "--replay", str(replay), "--no-exec", "--case", "vec_add",
+                 "--optimize-max", "1", "--out", str(out)]) == 0
+    outcome = json.loads((out / "outcomes" / "vec_add.json").read_text())
+    assert outcome["passed"] is True
+    assert outcome["best_variant"]["code"] == deep.rstrip("\n")
+    assert outcome["best_variant"]["pressure"] is None
+
+
 def test_analyze_dump_ir_flag(capsys):
     rc = main([
         "analyze", str(bundled_corpus_dir() / "vec_add" / "native.c"),
@@ -436,6 +473,33 @@ def test_report_scores_with_the_runs_budget(tmp_path, capsys):
     # An explicit flag still overrides what the run used.
     assert main(["report", str(out), "--up-limit", "10"]) == 0
     assert "efficiency score: 0.9 (budget 10" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source, budget", [
+    ("flag", "0"), ("flag", "-1"), ("flag", "1"), ("flag", "2"), ("report_json", 2),
+])
+def test_report_budget_problem_is_a_usage_error(tmp_path, capsys, source, budget):
+    # vec_add passes on its third attempt, so any budget below 3 cannot score it.
+    replay = write_replay(tmp_path, {"vec_add": ["no code"] * 2 + [fenced(GOOD_RVV)] * 2})
+    out = tmp_path / "out"
+    assert main(["translate", "--replay", str(replay), "--no-exec", "--case", "vec_add",
+                 "--translate-max", "3", "--optimize-max", "1", "--out", str(out)]) == 0
+    argv = ["report", str(out)]
+    if source == "flag":
+        argv += ["--up-limit", budget]
+    else:
+        data = json.loads((out / "report.json").read_text())
+        data["up_limit"] = budget
+        (out / "report.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if int(budget) < 1:
+        assert captured.err == f"error: --up-limit must be at least 1, not {budget}\n"
+    else:
+        assert captured.err == (f"error: vec_add passed after 3 attempts, "
+                                f"more than the budget {budget}\n")
 
 
 def test_report_empty_dir_is_usage_error(tmp_path, capsys):
@@ -566,11 +630,25 @@ def test_config_file_problems_are_reported_in_file_order(tmp_path, capsys):
     assert 'line 4: expected key = "value"' in capsys.readouterr().err
 
 
-def test_config_file_bad_value_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("temperature", "hot"),
+    ("pressure_mode", "phys"),
+    ("no_exec", "on"),
+    ("include_failed", "maybe"),
+], ids=["temperature", "pressure_mode", "no_exec", "include_failed"])
+def test_config_file_bad_value_is_a_usage_error(tmp_path, capsys, key, value):
     cfg_file = tmp_path / "run.conf"
-    cfg_file.write_text('temperature = "hot"\n')
+    cfg_file.write_text(f'{key} = "{value}"\n')
     assert main(["translate", "--no-exec", "--config", str(cfg_file)]) == 1
-    assert "bad value for temperature" in capsys.readouterr().err
+    assert f"bad value for {key}" in capsys.readouterr().err
+
+
+def test_config_file_booleans_read_false_in_any_case(tmp_path):
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text('include_failed = "0"\nno_exec = "No"\nkeep_scratch = "FALSE"\n')
+    assert load_config_file(cfg_file) == {
+        "include_failed": False, "no_exec": False, "keep_scratch": False,
+    }
 
 
 _TRISTATE_FIELDS = [

@@ -148,6 +148,13 @@ def test_validate_requires_signature_in_source(tmp_path):
     (manifest,) = load_corpus(tmp_path).manifests
     with pytest.raises(CorpusError, match="other_name"):
         validate_case(manifest)
+    # A blank source cannot hold the signature, so it never reaches a prompt.
+    blank_root = tmp_path / "blank"
+    blank_root.mkdir()
+    write_case(blank_root, "blank", source="   \n")
+    (manifest,) = load_corpus(blank_root).manifests
+    with pytest.raises(CorpusError, match="signature not found in source"):
+        validate_case(manifest)
 
 
 def test_validate_never_mutates_files(tmp_path):

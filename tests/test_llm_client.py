@@ -67,11 +67,13 @@ def test_replay_from_file_forms(tmp_path):
     keyed_file.write_text(json.dumps({"case": ["r1"]}))
     assert ReplayClient.from_file(keyed_file).per_case
 
-    wrapped = tmp_path / "wrapped.json"
-    wrapped.write_text(json.dumps({"responses": ["r1", "r2"]}))
-    client = ReplayClient.from_file(wrapped)
-    assert not client.per_case
-    assert client.complete(MSGS) == "r1"
+    # A case may be called "responses": its entry is one sequence among the others.
+    responses_case = tmp_path / "responses_case.json"
+    responses_case.write_text(json.dumps({"responses": ["a"], "vec_add": ["b"]}))
+    client = ReplayClient.from_file(responses_case)
+    assert client.per_case
+    assert client.session("vec_add").complete(MSGS) == "b"
+    assert client.session("responses").complete(MSGS) == "a"
 
     bad = tmp_path / "bad.json"
     bad.write_text("not json")

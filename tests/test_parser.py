@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_NESTING
 from oracles import print_function
 from vecport.errors import AnalysisError, ParseError
 from vecport.parser import parse_function, signature_name, tokenize, validate_signature
@@ -326,6 +327,18 @@ def test_switch_rejected():
 def test_unbalanced_braces_rejected():
     with pytest.raises(ParseError, match=r"^unbalanced braces \(line 1\)$"):
         parse_function("void f(void) { if (1) {", "void f(void)")
+
+
+@pytest.mark.parametrize("shape", DEEP_NESTING)
+def test_nesting_too_deep_is_a_parse_error(shape):
+    src = f"void f(int n) {{ {DEEP_NESTING[shape](600)} }}"
+    with pytest.raises(ParseError, match=r"^nesting too deep$"):
+        parse_function(src, "f")
+
+
+def test_300_deep_blocks_still_parse():
+    ir = parse_function(f"void f(int n) {{ {DEEP_NESTING['blocks'](300)} }}", "f")
+    assert [s.text for s in ir.stmts] == ["n = 1"]
 
 
 def test_straight_line_is_one_block_plus_exit():

@@ -284,7 +284,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    ir = parse_function(Path(args.file).read_text(), args.function)
+    try:
+        source = Path(args.file).read_text()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{args.file}: {exc}") from exc
+    ir = parse_function(source, args.function)
     report = compute_pressure(ir, solve_liveness(ir), args.mode)
     if args.dump_ir:
         print(dump_ir(ir))

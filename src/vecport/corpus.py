@@ -69,9 +69,14 @@ class CorpusListing:
 def read_key_values(path: Path | str, error: type[Exception]) -> Iterator[tuple[str, str]]:
     """``(key, value)`` for each ``key = "value"`` line of ``path``, in file order.
 
-    Blank lines and ``#`` comments are skipped; any other line raises ``error``.
+    Blank lines and ``#`` comments are skipped; any other line, or text that is
+    not UTF-8, raises ``error``.
     """
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -168,8 +173,10 @@ def validate_case(manifest: CaseManifest) -> ValidatedCase:
     ):
         try:
             texts[label] = path.read_text()
-        except OSError as exc:
-            raise CorpusError(f"{manifest.case_id}: cannot read {label} file: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CorpusError(
+                f"{manifest.case_id}: cannot read {label} file {path}: {exc}"
+            ) from exc
 
     warnings = []
     if not _signature_present(texts["source"], manifest.function_signature):

@@ -67,7 +67,7 @@ class ReplayClient:
         path = Path(path)
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot load replay file {path}: {exc}") from exc
         if isinstance(data, list):
             if not all(isinstance(x, str) for x in data):

@@ -44,14 +44,18 @@ class OutcomeSummary:
     def from_record(cls, record) -> "OutcomeSummary":
         """The summary of one ``outcomes/<case>.json`` record.
 
-        A record that is not an object, or a field of the wrong type, raises
-        ValueError; ``final_speedup`` may be absent.
+        A record that is not an object, a field of the wrong type, or an
+        ``attempts_used`` below 1 raises ValueError; ``final_speedup`` may be
+        absent.
         """
         if not isinstance(record, dict):
             raise ValueError(f"expected a JSON object, got {type(record).__name__}")
         for name, types in _RECORD_TYPES:
             value = record.get(name)
-            if not isinstance(value, types) or (types is int and isinstance(value, bool)):
+            # attempts_used, the one int field, counts attempts from 1.
+            if not isinstance(value, types) or (
+                types is int and (isinstance(value, bool) or value < 1)
+            ):
                 raise ValueError(f"bad {name}: {value!r}")
         speedup = record.get("final_speedup")
         return cls(

@@ -15,18 +15,17 @@ balance is rejected with its line, and each opener's ``span`` leads to its
 closer, so later scans step over whole groups. Parameters are read by the
 same declaration reader as body statements.
 
-The parser builds a structure tree that ``build_cfg`` lays out into basic
-blocks. A ``BlockNode`` holds items of four kinds:
-
-- a ``RawStmt``: a simple statement or a ``return`` (``kind == "return"``);
-- a ``JumpNode``: ``break`` or ``continue``;
-- a nested ``BlockNode``;
-- an ``IfNode``, a ``DoWhileNode`` or a ``ForNode``.
-
-A ``while`` loop is stored as a ``ForNode`` with no init and no step.
-Statement-level successor edges are derived from the block graph once per
-IR, as ``FunctionIr.successors``; they list statements only, so a statement
-that leaves the function has no successor.
+The body parser builds no statement tree: it emits each statement into its
+basic block as it reads it, and wires each construct's edges as its parts
+arrive. A ``for`` step is read before the loop body but emitted after it,
+and a ``while`` loop is a ``for`` with no init and no step. ``build_cfg``
+then prunes unreachable and empty pass-through blocks and numbers blocks and
+statements in layout order. Names are resolved last, in ``_finalize_stmts``:
+the symbol table is function-wide, so whether a name is a vector is known
+only once the whole body has been read. Statement-level successor edges are
+derived from the block graph once per IR, as ``FunctionIr.successors``; they
+list statements only, so a statement that leaves the function has no
+successor.
 
 Scalar and pointer-typed values are invisible to the analysis: use/def sets
 contain only names with a vector type in the function's symbol table, so a
@@ -36,7 +35,7 @@ contain only names with a vector type in the function's symbol table, so a
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from .errors import AnalysisError, ParseError
@@ -206,12 +205,11 @@ class Cfg:
         return self.succs.get(block_id, ())
 
 
-# ---------------------------------------------------------------------------
-# Structure tree (the parser's view of nesting; the CFG builder consumes it).
-
-
 @dataclass
 class RawStmt:
+    """A statement as parsed; ``_finalize_stmts`` resolves its names once the
+    whole body has been read."""
+
     kind: str
     text: str
     line: int
@@ -220,41 +218,7 @@ class RawStmt:
     decl_names: set[str] = field(default_factory=set)  # vector names declared here
     decl_defs: set[str] = field(default_factory=set)   # subset with an initializer
     lhs_name: str | None = None
-    stmt_id: int | None = None  # assigned during CFG construction
-
-
-@dataclass
-class JumpNode:
-    kind: str  # break | continue
-    line: int
-
-
-@dataclass
-class BlockNode:
-    items: list = field(default_factory=list)  # RawStmt, JumpNode or a nested node
-
-
-@dataclass
-class IfNode:
-    cond: RawStmt
-    then: BlockNode
-    orelse: BlockNode | None
-
-
-@dataclass
-class DoWhileNode:
-    body: BlockNode
-    cond: RawStmt
-
-
-@dataclass
-class ForNode:
-    """A ``for`` loop; a ``while`` loop is one with no init and no step."""
-
-    init: RawStmt | None
-    cond: RawStmt | None
-    step: RawStmt | None
-    body: BlockNode
+    stmt_id: int | None = None  # assigned by build_cfg
 
 
 @dataclass
@@ -264,7 +228,6 @@ class FunctionIr:
     symbol_table: dict[str, VectorType]
     stmts: list[Stmt]
     cfg: Cfg
-    structure: BlockNode | None = None
 
     def stmt(self, stmt_id: int) -> Stmt:
         return self.stmts[stmt_id]
@@ -442,14 +405,34 @@ def _read_expr_stmt(tokens: list[Token], stmt: RawStmt) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Function-body parsing.
+# Function-body parsing, straight into basic blocks.
 
 
 class _BodyParser:
+    """Reads a function body and lays each statement into a basic block as it goes.
+
+    This is syntax-directed translation with backpatching (Aho et al.,
+    *Compilers*, 2nd ed., §6.6–6.7): a construct's blocks and edges are made
+    as its parts are read, and each open loop keeps its break and continue
+    sources until its join and back-edge targets exist. Blocks are numbered
+    in layout order. ``current`` is the block that takes the next statement;
+    after a jump or a return it is None, and a statement that follows opens
+    an unreachable block, which ``build_cfg`` prunes.
+
+    Each nesting level costs two Python frames (``parse_statement`` and
+    ``parse_block`` or ``_parse_body``), so nesting too deep for the
+    recursion limit surfaces as a RecursionError.
+    """
+
     def __init__(self, tokens: list[Token], symbols: dict[str, VectorType]):
         self.toks = tokens
         self.pos = 0
         self.symbols = symbols
+        self.block_stmts: dict[int, list[RawStmt]] = {}
+        self.succs: dict[int, list[int]] = {}
+        self.current: int | None = None
+        self.loop_stack: list[dict[str, list[int]]] = []  # break/continue sources
+        self.return_sources: list[int] = []
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -483,109 +466,19 @@ class _BodyParser:
             if text in _CLOSERS:
                 raise ParseError(f"expected {stop!r} before {text!r}", line=toks[i].line)
 
-    def parse_block(self) -> BlockNode:
-        self.expect("{")
-        node = BlockNode()
-        while self.peek().text != "}":
-            item = self.parse_statement()
-            if item is not None:
-                node.items.append(item)
-        self.expect("}")
-        return node
-
-    def _parse_body(self) -> BlockNode:
-        """A loop or branch body: a block, or one statement as a block."""
-        item = self.parse_statement()
-        if isinstance(item, BlockNode):
-            return item
-        return BlockNode([] if item is None else [item])
-
-    def _parse_cond(self, keyword: str) -> RawStmt:
-        """``keyword ( cond )``; the condition is placed at the keyword."""
-        tok = self.expect(keyword)
-        self.expect("(")
-        return _cond_stmt(self._collect_until(")"), tok)
-
-    def parse_statement(self):
-        tok = self.peek()
-        if tok.text in ("goto", "switch"):
-            raise ParseError(f"unsupported construct: {tok.text}", line=tok.line)
-        if tok.text in ("case", "default"):
-            raise ParseError(f"unsupported construct: {tok.text} label", line=tok.line)
-        # An identifier is never the body's last token, its '}', so one follows.
-        if tok.kind == "id" and tok.text not in _KEYWORDS and self.toks[self.pos + 1].text == ":":
-            raise ParseError(f"unsupported construct: label '{tok.text}'", line=tok.line)
-
-        if tok.text == "{":
-            return self.parse_block()
-        if tok.text == ";":
-            self.advance()
-            return None
-        if tok.text == "if":
-            cond = self._parse_cond("if")
-            then = self._parse_body()
-            orelse = None
-            if self.peek().text == "else":
-                self.advance()
-                orelse = self._parse_body()
-            return IfNode(cond, then, orelse)
-        if tok.text == "while":
-            cond = self._parse_cond("while")
-            return ForNode(None, cond, None, self._parse_body())
-        if tok.text == "do":
-            self.advance()
-            body = self._parse_body()
-            cond = self._parse_cond("while")
-            self.expect(";")
-            return DoWhileNode(body, cond)
-        if tok.text == "for":
-            return self._parse_for()
-        if tok.text == "return":
-            self.advance()
-            expr = self._collect_until(";")
-            text = "return " + _render_tokens(expr) if expr else "return"
-            return RawStmt("return", text, tok.line, tok.col, _identifier_candidates(expr))
-        if tok.text in ("break", "continue"):
-            self.advance()
-            self.expect(";")
-            return JumpNode(tok.text, tok.line)
-        return _parse_simple(self._collect_until(";"), self.symbols)
-
-    def _parse_for(self) -> ForNode:
-        tok = self.expect("for")
-        self.expect("(")
-        init = self._collect_until(";")
-        init = _parse_simple(init, self.symbols) if init else None
-        cond = self._collect_until(";")
-        cond = _cond_stmt(cond, tok) if cond else None
-        step = self._collect_until(")")
-        step = _parse_simple(step, self.symbols) if step else None
-        return ForNode(init, cond, step, self._parse_body())
-
-
-# ---------------------------------------------------------------------------
-# CFG construction.
-
-class _CfgBuilder:
-    def __init__(self):
-        self.block_stmts: dict[int, list[RawStmt]] = {}
-        self.succs: dict[int, list[int]] = {}
-        self.next_block = 0
-        self.current: int | None = None
-        self.loop_stack: list[dict[str, list[int]]] = []  # break/continue sources
-
-    def new_block(self) -> int:
-        bid = self.next_block
-        self.next_block += 1
+    def new_block(self, *sources: int | None) -> int:
+        """A new block, entered from each source that is still reachable."""
+        bid = len(self.succs)
         self.block_stmts[bid] = []
         self.succs[bid] = []
+        self.link(sources, bid)
         return bid
 
     def edge(self, a: int, b: int) -> None:
         if b not in self.succs[a]:
             self.succs[a].append(b)
 
-    def link(self, sources: list[int | None], target: int) -> None:
+    def link(self, sources: Iterable[int | None], target: int) -> None:
         """Edges into ``target`` from each source that is still reachable."""
         for src in sources:
             if src is not None:
@@ -599,92 +492,123 @@ class _CfgBuilder:
     def emit(self, stmt: RawStmt) -> None:
         self.block_stmts[self.ensure_current()].append(stmt)
 
-    def walk(self, node) -> None:
-        if isinstance(node, RawStmt):
-            self.emit(node)
-            if node.kind == "return":
-                self.return_sources.append(self.current)
-                self.current = None
-        elif isinstance(node, BlockNode):
-            for item in node.items:
-                self.walk(item)
-        elif isinstance(node, JumpNode):
-            if not self.loop_stack:
-                raise ParseError(f"{node.kind} outside a loop", line=node.line)
-            self.loop_stack[-1][node.kind].append(self.ensure_current())
-            self.current = None
-        elif isinstance(node, IfNode):
-            self.emit(node.cond)
+    def parse_function_body(self) -> tuple[dict[int, list[int]],
+                                           dict[int, list[RawStmt]], int, int]:
+        """The function body's blocks and edges, its entry and its exit, which comes last."""
+        entry = self.current = self.new_block()
+        self.parse_block()
+        exit_block = self.new_block(self.current, *self.return_sources)
+        return self.succs, self.block_stmts, entry, exit_block
+
+    def parse_block(self) -> None:
+        self.expect("{")
+        while self.peek().text != "}":
+            self.parse_statement()
+        self.expect("}")
+
+    def _parse_body(self, entry: int, loop: dict[str, list[int]] | None = None) -> int | None:
+        """One statement, a branch's or a loop's body, laid out from ``entry``.
+
+        Returns the block the body ends in, None if it ends in a jump. A loop
+        body's break and continue sources are collected in ``loop``.
+        """
+        if loop is not None:
+            self.loop_stack.append(loop)
+        self.current = entry
+        self.parse_statement()
+        if loop is not None:
+            self.loop_stack.pop()
+        return self.current
+
+    def _parse_cond(self, keyword: str) -> RawStmt:
+        """``keyword ( cond )``; the condition is placed at the keyword."""
+        tok = self.expect(keyword)
+        self.expect("(")
+        return _cond_stmt(self._collect_until(")"), tok)
+
+    def _parse_loop_head(self, tok: Token) -> tuple[RawStmt | None, RawStmt | None]:
+        """A loop's condition and step; a ``for`` init is emitted here, before the loop.
+
+        A ``while`` loop is a ``for`` loop with no init and no step.
+        """
+        if tok.text == "while":
+            return self._parse_cond("while"), None
+        self.expect("for")
+        self.expect("(")
+        init = self._collect_until(";")
+        if init:
+            self.emit(_parse_simple(init, self.symbols))
+        cond = self._collect_until(";")
+        step = self._collect_until(")")
+        return (_cond_stmt(cond, tok) if cond else None,
+                _parse_simple(step, self.symbols) if step else None)
+
+    def parse_statement(self) -> None:
+        tok = self.peek()
+        if tok.text in ("goto", "switch"):
+            raise ParseError(f"unsupported construct: {tok.text}", line=tok.line)
+        if tok.text in ("case", "default"):
+            raise ParseError(f"unsupported construct: {tok.text} label", line=tok.line)
+        # An identifier is never the body's last token, its '}', so one follows.
+        if tok.kind == "id" and tok.text not in _KEYWORDS and self.toks[self.pos + 1].text == ":":
+            raise ParseError(f"unsupported construct: label '{tok.text}'", line=tok.line)
+
+        if tok.text == "{":
+            self.parse_block()
+        elif tok.text == ";":
+            self.advance()
+        elif tok.text == "if":
+            self.emit(self._parse_cond("if"))
             cond_block = self.current
-            # Without an else, a false condition goes straight to the join.
-            ends = [] if node.orelse is not None else [cond_block]
-            for branch in (node.then, node.orelse):
-                if branch is not None:
-                    self.current = self.new_block()
-                    self.edge(cond_block, self.current)
-                    self.walk(branch)
-                    ends.append(self.current)
-            self.current = self.new_block()
-            self.link(ends, self.current)
-        elif isinstance(node, DoWhileNode):
-            pre = self.ensure_current()
-            body_entry = self.new_block()
-            self.edge(pre, body_entry)
-            jumps = {"break": [], "continue": []}
-            self.loop_stack.append(jumps)
-            self.current = body_entry
-            self.walk(node.body)
-            self.loop_stack.pop()
-            cond_block = self.new_block()
-            self.link([self.current, *jumps["continue"]], cond_block)
-            self.current = cond_block
-            self.emit(node.cond)
-            self.edge(cond_block, body_entry)
-            self.current = self.new_block()
-            self.link([cond_block, *jumps["break"]], self.current)
-        elif isinstance(node, ForNode):
-            self.ensure_current()
-            if node.init is not None:
-                self.emit(node.init)
-            header = self.new_block()
-            self.edge(self.current, header)
-            self.current = header
-            if node.cond is not None:
-                self.emit(node.cond)
-            jumps = {"break": [], "continue": []}
-            self.loop_stack.append(jumps)
-            self.current = self.new_block()
-            self.edge(header, self.current)
-            self.walk(node.body)
-            self.loop_stack.pop()
-            back = [self.current, *jumps["continue"]]
-            if node.step is None:
-                self.link(back, header)
+            ends = [self._parse_body(self.new_block(cond_block))]
+            if self.peek().text == "else":
+                self.advance()
+                ends.append(self._parse_body(self.new_block(cond_block)))
             else:
-                self.current = self.new_block()
-                self.link(back, self.current)
-                self.emit(node.step)
+                ends.append(cond_block)  # a false condition goes straight to the join
+            self.current = self.new_block(*ends)
+        elif tok.text in ("for", "while"):
+            cond, step = self._parse_loop_head(tok)
+            header = self.current = self.new_block(self.ensure_current())
+            if cond is not None:
+                self.emit(cond)
+            jumps = {"break": [], "continue": []}
+            end = self._parse_body(self.new_block(header), jumps)
+            if step is None:
+                self.link([end, *jumps["continue"]], header)
+            else:
+                self.current = self.new_block(end, *jumps["continue"])
+                self.emit(step)
                 self.edge(self.current, header)
             # Taken even with an empty condition: liveness may-analysis only
             # gains safety from a conservative loop-exit edge.
-            self.current = self.new_block()
-            self.link([header, *jumps["break"]], self.current)
+            self.current = self.new_block(header, *jumps["break"])
+        elif tok.text == "do":
+            self.advance()
+            body = self.new_block(self.ensure_current())
+            jumps = {"break": [], "continue": []}
+            end = self._parse_body(body, jumps)
+            cond_block = self.current = self.new_block(end, *jumps["continue"])
+            self.emit(self._parse_cond("while"))
+            self.expect(";")
+            self.edge(cond_block, body)
+            self.current = self.new_block(cond_block, *jumps["break"])
+        elif tok.text == "return":
+            self.advance()
+            expr = self._collect_until(";")
+            text = "return " + _render_tokens(expr) if expr else "return"
+            self.emit(RawStmt("return", text, tok.line, tok.col, _identifier_candidates(expr)))
+            self.return_sources.append(self.current)
+            self.current = None
+        elif tok.text in ("break", "continue"):
+            self.advance()
+            self.expect(";")
+            if not self.loop_stack:
+                raise ParseError(f"{tok.text} outside a loop", line=tok.line)
+            self.loop_stack[-1][tok.text].append(self.ensure_current())
+            self.current = None
         else:
-            raise AssertionError(f"unknown structure node {node!r}")
-
-    def build(self, structure: BlockNode) -> tuple[dict[int, list[int]],
-                                                   dict[int, list[RawStmt]], int, int]:
-        """Blocks numbered in layout order; the exit block comes last."""
-        self.return_sources: list[int] = []
-        entry = self.new_block()
-        self.current = entry
-        self.walk(structure)
-        exit_block = self.new_block()
-        if self.current is not None:
-            self.edge(self.current, exit_block)
-        for src in self.return_sources:
-            self.edge(src, exit_block)
-        return self.succs, self.block_stmts, entry, exit_block
+            self.emit(_parse_simple(self._collect_until(";"), self.symbols))
 
 
 def _prune_and_simplify(succs, block_stmts, entry, exit_block):
@@ -726,15 +650,14 @@ def _prune_and_simplify(succs, block_stmts, entry, exit_block):
     return order, succs, entry
 
 
-def build_cfg(structure: BlockNode) -> tuple[Cfg, list[RawStmt]]:
-    """Lay out a parsed statement tree into basic blocks.
+def build_cfg(succs: dict[int, list[int]], block_stmts: dict[int, list[RawStmt]],
+              entry: int, exit_block: int) -> tuple[Cfg, list[RawStmt]]:
+    """The simplified graph of a laid-out body, and its statements in layout order.
 
-    Assigns dense statement ids in layout order (a for-loop's step lands after
-    its body, everything else follows source order) and returns the simplified
-    graph plus the ordered statements.
+    Unreachable and empty pass-through blocks are dropped, and blocks and
+    statements are numbered densely in layout order: a for-loop's step lands
+    after its body, everything else follows source order.
     """
-    builder = _CfgBuilder()
-    succs, block_stmts, entry, exit_block = builder.build(structure)
     order, succs, entry = _prune_and_simplify(succs, block_stmts, entry, exit_block)
 
     ordered_stmts: list[RawStmt] = []
@@ -860,20 +783,12 @@ def parse_function(source: str, signature: str) -> FunctionIr:
 
     body_close = body_open + tokens[body_open].span
     try:
-        structure = _BodyParser(tokens[body_open:body_close + 1], symbols).parse_block()
-        cfg, raw_stmts = build_cfg(structure)
+        body = _BodyParser(tokens[body_open:body_close + 1], symbols).parse_function_body()
     except RecursionError:
         raise ParseError("nesting too deep") from None
+    cfg, raw_stmts = build_cfg(*body)
     stmts = _finalize_stmts(raw_stmts, symbols, vector_params)
-    ir = FunctionIr(
-        name=name,
-        signature=sig_text,
-        symbol_table=symbols,
-        stmts=stmts,
-        cfg=cfg,
-        structure=structure,
-    )
-    return ir
+    return FunctionIr(name=name, signature=sig_text, symbol_table=symbols, stmts=stmts, cfg=cfg)
 
 
 _NO_SPACE_AFTER = {"(", "[", ".", "->", "!", "~", "++", "--"}

@@ -57,7 +57,6 @@ def make_ir(
         symbol_table=table,
         stmts=stmts,
         cfg=cfg,
-        structure=None,
     )
 
 
@@ -107,6 +106,9 @@ DEEP_NESTING = {
     "blocks": lambda depth: "{" * depth + "n = 1;" + "}" * depth,
     "if_chain": lambda depth: "if (n) " * depth + "n = 1;",
     "for_chain": lambda depth: "for (;;) " * depth + "n = 1;",
+    "while_chain": lambda depth: "while (n) " * depth + "n = 1;",
+    "do_chain": lambda depth: "do " * depth + "n = 1;" + " while (n);" * depth,
+    "else_chain": lambda depth: "if (n) n = 1; else " * depth + "n = 1;",
 }
 
 

@@ -2,30 +2,54 @@
 
 ``oracle_liveness`` answers the liveness question by brute-force path
 enumeration, independently of ``vecport.liveness.solve_liveness``, so the
-property tests can cross-check the solver. ``print_function`` emits C from a
-parsed statement tree, so the parser tests can check that structure and
-use/def sets survive a round trip.
+property tests can cross-check the solver.
 
-A ``while`` loop is stored as a ``ForNode`` with no init and no step, so
-``print_function`` prints every ``ForNode`` that has a condition but neither
-init nor step as ``while (cond)``; ``for (;;)`` stays a ``for``.
+``reference_parse`` is the two-pass front end that ``vecport.parser``
+replaced with a one-pass one: ``TreeParser`` reads a function body into a
+statement tree, and ``_CfgBuilder`` walks that tree into basic blocks. Both
+are kept here unchanged in behaviour, so the differential tests can check
+that the one-pass parser gives the same IR and the same errors. The
+reference shares the lexer, the statement reader, the pruning and
+renumbering of ``build_cfg`` and the late name resolution with the pipeline;
+it differs in how statements reach their blocks. One difference is by
+design: the reference reports a ``break`` or ``continue`` outside a loop
+only after the whole body has parsed, while the one-pass parser reports it
+where it stands, so with two errors in a body the two may name different
+ones.
+
+``print_function`` emits C from the reference tree, so the parser tests can
+check that structure and use/def sets survive a round trip. A ``while`` loop
+is stored as a ``ForNode`` with no init and no step, so ``print_function``
+prints every ``ForNode`` that has a condition but neither init nor step as
+``while (cond)``; ``for (;;)`` stays a ``for``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 
-from vecport.errors import AnalysisError
+from vecport.errors import AnalysisError, ParseError
 from vecport.liveness import LivenessResult
 from vecport.parser import (
-    BlockNode,
-    DoWhileNode,
-    ForNode,
     FunctionIr,
-    IfNode,
-    JumpNode,
     RawStmt,
+    Token,
+    _CLOSERS,
+    _KEYWORDS,
+    _cond_stmt,
+    _find_function,
+    _finalize_stmts,
+    _identifier_candidates,
+    _parse_params,
+    _parse_simple,
+    _render_tokens,
+    _top_level,
+    build_cfg,
+    signature_name,
+    tokenize,
 )
+from vecport.rvv_types import VectorType
 
 
 class PathExplosionError(AnalysisError):
@@ -98,12 +122,319 @@ def oracle_liveness(
     return LivenessResult(entry_live, live_out)
 
 
-def print_function(ir: FunctionIr) -> str:
-    """Emit re-parseable C for the IR; structure and use/def sets survive a round trip."""
-    if ir.structure is None:
-        raise ValueError("IR was built synthetically; no statement tree to print")
+# ---------------------------------------------------------------------------
+# The reference front end: a statement tree, then its layout into blocks.
+
+
+@dataclass
+class JumpNode:
+    kind: str  # break | continue
+    line: int
+
+
+@dataclass
+class BlockNode:
+    items: list = field(default_factory=list)  # RawStmt, JumpNode or a nested node
+
+
+@dataclass
+class IfNode:
+    cond: RawStmt
+    then: BlockNode
+    orelse: BlockNode | None
+
+
+@dataclass
+class DoWhileNode:
+    body: BlockNode
+    cond: RawStmt
+
+
+@dataclass
+class ForNode:
+    """A ``for`` loop; a ``while`` loop is one with no init and no step."""
+
+    init: RawStmt | None
+    cond: RawStmt | None
+    step: RawStmt | None
+    body: BlockNode
+
+
+class TreeParser:
+    """Reads a function body into a statement tree; the reference body parser."""
+
+    def __init__(self, tokens: list[Token], symbols: dict[str, VectorType]):
+        self.toks = tokens
+        self.pos = 0
+        self.symbols = symbols
+
+    def peek(self) -> Token:
+        return self.toks[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> Token:
+        tok = self.peek()
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}", line=tok.line)
+        return self.advance()
+
+    def _collect_until(self, stop: str) -> list[Token]:
+        """Tokens up to an unnested ``stop``; consumes the stop token.
+
+        Braces nest too: mid-statement they can only be initializer lists or
+        compound literals, never block structure. The closer of the block
+        being parsed is always reached at top level, so the walk ends there
+        if not before.
+        """
+        toks = self.toks
+        start = self.pos
+        for i in _top_level(toks, start):
+            text = toks[i].text
+            if text == stop:
+                self.pos = i + 1
+                return toks[start:i]
+            if text in _CLOSERS:
+                raise ParseError(f"expected {stop!r} before {text!r}", line=toks[i].line)
+
+    def parse_block(self) -> BlockNode:
+        self.expect("{")
+        node = BlockNode()
+        while self.peek().text != "}":
+            item = self.parse_statement()
+            if item is not None:
+                node.items.append(item)
+        self.expect("}")
+        return node
+
+    def _parse_body(self) -> BlockNode:
+        """A loop or branch body: a block, or one statement as a block."""
+        item = self.parse_statement()
+        if isinstance(item, BlockNode):
+            return item
+        return BlockNode([] if item is None else [item])
+
+    def _parse_cond(self, keyword: str) -> RawStmt:
+        """``keyword ( cond )``; the condition is placed at the keyword."""
+        tok = self.expect(keyword)
+        self.expect("(")
+        return _cond_stmt(self._collect_until(")"), tok)
+
+    def parse_statement(self):
+        tok = self.peek()
+        if tok.text in ("goto", "switch"):
+            raise ParseError(f"unsupported construct: {tok.text}", line=tok.line)
+        if tok.text in ("case", "default"):
+            raise ParseError(f"unsupported construct: {tok.text} label", line=tok.line)
+        # An identifier is never the body's last token, its '}', so one follows.
+        if tok.kind == "id" and tok.text not in _KEYWORDS and self.toks[self.pos + 1].text == ":":
+            raise ParseError(f"unsupported construct: label '{tok.text}'", line=tok.line)
+
+        if tok.text == "{":
+            return self.parse_block()
+        if tok.text == ";":
+            self.advance()
+            return None
+        if tok.text == "if":
+            cond = self._parse_cond("if")
+            then = self._parse_body()
+            orelse = None
+            if self.peek().text == "else":
+                self.advance()
+                orelse = self._parse_body()
+            return IfNode(cond, then, orelse)
+        if tok.text == "while":
+            cond = self._parse_cond("while")
+            return ForNode(None, cond, None, self._parse_body())
+        if tok.text == "do":
+            self.advance()
+            body = self._parse_body()
+            cond = self._parse_cond("while")
+            self.expect(";")
+            return DoWhileNode(body, cond)
+        if tok.text == "for":
+            return self._parse_for()
+        if tok.text == "return":
+            self.advance()
+            expr = self._collect_until(";")
+            text = "return " + _render_tokens(expr) if expr else "return"
+            return RawStmt("return", text, tok.line, tok.col, _identifier_candidates(expr))
+        if tok.text in ("break", "continue"):
+            self.advance()
+            self.expect(";")
+            return JumpNode(tok.text, tok.line)
+        return _parse_simple(self._collect_until(";"), self.symbols)
+
+    def _parse_for(self) -> ForNode:
+        tok = self.expect("for")
+        self.expect("(")
+        init = self._collect_until(";")
+        init = _parse_simple(init, self.symbols) if init else None
+        cond = self._collect_until(";")
+        cond = _cond_stmt(cond, tok) if cond else None
+        step = self._collect_until(")")
+        step = _parse_simple(step, self.symbols) if step else None
+        return ForNode(init, cond, step, self._parse_body())
+
+
+class _CfgBuilder:
+    """Lays a statement tree out into basic blocks, as ``build_cfg`` expects them."""
+
+    def __init__(self):
+        self.block_stmts: dict[int, list[RawStmt]] = {}
+        self.succs: dict[int, list[int]] = {}
+        self.next_block = 0
+        self.current: int | None = None
+        self.loop_stack: list[dict[str, list[int]]] = []  # break/continue sources
+
+    def new_block(self) -> int:
+        bid = self.next_block
+        self.next_block += 1
+        self.block_stmts[bid] = []
+        self.succs[bid] = []
+        return bid
+
+    def edge(self, a: int, b: int) -> None:
+        if b not in self.succs[a]:
+            self.succs[a].append(b)
+
+    def link(self, sources: list[int | None], target: int) -> None:
+        """Edges into ``target`` from each source that is still reachable."""
+        for src in sources:
+            if src is not None:
+                self.edge(src, target)
+
+    def ensure_current(self) -> int:
+        if self.current is None:
+            self.current = self.new_block()  # unreachable; pruned later
+        return self.current
+
+    def emit(self, stmt: RawStmt) -> None:
+        self.block_stmts[self.ensure_current()].append(stmt)
+
+    def walk(self, node) -> None:
+        if isinstance(node, RawStmt):
+            self.emit(node)
+            if node.kind == "return":
+                self.return_sources.append(self.current)
+                self.current = None
+        elif isinstance(node, BlockNode):
+            for item in node.items:
+                self.walk(item)
+        elif isinstance(node, JumpNode):
+            if not self.loop_stack:
+                raise ParseError(f"{node.kind} outside a loop", line=node.line)
+            self.loop_stack[-1][node.kind].append(self.ensure_current())
+            self.current = None
+        elif isinstance(node, IfNode):
+            self.emit(node.cond)
+            cond_block = self.current
+            # Without an else, a false condition goes straight to the join.
+            ends = [] if node.orelse is not None else [cond_block]
+            for branch in (node.then, node.orelse):
+                if branch is not None:
+                    self.current = self.new_block()
+                    self.edge(cond_block, self.current)
+                    self.walk(branch)
+                    ends.append(self.current)
+            self.current = self.new_block()
+            self.link(ends, self.current)
+        elif isinstance(node, DoWhileNode):
+            pre = self.ensure_current()
+            body_entry = self.new_block()
+            self.edge(pre, body_entry)
+            jumps = {"break": [], "continue": []}
+            self.loop_stack.append(jumps)
+            self.current = body_entry
+            self.walk(node.body)
+            self.loop_stack.pop()
+            cond_block = self.new_block()
+            self.link([self.current, *jumps["continue"]], cond_block)
+            self.current = cond_block
+            self.emit(node.cond)
+            self.edge(cond_block, body_entry)
+            self.current = self.new_block()
+            self.link([cond_block, *jumps["break"]], self.current)
+        elif isinstance(node, ForNode):
+            self.ensure_current()
+            if node.init is not None:
+                self.emit(node.init)
+            header = self.new_block()
+            self.edge(self.current, header)
+            self.current = header
+            if node.cond is not None:
+                self.emit(node.cond)
+            jumps = {"break": [], "continue": []}
+            self.loop_stack.append(jumps)
+            self.current = self.new_block()
+            self.edge(header, self.current)
+            self.walk(node.body)
+            self.loop_stack.pop()
+            back = [self.current, *jumps["continue"]]
+            if node.step is None:
+                self.link(back, header)
+            else:
+                self.current = self.new_block()
+                self.link(back, self.current)
+                self.emit(node.step)
+                self.edge(self.current, header)
+            # Taken even with an empty condition: liveness may-analysis only
+            # gains safety from a conservative loop-exit edge.
+            self.current = self.new_block()
+            self.link([header, *jumps["break"]], self.current)
+        else:
+            raise AssertionError(f"unknown structure node {node!r}")
+
+    def build(self, structure: BlockNode) -> tuple[dict[int, list[int]],
+                                                   dict[int, list[RawStmt]], int, int]:
+        """Blocks numbered in layout order; the exit block comes last."""
+        self.return_sources: list[int] = []
+        entry = self.new_block()
+        self.current = entry
+        self.walk(structure)
+        exit_block = self.new_block()
+        if self.current is not None:
+            self.edge(self.current, exit_block)
+        for src in self.return_sources:
+            self.edge(src, exit_block)
+        return self.succs, self.block_stmts, entry, exit_block
+
+
+def reference_parse(source: str, signature: str) -> tuple[FunctionIr, BlockNode]:
+    """``vecport.parser.parse_function`` by way of a statement tree; the IR and the tree."""
+    name = signature_name(signature)
+    tokens = tokenize(source)
+    sig_start, body_open, paren_open = _find_function(tokens, name)
+    symbols = _parse_params(tokens[paren_open + 1:body_open - 1])
+    vector_params = set(symbols)
+    body_close = body_open + tokens[body_open].span
+    try:
+        structure = TreeParser(tokens[body_open:body_close + 1], symbols).parse_block()
+        cfg, raw_stmts = build_cfg(*_CfgBuilder().build(structure))
+    except RecursionError:
+        raise ParseError("nesting too deep") from None
+    ir = FunctionIr(
+        name=name,
+        signature=_render_tokens(tokens[sig_start:body_open]),
+        symbol_table=symbols,
+        stmts=_finalize_stmts(raw_stmts, symbols, vector_params),
+        cfg=cfg,
+    )
+    return ir, structure
+
+
+def print_function(source: str, signature: str) -> str:
+    """Re-parseable C for the function: the reference tree, printed.
+
+    Structure and use/def sets survive a round trip; statements the layout
+    found unreachable are left out.
+    """
+    ir, structure = reference_parse(source, signature)
     lines = [f"{ir.signature} {{"]
-    _print_block(ir.structure, lines, 1)
+    _print_block(structure, lines, 1)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -205,7 +205,8 @@ def test_criterion_6_parser_round_trip_and_type_grammar():
     case = _vec_add_case()
     ir = parse_function(case.native_text, case.function_signature)
     assert len(ir.cfg.blocks) == 3
-    ir2 = parse_function(print_function(ir), case.function_signature)
+    ir2 = parse_function(print_function(case.native_text, case.function_signature),
+                         case.function_signature)
     assert len(ir2.cfg.blocks) == 3
     assert [(s.uses, s.defs) for s in ir.stmts] == [(s.uses, s.defs) for s in ir2.stmts]
 

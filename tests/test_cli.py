@@ -397,6 +397,33 @@ def test_analyze_scalar_file_reports_zero(tmp_path, capsys):
     assert "pressure: 0 of 32" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target", ["analyze", "config", "manifest", "case_file", "replay"])
+def test_non_utf8_input_file_is_a_clean_exit_1(tmp_path, capsys, target):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(bundled_corpus_dir() / "vec_add", corpus / "vec_add")
+    replay = write_replay(tmp_path, {"vec_add": [fenced(GOOD_RVV)]})
+    config = tmp_path / "run.cfg"
+    config.write_text('optimize_max = "1"\n')
+    kernel = tmp_path / "kernel.c"
+    kernel.write_text(GOOD_RVV)
+    bad = {
+        "analyze": kernel,
+        "config": config,
+        "manifest": corpus / "vec_add" / "manifest.txt",
+        "case_file": corpus / "vec_add" / "native.c",
+        "replay": replay,
+    }[target]
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    if target == "analyze":
+        argv = ["analyze", str(bad), "vec_add_s32"]
+    else:
+        argv = ["translate", "--no-exec", "--corpus", str(corpus), "--replay", str(replay),
+                "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "can't decode byte 0xff" in err
+
+
 def test_analyze_goto_file_names_the_line(tmp_path, capsys):
     f = tmp_path / "bad.c"
     f.write_text("void f(void) {\n    goto end;\nend:\n    return;\n}\n")
@@ -524,6 +551,7 @@ def test_report_skips_outcomes_of_the_wrong_shape(tmp_path, capsys):
     bad = {
         "za_list.json": "[]",
         "zb_attempts_str.json": '{"case_id": "zz", "passed": true, "attempts_used": "2"}',
+        "zc_attempts_zero.json": '{"case_id": "zz", "passed": true, "attempts_used": 0}',
     }
     for name, text in bad.items():
         (out / "outcomes" / name).write_text(text)

@@ -184,7 +184,8 @@ def test_outcome_summary_from_record_checks_field_types():
         {"case_id": "a", "passed": False, "attempts_used": 10}
     ) == outcome("a", passed=False, attempts=10)
     for bad in ([], {"case_id": 1}, {**record, "passed": 1}, {**record, "attempts_used": "2"},
-                {**record, "attempts_used": True}, {**record, "final_speedup": 1.3},
+                {**record, "attempts_used": True}, {**record, "attempts_used": 0},
+                {**record, "attempts_used": -1}, {**record, "final_speedup": 1.3},
                 {**record, "final_speedup": "fast"}):
         with pytest.raises(ValueError):
             OutcomeSummary.from_record(bad)

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEEP_NESTING
-from oracles import print_function
+from oracles import print_function, reference_parse
 from vecport.errors import AnalysisError, ParseError
-from vecport.parser import parse_function, signature_name, tokenize, validate_signature
+from vecport.parser import (
+    FunctionIr, parse_function, signature_name, tokenize, validate_signature,
+)
 
 VEC_ADD_SIG = "void vec_add_s32(const int32_t *a, const int32_t *b, int32_t *c, size_t n)"
 GOLDEN = Path(__file__).parent / "golden"
@@ -341,6 +343,12 @@ def test_300_deep_blocks_still_parse():
     assert [s.text for s in ir.stmts] == ["n = 1"]
 
 
+@pytest.mark.parametrize("shape", DEEP_NESTING)
+def test_300_deep_nests_parse_as_the_reference_does(shape):
+    source = f"void f(int n) {{ {DEEP_NESTING[shape](300)} }}"
+    assert isinstance(_assert_same_as_reference(source, "f"), FunctionIr)
+
+
 def test_straight_line_is_one_block_plus_exit():
     src = """
     #include <riscv_vector.h>
@@ -568,6 +576,7 @@ def test_unbalanced_parameter_list_names_its_line():
 
 @pytest.mark.parametrize("source, signature, error, message", [
     ("void f(void) {\n    break;\n}", "f", ParseError, "break outside a loop (line 2)"),
+    ("void f(void) { break; goto x; }", "f", ParseError, "break outside a loop (line 1)"),
     ("void f(int n) {\n    if (n)\n        continue;\n}", "f", ParseError,
      "continue outside a loop (line 3)"),
     ("void f(int x) {\n    x = 1;\n    case 1: x = 2;\n}", "f", ParseError,
@@ -666,18 +675,44 @@ def _structure_fingerprint(ir):
     )
 
 
+def _front_end(parse, source, signature):
+    """What a front end makes of ``source``: the IR, or the error's type and text."""
+    try:
+        return parse(source, signature)
+    except (ParseError, AnalysisError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_same_as_reference(source, signature):
+    """The one-pass IR equals the reference's (statements, use/def sets,
+    blocks, successors), or both raise the same error; returns the IR.
+
+    One difference is by design: a ``break`` or ``continue`` outside a loop
+    is reported where it stands, while the reference reports first any other
+    parse error later in the body.
+    """
+    got = _front_end(parse_function, source, signature)
+    want = _front_end(lambda src, sig: reference_parse(src, sig)[0], source, signature)
+    if got != want:
+        assert isinstance(got, tuple) and isinstance(want, tuple), (got, want)
+        jump = re.fullmatch(r"(?:break|continue) outside a loop \(line (\d+)\)", got[1])
+        later = re.search(r"\(line (\d+)\)$", want[1])
+        assert got[0] == want[0] == "ParseError" and jump and later, (got, want)
+        assert int(later[1]) >= int(jump[1]), (got, want)
+    return got
+
+
 def _assert_round_trip(source, signature):
+    """Same IR as the reference, and the printed reference tree parses back to it."""
+    _assert_same_as_reference(source, signature)
     ir = parse_function(source, signature)
-    ir2 = parse_function(print_function(ir), signature)
+    ir2 = parse_function(print_function(source, signature), signature)
     assert _structure_fingerprint(ir) == _structure_fingerprint(ir2)
 
 
 def test_pretty_print_round_trip_on_bundled_corpus(bundled_cases):
     for case in bundled_cases.values():
-        ir = parse_function(case.native_text, case.function_signature)
-        printed = print_function(ir)
-        ir2 = parse_function(printed, case.function_signature)
-        assert _structure_fingerprint(ir) == _structure_fingerprint(ir2), case.case_id
+        _assert_round_trip(case.native_text, case.function_signature)
 
 
 @pytest.mark.parametrize("name", ["constructs", "spills"])
@@ -719,7 +754,7 @@ def test_pretty_print_round_trip_on_bare_loops(loop):
     ("for (c = 0; c; ) break;", "for (c = 0; c; ) {"),
 ])
 def test_printed_loop_head(loop, head):
-    printed = print_function(parse_function(f"void f(int c) {{ {loop} }}", "f"))
+    printed = print_function(f"void f(int c) {{ {loop} }}", "f")
     assert printed.splitlines()[1] == f"    {head}"
 
 
@@ -743,3 +778,56 @@ def test_pretty_print_round_trip_with_all_loop_forms():
     }
     """
     _assert_round_trip(src, "f")
+
+
+# Statement fragments for generated bodies in a function whose parameters
+# declare ``a`` and ``c``: vector declarations (one with a conflicting type,
+# one of a name only the body declares), assignments and calls, scalar
+# statements and jumps.
+_SIMPLE_STATEMENTS = (
+    "vint32m1_t a = __riscv_vle32_v_i32m1(p, n);",
+    "vint32m1_t b;",
+    "vint32m2_t c = __riscv_vmv_v_x_i32m2(0, n);",
+    "vint32m2_t a;",
+    "a = __riscv_vadd_vv_i32m1(a, b, n);",
+    "b = a;",
+    "c = __riscv_vadd_vv_i32m2(c, c, n);",
+    "__riscv_vse32_v_i32m1(p, a, n);",
+    "n -= 1;",
+    "int k = n;",
+    "break;",
+    "continue;",
+    "return;",
+    "return n;",
+    ";",
+)
+_CONDITIONS = st.sampled_from(["n", "n > 1", "a"])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.lists(inner, max_size=4).map(lambda items: "{ " + " ".join(items) + " }"),
+        st.tuples(_CONDITIONS, inner).map(lambda t: f"if ({t[0]}) {t[1]}"),
+        st.tuples(_CONDITIONS, inner, inner).map(lambda t: f"if ({t[0]}) {t[1]} else {t[2]}"),
+        st.tuples(_CONDITIONS, inner).map(lambda t: f"while ({t[0]}) {t[1]}"),
+        st.tuples(inner, _CONDITIONS).map(lambda t: f"do {t[0]} while ({t[1]});"),
+        st.tuples(
+            st.sampled_from(["", "int i = 0", "b = a"]),
+            st.sampled_from(["", "i < n"]),
+            st.sampled_from(["", "i++", "c = c"]),
+            inner,
+        ).map(lambda t: f"for ({t[0]}; {t[1]}; {t[2]}) {t[3]}"),
+    )
+
+
+_BODIES = st.lists(
+    st.recursive(st.sampled_from(_SIMPLE_STATEMENTS), _compound, max_leaves=12),
+    min_size=1, max_size=6,
+).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_BODIES)
+def test_one_pass_ir_equals_the_reference_on_generated_bodies(body):
+    source = f"void f(int32_t *p, size_t n, vint32m1_t a, vint32m2_t c) {{ {body} }}"
+    _assert_same_as_reference(source, "f")

@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cc", help="cross compiler (default riscv64-linux-gnu-gcc)")
     t.add_argument("--flags", help="compiler flags (default '-march=rv64gcv -O3')")
     t.add_argument("--runner", help="emulator/runner binary (default qemu-riscv64)")
-    t.add_argument("--vlens", type=lambda s: tuple(int(x) for x in s.split(",")),
+    t.add_argument("--vlens", type=_FIELD_PARSERS["vlens"],
                    help="comma-separated VLENs for functional tests (default 128,256)")
     t.add_argument("--pressure-mode", dest="pressure_mode", choices=FOOTPRINT_MODES)
     t.add_argument("--parallelism", type=int)

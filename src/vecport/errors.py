@@ -16,9 +16,8 @@ class NoCasesError(CorpusError):
 class ParseError(VecportError):
     """The C front end rejected the input."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.col = col
         if line is not None:
             message = f"{message} (line {line})"
         super().__init__(message)

@@ -175,8 +175,11 @@ class RemoteClient:
 
     @staticmethod
     def _parse_content(raw: bytes) -> str:
+        """The reply's text; a null content is a blank reply."""
         try:
-            data = json.loads(raw)
-            return data["choices"][0]["message"]["content"]
+            content = json.loads(raw)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise LlmError(f"malformed completion response: {exc}") from exc
+        if not isinstance(content, (str, type(None))):
+            raise LlmError(f"malformed completion response: content is a {type(content).__name__}")
+        return content or ""

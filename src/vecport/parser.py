@@ -18,18 +18,19 @@ same declaration reader as body statements.
 The body parser builds no statement tree: it emits each statement into its
 basic block as it reads it, and wires each construct's edges as its parts
 arrive. A ``for`` step is read before the loop body but emitted after it,
-and a ``while`` loop is a ``for`` with no init and no step. ``build_cfg``
-then prunes unreachable and empty pass-through blocks and numbers blocks and
-statements in layout order. Names are resolved last, in ``_finalize_stmts``:
-the symbol table is function-wide, so whether a name is a vector is known
-only once the whole body has been read. Statement-level successor edges are
-derived from the block graph once per IR, as ``FunctionIr.successors``; they
-list statements only, so a statement that leaves the function has no
-successor.
+and a ``while`` loop is a ``for`` with no init and no step. Each name
+resolves as it is read, through a stack of block scopes (``_Scopes``), so a
+statement is final when it is read; a vector that shadows another, or that
+reuses a name the function gave another type, gets an IR name ``x@k``.
+``build_cfg`` then prunes unreachable and empty pass-through blocks and
+numbers blocks and statements in layout order. Statement-level successor
+edges are derived from the block graph once per IR, as
+``FunctionIr.successors``; they list statements only, so a statement that
+leaves the function has no successor.
 
 Scalar and pointer-typed values are invisible to the analysis: use/def sets
-contain only names with a vector type in the function's symbol table, so a
-``vsetvl`` result or a pointer bump contributes nothing.
+hold only the IR names of vectors, so a ``vsetvl`` result or a pointer bump
+contributes nothing.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from .errors import AnalysisError, ParseError
 from .rvv_types import VectorType, parse_vector_type
 
@@ -168,21 +170,20 @@ def _top_level(tokens: list[Token], start: int = 0) -> Iterator[int]:
         i += tokens[i].span + 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Stmt:
     """One statement of the analyzed function.
 
-    ``uses``/``defs`` name vector-typed values only; both may mention the same
-    name (an accumulator update reads and writes it).
+    ``uses``/``defs`` name vector-typed values only, by IR name; both may
+    mention the same name (an accumulator update reads and writes it).
     """
 
-    stmt_id: int
     kind: str
     uses: frozenset[str]
     defs: frozenset[str]
     line: int
-    col: int
     text: str
+    stmt_id: int = -1  # its place in layout order, set by build_cfg; -1 if unreachable
 
 
 @dataclass
@@ -206,25 +207,8 @@ class Cfg:
 
 
 @dataclass
-class RawStmt:
-    """A statement as parsed; ``_finalize_stmts`` resolves its names once the
-    whole body has been read."""
-
-    kind: str
-    text: str
-    line: int
-    col: int
-    use_candidates: set[str] = field(default_factory=set)
-    decl_names: set[str] = field(default_factory=set)  # vector names declared here
-    decl_defs: set[str] = field(default_factory=set)   # subset with an initializer
-    lhs_name: str | None = None
-    stmt_id: int | None = None  # assigned by build_cfg
-
-
-@dataclass
 class FunctionIr:
     name: str
-    signature: str
     symbol_table: dict[str, VectorType]
     stmts: list[Stmt]
     cfg: Cfg
@@ -266,21 +250,80 @@ class FunctionIr:
 
 
 # ---------------------------------------------------------------------------
-# Expression-level helpers.
+# Names, block by block, and the statement readers that resolve them.
+
+_FREE = object()  # what a declaration hid when nothing declared its name before
 
 
-def _identifier_candidates(tokens: list[Token]) -> set[str]:
-    """Identifiers that could name values: skips callees, members, keywords."""
-    names = set()
-    for i, tok in enumerate(tokens):
-        if tok.kind != "id" or tok.text in _KEYWORDS:
-            continue
-        if i + 1 < len(tokens) and tokens[i + 1].text == "(":
-            continue
-        if i > 0 and tokens[i - 1].text in (".", "->"):
-            continue
-        names.add(tok.text)
-    return names
+class _Scopes:
+    """The names a function body sees, block by block (C11 §6.2.1).
+
+    ``visible`` maps each name in scope to its vector's IR name, or to None
+    if its innermost declaration is no vector. Each open scope keeps what
+    its declarations hid, for ``close`` to restore, so a read is one lookup.
+    ``table`` maps IR names to vector types. A vector keeps its source name
+    unless a vector of that name is in scope, visible or hidden, or the
+    table gives the name another type; then it is the first ``name@k``
+    (k >= 2) the table lacks. ``unbound`` maps each name read where nothing
+    declares it to the line of its first read.
+    """
+
+    def __init__(self):
+        self.table: dict[str, VectorType] = {}
+        self.visible: dict[str, str | None] = {}
+        self.hidden: list[dict[str, object]] = [{}]  # one per open scope, innermost last
+        self.unbound: dict[str, int] = {}
+
+    def open(self) -> None:
+        self.hidden.append({})
+
+    def close(self) -> None:
+        for name, prior in self.hidden.pop().items():
+            if prior is _FREE:
+                del self.visible[name]
+            else:
+                self.visible[name] = prior
+
+    def declare(self, name: str, vt: VectorType | None, line: int) -> str | None:
+        """Enter a declarator in the innermost scope, where it is visible from its
+        initializer on (C11 §6.2.1p7); its IR name if it is a vector."""
+        hid = self.hidden[-1]
+        if name not in hid:
+            hid[name] = self.visible.get(name, _FREE)
+        elif vt is not None and (ir := self.visible[name]) is not None:
+            if self.table[ir] != vt:
+                raise ParseError(f"'{name}' redeclared with a different vector type", line=line)
+            return ir
+        if vt is None:
+            self.visible[name] = None
+            return None
+        if name in self.unbound:
+            raise AnalysisError(f"vector value '{name}' referenced before its declaration "
+                                f"(line {self.unbound[name]})")
+        ir = name
+        if self.table.get(name, vt) != vt or any(isinstance(h.get(name), str) for h in self.hidden):
+            ir = next(ir for k in count(2) if (ir := f"{name}@{k}") not in self.table)
+        self.table[ir] = vt
+        self.visible[name] = ir
+        return ir
+
+    def reads(self, tokens: list[Token], line: int) -> set[str]:
+        """The IR names of the vectors ``tokens`` read; skips callees, members, keywords."""
+        found = set()
+        visible, unbound = self.visible, self.unbound
+        for i, tok in enumerate(tokens):
+            if tok.kind != "id" or tok.text in _KEYWORDS:
+                continue
+            if i + 1 < len(tokens) and tokens[i + 1].text == "(":
+                continue
+            if i > 0 and tokens[i - 1].text in (".", "->"):
+                continue
+            ir = visible.get(tok.text, _FREE)
+            if ir is _FREE:
+                unbound.setdefault(tok.text, line)
+            elif ir is not None:
+                found.add(ir)
+        return found
 
 
 def _top_level_assign_index(tokens: list[Token]) -> int | None:
@@ -300,40 +343,34 @@ def _split_top_level(tokens: list[Token], sep: str) -> list[list[Token]]:
     return parts
 
 
-def _is_type_start(tokens: list[Token], i: int) -> bool:
-    t = tokens[i]
-    if t.kind != "id":
-        return False
-    if t.text in ("struct", "union", "enum"):
-        return True
-    if t.text in _SCALAR_TYPE_WORDS or parse_vector_type(t.text) is not None:
-        return True
-    return False
+def _is_type_start(t: Token) -> bool:
+    return t.kind == "id" and (t.text in ("struct", "union", "enum")
+                               or t.text in _SCALAR_TYPE_WORDS
+                               or parse_vector_type(t.text) is not None)
 
 
-def _parse_simple(tokens: list[Token], symbols: dict[str, VectorType]) -> RawStmt:
-    """One simple statement's RawStmt; a declaration registers its vector names."""
-    stmt = RawStmt(kind="scalar_other", text=_render_tokens(tokens),
-                   line=tokens[0].line, col=tokens[0].col)
+def _parse_simple(tokens: list[Token], scopes: _Scopes) -> Stmt:
+    """One simple statement; a declaration enters its names in the innermost scope."""
+    line = tokens[0].line
     i = 0
     while i < len(tokens) and tokens[i].text in _QUALIFIERS:
         i += 1
-    if i < len(tokens) and _is_type_start(tokens, i):
-        _read_decl(tokens, i, symbols, stmt)
+    if i < len(tokens) and _is_type_start(tokens[i]):
+        kind, uses, defs = _read_decl(tokens, i, scopes, line)
     else:
-        _read_expr_stmt(tokens, stmt)
-    return stmt
+        kind, uses, defs = _read_expr_stmt(tokens, scopes, line)
+    return Stmt(kind, frozenset(uses), frozenset(defs), line, _render_tokens(tokens))
 
 
-def _cond_stmt(tokens: list[Token], at: Token) -> RawStmt:
+def _cond_stmt(tokens: list[Token], at: Token, scopes: _Scopes) -> Stmt:
     """A condition: it reads ``tokens``, declares nothing, and sits at ``at``."""
-    return RawStmt("scalar_other", _render_tokens(tokens), at.line, at.col,
-                   _identifier_candidates(tokens))
+    return Stmt("scalar_other", frozenset(scopes.reads(tokens, at.line)), frozenset(),
+                at.line, _render_tokens(tokens))
 
 
-def _read_decl(tokens: list[Token], i: int, symbols: dict[str, VectorType],
-               stmt: RawStmt) -> None:
-    """Fill ``stmt`` from a declaration whose type words start at ``tokens[i]``."""
+def _read_decl(tokens: list[Token], i: int, scopes: _Scopes,
+               line: int) -> tuple[str, set[str], set[str]]:
+    """A declaration whose type words start at ``tokens[i]``: its kind, uses and defs."""
     base_vec: VectorType | None = None
     while i < len(tokens):
         t = tokens[i]
@@ -347,7 +384,8 @@ def _read_decl(tokens: list[Token], i: int, symbols: dict[str, VectorType],
             break
         i += 1
 
-    stmt.kind = "decl"
+    uses: set[str] = set()
+    defs: set[str] = set()
     for declarator in _split_top_level(tokens[i:], ","):
         if not declarator:
             continue
@@ -359,49 +397,37 @@ def _read_decl(tokens: list[Token], i: int, symbols: dict[str, VectorType],
             j += 1
         if j >= len(declarator) or declarator[j].kind != "id":
             continue
-        name = declarator[j].text
         is_array = j + 1 < len(declarator) and declarator[j + 1].text == "["
-        init_tokens: list[Token] = []
+        init: list[Token] = []
         for k in range(j + 1, len(declarator)):
             if declarator[k].text == "=" and declarator[k].kind == "punct":
-                init_tokens = declarator[k + 1:]
+                init = declarator[k + 1:]
                 break
-        if base_vec is not None and stars == 0 and not is_array:
-            prior = symbols.get(name)
-            if prior is not None and prior != base_vec:
-                raise ParseError(
-                    f"'{name}' redeclared with a different vector type", line=stmt.line
-                )
-            symbols[name] = base_vec
-            stmt.decl_names.add(name)
-            if init_tokens:
-                stmt.decl_defs.add(name)
-        if init_tokens:
-            stmt.use_candidates |= _identifier_candidates(init_tokens)
+        ir = scopes.declare(declarator[j].text,
+                            base_vec if stars == 0 and not is_array else None, line)
+        if init:
+            if ir is not None:
+                defs.add(ir)
+            uses |= scopes.reads(init, line)
+    return "decl", uses, defs
 
 
-def _read_expr_stmt(tokens: list[Token], stmt: RawStmt) -> None:
+def _read_expr_stmt(tokens: list[Token], scopes: _Scopes,
+                    line: int) -> tuple[str, set[str], set[str]]:
+    """An expression statement: its kind, uses and defs."""
     k = _top_level_assign_index(tokens)
-    if k is not None:
-        lhs, rhs = tokens[:k], tokens[k + 1:]
-        stmt.kind = "assign"
-        if len(lhs) == 1 and lhs[0].kind == "id":
-            stmt.lhs_name = lhs[0].text
-            if tokens[k].text != "=":  # compound op reads the target too
-                stmt.use_candidates.add(lhs[0].text)
-        else:
-            stmt.use_candidates |= _identifier_candidates(lhs)
-        stmt.use_candidates |= _identifier_candidates(rhs)
-    else:
-        stmt.use_candidates |= _identifier_candidates(tokens)
-        has_call = any(
-            tok.kind == "id"
-            and tok.text not in _KEYWORDS
-            and idx + 1 < len(tokens)
-            and tokens[idx + 1].text == "("
-            for idx, tok in enumerate(tokens)
-        )
-        stmt.kind = "call" if has_call else "scalar_other"
+    if k is None:
+        has_call = any(t.kind == "id" and t.text not in _KEYWORDS and after.text == "("
+                       for t, after in zip(tokens, tokens[1:]))
+        return "call" if has_call else "scalar_other", scopes.reads(tokens, line), set()
+    lhs, rhs = tokens[:k], tokens[k + 1:]
+    uses = scopes.reads(rhs, line)
+    if len(lhs) == 1 and lhs[0].kind == "id":
+        defs = scopes.reads(lhs, line)
+        if tokens[k].text != "=":  # compound op reads the target too
+            uses |= defs
+        return "assign", uses, defs
+    return "assign", uses | scopes.reads(lhs, line), set()
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +450,11 @@ class _BodyParser:
     recursion limit surfaces as a RecursionError.
     """
 
-    def __init__(self, tokens: list[Token], symbols: dict[str, VectorType]):
+    def __init__(self, tokens: list[Token], scopes: _Scopes):
         self.toks = tokens
         self.pos = 0
-        self.symbols = symbols
-        self.block_stmts: dict[int, list[RawStmt]] = {}
+        self.scopes = scopes
+        self.block_stmts: dict[int, list[Stmt]] = {}
         self.succs: dict[int, list[int]] = {}
         self.current: int | None = None
         self.loop_stack: list[dict[str, list[int]]] = []  # break/continue sources
@@ -489,12 +515,15 @@ class _BodyParser:
             self.current = self.new_block()  # unreachable; pruned later
         return self.current
 
-    def emit(self, stmt: RawStmt) -> None:
+    def emit(self, stmt: Stmt) -> None:
         self.block_stmts[self.ensure_current()].append(stmt)
 
     def parse_function_body(self) -> tuple[dict[int, list[int]],
-                                           dict[int, list[RawStmt]], int, int]:
-        """The function body's blocks and edges, its entry and its exit, which comes last."""
+                                           dict[int, list[Stmt]], int, int]:
+        """The function body's blocks and edges, its entry and its exit, which comes last.
+
+        The body's outermost block shares the parameters' scope.
+        """
         entry = self.current = self.new_block()
         self.parse_block()
         exit_block = self.new_block(self.current, *self.return_sources)
@@ -520,28 +549,31 @@ class _BodyParser:
             self.loop_stack.pop()
         return self.current
 
-    def _parse_cond(self, keyword: str) -> RawStmt:
+    def _parse_cond(self, keyword: str) -> Stmt:
         """``keyword ( cond )``; the condition is placed at the keyword."""
         tok = self.expect(keyword)
         self.expect("(")
-        return _cond_stmt(self._collect_until(")"), tok)
+        return _cond_stmt(self._collect_until(")"), tok, self.scopes)
 
-    def _parse_loop_head(self, tok: Token) -> tuple[RawStmt | None, RawStmt | None]:
+    def _parse_loop_head(self, tok: Token) -> tuple[Stmt | None, Stmt | None]:
         """A loop's condition and step; a ``for`` init is emitted here, before the loop.
 
-        A ``while`` loop is a ``for`` loop with no init and no step.
+        A ``for`` opens the scope its init declares into, which the caller
+        closes after the body. A ``while`` loop is a ``for`` loop with no
+        init and no step.
         """
         if tok.text == "while":
             return self._parse_cond("while"), None
         self.expect("for")
         self.expect("(")
+        self.scopes.open()
         init = self._collect_until(";")
         if init:
-            self.emit(_parse_simple(init, self.symbols))
+            self.emit(_parse_simple(init, self.scopes))
         cond = self._collect_until(";")
         step = self._collect_until(")")
-        return (_cond_stmt(cond, tok) if cond else None,
-                _parse_simple(step, self.symbols) if step else None)
+        return (_cond_stmt(cond, tok, self.scopes) if cond else None,
+                _parse_simple(step, self.scopes) if step else None)
 
     def parse_statement(self) -> None:
         tok = self.peek()
@@ -554,7 +586,9 @@ class _BodyParser:
             raise ParseError(f"unsupported construct: label '{tok.text}'", line=tok.line)
 
         if tok.text == "{":
+            self.scopes.open()
             self.parse_block()
+            self.scopes.close()
         elif tok.text == ";":
             self.advance()
         elif tok.text == "if":
@@ -583,6 +617,8 @@ class _BodyParser:
             # Taken even with an empty condition: liveness may-analysis only
             # gains safety from a conservative loop-exit edge.
             self.current = self.new_block(header, *jumps["break"])
+            if tok.text == "for":
+                self.scopes.close()
         elif tok.text == "do":
             self.advance()
             body = self.new_block(self.ensure_current())
@@ -597,7 +633,8 @@ class _BodyParser:
             self.advance()
             expr = self._collect_until(";")
             text = "return " + _render_tokens(expr) if expr else "return"
-            self.emit(RawStmt("return", text, tok.line, tok.col, _identifier_candidates(expr)))
+            uses = frozenset(self.scopes.reads(expr, tok.line))
+            self.emit(Stmt("return", uses, frozenset(), tok.line, text))
             self.return_sources.append(self.current)
             self.current = None
         elif tok.text in ("break", "continue"):
@@ -608,7 +645,7 @@ class _BodyParser:
             self.loop_stack[-1][tok.text].append(self.ensure_current())
             self.current = None
         else:
-            self.emit(_parse_simple(self._collect_until(";"), self.symbols))
+            self.emit(_parse_simple(self._collect_until(";"), self.scopes))
 
 
 def _prune_and_simplify(succs, block_stmts, entry, exit_block):
@@ -650,8 +687,8 @@ def _prune_and_simplify(succs, block_stmts, entry, exit_block):
     return order, succs, entry
 
 
-def build_cfg(succs: dict[int, list[int]], block_stmts: dict[int, list[RawStmt]],
-              entry: int, exit_block: int) -> tuple[Cfg, list[RawStmt]]:
+def build_cfg(succs: dict[int, list[int]], block_stmts: dict[int, list[Stmt]],
+              entry: int, exit_block: int) -> tuple[Cfg, list[Stmt]]:
     """The simplified graph of a laid-out body, and its statements in layout order.
 
     Unreachable and empty pass-through blocks are dropped, and blocks and
@@ -660,16 +697,16 @@ def build_cfg(succs: dict[int, list[int]], block_stmts: dict[int, list[RawStmt]]
     """
     order, succs, entry = _prune_and_simplify(succs, block_stmts, entry, exit_block)
 
-    ordered_stmts: list[RawStmt] = []
+    ordered_stmts: list[Stmt] = []
     blocks = []
     old_to_new_block = {b: i for i, b in enumerate(order)}
     for b in order:
         stmts = block_stmts[b] if b != exit_block else []
         ids = []
-        for raw in stmts:
-            raw.stmt_id = len(ordered_stmts)
-            ids.append(raw.stmt_id)
-            ordered_stmts.append(raw)
+        for stmt in stmts:
+            stmt.stmt_id = len(ordered_stmts)
+            ids.append(stmt.stmt_id)
+            ordered_stmts.append(stmt)
         blocks.append(BasicBlock(old_to_new_block[b], ids))
     new_succs = {
         old_to_new_block[b]: tuple(old_to_new_block[s] for s in succs[b]) for b in order
@@ -710,58 +747,22 @@ def validate_signature(signature: str) -> str:
     return idents[-1]
 
 
-def _find_function(tokens: list[Token], name: str) -> tuple[int, int, int]:
-    """(signature start, body '{' index, params '(' index) of a top-level definition."""
-    sig_start = 0
+def _find_function(tokens: list[Token], name: str) -> tuple[int, int]:
+    """(body '{' index, params '(' index) of a top-level definition."""
     for i in _top_level(tokens):
-        tok = tokens[i]
-        if tok.text == "{":
-            sig_start = i + tok.span + 1
-        elif tok.text == ";":
-            sig_start = i + 1
-        elif tok.text == name and i + 1 < len(tokens) and tokens[i + 1].text == "(":
+        if tokens[i].text == name and i + 1 < len(tokens) and tokens[i + 1].text == "(":
             body_open = i + tokens[i + 1].span + 2  # the token after the ')'
             if body_open < len(tokens) and tokens[body_open].text == "{":
-                return sig_start, body_open, i + 1
+                return body_open, i + 1
     raise ParseError(f"function '{name}' not found")
 
 
-def _parse_params(tokens: list[Token]) -> dict[str, VectorType]:
-    """The symbol table the parameter list declares: each one is read as a declaration."""
-    symbols: dict[str, VectorType] = {}
+def _parse_params(tokens: list[Token], scopes: _Scopes) -> None:
+    """Declare the parameters, each read as a declaration, in the outermost scope."""
     for part in _split_top_level(tokens, ","):
         if part:
-            _parse_simple(part, symbols)
-    return symbols
-
-
-def _finalize_stmts(raw_stmts: list[RawStmt], symbols: dict[str, VectorType],
-                    vector_params: set[str]) -> list[Stmt]:
-    declared = set(vector_params)
-    final = []
-    for raw in raw_stmts:
-        uses = frozenset(n for n in raw.use_candidates if n in symbols)
-        defs = set(raw.decl_defs)
-        if raw.lhs_name is not None and raw.lhs_name in symbols:
-            defs.add(raw.lhs_name)
-        for n in sorted(uses | defs):
-            if n not in declared and n not in raw.decl_names:
-                raise AnalysisError(
-                    f"vector value '{n}' referenced before its declaration (line {raw.line})"
-                )
-        declared |= raw.decl_names
-        final.append(
-            Stmt(
-                stmt_id=raw.stmt_id,
-                kind=raw.kind,
-                uses=uses,
-                defs=frozenset(defs),
-                line=raw.line,
-                col=raw.col,
-                text=raw.text,
-            )
-        )
-    return final
+            _parse_simple(part, scopes)
+    scopes.unbound.clear()  # a parameter that declares nothing reads nothing either
 
 
 def parse_function(source: str, signature: str) -> FunctionIr:
@@ -774,21 +775,16 @@ def parse_function(source: str, signature: str) -> FunctionIr:
     """
     name = signature_name(signature)
     tokens = tokenize(source)
-    sig_start, body_open, paren_open = _find_function(tokens, name)
-
-    sig_tokens = tokens[sig_start:body_open]
-    sig_text = _render_tokens(sig_tokens)
-    symbols = _parse_params(tokens[paren_open + 1:body_open - 1])
-    vector_params = set(symbols)
-
+    body_open, paren_open = _find_function(tokens, name)
+    scopes = _Scopes()
+    _parse_params(tokens[paren_open + 1:body_open - 1], scopes)
     body_close = body_open + tokens[body_open].span
     try:
-        body = _BodyParser(tokens[body_open:body_close + 1], symbols).parse_function_body()
+        body = _BodyParser(tokens[body_open:body_close + 1], scopes).parse_function_body()
     except RecursionError:
         raise ParseError("nesting too deep") from None
-    cfg, raw_stmts = build_cfg(*body)
-    stmts = _finalize_stmts(raw_stmts, symbols, vector_params)
-    return FunctionIr(name=name, signature=sig_text, symbol_table=symbols, stmts=stmts, cfg=cfg)
+    cfg, stmts = build_cfg(*body)
+    return FunctionIr(name=name, symbol_table=scopes.table, stmts=stmts, cfg=cfg)
 
 
 _NO_SPACE_AFTER = {"(", "[", ".", "->", "!", "~", "++", "--"}

@@ -39,7 +39,6 @@ def make_ir(
                     uses=frozenset(uses),
                     defs=frozenset(defs),
                     line=sid + 1,
-                    col=1,
                     text=f"s{sid}",
                 )
             )
@@ -53,7 +52,6 @@ def make_ir(
     assert all(v is not None for v in table.values())
     return FunctionIr(
         name="synthetic",
-        signature="void synthetic(void)",
         symbol_table=table,
         stmts=stmts,
         cfg=cfg,

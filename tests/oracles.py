@@ -9,18 +9,20 @@ replaced with a one-pass one: ``TreeParser`` reads a function body into a
 statement tree, and ``_CfgBuilder`` walks that tree into basic blocks. Both
 are kept here unchanged in behaviour, so the differential tests can check
 that the one-pass parser gives the same IR and the same errors. The
-reference shares the lexer, the statement reader, the pruning and
-renumbering of ``build_cfg`` and the late name resolution with the pipeline;
-it differs in how statements reach their blocks. One difference is by
-design: the reference reports a ``break`` or ``continue`` outside a loop
-only after the whole body has parsed, while the one-pass parser reports it
-where it stands, so with two errors in a body the two may name different
-ones.
+reference shares the lexer, the scoped statement readers (``_Scopes``, which
+resolve each name as it is read) and the pruning and renumbering of
+``build_cfg`` with the pipeline, and opens and closes scopes at the same
+places: each nested ``{`` block and each ``for``. It differs in how
+statements reach their blocks. One difference is by design: the reference
+reports a ``break`` or ``continue`` outside a loop only after the whole body
+has parsed, while the one-pass parser reports it where it stands, so with
+two errors in a body the two may name different ones.
 
 ``print_function`` emits C from the reference tree, so the parser tests can
-check that structure and use/def sets survive a round trip. A ``while`` loop
-is stored as a ``ForNode`` with no init and no step, so ``print_function``
-prints every ``ForNode`` that has a condition but neither init nor step as
+check that structure and use/def sets survive a round trip; it reads the
+function's declarator from the source itself. A ``while`` loop is stored as
+a ``ForNode`` with no init and no step, so ``print_function`` prints every
+``ForNode`` that has a condition but neither init nor step as
 ``while (cond)``; ``for (;;)`` stays a ``for``.
 """
 
@@ -33,14 +35,13 @@ from vecport.errors import AnalysisError, ParseError
 from vecport.liveness import LivenessResult
 from vecport.parser import (
     FunctionIr,
-    RawStmt,
+    Stmt,
     Token,
     _CLOSERS,
     _KEYWORDS,
+    _Scopes,
     _cond_stmt,
     _find_function,
-    _finalize_stmts,
-    _identifier_candidates,
     _parse_params,
     _parse_simple,
     _render_tokens,
@@ -49,7 +50,6 @@ from vecport.parser import (
     signature_name,
     tokenize,
 )
-from vecport.rvv_types import VectorType
 
 
 class PathExplosionError(AnalysisError):
@@ -134,12 +134,12 @@ class JumpNode:
 
 @dataclass
 class BlockNode:
-    items: list = field(default_factory=list)  # RawStmt, JumpNode or a nested node
+    items: list = field(default_factory=list)  # Stmt, JumpNode or a nested node
 
 
 @dataclass
 class IfNode:
-    cond: RawStmt
+    cond: Stmt
     then: BlockNode
     orelse: BlockNode | None
 
@@ -147,26 +147,30 @@ class IfNode:
 @dataclass
 class DoWhileNode:
     body: BlockNode
-    cond: RawStmt
+    cond: Stmt
 
 
 @dataclass
 class ForNode:
     """A ``for`` loop; a ``while`` loop is one with no init and no step."""
 
-    init: RawStmt | None
-    cond: RawStmt | None
-    step: RawStmt | None
+    init: Stmt | None
+    cond: Stmt | None
+    step: Stmt | None
     body: BlockNode
 
 
 class TreeParser:
-    """Reads a function body into a statement tree; the reference body parser."""
+    """Reads a function body into a statement tree; the reference body parser.
 
-    def __init__(self, tokens: list[Token], symbols: dict[str, VectorType]):
+    Scopes open and close where the one-pass parser opens and closes them:
+    at each nested ``{`` block and at each ``for``.
+    """
+
+    def __init__(self, tokens: list[Token], scopes: _Scopes):
         self.toks = tokens
         self.pos = 0
-        self.symbols = symbols
+        self.scopes = scopes
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -217,11 +221,11 @@ class TreeParser:
             return item
         return BlockNode([] if item is None else [item])
 
-    def _parse_cond(self, keyword: str) -> RawStmt:
+    def _parse_cond(self, keyword: str) -> Stmt:
         """``keyword ( cond )``; the condition is placed at the keyword."""
         tok = self.expect(keyword)
         self.expect("(")
-        return _cond_stmt(self._collect_until(")"), tok)
+        return _cond_stmt(self._collect_until(")"), tok, self.scopes)
 
     def parse_statement(self):
         tok = self.peek()
@@ -234,7 +238,10 @@ class TreeParser:
             raise ParseError(f"unsupported construct: label '{tok.text}'", line=tok.line)
 
         if tok.text == "{":
-            return self.parse_block()
+            self.scopes.open()
+            node = self.parse_block()
+            self.scopes.close()
+            return node
         if tok.text == ";":
             self.advance()
             return None
@@ -261,30 +268,34 @@ class TreeParser:
             self.advance()
             expr = self._collect_until(";")
             text = "return " + _render_tokens(expr) if expr else "return"
-            return RawStmt("return", text, tok.line, tok.col, _identifier_candidates(expr))
+            uses = frozenset(self.scopes.reads(expr, tok.line))
+            return Stmt("return", uses, frozenset(), tok.line, text)
         if tok.text in ("break", "continue"):
             self.advance()
             self.expect(";")
             return JumpNode(tok.text, tok.line)
-        return _parse_simple(self._collect_until(";"), self.symbols)
+        return _parse_simple(self._collect_until(";"), self.scopes)
 
     def _parse_for(self) -> ForNode:
         tok = self.expect("for")
         self.expect("(")
+        self.scopes.open()
         init = self._collect_until(";")
-        init = _parse_simple(init, self.symbols) if init else None
+        init = _parse_simple(init, self.scopes) if init else None
         cond = self._collect_until(";")
-        cond = _cond_stmt(cond, tok) if cond else None
+        cond = _cond_stmt(cond, tok, self.scopes) if cond else None
         step = self._collect_until(")")
-        step = _parse_simple(step, self.symbols) if step else None
-        return ForNode(init, cond, step, self._parse_body())
+        step = _parse_simple(step, self.scopes) if step else None
+        node = ForNode(init, cond, step, self._parse_body())
+        self.scopes.close()
+        return node
 
 
 class _CfgBuilder:
     """Lays a statement tree out into basic blocks, as ``build_cfg`` expects them."""
 
     def __init__(self):
-        self.block_stmts: dict[int, list[RawStmt]] = {}
+        self.block_stmts: dict[int, list[Stmt]] = {}
         self.succs: dict[int, list[int]] = {}
         self.next_block = 0
         self.current: int | None = None
@@ -312,11 +323,11 @@ class _CfgBuilder:
             self.current = self.new_block()  # unreachable; pruned later
         return self.current
 
-    def emit(self, stmt: RawStmt) -> None:
+    def emit(self, stmt: Stmt) -> None:
         self.block_stmts[self.ensure_current()].append(stmt)
 
     def walk(self, node) -> None:
-        if isinstance(node, RawStmt):
+        if isinstance(node, Stmt):
             self.emit(node)
             if node.kind == "return":
                 self.return_sources.append(self.current)
@@ -389,7 +400,7 @@ class _CfgBuilder:
             raise AssertionError(f"unknown structure node {node!r}")
 
     def build(self, structure: BlockNode) -> tuple[dict[int, list[int]],
-                                                   dict[int, list[RawStmt]], int, int]:
+                                                   dict[int, list[Stmt]], int, int]:
         """Blocks numbered in layout order; the exit block comes last."""
         self.return_sources: list[int] = []
         entry = self.new_block()
@@ -407,23 +418,31 @@ def reference_parse(source: str, signature: str) -> tuple[FunctionIr, BlockNode]
     """``vecport.parser.parse_function`` by way of a statement tree; the IR and the tree."""
     name = signature_name(signature)
     tokens = tokenize(source)
-    sig_start, body_open, paren_open = _find_function(tokens, name)
-    symbols = _parse_params(tokens[paren_open + 1:body_open - 1])
-    vector_params = set(symbols)
+    body_open, paren_open = _find_function(tokens, name)
+    scopes = _Scopes()
+    _parse_params(tokens[paren_open + 1:body_open - 1], scopes)
     body_close = body_open + tokens[body_open].span
     try:
-        structure = TreeParser(tokens[body_open:body_close + 1], symbols).parse_block()
-        cfg, raw_stmts = build_cfg(*_CfgBuilder().build(structure))
+        structure = TreeParser(tokens[body_open:body_close + 1], scopes).parse_block()
+        cfg, stmts = build_cfg(*_CfgBuilder().build(structure))
     except RecursionError:
         raise ParseError("nesting too deep") from None
-    ir = FunctionIr(
-        name=name,
-        signature=_render_tokens(tokens[sig_start:body_open]),
-        symbol_table=symbols,
-        stmts=_finalize_stmts(raw_stmts, symbols, vector_params),
-        cfg=cfg,
-    )
+    ir = FunctionIr(name=name, symbol_table=scopes.table, stmts=stmts, cfg=cfg)
     return ir, structure
+
+
+def _signature_text(source: str, name: str) -> str:
+    """The declarator of the definition of ``name``: its tokens after the
+    last top-level ';' or '{...}' group before it, up to the body."""
+    tokens = tokenize(source)
+    body_open, paren_open = _find_function(tokens, name)
+    start = 0
+    for i in _top_level(tokens[:paren_open]):
+        if tokens[i].text == "{":
+            start = i + tokens[i].span + 1
+        elif tokens[i].text == ";":
+            start = i + 1
+    return _render_tokens(tokens[start:body_open])
 
 
 def print_function(source: str, signature: str) -> str:
@@ -433,7 +452,7 @@ def print_function(source: str, signature: str) -> str:
     found unreachable are left out.
     """
     ir, structure = reference_parse(source, signature)
-    lines = [f"{ir.signature} {{"]
+    lines = [f"{_signature_text(source, ir.name)} {{"]
     _print_block(structure, lines, 1)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -442,8 +461,8 @@ def print_function(source: str, signature: str) -> str:
 def _print_block(node: BlockNode, lines: list[str], depth: int) -> None:
     pad = "    " * depth
     for item in node.items:
-        if isinstance(item, RawStmt):
-            if item.stmt_id is not None:
+        if isinstance(item, Stmt):
+            if item.stmt_id >= 0:
                 lines.append(f"{pad}{item.text};")
         elif isinstance(item, JumpNode):
             lines.append(f"{pad}{item.kind};")

@@ -221,6 +221,22 @@ def test_mock_run_applies_the_vlen_rule_of_a_real_run(tmp_path, capsys):
     assert capsys.readouterr().err == "error: at least one VLEN must be configured\n"
 
 
+@pytest.mark.parametrize("vlens", ["128,", "128,,256", ""])
+def test_vlens_flag_and_config_key_read_the_same(tmp_path, capsys, vlens):
+    replay = write_replay(tmp_path, {"vec_add": [fenced(GOOD_RVV)]})
+    cfg_file = tmp_path / "run.conf"
+    cfg_file.write_text(f'vlens = "{vlens}"\n')
+    results = []
+    for name, extra in (("flag", ["--vlens", vlens]), ("config", ["--config", str(cfg_file)])):
+        out = tmp_path / name
+        rc = main(["translate", "--replay", str(replay), "--no-exec", "--case", "vec_add",
+                   "--out", str(out), *extra])
+        report = (out / "report.txt").read_text() if rc == 0 else None
+        results.append((rc, capsys.readouterr().err, report))
+    assert results[0] == results[1]
+    assert results[0][0] == (1 if vlens == "" else 0)
+
+
 def test_translate_scratch_cleaned_but_logs_kept(tmp_path):
     rc, out = run_translate(tmp_path)
     assert rc == 0

@@ -221,7 +221,6 @@ def test_property_adding_a_use_is_monotone(seed):
         uses=stmt.uses | {var},
         defs=stmt.defs,
         line=stmt.line,
-        col=stmt.col,
         text=stmt.text,
     )
     grown = solve_liveness(ir)

@@ -13,7 +13,9 @@ import pytest
 import vecport
 from vecport.agents import ChatMessage
 from vecport.errors import ConfigurationError, LlmError, ReplayExhaustedError
+from vecport.executors import MockExecutor
 from vecport.llm_client import RemoteClient, ReplayClient
+from vecport.orchestrator import Budgets, TaskDeps, run_task
 
 MSGS = [ChatMessage("user", "hello")]
 
@@ -200,6 +202,29 @@ def test_remote_malformed_payload(server):
         with pytest.raises(LlmError, match="malformed"):
             client.complete(MSGS)
     assert len(server.seen) == 2
+
+
+def test_remote_null_content_is_a_blank_reply(server):
+    _reply(server, 200, _completion(None))
+    assert _client(server.server_port).complete(MSGS) == ""
+
+
+@pytest.mark.parametrize("content", [7, ["a"], {"text": "a"}, True],
+                         ids=["int", "list", "object", "bool"])
+def test_remote_non_string_content_is_malformed(server, content):
+    _reply(server, 200, _completion(content))
+    with pytest.raises(LlmError, match="^malformed completion response: content is a "):
+        _client(server.server_port).complete(MSGS)
+    assert len(server.seen) == 1
+
+
+def test_null_content_is_a_failed_attempt_not_a_crash(server, tmp_path, vec_add_case):
+    _reply(server, 200, _completion(None))
+    deps = TaskDeps(client=_client(server.server_port), executor=MockExecutor(),
+                    log_dir=tmp_path / "work")
+    outcome = run_task(vec_add_case, Budgets(translate_max=1, optimize_max=1), deps)
+    assert not outcome.passed
+    assert [a.note for a in outcome.all_attempts] == ["no code emitted"]
 
 
 def test_remote_read_timeout_is_retried(server):

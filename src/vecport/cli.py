@@ -8,11 +8,12 @@ Exit codes: 0 success, 1 usage, configuration or corpus problem, 2 internal
 error, 130 interrupted. Translation failures are results, not process
 errors: a run that ends with failed cases still exits 0 and reports them.
 
-``translate`` writes each case's outcome as soon as the case finishes. On
-every exit, completed, interrupted or aborted, it then scores the finished
-cases once into ``report.txt`` and ``report.json`` and removes the scratch
-directories unless ``--keep-scratch`` is given. ``report`` rescores those
-outcome files through the same summary reader.
+``translate --out DIR`` appends each attempt to ``DIR/attempts/<case>.ndjson``
+as it happens and writes ``DIR/outcomes/<case>.json`` as soon as the case
+finishes. On every exit, completed, interrupted or aborted, it then scores the
+finished cases once into ``report.txt`` and ``report.json`` and removes the
+real executor's scratch, ``DIR/work/``, unless ``--keep-scratch`` is given.
+``report`` rescores those outcome files through the same summary reader.
 """
 
 from __future__ import annotations
@@ -210,7 +211,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
         parallelism = cfg.parallelism
 
     out_dir = Path(cfg.out)
-    work_dir = out_dir / "work"
     tool_kwargs = {}
     if cfg.cc:
         tool_kwargs["cc"] = cfg.cc
@@ -222,7 +222,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         executor = MockExecutor(vlens=cfg.vlens)
     else:
         executor = CommandExecutor(
-            ToolchainConfig(vlens=cfg.vlens, **tool_kwargs), work_dir=work_dir
+            ToolchainConfig(vlens=cfg.vlens, **tool_kwargs), work_dir=out_dir / "work"
         )
         executor.probe()
 
@@ -238,7 +238,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         executor=executor,
         temperature=cfg.temperature,
         pressure_mode=cfg.pressure_mode,
-        log_dir=work_dir,
+        log_dir=out_dir / "attempts",
     )
 
     # Each outcome is written as its case finishes, by the thread that ran

@@ -24,7 +24,7 @@ class ParseError(VecportError):
 
 
 class AnalysisError(VecportError):
-    """Liveness or pressure analysis was handed inconsistent inputs."""
+    """A liveness solution is not a fixpoint of the dataflow equations."""
 
 
 class NoCodeError(VecportError):

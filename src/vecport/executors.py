@@ -5,9 +5,8 @@ The compiler is driven as ``cc flags ...`` and the emulator through a command
 template, so a different compiler, emulator, or a real board behind an ssh
 wrapper slots in without code changes. Candidates never touch the case
 directory; each attempt of ``CommandExecutor`` gets its own scratch directory
-under ``work/<case>/<tag>/``, kept only when requested. ``MockExecutor`` works
-in memory and creates no scratch, so a ``--no-exec`` run writes only its logs
-and outputs.
+under ``work/<case>/<tag>/``, and ``cleanup`` removes ``work/`` whole.
+``MockExecutor`` works in memory and creates no scratch.
 
 Nothing that cannot change within a case is rebuilt or re-measured: each
 case's test and bench harnesses are compiled to objects once, each distinct
@@ -301,18 +300,8 @@ class CommandExecutor:
         return PerfResult(translated_cost_ns=translated, native_cost_ns=native, runs=runs)
 
     def cleanup(self) -> None:
-        """Delete every per-case subdirectory of ``work_dir`` but ``log/``,
-        and forget the objects and native costs built there.
-
-        Attempt logs live under ``work/<case>/log/`` and always survive.
-        """
-        if self.work_dir.exists():
-            for case_dir in self.work_dir.iterdir():
-                if not case_dir.is_dir():
-                    continue
-                for sub in case_dir.iterdir():
-                    if sub.is_dir() and sub.name != "log":
-                        shutil.rmtree(sub, ignore_errors=True)
+        """Remove ``work_dir`` whole and forget the objects and native costs built there."""
+        shutil.rmtree(self.work_dir, ignore_errors=True)
         self._objects.clear()
         self._native_costs.clear()
 
@@ -335,7 +324,7 @@ class _MockBuild:
     fail_vlen: int | None  # None: no VLEN-specific failure
     fail_all: bool
     fail_msg: str
-    cost_ns: int | None  # None: no mock-cost marker
+    cost_ns: int  # the mock-cost marker, else MOCK_COST_NS
 
 
 class MockExecutor:
@@ -347,9 +336,8 @@ class MockExecutor:
         /* mock-cost: 120000 */             benchmark cost in nanoseconds
         /* mock-run-timeout */              every run times out
 
-    Unmarked sources compile, pass, and cost ``MOCK_COST_NS``. The native
-    reference costs its own mock-cost marker if present, else
-    ``native_cost_ns``. Everything is pure string inspection, so a replay
+    Unmarked sources, the native reference among them, compile, pass, and
+    cost ``MOCK_COST_NS``. Everything is pure string inspection, so a replay
     script fully determines the pipeline's behavior.
 
     Nothing touches the disk. ``compile_candidate`` scans the markers once and
@@ -359,14 +347,9 @@ class MockExecutor:
     so cases may share one executor across threads.
     """
 
-    def __init__(
-        self,
-        vlens: tuple[int, ...] = (128, 256),
-        native_cost_ns: int = MOCK_COST_NS,
-    ):
+    def __init__(self, vlens: tuple[int, ...] = (128, 256)):
         self.vlens = tuple(vlens)
         validate_vlens(self.vlens)
-        self.native_cost_ns = native_cost_ns
         self._builds: dict[Path, _MockBuild] = {}
 
     def probe(self) -> None:
@@ -402,7 +385,7 @@ class MockExecutor:
             fail_vlen=fail_vlen,
             fail_all=fail_all,
             fail_msg=fail_msg,
-            cost_ns=int(cost.group(1)) if cost else None,
+            cost_ns=int(cost.group(1)) if cost else MOCK_COST_NS,
         )
         return CompileResult(True, "", artifact_path=handle)
 
@@ -418,15 +401,11 @@ class MockExecutor:
                 per_vlen[vlen] = VlenRun(True, 0, "ok")
         return TestResult(per_vlen=per_vlen)
 
-    def _cost_of(self, artifact: Path, default: int) -> int:
-        cost = self._builds[Path(artifact)].cost_ns
-        return default if cost is None else cost
-
     def run_perf(
         self, translated_artifact: Path, native_artifact: Path, runs: int = 5
     ) -> PerfResult:
-        native = self._cost_of(native_artifact, self.native_cost_ns)
-        translated = self._cost_of(translated_artifact, MOCK_COST_NS)
+        native = self._builds[Path(native_artifact)].cost_ns
+        translated = self._builds[Path(translated_artifact)].cost_ns
         if native <= 0 or translated <= 0:
             raise PerfError("mock cost must be positive")
         return PerfResult(translated_cost_ns=translated, native_cost_ns=native, runs=runs)

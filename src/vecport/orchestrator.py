@@ -11,10 +11,12 @@ Both loops share one evaluate step (LLM call, extract, compile, test at every
 VLEN, record) and one measure step (pressure, perf harness, speedup), which
 serves the baseline and every optimized variant.
 
-Every LLM call is recorded as one Attempt; with a replay client and mock
-executors the whole trace, log included, reproduces byte-for-byte except for
-timestamps. With a real executor it does not: each optimization prompt embeds
-the anchor's measured speedup, so its prompt digest follows timing noise.
+Every LLM call is recorded as one Attempt and written once, as one line of
+the case's log ``<log_dir>/<case>.ndjson``; ``TaskOutcome.to_dict`` leaves
+the attempts out. With a replay client and mock executors the whole trace,
+log included, reproduces byte-for-byte except for timestamps. With a real
+executor it does not: each optimization prompt embeds the anchor's measured
+speedup, so its prompt digest follows timing noise.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class Attempt:
     timestamp: float = 0.0
 
     def to_record(self) -> dict:
-        return dict(vars(self))  # both writers sort the keys
+        return dict(vars(self))  # the log writer sorts the keys
 
 
 @dataclass
@@ -126,7 +128,6 @@ class TaskOutcome:
                 else None,
                 "perf": self.best_variant.perf.to_dict() if self.best_variant.perf else None,
             },
-            "attempts": [a.to_record() for a in self.all_attempts],
             "fsm_trace": [s.value for s in self.fsm_trace],
             "notes": self.notes,
         }
@@ -138,7 +139,7 @@ class TaskDeps:
 
     client: object  # LlmClient
     executor: object  # CommandExecutor | MockExecutor
-    log_dir: Path  # attempts go to <log_dir>/<case>/log/attempts.ndjson
+    log_dir: Path  # each case's attempts go to <log_dir>/<case>.ndjson
     temperature: float = 0.2
     pressure_mode: str = "literal"
     perf_runs: int = 5
@@ -204,7 +205,7 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
     variants: list[Variant] = []
     notes: list[str] = []
     client = deps.client.session(case.case_id)
-    log_path = Path(deps.log_dir) / case.case_id / "log" / "attempts.ndjson"
+    log_path = Path(deps.log_dir) / f"{case.case_id}.ndjson"
     log_path.parent.mkdir(parents=True, exist_ok=True)
     log_path.write_text("")
 

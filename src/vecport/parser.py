@@ -40,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
-from .errors import AnalysisError, ParseError
+from .errors import ParseError
 from .rvv_types import VectorType, parse_vector_type
 
 
@@ -298,8 +298,8 @@ class _Scopes:
             self.visible[name] = None
             return None
         if name in self.unbound:
-            raise AnalysisError(f"vector value '{name}' referenced before its declaration "
-                                f"(line {self.unbound[name]})")
+            raise ParseError(f"vector value '{name}' referenced before its declaration",
+                             line=self.unbound[name])
         ir = name
         if self.table.get(name, vt) != vt or any(isinstance(h.get(name), str) for h in self.hidden):
             ir = next(ir for k in count(2) if (ir := f"{name}@{k}") not in self.table)

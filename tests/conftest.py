@@ -1,16 +1,25 @@
 """Shared test helpers: synthetic IR construction, random CFG generation,
-deeply nested function bodies and the speedup every outcome carries."""
+deeply nested function bodies and the speedup every outcome carries.
+
+Every property test draws the same examples on every run: the ``tier1``
+Hypothesis profile derives each test's seed from the test itself and keeps
+no example database between runs.
+"""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import settings
 
 from vecport.corpus import bundled_corpus_dir, load_corpus, validate_case
 from vecport.executors import PerfResult
 from vecport.parser import BasicBlock, Cfg, FunctionIr, Stmt
 from vecport.rvv_types import parse_vector_type
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def make_ir(

@@ -5,6 +5,7 @@ environment-gated piece is the final smoke test, which needs a real RISC-V
 cross-compiler and emulator and skips cleanly without them.
 """
 
+import dataclasses
 import json
 import random
 import shutil
@@ -126,13 +127,13 @@ def _vec_add_case():
     return validate_case(manifest)
 
 
-def _run(tmp_path, responses, budgets, **mock_kw):
+def _run(tmp_path, responses, budgets, case=None):
     deps = TaskDeps(
         client=ReplayClient(responses),
-        executor=MockExecutor(**mock_kw),
-        log_dir=tmp_path / "work",
+        executor=MockExecutor(),
+        log_dir=tmp_path / "attempts",
     )
-    outcome = run_task(_vec_add_case(), budgets, deps)
+    outcome = run_task(case or _vec_add_case(), budgets, deps)
     return outcome, deps
 
 
@@ -171,7 +172,9 @@ def test_criterion_5c_optimized_variant_beats_baseline(tmp_path):
         _fenced(_with_cost(GOOD_RVV, 130000)),
         _fenced(_with_cost(GOOD_RVV, 100000)),
     ]
-    outcome, _ = _run(tmp_path, responses, Budgets(10, 1), native_cost_ns=130000)
+    case = _vec_add_case()
+    case = dataclasses.replace(case, native_text=_with_cost(case.native_text, 130000))
+    outcome, _ = _run(tmp_path, responses, Budgets(10, 1), case)
     assert outcome.passed
     assert outcome.variants[0].perf.speedup == 1
     assert outcome.best_variant.variant_id == 1
@@ -185,7 +188,7 @@ def test_criterion_5_logs_reproducible_modulo_timestamps(tmp_path):
         root = tmp_path / label
         responses = [_fenced(BAD_COMPILE), _fenced(GOOD_RVV), _fenced(GOOD_RVV)]
         _run(root, responses, Budgets(10, 1))
-        log = root / "work" / "vec_add" / "log" / "attempts.ndjson"
+        log = root / "attempts" / "vec_add.ndjson"
         records = [json.loads(ln) for ln in log.read_text().splitlines()]
         for r in records:
             r["timestamp"] = None
@@ -256,7 +259,7 @@ def test_criterion_7_end_to_end_smoke(tmp_path):
     deps = TaskDeps(
         client=ReplayClient([_fenced(GOOD_RVV), _fenced(GOOD_RVV)]),
         executor=executor,
-        log_dir=tmp_path / "log",
+        log_dir=tmp_path / "attempts",
         perf_runs=3,
     )
     outcome = run_task(_vec_add_case(), Budgets(10, 1), deps)

@@ -43,10 +43,18 @@ def run_translate(tmp_path, out_name="out", extra=(), cases=("vec_add",)):
     return main(argv), out
 
 
-def _strip_volatile(outcome: dict) -> dict:
-    for attempt in outcome.get("attempts", []):
+def attempt_log(out: Path, case_id: str) -> list[dict]:
+    """The case's attempt records, in order."""
+    return [json.loads(line)
+            for line in (out / "attempts" / f"{case_id}.ndjson").read_text().splitlines()]
+
+
+def _strip_volatile(out: Path, case_id: str) -> tuple[dict, list[dict]]:
+    """The case's outcome and attempt log, with the timestamps removed."""
+    attempts = attempt_log(out, case_id)
+    for attempt in attempts:
         attempt["timestamp"] = None
-    return outcome
+    return json.loads((out / "outcomes" / f"{case_id}.json").read_text()), attempts
 
 
 # --- translate ------------------------------------------------------------
@@ -57,9 +65,7 @@ def test_translate_bundled_case_is_deterministic(tmp_path, capsys):
     assert rc1 == rc2 == 0
     assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-    o1 = _strip_volatile(json.loads((out1 / "outcomes" / "vec_add.json").read_text()))
-    o2 = _strip_volatile(json.loads((out2 / "outcomes" / "vec_add.json").read_text()))
-    assert o1 == o2
+    assert _strip_volatile(out1, "vec_add") == _strip_volatile(out2, "vec_add")
 
 
 def test_translate_report_golden(tmp_path, capsys):
@@ -81,7 +87,7 @@ speedup buckets: <0.5: 0  0.5-0.9: 0  0.9-1.1: 2  1.1-2.0: 0  >2.0: 0
 def test_translate_writes_attempt_logs(tmp_path):
     rc, out = run_translate(tmp_path)
     assert rc == 0
-    log = out / "work" / "vec_add" / "log" / "attempts.ndjson"
+    log = out / "attempts" / "vec_add.ndjson"
     assert log.is_file()
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert records[0]["phase"] == "translation"
@@ -116,9 +122,7 @@ def test_translate_parallelism_matches_serial(tmp_path):
     )
     assert rc1 == rc2 == 0
     for case_id in ("vec_add", "mulh_s16"):
-        a = _strip_volatile(json.loads((out1 / "outcomes" / f"{case_id}.json").read_text()))
-        b = _strip_volatile(json.loads((out2 / "outcomes" / f"{case_id}.json").read_text()))
-        assert a == b
+        assert _strip_volatile(out1, case_id) == _strip_volatile(out2, case_id)
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
@@ -143,8 +147,7 @@ def test_lone_surrogate_in_a_reply_is_a_recorded_attempt(tmp_path, capsys):
         "--translate-max", "1", "--optimize-max", "1", "--out", str(out),
     ])
     assert rc == 0
-    outcome = json.loads((out / "outcomes" / "vec_add.json").read_text())
-    assert outcome["attempts"][0]["code"].startswith("/* \ufffd */\n")
+    assert attempt_log(out, "vec_add")[0]["code"].startswith("/* \ufffd */\n")
 
 
 @pytest.mark.parametrize("first_reply, tools, expected", [
@@ -161,7 +164,7 @@ def test_empty_reply_or_silent_compiler_is_a_failed_attempt(tmp_path, capsys,
     assert main(["translate", "--replay", str(replay), "--case", "vec_add",
                  "--translate-max", "2", "--optimize-max", "1", "--out", str(out), *tools]) == 0
     assert (out / "report.json").is_file()
-    first = json.loads((out / "outcomes" / "vec_add.json").read_text())["attempts"][0]
+    first = attempt_log(out, "vec_add")[0]
     assert {key: first[key] for key in expected} == expected
 
 
@@ -240,19 +243,17 @@ def test_vlens_flag_and_config_key_read_the_same(tmp_path, capsys, vlens):
 def test_translate_scratch_cleaned_but_logs_kept(tmp_path):
     rc, out = run_translate(tmp_path)
     assert rc == 0
-    case_work = out / "work" / "vec_add"
-    assert (case_work / "log" / "attempts.ndjson").is_file()
-    scratch = [d for d in case_work.iterdir() if d.is_dir() and d.name != "log"]
-    assert scratch == []
+    assert (out / "attempts" / "vec_add.ndjson").is_file()
+    assert not (out / "work").exists()
 
 
 def test_no_exec_run_writes_only_attempt_logs(tmp_path):
     rc, out = run_translate(tmp_path, cases=("vec_add", "mulh_s16"), extra=("--keep-scratch",))
     assert rc == 0
-    work = out / "work"
-    assert sorted(p.relative_to(work).as_posix() for p in work.rglob("*")) == [
-        "mulh_s16", "mulh_s16/log", "mulh_s16/log/attempts.ndjson",
-        "vec_add", "vec_add/log", "vec_add/log/attempts.ndjson",
+    assert not (out / "work").exists()
+    attempts = out / "attempts"
+    assert sorted(p.relative_to(attempts).as_posix() for p in attempts.rglob("*")) == [
+        "mulh_s16.ndjson", "vec_add.ndjson",
     ]
 
 
@@ -286,7 +287,7 @@ def test_aborted_run_writes_and_reports_the_finished_cases(tmp_path, capsys, cle
     assert sorted(p.name for p in (out / "outcomes").iterdir()) == [
         "deinterleave_rgb.json", "dot_f32.json",
     ]
-    assert not (out / "work" / "max_s16" / "log" / "attempts.ndjson").exists()
+    assert not (out / "attempts" / "max_s16.ndjson").exists()
     assert len(cleanups) == 1
     # The reports score exactly the two finished cases, as a run of only them does.
     two = tmp_path / "two"
@@ -308,7 +309,7 @@ def test_parallel_abort_writes_the_cases_in_flight(tmp_path, capsys):
     assert main(["translate", "--replay", str(replay), "--no-exec", "--optimize-max", "1",
                  "--parallelism", "2", "--out", str(out)]) == 1
     assert "no responses for case 'deinterleave_rgb'" in capsys.readouterr().err
-    started = sorted(p.name for p in (out / "work").iterdir())
+    started = sorted(p.stem for p in (out / "attempts").glob("*.ndjson"))
     written = sorted(p.stem for p in (out / "outcomes").iterdir())
     assert written == started
     assert "deinterleave_rgb" not in written
@@ -379,12 +380,13 @@ def test_keep_scratch_decides_what_the_real_executor_leaves(tmp_path, keep):
             "--translate-max", "1", "--optimize-max", "1", "--out", str(out)]
     assert main(argv + ["--keep-scratch"] * keep) == 0
     assert json.loads((out / "outcomes" / "ident.json").read_text())["passed"]
-    left = sorted(p.name for p in (out / "work" / "ident").iterdir())
+    assert (out / "attempts" / "ident.ndjson").is_file()
     if keep:  # per-attempt artifacts survive for post-mortem
-        assert {"log", "obj", "native", "t1", "t0-perf"} <= set(left)
+        left = sorted(p.name for p in (out / "work" / "ident").iterdir())
+        assert {"obj", "native", "t1", "t0-perf"} <= set(left)
         assert (out / "work" / "ident" / "t1" / "candidate.c").is_file()
     else:
-        assert left == ["log"]
+        assert not (out / "work").exists()
 
 
 def test_bad_flag_value_is_a_usage_error():
@@ -448,6 +450,14 @@ def test_analyze_goto_file_names_the_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "goto" in err
     assert "line 2" in err
+
+
+def test_analyze_read_before_a_later_declaration_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "early.c"
+    f.write_text("void f(size_t vl) { g(v); vint32m1_t v; }\n")
+    assert main(["analyze", str(f), "f"]) == 1
+    assert capsys.readouterr().err == (
+        "parse error: vector value 'v' referenced before its declaration (line 1)\n")
 
 
 @pytest.mark.parametrize("shape", DEEP_NESTING)

@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 import sys
 import tempfile
@@ -222,15 +223,13 @@ class TestCommandExecutorOnHost:
             assert f"{tag}/candidate.c" in result.diagnostics
         assert sum("candidate.c" in c for c in log.read_text().splitlines()) == 2
 
-    def test_cleanup_removes_objects_and_keeps_logs(self, tmp_path):
+    def test_cleanup_removes_work_dir(self, tmp_path):
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
         ex = CommandExecutor(host_config(), tmp_path / "work")
         assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1").success
-        case_work = tmp_path / "work" / case.case_id
-        (case_work / "log").mkdir()
-        assert (case_work / "obj").is_dir()
+        assert (tmp_path / "work" / case.case_id / "obj").is_dir()
         ex.cleanup()
-        assert sorted(p.name for p in case_work.iterdir()) == ["log"]
+        assert not (tmp_path / "work").exists()
         # the executor rebuilds what cleanup removed
         again = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t2")
         assert again.success and ex.run_functional_tests(again.artifact_path).all_passed
@@ -297,7 +296,8 @@ def test_mock_timeout_marker(tmp_path):
 
 def test_mock_costs_and_speedup(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-    ex = MockExecutor(native_cost_ns=130000)
+    case = dataclasses.replace(case, native_text="/* mock-cost: 130000 */\n" + case.native_text)
+    ex = MockExecutor()
     fast = ex.compile_candidate("/* mock-cost: 100000 */\n", case, "perf", tag="a")
     native = ex.compile_candidate(case.native_text, case, "perf", tag="n")
     perf = ex.run_perf(fast.artifact_path, native.artifact_path)

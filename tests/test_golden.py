@@ -10,11 +10,13 @@ tied and losing variants; a variant the analyzer cannot parse; and a replay
 script that runs out before and in the middle of optimization.
 
 ``golden/expected/`` mirrors the run directory with every ``timestamp`` set
-to null. ``golden/analyze/`` holds the analyze stdout, in both modes, for each
-bundled ``native.c``, for ``constructs.c``, which uses every construct the
-parser accepts, and for ``spills.c``, whose peak exceeds the register file and
-which defines a vector it never reads. After an intended behaviour change,
-regenerate both with
+to null. The run directory holds nothing else, and each attempt is written
+once: as a line of its case's log, ``attempts/<case>.ndjson``, not again in
+the outcome. ``golden/analyze/`` holds the analyze stdout, in both modes, for
+each bundled ``native.c``, for ``constructs.c``, which uses every construct
+the parser accepts, and for ``spills.c``, whose peak exceeds the register
+file and which defines a vector it never reads. After an intended behaviour
+change, regenerate both with
 
     VECPORT_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 """
@@ -25,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+import vecport.cli as cli
 from vecport.cli import main
 from vecport.corpus import bundled_corpus_dir, load_corpus
 
@@ -35,7 +38,7 @@ ANALYZED = {m.case_id: (m.native_reference_path, m.function_signature)
             for m in load_corpus(bundled_corpus_dir())}
 ANALYZED["constructs"] = (ANALYZE / "constructs.c", "constructs")
 ANALYZED["spills"] = (ANALYZE / "spills.c", "spills")
-COMPARED = ("outcomes/*.json", "work/*/log/attempts.ndjson", "report.json", "report.txt")
+COMPARED = ("outcomes/*.json", "attempts/*.ndjson", "report.json", "report.txt")
 
 
 def _null_timestamps(value):
@@ -92,6 +95,49 @@ def test_scripted_corpus_run_matches_goldens(tmp_path, capsys):
     for rel in sorted(expected):
         assert actual[rel] == expected[rel], f"{rel} differs from its golden"
     assert capsys.readouterr().out == expected["report.txt"] + "\n"
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """A golden replay run directory, and the TaskOutcome of each case."""
+    outcomes = {}
+    real_run_task = cli.run_task
+
+    def kept(case, *args):
+        outcomes[case.case_id] = outcome = real_run_task(case, *args)
+        return outcome
+
+    out = tmp_path_factory.mktemp("golden") / "out"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_task", kept)
+        assert main(["translate", "--no-exec", "--replay", str(GOLDEN / "replay.json"),
+                     "--translate-max", "3", "--optimize-max", "3", "--out", str(out)]) == 0
+    return out, outcomes
+
+
+def test_no_exec_run_directory_holds_only_the_outputs(golden_run):
+    out, _ = golden_run
+    assert sorted(p.name for p in out.iterdir()) == [
+        "attempts", "outcomes", "report.json", "report.txt",
+    ]
+
+
+def test_outcomes_do_not_copy_the_attempts(golden_run):
+    out, outcomes = golden_run
+    files = sorted(out.glob("outcomes/*.json"))
+    assert [p.stem for p in files] == sorted(outcomes)
+    for path in files:
+        assert "attempts" not in json.loads(path.read_text()), path.name
+
+
+def test_each_attempt_is_logged_once_in_order(golden_run):
+    out, outcomes = golden_run
+    assert sorted(p.stem for p in out.glob("attempts/*.ndjson")) == sorted(outcomes)
+    for case_id, outcome in outcomes.items():
+        lines = (out / "attempts" / f"{case_id}.ndjson").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            a.to_record() for a in outcome.all_attempts
+        ], case_id
 
 
 @pytest.mark.parametrize("mode", ["literal", "physical"])

@@ -221,7 +221,7 @@ def test_remote_non_string_content_is_malformed(server, content):
 def test_null_content_is_a_failed_attempt_not_a_crash(server, tmp_path, vec_add_case):
     _reply(server, 200, _completion(None))
     deps = TaskDeps(client=_client(server.server_port), executor=MockExecutor(),
-                    log_dir=tmp_path / "work")
+                    log_dir=tmp_path / "attempts")
     outcome = run_task(vec_add_case, Budgets(translate_max=1, optimize_max=1), deps)
     assert not outcome.passed
     assert [a.note for a in outcome.all_attempts] == ["no code emitted"]

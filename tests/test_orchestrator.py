@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -48,11 +49,11 @@ def with_cost(code: str, cost: int) -> str:
     return f"/* mock-cost: {cost} */\n{code}"
 
 
-def deps_for(tmp_path, responses, **mock_kw) -> TaskDeps:
+def deps_for(tmp_path, responses) -> TaskDeps:
     return TaskDeps(
         client=ReplayClient(responses),
-        executor=MockExecutor(**mock_kw),
-        log_dir=tmp_path / "work",
+        executor=MockExecutor(),
+        log_dir=tmp_path / "attempts",
     )
 
 
@@ -110,12 +111,14 @@ def test_test_failure_feeds_vlen_report_into_repair(tmp_path, vec_add_case):
 
 
 def test_optimized_variant_with_better_speedup_wins(tmp_path, vec_add_case):
+    case = dataclasses.replace(
+        vec_add_case, native_text=with_cost(vec_add_case.native_text, 130000)
+    )
     deps = deps_for(
         tmp_path,
         [fenced(with_cost(GOOD_RVV, 130000)), fenced(with_cost(GOOD_RVV, 100000))],
-        native_cost_ns=130000,
     )
-    outcome = run_task(vec_add_case, Budgets(10, 1), deps)
+    outcome = run_task(case, Budgets(10, 1), deps)
     assert outcome.passed
     assert outcome.best_variant.variant_id == 1
     assert outcome.final_speedup == Fraction(13, 10)
@@ -213,7 +216,7 @@ def test_perf_harness_compile_failure_is_a_note(tmp_path, vec_add_case, broken, 
     deps = TaskDeps(
         client=ReplayClient([fenced(GOOD_RVV), fenced(GOOD_RVV)]),
         executor=PerfHarnessBreaks({broken}),
-        log_dir=tmp_path / "work",
+        log_dir=tmp_path / "attempts",
     )
     outcome = run_task(vec_add_case, Budgets(10, 1), deps)
     assert outcome.passed
@@ -257,8 +260,6 @@ def test_optimize_anchors_on_best_variant_pressure(tmp_path, vec_add_case):
 
 
 def test_broken_native_reference_still_yields_a_passing_outcome(tmp_path, vec_add_case):
-    import dataclasses
-
     broken = dataclasses.replace(
         vec_add_case,
         native_text="/* mock-compile-error: native reference rotted */\n"
@@ -276,10 +277,10 @@ def test_attempt_log_reproducible_modulo_timestamps(tmp_path, vec_add_case):
         deps = TaskDeps(
             client=ReplayClient([fenced(BAD_COMPILE), fenced(GOOD_RVV), fenced(GOOD_RVV)]),
             executor=MockExecutor(),
-            log_dir=run_dir / "work",
+            log_dir=run_dir / "attempts",
         )
         run_task(vec_add_case, Budgets(10, 1), deps)
-        log = run_dir / "work" / vec_add_case.case_id / "log" / "attempts.ndjson"
+        log = run_dir / "attempts" / f"{vec_add_case.case_id}.ndjson"
         records = [json.loads(line) for line in log.read_text().splitlines()]
         for r in records:
             r["timestamp"] = None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import DEEP_NESTING
 from oracles import print_function, reference_parse
-from vecport.errors import AnalysisError, ParseError
+from vecport.errors import ParseError
 from vecport.liveness import analyze_source
 from vecport.parser import (
     FunctionIr, parse_function, signature_name, tokenize, validate_signature,
@@ -613,7 +613,7 @@ _SCOPE_RULES = {
     "use_before_a_later_declaration_raises": ("""
         { g(v); }
         { vint32m1_t v = __riscv_vle32_v_i32m1(p, vl); }""",
-        {"error": (AnalysisError, "vector value 'v' referenced before its declaration (line 2)")}),
+        {"error": (ParseError, "vector value 'v' referenced before its declaration (line 2)")}),
 }
 
 
@@ -706,7 +706,7 @@ def _scoped_bodies(draw):
     return "\n".join(plain), "\n".join(unique)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None)
 @given(_scoped_bodies())
 def test_scoped_names_analyze_as_uniquely_spelled_ones(bodies):
     reports, sizes = [], []
@@ -728,7 +728,7 @@ def test_use_before_declaration_is_an_error():
         vint32m1_t a = __riscv_vmv_v_x_i32m1(0, vl);
     }
     """
-    with pytest.raises(AnalysisError, match="'a'"):
+    with pytest.raises(ParseError, match="'a'"):
         parse_function(src, "f")
 
 
@@ -786,7 +786,7 @@ def test_unbalanced_parameter_list_names_its_line():
     ("void f(void) { }", "int f", ParseError, "cannot read a function name from 'int f'"),
     ("void f(void) { }", "", ParseError, "cannot read a function name from ''"),
     ("void f(size_t vl) {\n    vint32m1_t a;\n    a = __riscv_vadd_vv_i32m1(b, a, vl);\n"
-     "    vint32m1_t b;\n}", "f", AnalysisError,
+     "    vint32m1_t b;\n}", "f", ParseError,
      "vector value 'b' referenced before its declaration (line 3)"),
 ])
 def test_parse_function_diagnostics(source, signature, error, message):
@@ -863,7 +863,7 @@ def _front_end(parse, source, signature):
     """What a front end makes of ``source``: the IR, or the error's type and text."""
     try:
         return parse(source, signature)
-    except (ParseError, AnalysisError) as exc:
+    except ParseError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -873,8 +873,7 @@ def _assert_same_as_reference(source, signature):
 
     One difference is by design: a ``break`` or ``continue`` outside a loop
     is reported where it stands, while the reference reports first any other
-    parse error later in the body, or a vector referenced before a
-    declaration that comes later.
+    parse error later in the body.
     """
     got = _front_end(parse_function, source, signature)
     want = _front_end(lambda src, sig: reference_parse(src, sig)[0], source, signature)
@@ -882,9 +881,7 @@ def _assert_same_as_reference(source, signature):
         assert isinstance(got, tuple) and isinstance(want, tuple), (got, want)
         jump = re.fullmatch(r"(?:break|continue) outside a loop \(line (\d+)\)", got[1])
         later = re.search(r"\(line (\d+)\)$", want[1])
-        assert got[0] == "ParseError" and jump and later, (got, want)
-        assert want[0] == "ParseError" or re.match(
-            r"vector value '\w+' referenced before its declaration", want[1]), (got, want)
+        assert jump and later, (got, want)
         assert int(later[1]) >= int(jump[1]), (got, want)
     return got
 
@@ -1013,7 +1010,7 @@ _BODIES = st.lists(
 ).map(" ".join)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None)
 @given(_BODIES)
 def test_one_pass_ir_equals_the_reference_on_generated_bodies(body):
     source = f"void f(int32_t *p, size_t n, vint32m1_t a, vint32m2_t c) {{ {body} }}"

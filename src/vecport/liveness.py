@@ -8,14 +8,17 @@ redefinition. The solver iterates
 
 to a fixpoint over the statement edges of ``FunctionIr.successors``, which
 the solver and ``check_fixpoint`` share. A statement that leaves the
-function has no successor there, so nothing is live after it. Sets grow
-monotonically inside a finite universe, so termination is bounded by
-|vars| * |stmts| sweeps. Register pressure at a statement is the sum of the
-LMUL-weighted footprints of IN(i) | OUT(i), each symbol's footprint computed
-once. Every footprint is a whole number of eighths of a register, so the sum
-is taken in integer eighths and stored as one exact ``Fraction`` per
-statement; the report carries the peak across the function against the
-32-register file.
+function has no successor there, so nothing is live after it. The live sets
+are frozensets throughout: a statement with one successor takes that
+successor's IN set itself as its OUT, and only a statement with two or more
+successors builds a union. Sets grow monotonically inside a finite universe,
+so termination is bounded by |vars| * |stmts| sweeps. Register pressure at a
+statement is the sum of the LMUL-weighted footprints of IN(i) | OUT(i).
+Every footprint is a whole number of eighths of a register, so the sums are
+ints: the weight of each distinct OUT set is computed once, and a statement
+adds the weight of IN(i) - OUT(i) to it. ``Fraction``s are made only for the
+report, one per distinct value; the report carries the peak across the
+function against the 32-register file.
 
 The brute-force path-enumeration oracle that cross-checks the solver lives
 in the test suite (``tests/oracles.py``).
@@ -29,7 +32,7 @@ from typing import Sequence
 
 from .errors import AnalysisError
 from .parser import FunctionIr
-from .rvv_types import register_footprint
+from .rvv_types import footprint_eighths
 
 REGISTER_BUDGET = 32
 
@@ -93,6 +96,20 @@ def fmt_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+_NOTHING: frozenset[str] = frozenset()
+
+
+def _live_after(live_in: dict[int, frozenset[str]], nexts: tuple[int, ...]) -> frozenset[str]:
+    """OUT of a statement whose successors are ``nexts``: nothing after a
+    statement that leaves the function, one successor's IN set itself, or
+    the union of several."""
+    if len(nexts) == 1:
+        return live_in[nexts[0]]
+    if not nexts:
+        return _NOTHING
+    return _NOTHING.union(*[live_in[j] for j in nexts])
+
+
 def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> LivenessResult:
     """Iterate the dataflow equations to a fixpoint.
 
@@ -109,8 +126,8 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
     else:
         sweep = list(order)
 
-    live_in: dict[int, frozenset[str]] = {s.stmt_id: frozenset() for s in stmts}
-    live_out: dict[int, frozenset[str]] = {s.stmt_id: frozenset() for s in stmts}
+    live_in = {s.stmt_id: _NOTHING for s in stmts}
+    live_out = dict(live_in)
     uses = {s.stmt_id: s.uses for s in stmts}
     defs = {s.stmt_id: s.defs for s in stmts}
 
@@ -119,13 +136,10 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
     for _ in range(max_sweeps):
         changed = False
         for i in sweep:
-            out: set[str] = set()
-            for j in succ[i]:
-                out |= live_in[j]
-            new_out = frozenset(out)
-            new_in = frozenset((new_out - defs[i]) | uses[i])
-            if new_out != live_out[i] or new_in != live_in[i]:
-                live_out[i] = new_out
+            out = _live_after(live_in, succ[i])
+            new_in = (out - defs[i]) | uses[i]
+            if out != live_out[i] or new_in != live_in[i]:
+                live_out[i] = out
                 live_in[i] = new_in
                 changed = True
         if not changed:
@@ -136,15 +150,14 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
 def check_fixpoint(ir: FunctionIr, live: LivenessResult) -> None:
     """Raise AnalysisError unless ``live`` satisfies the dataflow equations exactly."""
     succ = ir.successors
+    live_in, live_out = live.live_in, live.live_out
     for s in ir.stmts:
         i = s.stmt_id
-        expected_in = (live.live_out[i] - s.defs) | s.uses
-        if live.live_in[i] != expected_in:
+        out = live_out[i]
+        if live_in[i] != (out - s.defs) | s.uses:
             raise AnalysisError(f"liveness not a fixpoint at statement {i} (IN)")
-        out: set[str] = set()
-        for j in succ[i]:
-            out |= live.live_in[j]
-        if live.live_out[i] != frozenset(out):
+        after = _live_after(live_in, succ[i])
+        if out is not after and out != after:
             raise AnalysisError(f"liveness not a fixpoint at statement {i} (OUT)")
 
 
@@ -153,41 +166,44 @@ def compute_pressure(
 ) -> PressureReport:
     """Peak register demand per the live sets, plus dead-definition warnings.
 
-    ``live`` must be a fixpoint for ``ir`` (checked). A defined-but-unused
-    value appears in no live set and therefore costs nothing here; it is
-    surfaced in ``dead_defs`` instead of being silently dropped.
+    ``mode`` must be one of ``FOOTPRINT_MODES`` (ValueError otherwise, even
+    for a function without vectors), and ``live`` a fixpoint for ``ir``
+    (checked). A defined-but-unused value appears in no live set and
+    therefore costs nothing here; it is surfaced in ``dead_defs`` instead of
+    being silently dropped.
     """
+    table = footprint_eighths(mode)
     check_fixpoint(ir, live)
-    footprint = {name: register_footprint(t, mode) for name, t in ir.symbol_table.items()}
-    # Every legal LMUL is a multiple of 1/8, so each footprint is a whole
-    # number of eighths of a register and the sums can be done in ints.
-    eighths = {name: int(fp * 8) for name, fp in footprint.items()}
+    eighths = {name: table[t] for name, t in ir.symbol_table.items()}
+    weigh = eighths.__getitem__
     live_in, live_out = live.live_in, live.live_out
-    totals = {
-        s.stmt_id: sum(eighths[name] for name in live_in[s.stmt_id] | live_out[s.stmt_id])
-        for s in ir.stmts
-    }
-    per_stmt = {i: Fraction(total, 8) for i, total in totals.items()}
-
-    all_defs: set[str] = set()
-    all_uses: set[str] = set()
+    out_weights: dict[frozenset[str], int] = {}
+    totals: dict[int, int] = {}
     for s in ir.stmts:
-        all_defs |= s.defs
-        all_uses |= s.uses
-    dead = frozenset(all_defs - all_uses)
+        i = s.stmt_id
+        out = live_out[i]
+        weight = out_weights.get(out)
+        if weight is None:
+            weight = out_weights[out] = sum(map(weigh, out))
+        totals[i] = weight + sum(map(weigh, live_in[i] - out))
+
+    all_defs = _NOTHING.union(*[s.defs for s in ir.stmts])
+    all_uses = _NOTHING.union(*[s.uses for s in ir.stmts])
+    dead = all_defs - all_uses
 
     if totals:
         peak = max(totals.values())
         hot = min(i for i, total in totals.items() if total == peak)
-        pressure = per_stmt[hot]
+        as_fraction = {n: Fraction(n, 8) for n in {*totals.values(), *eighths.values()}}
+        pressure = as_fraction[peak]
         hot_stmt = ir.stmt(hot)
         live_at_hot = frozenset(
-            (name, footprint[name]) for name in live.live_in[hot] | live.live_out[hot]
+            (name, as_fraction[eighths[name]]) for name in live_in[hot] | live_out[hot]
         )
         return PressureReport(
             pressure=pressure,
             hot_stmt=hot,
-            per_stmt_pressure=per_stmt,
+            per_stmt_pressure={i: as_fraction[total] for i, total in totals.items()},
             live_at_hot=live_at_hot,
             dead_defs=dead,
             spills_predicted=pressure > REGISTER_BUDGET,

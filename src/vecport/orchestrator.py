@@ -8,8 +8,10 @@ failed optimization rounds consume budget but can never lose the correct
 baseline, so the returned best variant always passed all tests.
 
 Both loops share one evaluate step (LLM call, extract, compile, test at every
-VLEN, record) and one measure step (pressure, perf harness, speedup), which
-serves the baseline and every optimized variant.
+VLEN, record) and one measure step (perf harness, speedup), which serves the
+baseline and every optimized variant. A variant's pressure report is read
+only when the variant anchors an optimization round or is selected best, so
+it is computed then, the first time, and kept, a failed analysis included.
 
 Every LLM call is recorded as one Attempt and written once, as one line of
 the case's log ``<log_dir>/<case>.ndjson``; ``TaskOutcome.to_dict`` leaves
@@ -94,6 +96,10 @@ class Attempt:
 
 @dataclass
 class Variant:
+    """A passing candidate. ``pressure`` is filled in when the variant first
+    anchors a round or is selected best; it stays None before that, and
+    when the analysis fails."""
+
     variant_id: int
     code: str
     pressure: PressureReport | None = None
@@ -208,6 +214,16 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
     log_path = Path(deps.log_dir) / f"{case.case_id}.ndjson"
     log_path.parent.mkdir(parents=True, exist_ok=True)
     log_path.write_text("")
+    analyzed: set[int] = set()  # variant ids whose pressure has been computed
+
+    def pressure_of(variant: Variant) -> PressureReport | None:
+        """The variant's report, computed the first time it is asked for."""
+        if variant.variant_id not in analyzed:
+            analyzed.add(variant.variant_id)
+            variant.pressure = _safe_pressure(
+                variant.code, case.function_signature, deps.pressure_mode
+            )
+        return variant.pressure
 
     def evaluate(
         phase: _Phase, attempt_no: int, bundle, pressure: PressureReport | None = None
@@ -256,13 +272,9 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
         return code, feedback
 
     def measure(phase: _Phase, n: int, code: str) -> None:
-        """Add passing code as the next variant, with its pressure and, when
-        the native reference compiled, its speedup over it."""
-        variant = Variant(
-            variant_id=len(variants),
-            code=code,
-            pressure=_safe_pressure(code, case.function_signature, deps.pressure_mode),
-        )
+        """Add passing code as the next variant, with its speedup over the
+        native reference when that compiled."""
+        variant = Variant(variant_id=len(variants), code=code)
         variants.append(variant)
         if native_artifact is None:
             return
@@ -313,15 +325,16 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
     for opt_no in range(1, budgets.optimize_max + 1):
         trace.append(FsmState.OPTIMIZE)
         anchor = select_best(variants)
+        pressure = pressure_of(anchor)
         bundle = build_optimize_prompt(
             case,
             anchor.code,
-            anchor.pressure,
+            pressure,
             speedup=anchor.perf.speedup if anchor.perf else None,
             feedback=feedback,
         )
         try:
-            code, feedback = evaluate(_OPTIMIZATION, opt_no, bundle, anchor.pressure)
+            code, feedback = evaluate(_OPTIMIZATION, opt_no, bundle, pressure)
         except ReplayExhaustedError:
             notes.append(f"replay script exhausted after {opt_no - 1} optimization rounds")
             break
@@ -332,6 +345,7 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
     # --- selection -----------------------------------------------------------
     trace.append(FsmState.SELECT_BEST)
     best = select_best(variants)
+    pressure_of(best)
     trace.append(FsmState.DONE)
     return TaskOutcome(
         case_id=case.case_id,

@@ -20,7 +20,8 @@ basic block as it reads it, and wires each construct's edges as its parts
 arrive. A ``for`` step is read before the loop body but emitted after it,
 and a ``while`` loop is a ``for`` with no init and no step. Each name
 resolves as it is read, through a stack of block scopes (``_Scopes``), so a
-statement is final when it is read; a vector that shadows another, or that
+statement is final when it is read. Each ``{`` block, each ``for`` and each
+branch or loop body opens a scope; a vector that shadows another, or that
 reuses a name the function gave another type, gets an IR name ``x@k``.
 ``build_cfg`` then prunes unreachable and empty pass-through blocks and
 numbers blocks and statements in layout order. Statement-level successor
@@ -170,20 +171,37 @@ def _top_level(tokens: list[Token], start: int = 0) -> Iterator[int]:
         i += tokens[i].span + 1
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Stmt:
     """One statement of the analyzed function.
 
     ``uses``/``defs`` name vector-typed values only, by IR name; both may
     mention the same name (an accumulator update reads and writes it).
+    ``tokens`` is the statement's slice of the source, a ``return``'s
+    without its keyword; ``text`` renders it when read, since the analysis
+    itself reads the text of one statement at most. Two statements are equal
+    when everything but their tokens is, the rendered text included.
     """
 
     kind: str
     uses: frozenset[str]
     defs: frozenset[str]
     line: int
-    text: str
+    tokens: list[Token] = field(repr=False)
     stmt_id: int = -1  # its place in layout order, set by build_cfg; -1 if unreachable
+
+    @property
+    def text(self) -> str:
+        text = _render_tokens(self.tokens)
+        if self.kind == "return":
+            return f"return {text}" if text else "return"
+        return text
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Stmt):
+            return NotImplemented
+        return (self.kind, self.uses, self.defs, self.line, self.stmt_id, self.text) == (
+            other.kind, other.uses, other.defs, other.line, other.stmt_id, other.text)
 
 
 @dataclass
@@ -359,13 +377,13 @@ def _parse_simple(tokens: list[Token], scopes: _Scopes) -> Stmt:
         kind, uses, defs = _read_decl(tokens, i, scopes, line)
     else:
         kind, uses, defs = _read_expr_stmt(tokens, scopes, line)
-    return Stmt(kind, frozenset(uses), frozenset(defs), line, _render_tokens(tokens))
+    return Stmt(kind, frozenset(uses), frozenset(defs), line, tokens)
 
 
 def _cond_stmt(tokens: list[Token], at: Token, scopes: _Scopes) -> Stmt:
     """A condition: it reads ``tokens``, declares nothing, and sits at ``at``."""
     return Stmt("scalar_other", frozenset(scopes.reads(tokens, at.line)), frozenset(),
-                at.line, _render_tokens(tokens))
+                at.line, tokens)
 
 
 def _read_decl(tokens: list[Token], i: int, scopes: _Scopes,
@@ -538,13 +556,17 @@ class _BodyParser:
     def _parse_body(self, entry: int, loop: dict[str, list[int]] | None = None) -> int | None:
         """One statement, a branch's or a loop's body, laid out from ``entry``.
 
-        Returns the block the body ends in, None if it ends in a jump. A loop
-        body's break and continue sources are collected in ``loop``.
+        The statement is a block scope of its own even without braces (C11
+        §6.8.4p3, §6.8.5p5), so what it declares ends with it. Returns the
+        block the body ends in, None if it ends in a jump. A loop body's
+        break and continue sources are collected in ``loop``.
         """
         if loop is not None:
             self.loop_stack.append(loop)
         self.current = entry
+        self.scopes.open()
         self.parse_statement()
+        self.scopes.close()
         if loop is not None:
             self.loop_stack.pop()
         return self.current
@@ -632,9 +654,8 @@ class _BodyParser:
         elif tok.text == "return":
             self.advance()
             expr = self._collect_until(";")
-            text = "return " + _render_tokens(expr) if expr else "return"
             uses = frozenset(self.scopes.reads(expr, tok.line))
-            self.emit(Stmt("return", uses, frozenset(), tok.line, text))
+            self.emit(Stmt("return", uses, frozenset(), tok.line, expr))
             self.return_sources.append(self.current)
             self.current = None
         elif tok.text in ("break", "continue"):

@@ -5,13 +5,15 @@ plus the mask family ``vbool{1,2,4,8,16,32,64}_t``. The legal names are exactly
 the names of ``iter_vector_types()``, which holds every legality rule once;
 ``parse_vector_type`` looks a name up in that enumeration. A type's register
 footprint is its group multiplier (LMUL) times its tuple field count; masks
-always occupy one register.
+always occupy one register. The analyzer reads footprints as whole eighths of a
+register from ``footprint_eighths``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterator
 
@@ -79,13 +81,17 @@ def register_footprint(t: VectorType, mode: str = "literal") -> Fraction:
     literal mode keeps fractional LMUL as a fraction; physical mode rounds each
     field up to a whole register.
     """
-    if mode not in FOOTPRINT_MODES:
-        raise ValueError(f"unknown footprint mode: {mode!r}")
+    _check_mode(mode)
     if mode == "physical":
         per_field = Fraction(max(1, math.ceil(t.lmul)))
     else:
         per_field = t.lmul
     return per_field * t.tuple_fields
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in FOOTPRINT_MODES:
+        raise ValueError(f"unknown footprint mode: {mode!r}")
 
 
 def iter_vector_types() -> Iterator[VectorType]:
@@ -119,3 +125,15 @@ def parse_vector_type(type_name: str) -> VectorType | None:
     declarations), so illegal names never raise.
     """
     return _BY_NAME.get(type_name)
+
+
+@cache
+def footprint_eighths(mode: str) -> dict[VectorType, int]:
+    """Every legal type's footprint in ``mode``, in eighths of a register.
+
+    Every legal LMUL is a multiple of 1/8, so each footprint is a whole
+    number of eighths. The table is built on first use, once per mode, and
+    shared by every caller, who must not modify it.
+    """
+    _check_mode(mode)
+    return {t: int(register_footprint(t, mode) * 8) for t in _BY_NAME.values()}

@@ -15,7 +15,7 @@ from hypothesis import settings
 
 from vecport.corpus import bundled_corpus_dir, load_corpus, validate_case
 from vecport.executors import PerfResult
-from vecport.parser import BasicBlock, Cfg, FunctionIr, Stmt
+from vecport.parser import BasicBlock, Cfg, FunctionIr, Stmt, tokenize
 from vecport.rvv_types import parse_vector_type
 
 settings.register_profile("tier1", derandomize=True, database=None)
@@ -48,7 +48,7 @@ def make_ir(
                     uses=frozenset(uses),
                     defs=frozenset(defs),
                     line=sid + 1,
-                    text=f"s{sid}",
+                    tokens=tokenize(f"s{sid}"),
                 )
             )
         blocks.append(BasicBlock(block_id, ids))

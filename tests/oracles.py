@@ -7,16 +7,17 @@ property tests can cross-check the solver.
 ``reference_parse`` is the two-pass front end that ``vecport.parser``
 replaced with a one-pass one: ``TreeParser`` reads a function body into a
 statement tree, and ``_CfgBuilder`` walks that tree into basic blocks. Both
-are kept here unchanged in behaviour, so the differential tests can check
-that the one-pass parser gives the same IR and the same errors. The
-reference shares the lexer, the scoped statement readers (``_Scopes``, which
-resolve each name as it is read) and the pruning and renumbering of
-``build_cfg`` with the pipeline, and opens and closes scopes at the same
-places: each nested ``{`` block and each ``for``. It differs in how
-statements reach their blocks. One difference is by design: the reference
-reports a ``break`` or ``continue`` outside a loop only after the whole body
-has parsed, while the one-pass parser reports it where it stands, so with
-two errors in a body the two may name different ones.
+are kept here in step with the pipeline's behaviour, so the differential
+tests can check that the one-pass parser gives the same IR and the same
+errors. The reference shares the lexer, the scoped statement readers
+(``_Scopes``, which resolve each name as it is read) and the pruning and
+renumbering of ``build_cfg`` with the pipeline, and opens and closes scopes
+at the same places: each nested ``{`` block, each ``for`` and each branch or
+loop body. It differs in how statements reach their blocks. One difference
+is by design: the reference reports a ``break`` or ``continue`` outside a
+loop only after the whole body has parsed, while the one-pass parser
+reports it where it stands, so with two errors in a body the two may name
+different ones.
 
 ``print_function`` emits C from the reference tree, so the parser tests can
 check that structure and use/def sets survive a round trip; it reads the
@@ -164,7 +165,8 @@ class TreeParser:
     """Reads a function body into a statement tree; the reference body parser.
 
     Scopes open and close where the one-pass parser opens and closes them:
-    at each nested ``{`` block and at each ``for``.
+    at each nested ``{`` block, at each ``for`` and around each branch or
+    loop body.
     """
 
     def __init__(self, tokens: list[Token], scopes: _Scopes):
@@ -215,8 +217,11 @@ class TreeParser:
         return node
 
     def _parse_body(self) -> BlockNode:
-        """A loop or branch body: a block, or one statement as a block."""
+        """A loop or branch body, in a scope of its own: a block, or one
+        statement as a block."""
+        self.scopes.open()
         item = self.parse_statement()
+        self.scopes.close()
         if isinstance(item, BlockNode):
             return item
         return BlockNode([] if item is None else [item])
@@ -267,9 +272,8 @@ class TreeParser:
         if tok.text == "return":
             self.advance()
             expr = self._collect_until(";")
-            text = "return " + _render_tokens(expr) if expr else "return"
             uses = frozenset(self.scopes.reads(expr, tok.line))
-            return Stmt("return", uses, frozenset(), tok.line, text)
+            return Stmt("return", uses, frozenset(), tok.line, expr)
         if tok.text in ("break", "continue"):
             self.advance()
             self.expect(";")

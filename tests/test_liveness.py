@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_ir, random_ir, straight_line_ir
 from oracles import PathExplosionError, oracle_liveness
 from vecport.errors import AnalysisError
-from vecport.liveness import check_fixpoint, compute_pressure, solve_liveness
+from vecport.liveness import analyze_source, check_fixpoint, compute_pressure, solve_liveness
 from vecport.parser import parse_function
 from vecport.rvv_types import FOOTPRINT_MODES, iter_vector_type_names, register_footprint
 
@@ -115,12 +116,61 @@ def test_dead_def_contributes_nothing_but_is_reported():
     assert report.pressure == 2
 
 
-def test_compute_pressure_rejects_a_non_fixpoint():
-    ir = straight_line_ir(STRAIGHT_LINE, STRAIGHT_SYMBOLS)
+def _branch_and_join_ir():
+    """s0 (def x) branches to s1 (use x, def y) and s2 (def y), which join at
+    s3 (use y); s3 leaves the function. So s0 has two successors, s1 and
+    s2 one each, and s3 none."""
+    return make_ir(
+        [[(set(), {"x"})], [({"x"}, {"y"})], [(set(), {"y"})], [({"y"}, set())]],
+        {0: (1, 2), 1: (3,), 2: (3,), 3: (4,)},
+        {"x": M2, "y": M2},
+    )
+
+
+# (statement, its successor count, the map corrupted, the name toggled there,
+# where the check must fail). Toggling a name the statement uses or defines
+# in its OUT set keeps its IN equation true, so only the OUT check at that
+# statement can fail; a corrupted IN set is caught at the statement itself
+# when nothing precedes it, and by its predecessor's OUT check otherwise.
+_CORRUPTIONS = [
+    (0, 2, "live_in", "y", "statement 0 (IN)"),
+    (0, 2, "live_out", "x", "statement 0 (OUT)"),
+    (1, 1, "live_in", "y", "statement 0 (OUT)"),
+    (1, 1, "live_out", "y", "statement 1 (OUT)"),
+    (3, 0, "live_in", "x", "statement 1 (OUT)"),
+    (3, 0, "live_out", "y", "statement 3 (OUT)"),
+]
+
+
+@pytest.mark.parametrize(
+    "stmt, n_succ, which, name, where", _CORRUPTIONS,
+    ids=[f"{which}-at-{n}-successors" for _, n, which, _, _ in _CORRUPTIONS],
+)
+def test_compute_pressure_rejects_a_non_fixpoint(stmt, n_succ, which, name, where):
+    ir = _branch_and_join_ir()
+    assert len(ir.successors[stmt]) == n_succ
     live = solve_liveness(ir)
-    live.live_in[0] = frozenset({"c"})
-    with pytest.raises(AnalysisError):
+    check_fixpoint(ir, live)
+    sets = getattr(live, which)
+    sets[stmt] = sets[stmt] ^ {name}
+    with pytest.raises(AnalysisError, match=re.escape(f"liveness not a fixpoint at {where}")):
         compute_pressure(ir, live)
+
+
+def test_a_single_successor_shares_its_live_in_set():
+    ir = _branch_and_join_ir()
+    live = solve_liveness(ir)
+    assert live.live_out[1] is live.live_in[3] and live.live_out[2] is live.live_in[3]
+    assert live.live_out[0] == live.live_in[1] | live.live_in[2]
+
+
+@pytest.mark.parametrize("source", [
+    "void f(int n){ int a = n; }",
+    "void f(vint32m1_t v, size_t vl){ g(v); }",
+])
+def test_an_unknown_footprint_mode_is_rejected_up_front(source):
+    with pytest.raises(ValueError, match="^unknown footprint mode: 'bogus'$"):
+        analyze_source(source, "f", "bogus")
 
 
 # --- oracle ------------------------------------------------------------------
@@ -221,7 +271,7 @@ def test_property_adding_a_use_is_monotone(seed):
         uses=stmt.uses | {var},
         defs=stmt.defs,
         line=stmt.line,
-        text=stmt.text,
+        tokens=stmt.tokens,
     )
     grown = solve_liveness(ir)
     for i in base.live_in:

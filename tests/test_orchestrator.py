@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from vecport import orchestrator
 from vecport.executors import CompileResult, MockExecutor, PerfResult
 from vecport.llm_client import ReplayClient
 from vecport.orchestrator import (
@@ -257,6 +258,64 @@ def test_optimize_anchors_on_best_variant_pressure(tmp_path, vec_add_case):
     opt = [a for a in outcome.all_attempts if a.phase == "optimization"][0]
     assert opt.pressure is not None
     assert opt.pressure["pressure"] == "6"
+
+
+@pytest.fixture
+def analyzed(monkeypatch):
+    """The code of every variant the orchestrator analyzes, in call order."""
+    codes = []
+    original = orchestrator.analyze_source
+
+    def counting(code, signature, mode="literal"):
+        codes.append(code)
+        return original(code, signature, mode)
+
+    monkeypatch.setattr(orchestrator, "analyze_source", counting)
+    return codes
+
+
+def test_a_losing_variant_that_never_anchors_is_never_analyzed(tmp_path, vec_add_case, analyzed):
+    case = dataclasses.replace(
+        vec_add_case, native_text=with_cost(vec_add_case.native_text, 130000)
+    )
+    replies = [fenced(with_cost(GOOD_RVV, c)) for c in (100000, 260000)]
+    deps = deps_for(tmp_path, [*replies, fenced(BAD_COMPILE)])
+    outcome = run_task(case, Budgets(10, 2), deps)
+    assert [v.perf.speedup for v in outcome.variants] == [Fraction(13, 10), Fraction(1, 2)]
+    assert outcome.best_variant.variant_id == 0
+    assert analyzed == [outcome.variants[0].code]
+    assert outcome.variants[0].pressure.pressure == 6
+    assert outcome.variants[1].pressure is None
+
+
+def test_an_unparsable_variant_that_anchors_twice_is_analyzed_once(
+    tmp_path, vec_add_case, analyzed
+):
+    unparsable = "void vec_add_s32(int n) { goto out; }\n"
+    deps = deps_for(tmp_path, [fenced(unparsable), fenced(BAD_COMPILE), fenced(BAD_COMPILE)])
+    outcome = run_task(vec_add_case, Budgets(10, 2), deps)
+    assert outcome.passed and len(outcome.variants) == 1
+    assert "goto" in outcome.best_variant.code
+    assert analyzed == [outcome.best_variant.code]
+    assert outcome.best_variant.pressure is None
+    opt = [a for a in outcome.all_attempts if a.phase == "optimization"]
+    assert len(opt) == 2 and all(a.pressure is None for a in opt)
+    assert json.loads(json.dumps(outcome.to_dict()))["best_variant"]["pressure"] is None
+
+
+def test_analyses_are_the_distinct_anchors_and_the_best(tmp_path, vec_add_case, analyzed):
+    case = dataclasses.replace(
+        vec_add_case, native_text=with_cost(vec_add_case.native_text, 130000)
+    )
+    # Speedups 1, 13/10, 1/2 and 2: rounds anchor on v0, v1, v1; v3 wins.
+    replies = [fenced(with_cost(GOOD_RVV, c)) for c in (130000, 100000, 260000, 65000)]
+    outcome = run_task(case, Budgets(10, 3), deps_for(tmp_path, replies))
+    assert outcome.best_variant.variant_id == 3
+    codes = [v.code for v in outcome.variants]
+    anchors = [codes[0], codes[1], codes[1]]
+    assert analyzed == list(dict.fromkeys(anchors + [outcome.best_variant.code]))
+    assert analyzed == [codes[0], codes[1], codes[3]]
+    assert [v.pressure is not None for v in outcome.variants] == [True, True, False, True]
 
 
 def test_broken_native_reference_still_yields_a_passing_outcome(tmp_path, vec_add_case):

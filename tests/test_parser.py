@@ -590,6 +590,17 @@ _SCOPE_RULES = {
         for (vint32m1_t x = __riscv_vle32_v_i32m1(p, vl); vl; vl--) { }
         g(x);""",
         {"symbols": {"x": "vint32m1_t"}, "uses": [set(), set(), set(), set()]}),
+    "declaration_as_a_lone_sub_statement_ends_with_it": ("""
+        if (vl) vint32m1_t x = __riscv_vle32_v_i32m1(p, vl);
+        g(x);""",
+        {"symbols": {"x": "vint32m1_t"}, "uses": [set(), set(), set()], "pressure": 0}),
+    "lone_loop_body_declarations_end_with_each_pass": ("""
+        vint32m2_t x = __riscv_vle32_v_i32m2(p, vl);
+        while (vl) vint32m1_t x = __riscv_vle32_v_i32m1(p, vl);
+        do vint32m8_t x = __riscv_vle32_v_i32m8(p, vl); while (vl);
+        __riscv_vse32_v_i32m2(q, x, vl);""",
+        {"symbols": {"x": "vint32m2_t", "x@2": "vint32m1_t", "x@3": "vint32m8_t"},
+         "uses": [set(), set(), set(), set(), set(), {"x"}], "pressure": 2, "live": {"x"}}),
     "read_after_the_block_closes_is_no_use": ("""
         { vint32m1_t v = __riscv_vle32_v_i32m1(p, vl); }
         g(v);""",
@@ -920,6 +931,16 @@ def test_pretty_print_round_trip_on_replay_fences(bundled_cases):
                     parsed += 1
     assert parsed == 24
     assert rejected == [("deinterleave_rgb", "unsupported construct: goto (line 3)")]
+
+
+@pytest.mark.parametrize("body", [
+    "if (c) vint32m1_t x = __riscv_vle32_v_i32m1(p, vl); g(x);",
+    "if (c) c = 1; else vint32m1_t x = __riscv_vle32_v_i32m1(p, vl); g(x);",
+    "while (c) vint32m1_t x = __riscv_vle32_v_i32m1(p, vl); g(x);",
+    "for (;;) vint32m1_t x = __riscv_vle32_v_i32m1(p, vl); g(x);",
+])
+def test_pretty_print_round_trip_on_lone_sub_statement_declarations(body):
+    _assert_round_trip(f"void f(const int32_t *p, size_t vl, int c) {{ {body} }}", "f")
 
 
 @pytest.mark.parametrize("loop", [

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .errors import CorpusError, NoCasesError
+from .errors import CorpusError
 from .parser import validate_signature
 
 MANIFEST_NAME = "manifest.txt"
@@ -58,12 +58,6 @@ class CorpusListing:
 
     manifests: list[CaseManifest] = field(default_factory=list)
     problems: list[tuple[str, str]] = field(default_factory=list)  # (case dir, message)
-
-    def __iter__(self):
-        return iter(self.manifests)
-
-    def __len__(self) -> int:
-        return len(self.manifests)
 
 
 def read_key_values(path: Path | str, error: type[Exception]) -> Iterator[tuple[str, str]]:
@@ -127,7 +121,7 @@ def load_corpus(corpus_dir: Path | str) -> CorpusListing:
     """Scan a corpus directory; deterministic, sorted by case id.
 
     Cases that fail to load are recorded as problems rather than aborting the
-    scan. An entirely empty corpus raises NoCasesError.
+    scan. An entirely empty corpus raises CorpusError.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
@@ -153,7 +147,7 @@ def load_corpus(corpus_dir: Path | str) -> CorpusListing:
         listing.manifests.append(manifest)
     listing.manifests.sort(key=lambda m: m.case_id)
     if not listing.manifests and not listing.problems:
-        raise NoCasesError(f"no cases found under {corpus_dir}")
+        raise CorpusError(f"no cases found under {corpus_dir}")
     return listing
 
 

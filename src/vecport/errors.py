@@ -9,10 +9,6 @@ class CorpusError(VecportError):
     """A corpus directory or case manifest is malformed."""
 
 
-class NoCasesError(CorpusError):
-    """The corpus directory contains no loadable cases."""
-
-
 class ParseError(VecportError):
     """The C front end rejected the input."""
 

@@ -32,6 +32,7 @@ import shutil
 import statistics
 import subprocess
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -121,7 +122,7 @@ class PerfResult:
     native_cost_ns: int
     runs: int
 
-    @property
+    @cached_property
     def speedup(self) -> Fraction:
         return Fraction(self.native_cost_ns, self.translated_cost_ns)
 
@@ -173,22 +174,28 @@ class CommandExecutor:
         d.mkdir(parents=True, exist_ok=True)
         return d
 
+    @staticmethod
+    def _run(argv: list[str], timeout: int, what: str) -> tuple[int | None, str, str]:
+        """Exit code (None on timeout), stdout and stderr of ``argv``; after a
+        timeout, stderr says so. A ``what`` that cannot start is a
+        ConfigurationError."""
+        try:
+            proc = subprocess.run(
+                argv, capture_output=True, text=True, errors="replace", timeout=timeout
+            )
+        except subprocess.TimeoutExpired:
+            return None, "", f"timeout after {timeout}s"
+        except FileNotFoundError as exc:
+            raise ConfigurationError(f"{what} not runnable: {exc}") from exc
+        return proc.returncode, proc.stdout or "", proc.stderr or ""
+
     def _cc(self, *args: str) -> tuple[bool, str]:
         """Run ``cc flags args``; returns (exit status 0, stderr + stdout)."""
         argv = [*shlex.split(self.config.cc), *shlex.split(self.config.flags), *args]
-        try:
-            proc = subprocess.run(
-                argv,
-                capture_output=True,
-                text=True,
-                errors="replace",
-                timeout=self.config.compile_timeout_s,
-            )
-        except subprocess.TimeoutExpired:
+        code, stdout, stderr = self._run(argv, self.config.compile_timeout_s, "compiler")
+        if code is None:
             return False, f"compile timeout after {self.config.compile_timeout_s}s"
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"compiler not runnable: {exc}") from exc
-        return proc.returncode == 0, (proc.stderr or "") + (proc.stdout or "")
+        return code == 0, stderr + stdout
 
     def _object(self, case_id: str, name: str, source: Path) -> tuple[Path | None, str]:
         """Compile ``source`` to ``obj/<name>.o`` once per case; only successes
@@ -235,24 +242,14 @@ class CommandExecutor:
         cmd = self.config.runner_cmd_template.format(
             runner=self.config.runner, vlen=vlen, binary=shlex.quote(str(binary))
         )
-        try:
-            proc = subprocess.run(
-                shlex.split(cmd),
-                capture_output=True,
-                text=True,
-                errors="replace",
-                timeout=self.config.run_timeout_s,
-            )
-        except subprocess.TimeoutExpired:
-            return None, "", f"timeout after {self.config.run_timeout_s}s"
-        except FileNotFoundError as exc:
-            raise ConfigurationError(f"runner not runnable: {exc}") from exc
-        try:  # post-mortem copies next to the binary; last run wins
-            (binary.parent / "stdout.txt").write_text(proc.stdout or "")
-            (binary.parent / "stderr.txt").write_text(proc.stderr or "")
-        except OSError:
-            pass
-        return proc.returncode, proc.stdout or "", proc.stderr or ""
+        code, stdout, stderr = self._run(shlex.split(cmd), self.config.run_timeout_s, "runner")
+        if code is not None:
+            try:  # post-mortem copies next to the binary; last run wins
+                (binary.parent / "stdout.txt").write_text(stdout)
+                (binary.parent / "stderr.txt").write_text(stderr)
+            except OSError:
+                pass
+        return code, stdout, stderr
 
     def run_functional_tests(self, artifact: Path) -> TestResult:
         per_vlen: dict[int, VlenRun] = {}

@@ -196,7 +196,7 @@ def compute_pressure(
         hot = min(i for i, total in totals.items() if total == peak)
         as_fraction = {n: Fraction(n, 8) for n in {*totals.values(), *eighths.values()}}
         pressure = as_fraction[peak]
-        hot_stmt = ir.stmt(hot)
+        hot_stmt = ir.stmts[hot]
         live_at_hot = frozenset(
             (name, as_fraction[eighths[name]]) for name in live_in[hot] | live_out[hot]
         )

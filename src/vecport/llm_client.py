@@ -23,22 +23,13 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
 
-from .agents import ChatMessage
 from .errors import ConfigurationError, LlmError, ReplayExhaustedError
 
 API_KEY_ENV = "VECPORT_API_KEY"
 DEFAULT_TIMEOUT_S = 120.0
 RETRIES = 3
 RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
-
-
-class LlmClient(Protocol):
-    def complete(self, messages: Sequence[ChatMessage], temperature: float,
-                 max_tokens: int) -> str: ...
-
-    def session(self, case_id: str) -> "LlmClient": ...
 
 
 class ReplayClient:

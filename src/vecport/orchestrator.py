@@ -143,12 +143,11 @@ class TaskOutcome:
 class TaskDeps:
     """Everything a task needs injected: model client, executors, log directory."""
 
-    client: object  # LlmClient
+    client: object  # ReplayClient | RemoteClient
     executor: object  # CommandExecutor | MockExecutor
     log_dir: Path  # each case's attempts go to <log_dir>/<case>.ndjson
     temperature: float = 0.2
     pressure_mode: str = "literal"
-    perf_runs: int = 5
 
 
 def select_best(variants: list[Variant]) -> Variant:
@@ -283,9 +282,7 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
             notes.append(phase.no_harness_note.format(id=variant.variant_id))
             return
         try:
-            variant.perf = deps.executor.run_perf(
-                compiled.artifact_path, native_artifact, deps.perf_runs
-            )
+            variant.perf = deps.executor.run_perf(compiled.artifact_path, native_artifact)
         except PerfError as exc:
             notes.append(phase.no_perf_note.format(id=variant.variant_id, exc=exc))
 

@@ -9,7 +9,7 @@ diagnostic rather than analyzed wrongly.
 
 The lexer is one pass of one master regex over the original source:
 comments, preprocessor directives and blanks are skipped in place, so every
-token's (line, col) points into the text as written. The lexer also pairs
+token's line is the line it is written on. The lexer also pairs
 every bracket, the one place nesting is decided: text whose brackets do not
 balance is rejected with its line, and each opener's ``span`` leads to its
 closer, so later scans step over whole groups. Parameters are read by the
@@ -119,7 +119,6 @@ class Token:
     text: str
     kind: str  # id | num | str | punct
     line: int
-    col: int
     span: int = 0  # an opening bracket's offset to its closer; 0 otherwise
 
 
@@ -127,33 +126,29 @@ def tokenize(source: str) -> list[Token]:
     """The tokens of ``source``, each opening bracket paired with its closer."""
     tokens = []
     openers = []  # indices of the brackets still open, innermost last
-    line, line_start = 1, 0
+    line = 1
     for m in _LEX_RE.finditer(source):
         kind = m.lastgroup
         if kind in _TOKEN_KINDS:
-            tokens.append(Token(m[kind], kind, line, m.start(kind) - line_start + 1))
+            tokens.append(Token(m[kind], kind, line))
         elif kind == "newline":
             line += 1
-            line_start = m.end()
         elif kind == "opener":
             openers.append(len(tokens))
-            tokens.append(Token(m[kind], "punct", line, m.start(kind) - line_start + 1))
+            tokens.append(Token(m[kind], "punct", line))
         elif kind == "closer":
             text = m[kind]
             if not openers or _CLOSER_OF[tokens[openers[-1]].text] != text:
                 raise ParseError(f"mismatched {text!r}", line=line)
             opened = openers.pop()
             tokens[opened].span = len(tokens) - opened
-            tokens.append(Token(text, "punct", line, m.start(kind) - line_start + 1))
+            tokens.append(Token(text, "punct", line))
         elif kind == "bad":
             raise ParseError(f"unexpected character {m[kind]!r}", line=line)
         elif kind == "unclosed":
             raise ParseError("unterminated block comment", line=line)
         else:  # directive, comment or end: skipped, but may span lines
-            text = m[kind]
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = m.start(kind) + text.rindex("\n") + 1
+            line += m[kind].count("\n")
     if openers:
         tok = tokens[openers[-1]]
         raise ParseError(f"unbalanced {_GROUP_NAME[tok.text]}", line=tok.line)
@@ -171,7 +166,7 @@ def _top_level(tokens: list[Token], start: int = 0) -> Iterator[int]:
         i += tokens[i].span + 1
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True)
 class Stmt:
     """One statement of the analyzed function.
 
@@ -179,8 +174,7 @@ class Stmt:
     mention the same name (an accumulator update reads and writes it).
     ``tokens`` is the statement's slice of the source, a ``return``'s
     without its keyword; ``text`` renders it when read, since the analysis
-    itself reads the text of one statement at most. Two statements are equal
-    when everything but their tokens is, the rendered text included.
+    itself reads the text of one statement at most.
     """
 
     kind: str
@@ -196,12 +190,6 @@ class Stmt:
         if self.kind == "return":
             return f"return {text}" if text else "return"
         return text
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Stmt):
-            return NotImplemented
-        return (self.kind, self.uses, self.defs, self.line, self.stmt_id, self.text) == (
-            other.kind, other.uses, other.defs, other.line, other.stmt_id, other.text)
 
 
 @dataclass
@@ -230,9 +218,6 @@ class FunctionIr:
     symbol_table: dict[str, VectorType]
     stmts: list[Stmt]
     cfg: Cfg
-
-    def stmt(self, stmt_id: int) -> Stmt:
-        return self.stmts[stmt_id]
 
     @cached_property
     def successors(self) -> dict[int, tuple[int, ...]]:

@@ -109,11 +109,6 @@ def iter_vector_types() -> Iterator[VectorType]:
         yield VectorType(elem_kind=MASK, lmul=Fraction(1), mask_ratio=ratio)
 
 
-def iter_vector_type_names() -> Iterator[str]:
-    for t in iter_vector_types():
-        yield t.name()
-
-
 # Every legal name, built once from the enumeration (292 entries).
 _BY_NAME = {t.name(): t for t in iter_vector_types()}
 

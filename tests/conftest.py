@@ -128,7 +128,7 @@ def speedup(native_cost_ns: int, translated_cost_ns: int):
 def bundled_cases():
     listing = load_corpus(bundled_corpus_dir())
     assert not listing.problems
-    return {m.case_id: validate_case(m) for m in listing}
+    return {m.case_id: validate_case(m) for m in listing.manifests}
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from vecport.metrics import efficiency_score, pass_rate
 from vecport.metrics import OutcomeSummary
 from vecport.orchestrator import Budgets, FsmState, TaskDeps, run_task, select_best
 from vecport.parser import parse_function
-from vecport.rvv_types import iter_vector_type_names, parse_vector_type
+from vecport.rvv_types import iter_vector_types, parse_vector_type
 
 S = FsmState
 M2 = "vint32m2_t"
@@ -123,7 +123,7 @@ def _with_cost(code, cost):
 
 def _vec_add_case():
     listing = load_corpus(bundled_corpus_dir())
-    (manifest,) = [m for m in listing if m.case_id == "vec_add"]
+    (manifest,) = [m for m in listing.manifests if m.case_id == "vec_add"]
     return validate_case(manifest)
 
 
@@ -199,7 +199,7 @@ def test_criterion_5_logs_reproducible_modulo_timestamps(tmp_path):
 
 
 def test_criterion_6_parser_round_trip_and_type_grammar():
-    names = list(iter_vector_type_names())
+    names = [t.name() for t in iter_vector_types()]
     assert len(names) > 100
     for name in names:
         t = parse_vector_type(name)
@@ -260,7 +260,6 @@ def test_criterion_7_end_to_end_smoke(tmp_path):
         client=ReplayClient([_fenced(GOOD_RVV), _fenced(GOOD_RVV)]),
         executor=executor,
         log_dir=tmp_path / "attempts",
-        perf_runs=3,
     )
     outcome = run_task(_vec_add_case(), Budgets(10, 1), deps)
     assert outcome.passed, outcome.notes

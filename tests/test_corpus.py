@@ -6,7 +6,7 @@ from vecport.corpus import (
     load_corpus,
     validate_case,
 )
-from vecport.errors import CorpusError, NoCasesError
+from vecport.errors import CorpusError
 
 MINI_NEON = """\
 #include <arm_neon.h>
@@ -60,15 +60,15 @@ def test_load_three_cases_sorted(tmp_path):
     for case_id in ("zeta", "alpha", "mid"):
         write_case(tmp_path, case_id)
     listing = load_corpus(tmp_path)
-    assert [m.case_id for m in listing] == ["alpha", "mid", "zeta"]
+    assert [m.case_id for m in listing.manifests] == ["alpha", "mid", "zeta"]
     assert listing.problems == []
 
 
 def test_load_is_deterministic(tmp_path):
     for case_id in ("b", "a", "c"):
         write_case(tmp_path, case_id)
-    first = [m.case_id for m in load_corpus(tmp_path)]
-    second = [m.case_id for m in load_corpus(tmp_path)]
+    first = [m.case_id for m in load_corpus(tmp_path).manifests]
+    second = [m.case_id for m in load_corpus(tmp_path).manifests]
     assert first == second
 
 
@@ -76,13 +76,13 @@ def test_missing_source_recorded_as_problem(tmp_path):
     write_case(tmp_path, "good")
     write_case(tmp_path, "broken", skip=("neon.c",))
     listing = load_corpus(tmp_path)
-    assert [m.case_id for m in listing] == ["good"]
+    assert [m.case_id for m in listing.manifests] == ["good"]
     assert len(listing.problems) == 1
     assert "broken" in listing.problems[0][0]
 
 
 def test_empty_corpus_is_an_error(tmp_path):
-    with pytest.raises(NoCasesError):
+    with pytest.raises(CorpusError, match="^no cases found under "):
         load_corpus(tmp_path)
 
 
@@ -97,7 +97,7 @@ def test_duplicate_case_ids_flagged(tmp_path):
     text = (d / "manifest.txt").read_text().replace('id = "two"', 'id = "one"')
     (d / "manifest.txt").write_text(text)
     listing = load_corpus(tmp_path)
-    assert len(listing) == 1
+    assert len(listing.manifests) == 1
     assert "duplicate" in listing.problems[0][1]
 
 
@@ -168,8 +168,8 @@ def test_validate_never_mutates_files(tmp_path):
 
 def test_bundled_corpus_loads_clean():
     listing = load_corpus(bundled_corpus_dir())
-    assert len(listing) >= 6
+    assert len(listing.manifests) >= 6
     assert listing.problems == []
-    for manifest in listing:
+    for manifest in listing.manifests:
         case = validate_case(manifest)
         assert case.warnings == ()

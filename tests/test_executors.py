@@ -445,6 +445,38 @@ def test_functional_output_tail_keeps_stdout_and_stderr(tmp_path):
     assert "on-stdout" in tail and "on-stderr" in tail
 
 
+def test_tool_timeouts_are_failures_that_name_their_limit(tmp_path):
+    config = dataclasses.replace(
+        _script_config(_script(tmp_path / "cc", "exec sleep 30\n")),
+        vlens=(128,), compile_timeout_s=1, run_timeout_s=1,
+    )
+    ex = CommandExecutor(config, tmp_path / "work")
+    case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+    result = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+    assert not result.success
+    assert result.diagnostics.startswith("compile timeout after 1s")
+    (tmp_path / "ran").mkdir()
+    (tmp_path / "hung").mkdir()
+    ran = _script(tmp_path / "ran" / "bin", "echo out\necho err >&2\n")
+    hung = _script(tmp_path / "hung" / "bin", "exec sleep 30\n")
+    assert ex.run_functional_tests(ran).all_passed
+    run = ex.run_functional_tests(hung).per_vlen[128]
+    assert (run.passed, run.exit_code, run.output_tail) == (False, None, "timeout after 1s")
+    # Post-mortem copies are written for a run that ended, not for one killed.
+    assert (tmp_path / "ran" / "stdout.txt").read_text() == "out\n"
+    assert (tmp_path / "ran" / "stderr.txt").read_text() == "err\n"
+    assert sorted(p.name for p in (tmp_path / "hung").iterdir()) == ["bin"]
+
+
+def test_a_tool_that_cannot_start_is_a_configuration_error(tmp_path):
+    case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+    ex = CommandExecutor(_script_config(tmp_path / "no-cc"), tmp_path / "work")
+    with pytest.raises(ConfigurationError, match="^compiler not runnable: "):
+        ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+    with pytest.raises(ConfigurationError, match="^runner not runnable: "):
+        ex.run_functional_tests(tmp_path / "no-binary")
+
+
 def test_adding_a_vlen_only_tightens_all_passed():
     runs_two = {128: VlenRun(True, 0, ""), 256: VlenRun(True, 0, "")}
     ok = TestResult(per_vlen=runs_two)

@@ -35,7 +35,7 @@ GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "expected"
 ANALYZE = GOLDEN / "analyze"
 ANALYZED = {m.case_id: (m.native_reference_path, m.function_signature)
-            for m in load_corpus(bundled_corpus_dir())}
+            for m in load_corpus(bundled_corpus_dir()).manifests}
 ANALYZED["constructs"] = (ANALYZE / "constructs.c", "constructs")
 ANALYZED["spills"] = (ANALYZE / "spills.c", "spills")
 COMPARED = ("outcomes/*.json", "attempts/*.ndjson", "report.json", "report.txt")

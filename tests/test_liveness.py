@@ -11,7 +11,7 @@ from oracles import PathExplosionError, oracle_liveness
 from vecport.errors import AnalysisError
 from vecport.liveness import analyze_source, check_fixpoint, compute_pressure, solve_liveness
 from vecport.parser import parse_function
-from vecport.rvv_types import FOOTPRINT_MODES, iter_vector_type_names, register_footprint
+from vecport.rvv_types import FOOTPRINT_MODES, iter_vector_types, register_footprint
 
 M2 = "vint32m2_t"
 
@@ -280,7 +280,7 @@ def test_property_adding_a_use_is_monotone(seed):
     assert compute_pressure(ir, grown).pressure >= base_pressure
 
 
-ALL_TYPE_NAMES = tuple(iter_vector_type_names())
+ALL_TYPE_NAMES = tuple(t.name() for t in iter_vector_types())
 
 
 def _fraction_sum_report(ir, live, mode):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from vecport.rvv_types import (
-    iter_vector_type_names,
     iter_vector_types,
     parse_vector_type,
     register_footprint,
@@ -84,7 +83,7 @@ def test_footprint_rejects_unknown_mode():
 
 
 def test_exhaustive_round_trip():
-    names = list(iter_vector_type_names())
+    names = [t.name() for t in iter_vector_types()]
     assert len(names) == len(set(names))
     for t, name in zip(iter_vector_types(), names):
         assert t.name() == name
@@ -102,7 +101,7 @@ def test_enumeration_respects_grouping_limit():
 
 
 def test_enumeration_counts():
-    names = set(iter_vector_type_names())
+    names = {t.name() for t in iter_vector_types()}
     # 7 mask ratios; per signedness 22 scalar widths/lmuls; 15 float ones.
     base = sum(1 for t in iter_vector_types() if t.tuple_fields == 1)
     assert base == 22 * 2 + 15 + 7

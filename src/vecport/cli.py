@@ -144,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("file", help="RVV intrinsic C source file")
     a.add_argument("function", help="function name (or full signature)")
     a.add_argument("--mode", choices=FOOTPRINT_MODES, default="literal")
-    a.add_argument("--dump-ir", action="store_true", help="also print the IR and CFG")
+    a.add_argument("--dump-ir", action="store_true",
+                   help="also print each statement and its successors")
 
     r = sub.add_parser("report", help="recompute metrics from persisted outcomes")
     r.add_argument("out_dir", help="output directory of a previous translate run")

@@ -1,4 +1,4 @@
-"""Backward liveness over the statement-level CFG and vector register pressure.
+"""Backward liveness over the statement flow graph and vector register pressure.
 
 A value is live at a point when some path onward reads it before any
 redefinition. The solver iterates
@@ -6,12 +6,12 @@ redefinition. The solver iterates
     IN(i)  = (OUT(i) - DEF(i)) | USE(i)
     OUT(i) = union of IN(j) over successor statements j
 
-to a fixpoint over the statement edges of ``FunctionIr.successors``, which
-the solver and ``check_fixpoint`` share. A statement that leaves the
-function has no successor there, so nothing is live after it. The live sets
-are frozensets throughout: a statement with one successor takes that
-successor's IN set itself as its OUT, and only a statement with two or more
-successors builds a union. Sets grow monotonically inside a finite universe,
+to a fixpoint over ``FunctionIr.successors``, whose nodes are statements,
+as the parser builds it; the solver and ``check_fixpoint`` share it. A
+statement that leaves the function has no successor, so nothing is live
+after it. The live sets are frozensets throughout: a statement with one
+successor takes that successor's IN set itself as its OUT, and only a
+statement with two or more successors builds a union. Sets grow monotonically inside a finite universe,
 so termination is bounded by |vars| * |stmts| sweeps. Register pressure at a
 statement is the sum of the LMUL-weighted footprints of IN(i) | OUT(i).
 Every footprint is a whole number of eighths of a register, so the sums are

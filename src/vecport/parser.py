@@ -1,7 +1,7 @@
 """Statement-level front end for RVV intrinsic C functions.
 
 Parses one function out of a C translation unit into a flat statement list
-with vector use/def sets, plus a control-flow graph of basic blocks. The
+with vector use/def sets and the successors of each statement. The
 supported subset is what intrinsic kernels actually need: declarations,
 assignments, calls, compound statements, if/else, for, while, do-while,
 break/continue, return. goto and switch are rejected with a located
@@ -23,11 +23,11 @@ resolves as it is read, through a stack of block scopes (``_Scopes``), so a
 statement is final when it is read. Each ``{`` block, each ``for`` and each
 branch or loop body opens a scope; a vector that shadows another, or that
 reuses a name the function gave another type, gets an IR name ``x@k``.
-``build_cfg`` then prunes unreachable and empty pass-through blocks and
-numbers blocks and statements in layout order. Statement-level successor
-edges are derived from the block graph once per IR, as
-``FunctionIr.successors``; they list statements only, so a statement that
-leaves the function has no successor.
+``link_statements`` then keeps the blocks reachable from the entry, numbers
+their statements in layout order and gives each statement its successor
+statements, ``FunctionIr.successors``: the flow graph the solver reads has
+statements for nodes, so the blocks are gone once it is built. A statement
+that leaves the function has no successor.
 
 Scalar and pointer-typed values are invisible to the analysis: use/def sets
 hold only the IR names of vectors, so a ``vsetvl`` result or a pointer bump
@@ -39,7 +39,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import count
 from .errors import ParseError
 from .rvv_types import VectorType, parse_vector_type
@@ -182,7 +181,7 @@ class Stmt:
     defs: frozenset[str]
     line: int
     tokens: list[Token] = field(repr=False)
-    stmt_id: int = -1  # its place in layout order, set by build_cfg; -1 if unreachable
+    stmt_id: int = -1  # its place in layout order, set by link_statements; -1 if unreachable
 
     @property
     def text(self) -> str:
@@ -193,63 +192,18 @@ class Stmt:
 
 
 @dataclass
-class BasicBlock:
-    block_id: int
-    stmt_ids: list[int] = field(default_factory=list)
-
-
-@dataclass
-class Cfg:
-    blocks: list[BasicBlock]
-    succs: dict[int, tuple[int, ...]]
-    entry: int
-    exit: int
-
-    def block(self, block_id: int) -> BasicBlock:
-        return self.blocks[block_id]  # blocks are numbered densely from 0
-
-    def successors(self, block_id: int) -> tuple[int, ...]:
-        return self.succs.get(block_id, ())
-
-
-@dataclass
 class FunctionIr:
+    """A parsed function: its statements in layout order and the flow between them.
+
+    ``successors`` maps each statement id to the ids of the statements that
+    may run next, in ascending order; a statement that leaves the function
+    has none.
+    """
+
     name: str
     symbol_table: dict[str, VectorType]
     stmts: list[Stmt]
-    cfg: Cfg
-
-    @cached_property
-    def successors(self) -> dict[int, tuple[int, ...]]:
-        """Successor statements of each statement; leaving the function adds none.
-
-        Block-level edges are translated by taking the first statement of each
-        successor block, skipping through empty blocks transitively. ``seen``
-        guards cycles made purely of empty blocks, which contribute nothing.
-        Computed once per IR: the solver, its fixpoint check and the test
-        suite's oracle all read the same edges.
-        """
-        cfg = self.cfg
-
-        def first_stmts(block_ids: tuple[int, ...], seen: frozenset[int]) -> list[int]:
-            out: list[int] = []
-            for b in block_ids:
-                stmt_ids = cfg.block(b).stmt_ids
-                if b == cfg.exit or (b in seen and not stmt_ids):
-                    continue
-                for t in stmt_ids[:1] or first_stmts(cfg.successors(b), seen | {b}):
-                    if t not in out:
-                        out.append(t)
-            return out
-
-        succ: dict[int, tuple[int, ...]] = {}
-        for block in cfg.blocks:
-            for idx, sid in enumerate(block.stmt_ids):
-                if idx + 1 < len(block.stmt_ids):
-                    succ[sid] = (block.stmt_ids[idx + 1],)
-                else:
-                    succ[sid] = tuple(first_stmts(cfg.successors(block.block_id), frozenset()))
-        return succ
+    successors: dict[int, tuple[int, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +400,7 @@ class _BodyParser:
     sources until its join and back-edge targets exist. Blocks are numbered
     in layout order. ``current`` is the block that takes the next statement;
     after a jump or a return it is None, and a statement that follows opens
-    an unreachable block, which ``build_cfg`` prunes.
+    an unreachable block, which ``link_statements`` drops.
 
     Each nesting level costs two Python frames (``parse_statement`` and
     ``parse_block`` or ``_parse_body``), so nesting too deep for the
@@ -461,7 +415,6 @@ class _BodyParser:
         self.succs: dict[int, list[int]] = {}
         self.current: int | None = None
         self.loop_stack: list[dict[str, list[int]]] = []  # break/continue sources
-        self.return_sources: list[int] = []
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -503,34 +456,29 @@ class _BodyParser:
         self.link(sources, bid)
         return bid
 
-    def edge(self, a: int, b: int) -> None:
-        if b not in self.succs[a]:
-            self.succs[a].append(b)
-
     def link(self, sources: Iterable[int | None], target: int) -> None:
         """Edges into ``target`` from each source that is still reachable."""
         for src in sources:
             if src is not None:
-                self.edge(src, target)
+                self.succs[src].append(target)
 
     def ensure_current(self) -> int:
         if self.current is None:
-            self.current = self.new_block()  # unreachable; pruned later
+            self.current = self.new_block()  # unreachable; dropped later
         return self.current
 
     def emit(self, stmt: Stmt) -> None:
         self.block_stmts[self.ensure_current()].append(stmt)
 
-    def parse_function_body(self) -> tuple[dict[int, list[int]],
-                                           dict[int, list[Stmt]], int, int]:
-        """The function body's blocks and edges, its entry and its exit, which comes last.
+    def parse_function_body(self) -> tuple[dict[int, list[int]], dict[int, list[Stmt]], int]:
+        """The function body's block edges, its blocks' statements and its entry.
 
-        The body's outermost block shares the parameters' scope.
+        A block that leaves the function has no edge out. The body's
+        outermost block shares the parameters' scope.
         """
         entry = self.current = self.new_block()
         self.parse_block()
-        exit_block = self.new_block(self.current, *self.return_sources)
-        return self.succs, self.block_stmts, entry, exit_block
+        return self.succs, self.block_stmts, entry
 
     def parse_block(self) -> None:
         self.expect("{")
@@ -620,7 +568,7 @@ class _BodyParser:
             else:
                 self.current = self.new_block(end, *jumps["continue"])
                 self.emit(step)
-                self.edge(self.current, header)
+                self.link([self.current], header)
             # Taken even with an empty condition: liveness may-analysis only
             # gains safety from a conservative loop-exit edge.
             self.current = self.new_block(header, *jumps["break"])
@@ -634,14 +582,13 @@ class _BodyParser:
             cond_block = self.current = self.new_block(end, *jumps["continue"])
             self.emit(self._parse_cond("while"))
             self.expect(";")
-            self.edge(cond_block, body)
+            self.link([cond_block], body)
             self.current = self.new_block(cond_block, *jumps["break"])
         elif tok.text == "return":
             self.advance()
             expr = self._collect_until(";")
             uses = frozenset(self.scopes.reads(expr, tok.line))
             self.emit(Stmt("return", uses, frozenset(), tok.line, expr))
-            self.return_sources.append(self.current)
             self.current = None
         elif tok.text in ("break", "continue"):
             self.advance()
@@ -654,76 +601,57 @@ class _BodyParser:
             self.emit(_parse_simple(self._collect_until(";"), self.scopes))
 
 
-def _prune_and_simplify(succs, block_stmts, entry, exit_block):
-    """Drop unreachable blocks, then splice out empty single-successor blocks."""
-    reachable = set()
+def link_statements(succs: dict[int, list[int]], block_stmts: dict[int, list[Stmt]],
+                    entry: int) -> tuple[list[Stmt], dict[int, tuple[int, ...]]]:
+    """The statements of the blocks reachable from ``entry``, and their successors.
+
+    Blocks are numbered in layout order, and so are the statements they keep:
+    a for-loop's step lands after its body, everything else follows source
+    order. A statement is followed by the next one in its block, or else by
+    the first statements of its block's successors, where an empty block
+    leads on to its own successors. What an empty block leads to is a least
+    fixpoint, since empty blocks can form a cycle (``for (;;) { }``): the
+    sweeps go in reverse layout order, so only a back edge costs another one.
+    """
+    reachable = {entry}
     stack = [entry]
     while stack:
-        b = stack.pop()
-        if b in reachable:
-            continue
-        reachable.add(b)
-        stack.extend(succs[b])
-    reachable.add(exit_block)  # kept for shape when every path loops forever
-    order = [b for b in succs if b in reachable]
-    succs = {b: [s for s in succs[b] if s in reachable] for b in order}
+        for b in succs[stack.pop()]:
+            if b not in reachable:
+                reachable.add(b)
+                stack.append(b)
+    order = sorted(reachable)
 
+    stmts: list[Stmt] = []
+    heads: dict[int, frozenset[int]] = {}  # the statements a block starts with, or leads to
+    empty = []
+    for b in order:
+        if block_stmts[b]:
+            heads[b] = frozenset((len(stmts),))
+            for stmt in block_stmts[b]:
+                stmt.stmt_id = len(stmts)
+                stmts.append(stmt)
+        else:
+            heads[b] = frozenset()
+            empty.append(b)
+    empty.reverse()
     changed = True
     while changed:
         changed = False
-        for b in list(order):
-            if b == exit_block or block_stmts[b]:
-                continue
-            if len(succs[b]) != 1:
-                continue
-            target = succs[b][0]
-            if target == b:
-                continue
-            for p in order:
-                if b in succs[p]:
-                    succs[p] = [target if s == b else s for s in succs[p]]
-                    # dedupe, preserving order
-                    seen = set()
-                    succs[p] = [s for s in succs[p] if not (s in seen or seen.add(s))]
-            if entry == b:
-                entry = target
-            order.remove(b)
-            del succs[b]
-            changed = True
-    return order, succs, entry
+        for b in empty:
+            led = heads[b].union(*(heads[t] for t in succs[b]))
+            if led != heads[b]:
+                heads[b] = led
+                changed = True
 
-
-def build_cfg(succs: dict[int, list[int]], block_stmts: dict[int, list[Stmt]],
-              entry: int, exit_block: int) -> tuple[Cfg, list[Stmt]]:
-    """The simplified graph of a laid-out body, and its statements in layout order.
-
-    Unreachable and empty pass-through blocks are dropped, and blocks and
-    statements are numbered densely in layout order: a for-loop's step lands
-    after its body, everything else follows source order.
-    """
-    order, succs, entry = _prune_and_simplify(succs, block_stmts, entry, exit_block)
-
-    ordered_stmts: list[Stmt] = []
-    blocks = []
-    old_to_new_block = {b: i for i, b in enumerate(order)}
+    successors: dict[int, tuple[int, ...]] = {}
     for b in order:
-        stmts = block_stmts[b] if b != exit_block else []
-        ids = []
-        for stmt in stmts:
-            stmt.stmt_id = len(ordered_stmts)
-            ids.append(stmt.stmt_id)
-            ordered_stmts.append(stmt)
-        blocks.append(BasicBlock(old_to_new_block[b], ids))
-    new_succs = {
-        old_to_new_block[b]: tuple(old_to_new_block[s] for s in succs[b]) for b in order
-    }
-    cfg = Cfg(
-        blocks=blocks,
-        succs=new_succs,
-        entry=old_to_new_block[entry],
-        exit=old_to_new_block[exit_block],
-    )
-    return cfg, ordered_stmts
+        ids = [stmt.stmt_id for stmt in block_stmts[b]]
+        for sid, nxt in zip(ids, ids[1:]):
+            successors[sid] = (nxt,)
+        if ids:
+            successors[ids[-1]] = tuple(sorted(frozenset().union(*(heads[t] for t in succs[b]))))
+    return stmts, successors
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +717,8 @@ def parse_function(source: str, signature: str) -> FunctionIr:
         body = _BodyParser(tokens[body_open:body_close + 1], scopes).parse_function_body()
     except RecursionError:
         raise ParseError("nesting too deep") from None
-    cfg, stmts = build_cfg(*body)
-    return FunctionIr(name=name, symbol_table=scopes.table, stmts=stmts, cfg=cfg)
+    stmts, successors = link_statements(*body)
+    return FunctionIr(name, scopes.table, stmts, successors)
 
 
 _NO_SPACE_AFTER = {"(", "[", ".", "->", "!", "~", "++", "--"}
@@ -823,24 +751,14 @@ def _needs_space(prev: Token, cur: Token) -> bool:
 
 
 def dump_ir(ir: FunctionIr) -> str:
-    """Human-readable statement/CFG listing for the --dump-ir flag."""
-    lines = [f"function {ir.name}"]
-    lines.append("vector symbols:")
+    """Each statement with its use/def sets and successors, for the --dump-ir flag."""
+    lines = [f"function {ir.name}", "vector symbols:"]
     for name in sorted(ir.symbol_table):
         lines.append(f"  {name}: {ir.symbol_table[name].name()}")
-    for block in ir.cfg.blocks:
-        tags = []
-        if block.block_id == ir.cfg.entry:
-            tags.append("entry")
-        if block.block_id == ir.cfg.exit:
-            tags.append("exit")
-        suffix = f" ({', '.join(tags)})" if tags else ""
-        succs = ", ".join(f"B{s}" for s in ir.cfg.successors(block.block_id))
-        lines.append(f"B{block.block_id}{suffix} -> [{succs}]")
-        for sid in block.stmt_ids:
-            s = ir.stmts[sid]
-            use = ", ".join(sorted(s.uses)) or "-"
-            deff = ", ".join(sorted(s.defs)) or "-"
-            lines.append(f"  s{sid} [{s.kind}] line {s.line}: {s.text}")
-            lines.append(f"      use: {use}   def: {deff}")
+    for s in ir.stmts:
+        use = ", ".join(sorted(s.uses)) or "-"
+        deff = ", ".join(sorted(s.defs)) or "-"
+        nxt = ", ".join(f"s{t}" for t in ir.successors[s.stmt_id]) or "-"
+        lines.append(f"s{s.stmt_id} [{s.kind}] line {s.line}: {s.text}")
+        lines.append(f"    use: {use}   def: {deff}   next: {nxt}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from hypothesis import settings
 
 from vecport.corpus import bundled_corpus_dir, load_corpus, validate_case
 from vecport.executors import PerfResult
-from vecport.parser import BasicBlock, Cfg, FunctionIr, Stmt, tokenize
+from vecport.parser import FunctionIr, Stmt, link_statements, tokenize
 from vecport.rvv_types import parse_vector_type
 
 settings.register_profile("tier1", derandomize=True, database=None)
@@ -26,45 +26,32 @@ def make_ir(
     block_specs: list[list[tuple[set[str], set[str]]]],
     edges: dict[int, tuple[int, ...]],
     symbols: dict[str, str],
-    entry: int = 0,
 ) -> FunctionIr:
     """Synthetic FunctionIr from per-block (uses, defs) statement specs.
 
-    ``block_specs[k]`` holds block k's statements; the exit block is appended
-    automatically as block ``len(block_specs)`` and must appear in ``edges``
-    as a target where paths leave the function.
+    ``block_specs[k]`` holds block k's statements and block 0 is the entry.
+    An edge may target block ``len(block_specs)``, an empty block with no
+    successors, where paths leave the function. ``link_statements`` turns
+    the blocks into statement successors, as the parser does.
     """
-    blocks = []
-    stmts = []
-    for block_id, spec in enumerate(block_specs):
-        ids = []
-        for uses, defs in spec:
-            sid = len(stmts)
-            ids.append(sid)
-            stmts.append(
-                Stmt(
-                    stmt_id=sid,
-                    kind="assign",
-                    uses=frozenset(uses),
-                    defs=frozenset(defs),
-                    line=sid + 1,
-                    tokens=tokenize(f"s{sid}"),
-                )
-            )
-        blocks.append(BasicBlock(block_id, ids))
+    block_stmts = {
+        block_id: [
+            Stmt(kind="assign", uses=frozenset(uses), defs=frozenset(defs),
+                 line=0, tokens=[])
+            for uses, defs in spec
+        ]
+        for block_id, spec in enumerate(block_specs)
+    }
     exit_id = len(block_specs)
-    blocks.append(BasicBlock(exit_id, []))
-    succs = {b.block_id: tuple(edges.get(b.block_id, ())) for b in blocks}
-    succs[exit_id] = ()
-    cfg = Cfg(blocks=blocks, succs=succs, entry=entry, exit=exit_id)
+    block_stmts[exit_id] = []
+    succs = {b: list(edges.get(b, ())) for b in block_stmts}
+    stmts, successors = link_statements(succs, block_stmts, 0)
+    for s in stmts:
+        s.line = s.stmt_id + 1
+        s.tokens = tokenize(f"s{s.stmt_id}")
     table = {name: parse_vector_type(tname) for name, tname in symbols.items()}
     assert all(v is not None for v in table.values())
-    return FunctionIr(
-        name="synthetic",
-        symbol_table=table,
-        stmts=stmts,
-        cfg=cfg,
-    )
+    return FunctionIr("synthetic", table, stmts, successors)
 
 
 def straight_line_ir(

@@ -13,13 +13,15 @@ so two trees can be swept over the same inputs. The texts are:
   ``extract_code`` takes from each.
 
 The signatures are the bundled cases' and the names of the golden analyze
-sources. Each pair records a digest of ``dump_ir`` and both modes'
-``to_text()``, with the head of the literal report, or the error's type and
-text. With ``--mutants N``, each distinct code text that declares a vector
-(a reply with a fence is left to its blocks) also yields N seeded mutants
-per mutation kind (see ``MUTATIONS``), swept against the signatures whose
-function name the mutant mentions; the mutants do not depend on the package
-swept, so both trees see the same ones.
+sources. Each pair records a digest of the statement graph (see
+``fingerprint``) and both modes' ``to_text()``, with the head of the literal
+report, or the error's type and text. The graph is read from ``FunctionIr``
+fields, not from ``dump_ir``, so two trees whose listings differ in layout
+can still be compared. With ``--mutants N``, each distinct code text that
+declares a vector (a reply with a fence is left to its blocks) also yields N
+seeded mutants per mutation kind (see ``MUTATIONS``), swept against the
+signatures whose function name the mutant mentions; the mutants do not
+depend on the package swept, so both trees see the same ones.
 
 ``--compare`` prints the pairs whose records differ, counted by mutation
 kind and by the outcome on each side, with a few examples of each. It exits
@@ -232,19 +234,29 @@ def mutants(texts: list[str], per_kind: int, seed: int) -> list[tuple[str, str]]
 # Sweeping and comparing.
 
 
+def fingerprint(ir) -> str:
+    """The statement graph: for each statement its id, kind, line, text, sorted
+    uses and defs and sorted successors, then the symbol table."""
+    stmts = [[s.stmt_id, s.kind, s.line, s.text, sorted(s.uses), sorted(s.defs),
+              sorted(ir.successors[s.stmt_id])] for s in ir.stmts]
+    table = sorted((name, vt.name()) for name, vt in ir.symbol_table.items())
+    return json.dumps([stmts, table])
+
+
 def record(text: str, signature: str) -> list[str]:
-    """["ok", digest of dump_ir and both to_text(), the literal report's first
-    lines], or [error type, error text]."""
+    """["ok", digest of the statement graph and both to_text(), the literal
+    report's first lines], or [error type, error text]."""
     from vecport.errors import VecportError
     from vecport.liveness import analyze_source
-    from vecport.parser import dump_ir, parse_function
+    from vecport.parser import parse_function
 
     try:
         literal = analyze_source(text, signature, "literal").to_text()
-        outputs = [dump_ir(parse_function(text, signature)), literal,
+        ir = parse_function(text, signature)
+        outputs = [fingerprint(ir), literal,
                    analyze_source(text, signature, "physical").to_text()]
         digest = hashlib.sha256("\0".join(outputs).encode()).hexdigest()[:16]
-        renames = " (renames)" if "@" in outputs[0] else ""
+        renames = " (renames)" if any("@" in name for name in ir.symbol_table) else ""
         return ["ok", digest, " / ".join(literal.split("\n")[:3]) + renames]
     except VecportError as exc:
         return [type(exc).__name__, str(exc)]

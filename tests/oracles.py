@@ -10,14 +10,14 @@ statement tree, and ``_CfgBuilder`` walks that tree into basic blocks. Both
 are kept here in step with the pipeline's behaviour, so the differential
 tests can check that the one-pass parser gives the same IR and the same
 errors. The reference shares the lexer, the scoped statement readers
-(``_Scopes``, which resolve each name as it is read) and the pruning and
-renumbering of ``build_cfg`` with the pipeline, and opens and closes scopes
-at the same places: each nested ``{`` block, each ``for`` and each branch or
-loop body. It differs in how statements reach their blocks. One difference
-is by design: the reference reports a ``break`` or ``continue`` outside a
-loop only after the whole body has parsed, while the one-pass parser
-reports it where it stands, so with two errors in a body the two may name
-different ones.
+(``_Scopes``, which resolve each name as it is read) and
+``link_statements``, which turns the blocks into statement successors, with
+the pipeline, and opens and closes scopes at the same places: each nested
+``{`` block, each ``for`` and each branch or loop body. It differs in how
+statements reach their blocks. One difference is by design: the reference
+reports a ``break`` or ``continue`` outside a loop only after the whole body
+has parsed, while the one-pass parser reports it where it stands, so with
+two errors in a body the two may name different ones.
 
 ``print_function`` emits C from the reference tree, so the parser tests can
 check that structure and use/def sets survive a round trip; it reads the
@@ -47,7 +47,7 @@ from vecport.parser import (
     _parse_simple,
     _render_tokens,
     _top_level,
-    build_cfg,
+    link_statements,
     signature_name,
     tokenize,
 )
@@ -296,7 +296,7 @@ class TreeParser:
 
 
 class _CfgBuilder:
-    """Lays a statement tree out into basic blocks, as ``build_cfg`` expects them."""
+    """Lays a statement tree out into basic blocks, as ``link_statements`` expects them."""
 
     def __init__(self):
         self.block_stmts: dict[int, list[Stmt]] = {}
@@ -324,7 +324,7 @@ class _CfgBuilder:
 
     def ensure_current(self) -> int:
         if self.current is None:
-            self.current = self.new_block()  # unreachable; pruned later
+            self.current = self.new_block()  # unreachable; dropped later
         return self.current
 
     def emit(self, stmt: Stmt) -> None:
@@ -334,7 +334,6 @@ class _CfgBuilder:
         if isinstance(node, Stmt):
             self.emit(node)
             if node.kind == "return":
-                self.return_sources.append(self.current)
                 self.current = None
         elif isinstance(node, BlockNode):
             for item in node.items:
@@ -404,18 +403,12 @@ class _CfgBuilder:
             raise AssertionError(f"unknown structure node {node!r}")
 
     def build(self, structure: BlockNode) -> tuple[dict[int, list[int]],
-                                                   dict[int, list[Stmt]], int, int]:
-        """Blocks numbered in layout order; the exit block comes last."""
-        self.return_sources: list[int] = []
+                                                   dict[int, list[Stmt]], int]:
+        """Blocks numbered in layout order, and the entry; leaving the function is no edge."""
         entry = self.new_block()
         self.current = entry
         self.walk(structure)
-        exit_block = self.new_block()
-        if self.current is not None:
-            self.edge(self.current, exit_block)
-        for src in self.return_sources:
-            self.edge(src, exit_block)
-        return self.succs, self.block_stmts, entry, exit_block
+        return self.succs, self.block_stmts, entry
 
 
 def reference_parse(source: str, signature: str) -> tuple[FunctionIr, BlockNode]:
@@ -428,10 +421,10 @@ def reference_parse(source: str, signature: str) -> tuple[FunctionIr, BlockNode]
     body_close = body_open + tokens[body_open].span
     try:
         structure = TreeParser(tokens[body_open:body_close + 1], scopes).parse_block()
-        cfg, stmts = build_cfg(*_CfgBuilder().build(structure))
+        stmts, successors = link_statements(*_CfgBuilder().build(structure))
     except RecursionError:
         raise ParseError("nesting too deep") from None
-    ir = FunctionIr(name=name, symbol_table=scopes.table, stmts=stmts, cfg=cfg)
+    ir = FunctionIr(name, scopes.table, stmts, successors)
     return ir, structure
 
 

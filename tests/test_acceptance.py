@@ -207,16 +207,17 @@ def test_criterion_6_parser_round_trip_and_type_grammar():
 
     case = _vec_add_case()
     ir = parse_function(case.native_text, case.function_signature)
-    assert len(ir.cfg.blocks) == 3
+    loop = {**{i: (i + 1,) for i in range(9)}, 9: (0,)}  # header s0, back edge from s9
+    assert ir.successors == loop
     ir2 = parse_function(print_function(case.native_text, case.function_signature),
                          case.function_signature)
-    assert len(ir2.cfg.blocks) == 3
+    assert ir2.successors == loop
     assert [(s.uses, s.defs) for s in ir.stmts] == [(s.uses, s.defs) for s in ir2.stmts]
 
     with pytest.raises(ParseError) as err:
         parse_function("void f(void) {\n    goto x;\n}", "f")
     assert "goto" in str(err.value) and "line 2" in str(err.value)
-    _verdict(6, f"{len(names)} type names round-trip; 3-block loop CFG; goto located")
+    _verdict(6, f"{len(names)} type names round-trip; 10-statement loop; goto located")
 
 
 def _find_cross_tools():

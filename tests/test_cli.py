@@ -485,8 +485,9 @@ def test_analyze_dump_ir_flag(capsys):
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "B0 (entry)" in out
-    assert "use: va, vb" in out
+    assert "s0 [scalar_other] line 6: n > 0\n    use: -   def: -   next: s1\n" in out
+    assert "use: va, vb   def: vc   next: s5" in out
+    assert "next: s0\n" in out  # the back edge
 
 
 def test_analyze_physical_mode(capsys):

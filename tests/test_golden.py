@@ -1,6 +1,7 @@
 """Corpus goldens: a scripted translate run over the bundled corpus must keep
 producing the committed outputs, modulo timestamps, and ``vecport analyze
---dump-ir`` must keep printing the committed IR and report.
+--dump-ir`` must keep printing the committed statements, their successors
+and the report.
 
 ``golden/replay.json`` drives ``vecport translate --no-exec`` with budgets 3/3
 through every FSM branch that mock executors can reach: a no-code reply, a
@@ -14,9 +15,10 @@ to null. The run directory holds nothing else, and each attempt is written
 once: as a line of its case's log, ``attempts/<case>.ndjson``, not again in
 the outcome. ``golden/analyze/`` holds the analyze stdout, in both modes, for
 each bundled ``native.c``, for ``constructs.c``, which uses every construct
-the parser accepts, and for ``spills.c``, whose peak exceeds the register
-file and which defines a vector it never reads. After an intended behaviour
-change, regenerate both with
+the parser accepts, for ``spills.c``, whose peak exceeds the register file
+and which defines a vector it never reads, and for ``stripmine.c``, the
+idiomatic strip-mined ``for`` loop after an early ``return``. After an
+intended behaviour change, regenerate both with
 
     VECPORT_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 """
@@ -38,6 +40,7 @@ ANALYZED = {m.case_id: (m.native_reference_path, m.function_signature)
             for m in load_corpus(bundled_corpus_dir()).manifests}
 ANALYZED["constructs"] = (ANALYZE / "constructs.c", "constructs")
 ANALYZED["spills"] = (ANALYZE / "spills.c", "spills")
+ANALYZED["stripmine"] = (ANALYZE / "stripmine.c", "stripmine")
 COMPARED = ("outcomes/*.json", "attempts/*.ndjson", "report.json", "report.txt")
 
 

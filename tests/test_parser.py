@@ -289,29 +289,22 @@ def test_validate_signature_rejects_non_declarators():
 
 # --- whole-function parsing ------------------------------------------------
 
-def test_vec_add_parses_to_three_block_loop(vec_add_case):
+def test_vec_add_parses_to_a_loop(vec_add_case):
     ir = parse_function(vec_add_case.native_text, VEC_ADD_SIG)
-    assert len(ir.cfg.blocks) == 3  # loop header, loop body, exit
-    header = ir.cfg.entry
-    (body,) = [
-        b.block_id
-        for b in ir.cfg.blocks
-        if b.block_id not in (header, ir.cfg.exit)
-    ]
-    assert set(ir.cfg.successors(header)) == {body, ir.cfg.exit}
-    assert ir.cfg.successors(body) == (header,)  # back edge
-    assert ir.cfg.successors(ir.cfg.exit) == ()
+    # s0 is the loop header's condition; s1..s9 the body, whose last
+    # statement is the back edge. The loop's exit leaves the function.
+    assert ir.stmts[0].text == "n > 0"
+    assert ir.successors == {**{i: (i + 1,) for i in range(9)}, 9: (0,)}
     assert ir.symbol_table.keys() == {"va", "vb", "vc"}
     vadd = ir.stmts[4]
     assert vadd.uses == {"va", "vb"}
     assert vadd.defs == {"vc"}
 
 
-def test_empty_body_single_block():
+def test_empty_body_has_no_statements():
     ir = parse_function("void nothing(void) { }", "void nothing(void)")
-    assert len(ir.cfg.blocks) == 1
-    assert ir.cfg.entry == ir.cfg.exit
     assert ir.stmts == []
+    assert ir.successors == {}
 
 
 def test_goto_rejected_with_line():
@@ -351,7 +344,7 @@ def test_300_deep_nests_parse_as_the_reference_does(shape):
     assert isinstance(_assert_same_as_reference(source, "f"), FunctionIr)
 
 
-def test_straight_line_is_one_block_plus_exit():
+def test_straight_line_is_a_chain():
     src = """
     #include <riscv_vector.h>
     void f(const int32_t *p, int32_t *q, size_t vl) {
@@ -362,11 +355,8 @@ def test_straight_line_is_one_block_plus_exit():
     }
     """
     ir = parse_function(src, "f")
-    assert len(ir.cfg.blocks) == 2
-    assert len(ir.stmts) == 4
-    entry_block = ir.cfg.block(ir.cfg.entry)
-    assert entry_block.stmt_ids == [0, 1, 2, 3]
-    assert ir.cfg.successors(ir.cfg.entry) == (ir.cfg.exit,)
+    assert [s.stmt_id for s in ir.stmts] == [0, 1, 2, 3]
+    assert ir.successors == {0: (1,), 1: (2,), 2: (3,), 3: ()}
 
 
 def test_if_else_with_join_makes_diamond():
@@ -382,15 +372,12 @@ def test_if_else_with_join_makes_diamond():
     }
     """
     ir = parse_function(src, "f")
-    # cond (with the decl), then, else, join, exit
-    assert len(ir.cfg.blocks) == 5
-    cond = ir.cfg.entry
-    then_b, else_b = ir.cfg.successors(cond)
-    join = ir.cfg.successors(then_b)[0]
-    assert ir.cfg.successors(else_b) == (join,)
-    assert ir.cfg.successors(join) == (ir.cfg.exit,)
-    join_block = ir.cfg.block(join)
-    assert len(join_block.stmt_ids) == 1  # the final store
+    assert [s.text for s in ir.stmts][1:] == [
+        "c", "x = __riscv_vadd_vv_i32m1(x, x, vl)", "x = __riscv_vsub_vv_i32m1(x, x, vl)",
+        "__riscv_vse32_v_i32m1(q, x, vl)",
+    ]
+    # the condition forks to then and else, which join at the final store
+    assert ir.successors == {0: (1,), 1: (2, 3), 2: (4,), 3: (4,), 4: ()}
 
 
 def test_while_loop_back_edge_and_two_way_header():
@@ -402,13 +389,13 @@ def test_while_loop_back_edge_and_two_way_header():
             __riscv_vse32_v_i32m1(q, v, vl);
             n -= vl;
         }
+        n = 0;
     }
     """
     ir = parse_function(src, "f")
-    header = ir.cfg.entry
-    assert len(ir.cfg.successors(header)) == 2
-    body = [b for b in ir.cfg.successors(header) if b != ir.cfg.exit][0]
-    assert header in ir.cfg.successors(body)
+    assert [s.text for s in ir.stmts][::4] == ["n > 0", "n -= vl"]
+    # the header goes into the body or past the loop; the body ends in the back edge
+    assert ir.successors == {0: (1, 5), 1: (2,), 2: (3,), 3: (4,), 4: (0,), 5: ()}
 
 
 def test_do_while_runs_body_first():
@@ -417,19 +404,13 @@ def test_do_while_runs_body_first():
         do {
             n -= 1;
         } while (n > 0);
+        n = 0;
     }
     """
     ir = parse_function(src, "f")
-    entry_succs = ir.cfg.successors(ir.cfg.entry)
-    assert len(entry_succs) == 1  # straight into the body, no pre-test
-    body = entry_succs[0] if ir.cfg.block(ir.cfg.entry).stmt_ids == [] else ir.cfg.entry
-    # the condition block branches back to the body and out to the exit
-    cond_block = [
-        b.block_id
-        for b in ir.cfg.blocks
-        if len(ir.cfg.successors(b.block_id)) == 2
-    ]
-    assert len(cond_block) == 1
+    assert [s.text for s in ir.stmts] == ["n -= 1", "n > 0", "n = 0"]
+    # straight into the body, no pre-test; the condition branches back or out
+    assert ir.successors == {0: (1,), 1: (0, 2), 2: ()}
 
 
 def test_for_loop_step_runs_after_body():
@@ -438,16 +419,14 @@ def test_for_loop_step_runs_after_body():
         for (size_t i = 0; i < n; i += 4) {
             q[i] = p[i];
         }
+        n = 0;
     }
     """
     ir = parse_function(src, "f")
     texts = [s.text for s in ir.stmts]
-    assert texts.index("i += 4") > texts.index("q[i] = p[i]")
-    # header: cond; body -> latch -> header back edge
-    header_candidates = [
-        b.block_id for b in ir.cfg.blocks if len(ir.cfg.successors(b.block_id)) == 2
-    ]
-    assert len(header_candidates) == 1
+    assert texts == ["size_t i = 0", "i < n", "q[i] = p[i]", "i += 4", "n = 0"]
+    # init, then the header: the body and the step lead back to it
+    assert ir.successors == {0: (1,), 1: (2, 4), 2: (3,), 3: (1,), 4: ()}
 
 
 def test_break_and_continue_edges():
@@ -467,17 +446,20 @@ def test_break_and_continue_edges():
     }
     """
     ir = parse_function(src, "f")
-    # exit must be reachable (through the break) and the loop closes
-    reachable = set()
-    stack = [ir.cfg.entry]
-    while stack:
-        b = stack.pop()
-        if b in reachable:
-            continue
-        reachable.add(b)
-        stack.extend(ir.cfg.successors(b))
-    assert ir.cfg.exit in reachable
-    assert all(b.block_id in reachable for b in ir.cfg.blocks)
+    assert [s.text for s in ir.stmts] == ["1", "n == 0", "n -= 1", "n == 7", "n -= 1", "n += 1"]
+    # the break leaves the loop, the continue goes back to the header
+    assert ir.successors == {
+        0: (1, 5), 1: (2, 5), 2: (3,), 3: (0, 4), 4: (0,), 5: (),
+    }
+
+
+def test_successors_pass_through_cycles_of_empty_blocks():
+    src = "void f(int n) { n = 1; for (;;) { } n = 2; while (n) { } do { } while (0); n = 3; }"
+    ir = parse_function(src, "f")
+    assert [s.text for s in ir.stmts] == ["n = 1", "n = 2", "n", "0", "n = 3"]
+    # ``for (;;) { }`` is two empty blocks in a cycle, left by its exit
+    # edge; the empty bodies of the other two loops lead back to their tests
+    assert ir.successors == {0: (1,), 1: (2,), 2: (2, 3), 3: (3, 4), 4: ()}
 
 
 def test_unreachable_code_after_return_is_dropped():
@@ -827,23 +809,20 @@ def test_prototype_is_skipped():
 def test_cfg_invariants_hold_on_bundled_corpus(bundled_cases):
     for case in bundled_cases.values():
         ir = parse_function(case.native_text, case.function_signature)
-        laid_out = [sid for b in ir.cfg.blocks for sid in b.stmt_ids]
-        assert sorted(laid_out) == [s.stmt_id for s in ir.stmts]  # exactly once
-        assert laid_out == sorted(laid_out)  # block order matches id order
+        ids = [s.stmt_id for s in ir.stmts]
+        assert ids == list(range(len(ids)))  # dense, in layout order
+        assert sorted(ir.successors) == ids
+        for succ in ir.successors.values():
+            assert list(succ) == sorted(set(succ))
+            assert all(0 <= t < len(ids) for t in succ)
         reachable = set()
-        stack = [ir.cfg.entry]
+        stack = [0]
         while stack:
-            b = stack.pop()
-            if b in reachable:
-                continue
-            reachable.add(b)
-            stack.extend(ir.cfg.successors(b))
-        assert {b.block_id for b in ir.cfg.blocks} == reachable
-        for b in ir.cfg.blocks:
-            if b.block_id == ir.cfg.exit:
-                assert ir.cfg.successors(b.block_id) == ()
-            else:
-                assert len(ir.cfg.successors(b.block_id)) >= 1
+            sid = stack.pop()
+            if sid not in reachable:
+                reachable.add(sid)
+                stack.extend(ir.successors[sid])
+        assert reachable == set(ids)
         for s in ir.stmts:
             assert s.uses | s.defs <= set(ir.symbol_table)
 
@@ -865,9 +844,8 @@ def test_initializer_braces_inside_statements():
 
 def _structure_fingerprint(ir):
     return (
-        [(b.block_id, tuple(b.stmt_ids)) for b in ir.cfg.blocks],
-        {b.block_id: ir.cfg.successors(b.block_id) for b in ir.cfg.blocks},
         [(s.kind, s.uses, s.defs) for s in ir.stmts],
+        ir.successors,
     )
 
 
@@ -881,7 +859,7 @@ def _front_end(parse, source, signature):
 
 def _assert_same_as_reference(source, signature):
     """The one-pass IR equals the reference's (statements, use/def sets,
-    blocks, successors), or both raise the same error; returns the IR.
+    successors), or both raise the same error; returns the IR.
 
     One difference is by design: a ``break`` or ``continue`` outside a loop
     is reported where it stands, while the reference reports first any other

@@ -11,8 +11,9 @@ errors: a run that ends with failed cases still exits 0 and reports them.
 ``translate --out DIR`` appends each attempt to ``DIR/attempts/<case>.ndjson``
 as it happens and writes ``DIR/outcomes/<case>.json`` as soon as the case
 finishes. On every exit, completed, interrupted or aborted, it then scores the
-finished cases once into ``report.txt`` and ``report.json`` and removes the
-real executor's scratch, ``DIR/work/``, unless ``--keep-scratch`` is given.
+finished cases once into ``report.txt`` and ``report.json``, waits for the
+builds the real executor queued ahead, and removes its scratch, ``DIR/work/``,
+unless ``--keep-scratch`` is given.
 ``report`` rescores those outcome files through the same summary reader.
 """
 
@@ -280,6 +281,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
             (out_dir / "report.json").write_text(report.to_json())
         if not cfg.keep_scratch:
             executor.cleanup()
+        elif not cfg.no_exec:
+            executor.drain()  # no build outlives the run; its scratch stays
     print(table)
     return 0
 

@@ -12,9 +12,19 @@ Nothing that cannot change within a case is rebuilt or re-measured: each
 case's test and bench harnesses are compiled to objects once, each distinct
 candidate source is compiled to an object once, and every build links one
 candidate object with one harness object (objects live in ``work/<case>/obj/``).
-The native reference's median-of-N cost is measured on the first ``run_perf``
-of a case and reused for every later variant; each variant's own cost is
-always a fresh median of N runs.
+The objects that no reply can change, the two harnesses and the native
+reference (from its own copy, ``work/<case>/native/native.c``), are built
+ahead: the first compile of a case queues them on the executor's one
+background thread while the candidate compiles in the foreground, so they
+are built even for a case that never passes. The native reference's
+median-of-N cost is measured on the first ``run_perf`` of a case and reused
+for every later variant; each variant's own cost is always a fresh median of
+N runs.
+
+Perf runs have the executor to themselves: every compiler and functional-test
+subprocess holds the shared side of a writer-preferring reader-writer gate,
+and each median-of-N loop holds its exclusive side, so under parallelism no
+compile or test of another case runs beside a timed run.
 
 Functional pass/fail is the exit-code contract (0 = pass); benchmark cost is
 the final stdout line, a bare integer nanosecond count. Perf always runs both
@@ -31,6 +41,9 @@ import shlex
 import shutil
 import statistics
 import subprocess
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -147,18 +160,71 @@ def _harness_path(case: ValidatedCase, which: str) -> Path:
     raise ValueError(f"unknown harness {which!r}")
 
 
+class _Gate:
+    """Writer-preferring reader-writer lock: while a writer holds it or waits
+    for it, no new reader enters."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._readers = 0
+        self._writers = 0  # waiting or holding
+        self._writing = False
+
+    @contextmanager
+    def shared(self):
+        with self._cond:
+            self._cond.wait_for(lambda: not self._writers)
+            self._readers += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._readers -= 1
+                if not self._readers:
+                    self._cond.notify_all()
+
+    @contextmanager
+    def exclusive(self):
+        with self._cond:
+            self._writers += 1
+            try:
+                self._cond.wait_for(lambda: not (self._readers or self._writing))
+            except BaseException:
+                self._writers -= 1
+                self._cond.notify_all()
+                raise
+            self._writing = True
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._writing = False
+                self._writers -= 1
+                self._cond.notify_all()
+
+
 class CommandExecutor:
     """Runs the real cross-compiler and emulator per the configured toolchain.
 
-    Objects and native costs are cached per instance, keyed by case id; a case
-    runs on one thread, so no two threads ever fill the same key.
+    Objects and native costs are cached per instance, keyed by case id. Each
+    case runs on one thread; the background thread also fills the object
+    keys of the builds queued ahead, and ``_lock`` guards those two maps.
+    ``drain`` (which ``cleanup`` calls) waits for queued builds and stops
+    the thread; a later compile starts a new one.
     """
 
     def __init__(self, config: ToolchainConfig, work_dir: Path | str):
         self.config = config
         self.work_dir = Path(work_dir)
+        self._lock = threading.Lock()
         # (case_id, harness name or "cand-<sha256>") -> (object, diagnostics)
         self._objects: dict[tuple[str, str], tuple[Path, str]] = {}
+        # Builds queued ahead and not yet asked for; a failed one is handed
+        # to its first asker only, so failures stay uncached.
+        self._pending: dict[tuple[str, str], Future] = {}
+        self._queued_cases: set[str] = set()
+        self._builder: ThreadPoolExecutor | None = None
+        self._gate = _Gate()
         # (native artifact, vlen, runs) -> median cost in ns
         self._native_costs: dict[tuple[Path, int, int], int] = {}
 
@@ -192,24 +258,48 @@ class CommandExecutor:
     def _cc(self, *args: str) -> tuple[bool, str]:
         """Run ``cc flags args``; returns (exit status 0, stderr + stdout)."""
         argv = [*shlex.split(self.config.cc), *shlex.split(self.config.flags), *args]
-        code, stdout, stderr = self._run(argv, self.config.compile_timeout_s, "compiler")
+        with self._gate.shared():
+            code, stdout, stderr = self._run(argv, self.config.compile_timeout_s, "compiler")
         if code is None:
             return False, f"compile timeout after {self.config.compile_timeout_s}s"
         return code == 0, stderr + stdout
 
-    def _object(self, case_id: str, name: str, source: Path) -> tuple[Path | None, str]:
-        """Compile ``source`` to ``obj/<name>.o`` once per case; only successes
-        are kept. Returns the object (None on failure) and its diagnostics."""
-        hit = self._objects.get((case_id, name))
-        if hit is not None:
-            return hit
+    def _build(self, key: tuple[str, str], source: Path) -> tuple[Path | None, str]:
+        """Compile ``source`` to ``obj/<name>.o``; keep the object if it built.
+        Returns the object (None on failure) and its diagnostics."""
+        case_id, name = key
         obj = self.work_dir / case_id / "obj" / f"{name}.o"
         obj.parent.mkdir(parents=True, exist_ok=True)
         ok, diagnostics = self._cc("-c", str(source), "-o", str(obj))
         if not ok or not obj.exists():
             return None, diagnostics
-        self._objects[(case_id, name)] = (obj, diagnostics)
+        with self._lock:
+            self._objects[key] = (obj, diagnostics)
+            self._pending.pop(key, None)
         return obj, diagnostics
+
+    def _object(self, case_id: str, name: str, source: Path) -> tuple[Path | None, str]:
+        """``_build`` once per case, or the result of the build queued ahead;
+        only successes are kept."""
+        key = (case_id, name)
+        with self._lock:
+            hit = self._objects.get(key)
+            queued = None if hit else self._pending.pop(key, None)
+        if hit is not None:
+            return hit
+        if queued is not None:
+            return queued.result()  # holds no gate while it waits
+        return self._build(key, source)
+
+    def _queue(self, case_id: str, jobs: list[tuple[str, Path]]) -> None:
+        """Queue a build of each (name, source) not yet built or queued."""
+        with self._lock:
+            if self._builder is None:
+                self._builder = ThreadPoolExecutor(1, thread_name_prefix="vecport-build")
+            for name, source in jobs:
+                key = (case_id, name)
+                if key not in self._objects and key not in self._pending:
+                    self._pending[key] = self._builder.submit(self._build, key, source)
 
     def compile_candidate(
         self,
@@ -218,13 +308,27 @@ class CommandExecutor:
         which_harness: str,
         tag: str,
     ) -> CompileResult:
-        """Build the candidate against one harness: two cached objects, one link."""
+        """Build the candidate against one harness: two cached objects, one link.
+
+        The first call of a case also queues the objects no reply can change:
+        both harnesses before the candidate compiles, the native reference
+        after, so a candidate that is the native text is built once, as itself.
+        """
         harness = _harness_path(case, which_harness)
+        first = case.case_id not in self._queued_cases  # a case runs on one thread
+        if first:
+            self._queued_cases.add(case.case_id)
+            self._queue(case.case_id, [(w, _harness_path(case, w)) for w in ("functional", "perf")])
         scratch = self._scratch(case.case_id, tag)
         candidate = scratch / "candidate.c"
         candidate.write_text(candidate_source)
         digest = hashlib.sha256(candidate_source.encode()).hexdigest()
         candidate_obj, candidate_diag = self._object(case.case_id, f"cand-{digest}", candidate)
+        if first:
+            native = self._scratch(case.case_id, "native") / "native.c"
+            native.write_text(case.native_text)  # written once, so never while a build reads it
+            native_digest = hashlib.sha256(case.native_text.encode()).hexdigest()
+            self._queue(case.case_id, [(f"cand-{native_digest}", native)])
         harness_obj, harness_diag = self._object(case.case_id, which_harness, harness)
         diagnostics = candidate_diag + harness_diag
         output = scratch / f"bin_{which_harness}"
@@ -254,7 +358,8 @@ class CommandExecutor:
     def run_functional_tests(self, artifact: Path) -> TestResult:
         per_vlen: dict[int, VlenRun] = {}
         for vlen in self.config.vlens:
-            code, stdout, stderr = self._run_binary(artifact, vlen)
+            with self._gate.shared():
+                code, stdout, stderr = self._run_binary(artifact, vlen)
             per_vlen[vlen] = VlenRun(
                 passed=(code == 0), exit_code=code, output_tail=_tail(stdout + stderr)
             )
@@ -262,21 +367,22 @@ class CommandExecutor:
 
     def _measure_cost(self, binary: Path, vlen: int, runs: int) -> int:
         costs = []
-        for _ in range(runs):
-            code, stdout, _ = self._run_binary(binary, vlen)
-            if code != 0:
-                raise PerfError(
-                    f"benchmark binary exited with {code if code is not None else 'timeout'}"
-                )
-            lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
-            if not lines or not _COST_RE.match(lines[-1]):
-                raise PerfError(
-                    f"benchmark output has no nanosecond cost line: {_tail(stdout, 300)!r}"
-                )
-            cost = int(lines[-1])
-            if cost <= 0:
-                raise PerfError("benchmark reported a non-positive cost")
-            costs.append(cost)
+        with self._gate.exclusive():  # no compile or test runs beside the timed runs
+            for _ in range(runs):
+                code, stdout, _ = self._run_binary(binary, vlen)
+                if code != 0:
+                    raise PerfError(
+                        f"benchmark binary exited with {code if code is not None else 'timeout'}"
+                    )
+                lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
+                if not lines or not _COST_RE.match(lines[-1]):
+                    raise PerfError(
+                        f"benchmark output has no nanosecond cost line: {_tail(stdout, 300)!r}"
+                    )
+                cost = int(lines[-1])
+                if cost <= 0:
+                    raise PerfError("benchmark reported a non-positive cost")
+                costs.append(cost)
         return int(statistics.median(costs))
 
     def run_perf(
@@ -296,10 +402,21 @@ class CommandExecutor:
         translated = self._measure_cost(translated_artifact, vlen, runs)
         return PerfResult(translated_cost_ns=translated, native_cost_ns=native, runs=runs)
 
+    def drain(self) -> None:
+        """Wait for every queued build, then stop the background thread."""
+        with self._lock:
+            builder, self._builder = self._builder, None
+        if builder is not None:
+            builder.shutdown(wait=True)
+
     def cleanup(self) -> None:
-        """Remove ``work_dir`` whole and forget the objects and native costs built there."""
+        """Drain, then remove ``work_dir`` whole and forget the objects and
+        native costs built there."""
+        self.drain()
         shutil.rmtree(self.work_dir, ignore_errors=True)
         self._objects.clear()
+        self._pending.clear()
+        self._queued_cases.clear()
         self._native_costs.clear()
 
 

@@ -204,15 +204,21 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
 
     Configuration errors (missing tools, unusable replay script) propagate to
     the caller; they abort the run and are never folded into a Failed outcome.
+    The case's log is opened once, line-buffered, so each record is on disk
+    when its attempt ends, and closed however the case ends.
     """
+    client = deps.client.session(case.case_id)
+    log_path = Path(deps.log_dir) / f"{case.case_id}.ndjson"
+    log_path.parent.mkdir(parents=True, exist_ok=True)
+    with log_path.open("w", buffering=1) as log:
+        return _run_fsm(case, budgets, deps, client, log)
+
+
+def _run_fsm(case: ValidatedCase, budgets: Budgets, deps: TaskDeps, client, log) -> TaskOutcome:
     trace = [FsmState.INIT]
     attempts: list[Attempt] = []
     variants: list[Variant] = []
     notes: list[str] = []
-    client = deps.client.session(case.case_id)
-    log_path = Path(deps.log_dir) / f"{case.case_id}.ndjson"
-    log_path.parent.mkdir(parents=True, exist_ok=True)
-    log_path.write_text("")
     analyzed: set[int] = set()  # variant ids whose pressure has been computed
 
     def pressure_of(variant: Variant) -> PressureReport | None:
@@ -266,8 +272,7 @@ def run_task(case: ValidatedCase, budgets: Budgets, deps: TaskDeps) -> TaskOutco
                 if not tested.all_passed:
                     feedback = Diagnostics("test", attempt.test_report)
         attempts.append(attempt)
-        with log_path.open("a") as fh:
-            fh.write(json.dumps(attempt.to_record(), sort_keys=True) + "\n")
+        log.write(json.dumps(attempt.to_record(), sort_keys=True) + "\n")
         return code, feedback
 
     def measure(phase: _Phase, n: int, code: str) -> None:

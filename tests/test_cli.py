@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
@@ -387,6 +389,35 @@ def test_keep_scratch_decides_what_the_real_executor_leaves(tmp_path, keep):
         assert (out / "work" / "ident" / "t1" / "candidate.c").is_file()
     else:
         assert not (out / "work").exists()
+
+
+@pytest.mark.skipif(HOST_GCC is None, reason="host gcc not available")
+@pytest.mark.parametrize("keep", [True, False], ids=["kept", "removed"])
+def test_no_build_or_build_thread_outlives_the_run(tmp_path, keep):
+    corpus = tmp_path / "corpus"
+    write_plain_c_case(corpus)
+    pids = tmp_path / "cc.pids"
+    cc = tmp_path / "slow-cc"
+    cc.write_text(f'#!/bin/sh\necho $$ >> "{pids}"\nsleep 0.3\nexec "{HOST_GCC}" "$@"\n')
+    cc.chmod(0o755)
+    runner = tmp_path / "run.sh"
+    runner.write_text('#!/bin/sh\nshift 2\nexec "$@"\n')
+    runner.chmod(0o755)
+    # The only reply compiles but fails its test, so the perf harness and
+    # native builds queued ahead are never asked for.
+    replay = write_replay(tmp_path, {"ident": [fenced("int ident(int x) { return x + 1; }\n")]})
+    threads = threading.active_count()
+    assert main(["translate", "--corpus", str(corpus), "--replay", str(replay),
+                 "--cc", str(cc), "--flags=-O1", "--runner", str(runner), "--vlens", "128",
+                 "--translate-max", "1", "--optimize-max", "1", "--out", str(tmp_path / "out")]
+                + ["--keep-scratch"] * keep) == 0
+    assert threading.active_count() == threads
+    started = [int(pid) for pid in pids.read_text().split()]
+    assert len(started) == 5  # test.c, bench.c, candidate.c, native.c, one link
+    for pid in started:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert not json.loads((tmp_path / "out" / "outcomes" / "ident.json").read_text())["passed"]
 
 
 def test_bad_flag_value_is_a_usage_error():

@@ -3,13 +3,20 @@
 Every functional harness must exit 0 against a correct implementation and
 nonzero against a broken one; every benchmark harness must print a bare
 nanosecond integer as its last stdout line. Scalar stand-ins (compiled
-natively) prove this without any RISC-V toolchain.
+natively) prove this without any RISC-V toolchain. The RVV native references
+themselves run through ``translate`` on the host, built against the scalar
+``riscv_vector.h`` shim in ``bench/shim``.
 """
 
+import json
+import shlex
 import shutil
+from pathlib import Path
 
 import pytest
 
+from vecport.cli import main
+from vecport.corpus import bundled_corpus_dir
 from vecport.executors import CommandExecutor, ToolchainConfig
 
 HOST_GCC = shutil.which("gcc")
@@ -140,3 +147,32 @@ def test_bench_harness_emits_a_cost_line(tmp_path, case_id, bundled_cases):
     assert perf.translated_cost_ns > 0
     assert perf.native_cost_ns > 0
     assert perf.speedup > 0
+
+
+SHIM = Path(__file__).resolve().parent.parent / "bench" / "shim"
+
+
+def test_rvv_native_references_pass_translate_on_the_shim(tmp_path, capsys):
+    # Each case's only reply is its own native.c. Timings on the shim are
+    # noise, so no speedup is bounded.
+    corpus = bundled_corpus_dir()
+    cases = sorted(p.name for p in corpus.iterdir() if (p / "manifest.txt").is_file())
+    assert len(cases) == 7
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(
+        {c: [f"```c\n{(corpus / c / 'native.c').read_text()}```"] for c in cases}
+    ))
+    out = tmp_path / "out"
+    assert main([
+        "translate", "--replay", str(replay), "--cc", HOST_GCC,
+        "--flags", f"-O2 -I {shlex.quote(str(SHIM))}",
+        "--runner", f"sh {shlex.quote(str(SHIM / 'run-vlen.sh'))}",
+        "--vlens", "128,256,512", "--translate-max", "1", "--optimize-max", "1",
+        "--parallelism", "2", "--out", str(out),
+    ]) == 0
+    trace = ["Init", "Translate", "Compile", "FuncTest", "BaselinePerf", "Optimize",
+             "SelectBest", "Done"]
+    for c in cases:
+        outcome = json.loads((out / "outcomes" / f"{c}.json").read_text())
+        assert (outcome["passed"], outcome["attempts_used"], outcome["fsm_trace"]) == (
+            True, 1, trace), (c, outcome["notes"])

@@ -1,13 +1,17 @@
 import dataclasses
+import json
 import shutil
 import sys
 import tempfile
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from vecport import executors
 from vecport.corpus import CaseManifest, ValidatedCase
 from vecport.errors import ConfigurationError, PerfError
 from vecport.executors import (
@@ -194,10 +198,12 @@ class TestCommandExecutorOnHost:
             for which in ("functional", "perf"):
                 result = ex.compile_candidate(candidate, case, which, tag=f"t{n}-{which}")
                 assert result.success, result.diagnostics
+        ex.drain()  # the native build is queued ahead; let it finish
         calls = log.read_text().splitlines()
         assert sum("test.c" in c for c in calls) == 1
         assert sum("bench.c" in c for c in calls) == 1
         assert sum("candidate.c" in c for c in calls) == 3
+        assert sum("native.c" in c for c in calls) == 1  # built ahead, never asked for
         assert ex.run_functional_tests(result.artifact_path).all_passed
 
     def test_candidate_compiled_once_for_both_harnesses(self, tmp_path):
@@ -211,6 +217,41 @@ class TestCommandExecutorOnHost:
         assert sum("candidate.c" in c for c in calls) == 1
         assert ex.run_functional_tests(functional.artifact_path).all_passed
         assert ex.run_perf(perf.artifact_path, perf.artifact_path, runs=1).speedup == 1
+
+    @pytest.mark.parametrize("which", ["functional", "perf"])
+    def test_broken_harness_reads_the_same_queued_or_not(self, tmp_path, which):
+        broken = "int mini_identity(int x);\nint main(void) { return mini_identity(1) }\n"
+        harnesses = {"functional": (broken, BENCH_HARNESS), "perf": (TEST_HARNESS, broken)}
+        case = make_case(tmp_path, *harnesses[which])
+        cc, log = _logging_cc(tmp_path)
+        ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
+        # The first call's harness build was queued ahead; a failure is not
+        # kept, so the second call builds the harness itself.
+        queued = ex.compile_candidate(GOOD_CANDIDATE, case, which, tag="t1")
+        direct = ex.compile_candidate(GOOD_CANDIDATE, case, which, tag="t2")
+        ex.drain()
+        assert (queued.success, direct.success) == (False, False)
+        assert queued.diagnostics == direct.diagnostics
+        assert "expected" in queued.diagnostics
+        source = "test.c" if which == "functional" else "bench.c"
+        assert sum(source in c for c in log.read_text().splitlines()) == 2
+
+    def test_a_queued_build_that_cannot_start_is_a_configuration_error(
+        self, tmp_path, monkeypatch
+    ):
+        case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+        ex = CommandExecutor(host_config(), tmp_path / "work")
+        run = executors.subprocess.run
+
+        def no_compiler_for_the_harness(argv, **kwargs):
+            if any(arg.endswith("test.c") for arg in argv):
+                raise FileNotFoundError(2, "No such file or directory", argv[0])
+            return run(argv, **kwargs)
+
+        monkeypatch.setattr(executors.subprocess, "run", no_compiler_for_the_harness)
+        with pytest.raises(ConfigurationError, match="^compiler not runnable: "):
+            ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+        ex.drain()
 
     def test_failed_candidate_compile_is_not_cached(self, tmp_path):
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
@@ -485,3 +526,136 @@ def test_adding_a_vlen_only_tightens_all_passed():
     runs_three[512] = VlenRun(False, 1, "tail bug")
     worse = TestResult(per_vlen=runs_three)
     assert not worse.all_passed
+
+
+# --- perf runs alone -----------------------------------------------------------
+
+def test_gate_admits_writers_alone_and_before_new_readers():
+    gate = executors._Gate()
+    inside = {"readers": 0, "writers": 0}
+    count = threading.Lock()
+    broken = []
+    writers_done = threading.Event()
+
+    def enter(side, kind):
+        with side():
+            with count:
+                inside[kind] += 1
+                if inside["writers"] > 1 or (inside["writers"] and inside["readers"]):
+                    broken.append(dict(inside))
+            time.sleep(1e-4)  # stay inside while other threads try to enter
+            with count:
+                inside[kind] -= 1
+
+    def read():  # readers keep the gate busy until every writer is through
+        while not writers_done.is_set():
+            enter(gate.shared, "readers")
+
+    def write():
+        for _ in range(100):
+            enter(gate.exclusive, "writers")
+
+    readers = [threading.Thread(target=read) for _ in range(6)]
+    writers = [threading.Thread(target=write) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in readers + writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=20)
+    finally:
+        writers_done.set()
+        sys.setswitchinterval(interval)
+        for t in readers:
+            t.join(timeout=20)
+    # A writer waiting for the gate holds off new readers, so writers finish
+    # even though the readers never stop on their own.
+    assert not any(t.is_alive() for t in readers + writers)
+    assert broken == []
+
+
+def _busy_corpus(tmp_path):
+    """Two cases whose fake builds and tests mark a shared busy directory
+    while they run, and whose perf binary fails if it sees a mark."""
+    busy = tmp_path / "busy"
+    busy.mkdir()
+    # `-c SRC -o OBJ` keeps the '#sh ' lines of SRC; a link joins the objects
+    # into one shell script. '#cc-error' in a source fails its compile.
+    cc = _script(tmp_path / "cc", f"""\
+mark="{busy}/cc.$$"
+touch "$mark"
+sleep 0.03
+out=; srcs=; compile=
+while [ $# -gt 0 ]; do
+    case "$1" in
+        -c) compile=1 ;;
+        -o) out=$2; shift ;;
+        -*) ;;
+        *) srcs="$srcs $1" ;;
+    esac
+    shift
+done
+status=0
+if grep -q '^#cc-error' $srcs; then
+    echo "error: scripted compile failure" >&2
+    status=1
+elif [ -n "$compile" ]; then
+    cat $srcs | sed -n 's/^#sh //p' > "$out"
+else
+    {{ echo '#!/bin/sh'; cat $srcs; }} > "$out"
+    chmod +x "$out"
+fi
+rm -f "$mark"
+exit $status
+""")
+    runner = _script(tmp_path / "run.sh", 'shift 2\nexec "$@"\n')  # drops "-cpu ..."
+    test_c = (f'#sh mark="{busy}/test.$$"; touch "$mark"; sleep 0.02; rm -f "$mark"\n'
+              "#sh exit 0\n")
+    bench_c = (f'#sh if [ -n "$(ls {busy})" ]; then echo overlap >&2; exit 3; fi\n'
+               "#sh sleep 0.01\n"
+               f'#sh if [ -n "$(ls {busy})" ]; then echo overlap >&2; exit 3; fi\n'
+               "#sh echo 1000\n")
+    corpus = tmp_path / "corpus"
+    for case_id in ("a", "b"):
+        d = corpus / case_id
+        d.mkdir(parents=True)
+        (d / "manifest.txt").write_text(
+            f'id = "{case_id}"\narch = "neon"\nsource = "neon.c"\ntest = "test.c"\n'
+            f'bench = "bench.c"\nnative = "native.c"\nsignature = "int {case_id}(int x)"\n'
+        )
+        (d / "neon.c").write_text(f"int {case_id}(int x) {{ return vaddq_s32(x); }}\n")
+        (d / "native.c").write_text(f"int {case_id}(int x) {{ return x; }}\n")
+        (d / "test.c").write_text(test_c)
+        (d / "bench.c").write_text(bench_c)
+    return corpus, cc, runner
+
+
+def test_perf_runs_never_overlap_a_compile_or_a_test(tmp_path):
+    from vecport.cli import main
+
+    corpus, cc, runner = _busy_corpus(tmp_path)
+
+    def reply(code):
+        return f"```c\n{code}\n```"
+
+    # "a" repairs once and "b" optimizes twice, so the two cases fall out of step.
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({
+        "a": [reply("#cc-error"), reply("int a(int x) { return x; }"),
+              reply("int a(int x) { return x + 0; }"), reply("int a(int x) { return x - 0; }")],
+        "b": [reply("int b(int x) { return x; }"), reply("int b(int x) { return 0 + x; }"),
+              reply("int b(int x) { return x * 1; }")],
+    }))
+    out = tmp_path / "out"
+    assert main(["translate", "--corpus", str(corpus), "--replay", str(replay),
+                 "--cc", str(cc), "--runner", str(runner), "--vlens", "128,256",
+                 "--translate-max", "2", "--optimize-max", "2", "--parallelism", "2",
+                 "--out", str(out)]) == 0
+    measured = {}
+    for case_id in ("a", "b"):
+        outcome = json.loads((out / "outcomes" / f"{case_id}.json").read_text())
+        # a variant without perf data would leave a note naming the perf error
+        assert outcome["passed"] and outcome["notes"] == [], outcome["notes"]
+        measured[case_id] = outcome["best_variant"]["perf"]["speedup"]
+    assert measured == {"a": "1", "b": "1"}

@@ -1,11 +1,14 @@
 import dataclasses
+import gc
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from vecport import orchestrator
+from vecport.errors import ConfigurationError
 from vecport.executors import CompileResult, MockExecutor, PerfResult
 from vecport.llm_client import ReplayClient
 from vecport.orchestrator import (
@@ -346,6 +349,43 @@ def test_attempt_log_reproducible_modulo_timestamps(tmp_path, vec_add_case):
         return records
 
     assert one_run(tmp_path / "r1") == one_run(tmp_path / "r2")
+
+
+class ToolVanishes(MockExecutor):
+    """Compiles once, then finds the compiler gone; notes what the log held then."""
+
+    def __init__(self, log: Path):
+        super().__init__()
+        self.log = log
+        self.compiles = 0
+        self.logged_before_abort = None
+
+    def compile_candidate(self, candidate_source, case, which_harness, tag):
+        self.compiles += 1
+        if self.compiles > 1:
+            self.logged_before_abort = self.log.read_text()
+            raise ConfigurationError("compiler not runnable: cc vanished")
+        return super().compile_candidate(candidate_source, case, which_harness, tag)
+
+
+def test_a_configuration_error_mid_case_leaves_a_complete_closed_log(tmp_path, vec_add_case):
+    log = tmp_path / "attempts" / f"{vec_add_case.case_id}.ndjson"
+    executor = ToolVanishes(log)
+    deps = TaskDeps(
+        client=ReplayClient([fenced(BAD_COMPILE), fenced(GOOD_RVV), fenced(GOOD_RVV)]),
+        executor=executor,
+        log_dir=tmp_path / "attempts",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigurationError, match="cc vanished"):
+            run_task(vec_add_case, Budgets(10, 1), deps)
+        gc.collect()  # an unclosed log would warn when collected
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    # The first attempt's record was on disk before the second attempt began.
+    assert executor.logged_before_abort == log.read_text()
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [(r["attempt_no"], r["compile_ok"]) for r in records] == [(1, False)]
 
 
 # --- select_best ----------------------------------------------------------

@@ -4,22 +4,29 @@ vector lengths, and benchmark runs.
 The compiler is driven as ``cc flags ...`` and the emulator through a command
 template, so a different compiler, emulator, or a real board behind an ssh
 wrapper slots in without code changes. Candidates never touch the case
-directory; each attempt of ``CommandExecutor`` gets its own scratch directory
-under ``work/<case>/<tag>/``, and ``cleanup`` removes ``work/`` whole.
-``MockExecutor`` works in memory and creates no scratch.
+directory; each attempt of ``CommandExecutor`` writes its source and compile
+diagnostics to a scratch directory of its own, ``work/<case>/<tag>/``, and
+``cleanup`` removes ``work/`` whole. ``MockExecutor`` works in memory and
+creates no scratch.
 
-Nothing that cannot change within a case is rebuilt or re-measured: each
-case's test and bench harnesses are compiled to objects once, each distinct
-candidate source is compiled to an object once, and every build links one
-candidate object with one harness object (objects live in ``work/<case>/obj/``).
-The objects that no reply can change, the two harnesses and the native
-reference (from its own copy, ``work/<case>/native/native.c``), are built
-ahead: the first compile of a case queues them on the executor's one
-background thread while the candidate compiles in the foreground, so they
-are built even for a case that never passes. The native reference's
-median-of-N cost is measured on the first ``run_perf`` of a case and reused
-for every later variant; each variant's own cost is always a fresh median of
-N runs.
+Nothing that cannot change within a case is rebuilt or re-measured. Each
+build is a step kept under a key (Mokhov, Mitchell and Peyton Jones, "Build
+Systems a la Carte", ICFP 2018): each harness and each distinct candidate
+source is compiled to an object once per case (``work/<case>/obj/``), and
+each (harness, candidate) pair is linked once, into a directory of its own
+(``work/<case>/bin/<harness>-<sha256>/``) that also keeps the output of the
+last run of that binary. A failed step is not kept. Builds that can start
+before they are asked for are queued on the executor's one background
+thread: the two harness objects when a case first compiles, the native
+reference's object (from its own copy, ``work/<case>/native/native.c``) and
+its perf binary right after that first candidate compile, and the perf
+binary of each candidate that compiles for the functional harness. So they
+are built even when nothing asks for them. A queued step that has not
+started when it is asked for is built by its asker, and a candidate that
+fails to compile returns without waiting for any of them. The native
+reference's median-of-N cost is measured on the first ``run_perf`` of a case
+and reused for every later variant; each variant's own cost is always a
+fresh median of N runs.
 
 Perf runs have the executor to themselves: every compiler and functional-test
 subprocess holds the shared side of a writer-preferring reader-writer gate,
@@ -203,24 +210,37 @@ class _Gate:
                 self._cond.notify_all()
 
 
+@dataclass(frozen=True, slots=True)
+class _Step:
+    """One compiler call, kept under ``key`` once it builds: fetch each need
+    (an object step), then ``cc args <their objects> -o output``."""
+
+    key: tuple[str, str]  # (case id, name)
+    output: Path
+    args: tuple[str, ...] = ()
+    needs: tuple[_Step, ...] = ()
+
+
 class CommandExecutor:
     """Runs the real cross-compiler and emulator per the configured toolchain.
 
-    Objects and native costs are cached per instance, keyed by case id. Each
-    case runs on one thread; the background thread also fills the object
-    keys of the builds queued ahead, and ``_lock`` guards those two maps.
-    ``drain`` (which ``cleanup`` calls) waits for queued builds and stops
-    the thread; a later compile starts a new one.
+    Builds and native costs are cached per instance, keyed by case id. Each
+    case runs on one thread; the background thread builds the steps queued
+    ahead, and ``_lock`` guards the built and pending maps. ``drain`` (which
+    ``cleanup`` calls) waits for queued builds and stops the thread; a later
+    compile starts a new one.
     """
 
     def __init__(self, config: ToolchainConfig, work_dir: Path | str):
         self.config = config
         self.work_dir = Path(work_dir)
         self._lock = threading.Lock()
-        # (case_id, harness name or "cand-<sha256>") -> (object, diagnostics)
-        self._objects: dict[tuple[str, str], tuple[Path, str]] = {}
-        # Builds queued ahead and not yet asked for; a failed one is handed
-        # to its first asker only, so failures stay uncached.
+        # (case_id, name) -> (artifact, diagnostics); the name is a harness,
+        # "cand-<sha256>" for a candidate object, or "<harness>-<sha256>"
+        # for a binary.
+        self._built: dict[tuple[str, str], tuple[Path, str]] = {}
+        # Builds queued or running and not yet kept. A failed one is handed
+        # to those who asked for it, then dropped, so failures stay uncached.
         self._pending: dict[tuple[str, str], Future] = {}
         self._queued_cases: set[str] = set()
         self._builder: ThreadPoolExecutor | None = None
@@ -264,42 +284,82 @@ class CommandExecutor:
             return False, f"compile timeout after {self.config.compile_timeout_s}s"
         return code == 0, stderr + stdout
 
-    def _build(self, key: tuple[str, str], source: Path) -> tuple[Path | None, str]:
-        """Compile ``source`` to ``obj/<name>.o``; keep the object if it built.
-        Returns the object (None on failure) and its diagnostics."""
-        case_id, name = key
-        obj = self.work_dir / case_id / "obj" / f"{name}.o"
-        obj.parent.mkdir(parents=True, exist_ok=True)
-        ok, diagnostics = self._cc("-c", str(source), "-o", str(obj))
-        if not ok or not obj.exists():
+    def _build(self, step: _Step) -> tuple[Path | None, str]:
+        """Fetch the step's needs, then run it; keep its output if it built.
+        Returns the output (None on failure) and the diagnostics of the needs
+        and then the step's own; a need that failed ends the build."""
+        args, diagnostics = list(step.args), ""
+        for need in step.needs:
+            artifact, diag = self._object(need)
+            diagnostics += diag
+            if artifact is None:
+                return None, diagnostics
+            args.append(str(artifact))
+        step.output.parent.mkdir(parents=True, exist_ok=True)
+        ok, diag = self._cc(*args, "-o", str(step.output))
+        diagnostics += diag
+        if not ok or not step.output.exists():
             return None, diagnostics
         with self._lock:
-            self._objects[key] = (obj, diagnostics)
-            self._pending.pop(key, None)
-        return obj, diagnostics
+            self._built[step.key] = (step.output, diagnostics)
+            self._pending.pop(step.key, None)
+        return step.output, diagnostics
 
-    def _object(self, case_id: str, name: str, source: Path) -> tuple[Path | None, str]:
-        """``_build`` once per case, or the result of the build queued ahead;
-        only successes are kept."""
-        key = (case_id, name)
+    def _object(self, step: _Step) -> tuple[Path | None, str]:
+        """``_build`` once per case: the kept result, else the running build,
+        else the step built here, taking it off the queue if it has not
+        started. Only successes are kept."""
         with self._lock:
-            hit = self._objects.get(key)
-            queued = None if hit else self._pending.pop(key, None)
-        if hit is not None:
-            return hit
-        if queued is not None:
-            return queued.result()  # holds no gate while it waits
-        return self._build(key, source)
+            hit = self._built.get(step.key)
+            if hit is not None:
+                return hit
+            future = self._pending.get(step.key)
+            mine = future is None or future.cancel()
+            if mine:
+                future = self._pending[step.key] = Future()
+                future.set_running_or_notify_cancel()
+        try:
+            if not mine:
+                return future.result()  # holds no gate while it waits
+            try:
+                built = self._build(step)
+            except BaseException as exc:
+                future.set_exception(exc)  # a thread waiting on it raises too
+                raise
+            future.set_result(built)
+            return built
+        finally:
+            with self._lock:  # a failure is not kept
+                if self._pending.get(step.key) is future:
+                    del self._pending[step.key]
 
-    def _queue(self, case_id: str, jobs: list[tuple[str, Path]]) -> None:
-        """Queue a build of each (name, source) not yet built or queued."""
+    def _queue(self, *steps: _Step) -> None:
+        """Queue each step not yet built, queued or running."""
         with self._lock:
             if self._builder is None:
                 self._builder = ThreadPoolExecutor(1, thread_name_prefix="vecport-build")
-            for name, source in jobs:
-                key = (case_id, name)
-                if key not in self._objects and key not in self._pending:
-                    self._pending[key] = self._builder.submit(self._build, key, source)
+            for step in steps:
+                if step.key not in self._built and step.key not in self._pending:
+                    self._pending[step.key] = self._builder.submit(self._build, step)
+
+    def _compile_step(self, case_id: str, name: str, source: Path) -> _Step:
+        return _Step((case_id, name), self.work_dir / case_id / "obj" / f"{name}.o",
+                     ("-c", str(source)))
+
+    def _link_step(self, candidate: _Step, harness: _Step) -> _Step:
+        """The binary of a candidate object and a harness object, in a
+        directory of its own: ``bin/<harness>-<sha256>/bin_<harness>``."""
+        case_id, which = harness.key
+        name = f"{which}-{candidate.key[1].removeprefix('cand-')}"
+        output = self.work_dir / case_id / "bin" / name / f"bin_{which}"
+        return _Step((case_id, name), output, needs=(candidate, harness))
+
+    def _harness_step(self, case: ValidatedCase, which: str) -> _Step:
+        return self._compile_step(case.case_id, which, _harness_path(case, which))
+
+    def _candidate_step(self, case_id: str, text: str, source: Path) -> _Step:
+        name = f"cand-{hashlib.sha256(text.encode()).hexdigest()}"
+        return self._compile_step(case_id, name, source)
 
     def compile_candidate(
         self,
@@ -308,81 +368,101 @@ class CommandExecutor:
         which_harness: str,
         tag: str,
     ) -> CompileResult:
-        """Build the candidate against one harness: two cached objects, one link.
+        """Build the candidate against one harness: one cached object per
+        source, one cached binary per (harness, candidate).
 
-        The first call of a case also queues the objects no reply can change:
-        both harnesses before the candidate compiles, the native reference
-        after, so a candidate that is the native text is built once, as itself.
+        A candidate that fails to compile returns at once, with its own
+        diagnostics. The first call of a case queues the builds no reply can
+        change: both harness objects before the candidate compiles, the
+        native object and its perf binary after, so a candidate that is the
+        native text is built once, as itself. A candidate that compiles for
+        the functional harness also queues its perf binary.
         """
-        harness = _harness_path(case, which_harness)
-        first = case.case_id not in self._queued_cases  # a case runs on one thread
+        case_id = case.case_id
+        harness = self._harness_step(case, which_harness)
+        perf = self._harness_step(case, "perf")
+        first = case_id not in self._queued_cases  # a case runs on one thread
         if first:
-            self._queued_cases.add(case.case_id)
-            self._queue(case.case_id, [(w, _harness_path(case, w)) for w in ("functional", "perf")])
-        scratch = self._scratch(case.case_id, tag)
-        candidate = scratch / "candidate.c"
-        candidate.write_text(candidate_source)
-        digest = hashlib.sha256(candidate_source.encode()).hexdigest()
-        candidate_obj, candidate_diag = self._object(case.case_id, f"cand-{digest}", candidate)
+            self._queued_cases.add(case_id)
+            self._queue(self._harness_step(case, "functional"), perf)
+        scratch = self._scratch(case_id, tag)
+        source = scratch / "candidate.c"
+        source.write_text(candidate_source)
+        candidate = self._candidate_step(case_id, candidate_source, source)
+        candidate_obj, diagnostics = self._object(candidate)
         if first:
-            native = self._scratch(case.case_id, "native") / "native.c"
-            native.write_text(case.native_text)  # written once, so never while a build reads it
-            native_digest = hashlib.sha256(case.native_text.encode()).hexdigest()
-            self._queue(case.case_id, [(f"cand-{native_digest}", native)])
-        harness_obj, harness_diag = self._object(case.case_id, which_harness, harness)
-        diagnostics = candidate_diag + harness_diag
-        output = scratch / f"bin_{which_harness}"
-        ok = candidate_obj is not None and harness_obj is not None
-        if ok:
-            ok, link_diag = self._cc(str(candidate_obj), str(harness_obj), "-o", str(output))
-            diagnostics += link_diag
+            native_source = self._scratch(case_id, "native") / "native.c"
+            # written once, so never while a build reads it
+            native_source.write_text(case.native_text)
+            native = self._candidate_step(case_id, case.native_text, native_source)
+            self._queue(native, self._link_step(native, perf))
+        binary = None
+        if candidate_obj is not None:
+            if which_harness == "functional":
+                self._queue(self._link_step(candidate, perf))
+            binary, diagnostics = self._object(self._link_step(candidate, harness))
         (scratch / "compile_stderr.txt").write_text(diagnostics)
-        if not ok or not output.exists():
-            return CompileResult(False, _tail(diagnostics, 16384))
-        return CompileResult(True, _tail(diagnostics, 16384), artifact_path=output)
+        return CompileResult(binary is not None, _tail(diagnostics, 16384), artifact_path=binary)
 
     def _run_binary(self, binary: Path, vlen: int) -> tuple[int | None, str, str]:
         """Exit code (None on timeout), stdout and stderr of one run."""
         cmd = self.config.runner_cmd_template.format(
             runner=self.config.runner, vlen=vlen, binary=shlex.quote(str(binary))
         )
-        code, stdout, stderr = self._run(shlex.split(cmd), self.config.run_timeout_s, "runner")
-        if code is not None:
-            try:  # post-mortem copies next to the binary; last run wins
-                (binary.parent / "stdout.txt").write_text(stdout)
-                (binary.parent / "stderr.txt").write_text(stderr)
-            except OSError:
-                pass
-        return code, stdout, stderr
+        return self._run(shlex.split(cmd), self.config.run_timeout_s, "runner")
+
+    @staticmethod
+    def _post_mortem(binary: Path, output: tuple[str, str] | None) -> None:
+        """Copy the stdout and stderr of a loop's last run that ended next to
+        its binary; a run that was killed leaves the copies as they were."""
+        if output is None:
+            return
+        try:
+            (binary.parent / "stdout.txt").write_text(output[0])
+            (binary.parent / "stderr.txt").write_text(output[1])
+        except OSError:
+            pass
 
     def run_functional_tests(self, artifact: Path) -> TestResult:
         per_vlen: dict[int, VlenRun] = {}
-        for vlen in self.config.vlens:
-            with self._gate.shared():
-                code, stdout, stderr = self._run_binary(artifact, vlen)
-            per_vlen[vlen] = VlenRun(
-                passed=(code == 0), exit_code=code, output_tail=_tail(stdout + stderr)
-            )
+        ended = None
+        try:
+            for vlen in self.config.vlens:
+                with self._gate.shared():
+                    code, stdout, stderr = self._run_binary(artifact, vlen)
+                if code is not None:
+                    ended = stdout, stderr
+                per_vlen[vlen] = VlenRun(
+                    passed=(code == 0), exit_code=code, output_tail=_tail(stdout + stderr)
+                )
+        finally:
+            self._post_mortem(artifact, ended)
         return TestResult(per_vlen=per_vlen)
 
     def _measure_cost(self, binary: Path, vlen: int, runs: int) -> int:
         costs = []
-        with self._gate.exclusive():  # no compile or test runs beside the timed runs
-            for _ in range(runs):
-                code, stdout, _ = self._run_binary(binary, vlen)
-                if code != 0:
-                    raise PerfError(
-                        f"benchmark binary exited with {code if code is not None else 'timeout'}"
-                    )
-                lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
-                if not lines or not _COST_RE.match(lines[-1]):
-                    raise PerfError(
-                        f"benchmark output has no nanosecond cost line: {_tail(stdout, 300)!r}"
-                    )
-                cost = int(lines[-1])
-                if cost <= 0:
-                    raise PerfError("benchmark reported a non-positive cost")
-                costs.append(cost)
+        ended = None
+        try:
+            with self._gate.exclusive():  # no compile or test runs beside the timed runs
+                for _ in range(runs):
+                    code, stdout, stderr = self._run_binary(binary, vlen)
+                    if code is not None:
+                        ended = stdout, stderr
+                    if code != 0:
+                        raise PerfError(
+                            f"benchmark binary exited with {code if code is not None else 'timeout'}"
+                        )
+                    lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
+                    if not lines or not _COST_RE.match(lines[-1]):
+                        raise PerfError(
+                            f"benchmark output has no nanosecond cost line: {_tail(stdout, 300)!r}"
+                        )
+                    cost = int(lines[-1])
+                    if cost <= 0:
+                        raise PerfError("benchmark reported a non-positive cost")
+                    costs.append(cost)
+        finally:
+            self._post_mortem(binary, ended)
         return int(statistics.median(costs))
 
     def run_perf(
@@ -410,11 +490,11 @@ class CommandExecutor:
             builder.shutdown(wait=True)
 
     def cleanup(self) -> None:
-        """Drain, then remove ``work_dir`` whole and forget the objects and
-        native costs built there."""
+        """Drain, then remove ``work_dir`` whole and forget the builds and
+        native costs made there."""
         self.drain()
         shutil.rmtree(self.work_dir, ignore_errors=True)
-        self._objects.clear()
+        self._built.clear()
         self._pending.clear()
         self._queued_cases.clear()
         self._native_costs.clear()

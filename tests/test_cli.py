@@ -385,7 +385,7 @@ def test_keep_scratch_decides_what_the_real_executor_leaves(tmp_path, keep):
     assert (out / "attempts" / "ident.ndjson").is_file()
     if keep:  # per-attempt artifacts survive for post-mortem
         left = sorted(p.name for p in (out / "work" / "ident").iterdir())
-        assert {"obj", "native", "t1", "t0-perf"} <= set(left)
+        assert {"obj", "bin", "native", "t1", "t0-perf"} <= set(left)
         assert (out / "work" / "ident" / "t1" / "candidate.c").is_file()
     else:
         assert not (out / "work").exists()
@@ -403,8 +403,8 @@ def test_no_build_or_build_thread_outlives_the_run(tmp_path, keep):
     runner = tmp_path / "run.sh"
     runner.write_text('#!/bin/sh\nshift 2\nexec "$@"\n')
     runner.chmod(0o755)
-    # The only reply compiles but fails its test, so the perf harness and
-    # native builds queued ahead are never asked for.
+    # The only reply compiles but fails its test, so the perf harness, native
+    # and perf-link builds queued ahead are never asked for.
     replay = write_replay(tmp_path, {"ident": [fenced("int ident(int x) { return x + 1; }\n")]})
     threads = threading.active_count()
     assert main(["translate", "--corpus", str(corpus), "--replay", str(replay),
@@ -413,7 +413,9 @@ def test_no_build_or_build_thread_outlives_the_run(tmp_path, keep):
                 + ["--keep-scratch"] * keep) == 0
     assert threading.active_count() == threads
     started = [int(pid) for pid in pids.read_text().split()]
-    assert len(started) == 5  # test.c, bench.c, candidate.c, native.c, one link
+    # test.c, bench.c, candidate.c and native.c; the candidate's functional
+    # link; the native and the candidate perf links, both queued ahead.
+    assert len(started) == 7
     for pid in started:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)

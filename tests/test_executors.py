@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import random
 import shutil
 import sys
 import tempfile
@@ -99,11 +101,25 @@ def _script_config(cc="/bin/true") -> ToolchainConfig:
     )
 
 
-def _logging_cc(tmp_path):
-    """A cc that appends its argv to a log, then runs host gcc."""
+def _logging_cc(tmp_path, hold=None):
+    """A cc that appends its argv to a log, then runs host gcc. A call whose
+    argv holds the text ``hold`` first waits, for 20 s at most, until a file
+    ``release`` appears beside the log, and then logs "released"."""
     log = tmp_path / "cc.log"
-    cc = _script(tmp_path / "logging-cc", f'echo "$*" >> "{log}"\nexec "{HOST_GCC}" "$@"\n')
+    wait = ""
+    if hold:
+        wait = (f'case "$*" in *"{hold}"*)\n'
+                f'    n=0; while [ ! -e "{tmp_path / "release"}" ] && [ $n -lt 400 ]; do\n'
+                f'        sleep 0.05; n=$((n + 1)); done\n'
+                f'    echo released >> "{log}" ;;\nesac\n')
+    cc = _script(tmp_path / "logging-cc", f'echo "$*" >> "{log}"\n{wait}exec "{HOST_GCC}" "$@"\n')
     return str(cc), log
+
+
+def _links(log: Path) -> list[str]:
+    """The output names of the logged link calls, in order."""
+    calls = [c.split() for c in log.read_text().splitlines()]
+    return [Path(c[-1]).name for c in calls if "-o" in c and "-c" not in c]
 
 
 def test_toolchain_config_validates_vlens(tmp_path):
@@ -235,6 +251,76 @@ class TestCommandExecutorOnHost:
         assert "expected" in queued.diagnostics
         source = "test.c" if which == "functional" else "bench.c"
         assert sum(source in c for c in log.read_text().splitlines()) == 2
+
+    def test_a_failing_candidate_returns_without_waiting_for_its_harness(self, tmp_path):
+        bad = "int mini_identity(int x) { return x }\n"
+        broken = "int mini_identity(int x);\nint main(void) { return mini_identity(1) }\n"
+        read = {}
+        for state in ("queued", "built", "broken"):
+            # One work directory and tag, so the diagnostics name the same paths.
+            case = make_case(tmp_path / state, broken if state == "broken" else TEST_HARNESS,
+                             BENCH_HARNESS)
+            cc, log = _logging_cc(tmp_path / state, hold="/test.c " if state == "queued" else None)
+            ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
+            if state == "built":
+                assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t0").success
+            read[state] = ex.compile_candidate(bad, case, "functional", tag="t1")
+            if state == "queued":
+                assert "released" not in log.read_text()  # the harness build is still held
+                (tmp_path / state / "release").touch()
+            ex.cleanup()
+        assert read["queued"] == read["built"] == read["broken"]
+        assert not read["queued"].success
+        assert "t1/candidate.c" in read["queued"].diagnostics
+        assert "test.c" not in read["queued"].diagnostics
+
+    def test_perf_binary_is_linked_ahead_by_the_functional_compile(self, tmp_path):
+        case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+        cc, log = _logging_cc(tmp_path)
+        ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
+        candidate = "int mini_identity(int x) { return x + 0; }\n"  # not the native text
+        functional = ex.compile_candidate(candidate, case, "functional", tag="t1")
+        ex.drain()  # the queued perf link has run
+        # the native perf link, and the candidate's functional and perf links
+        assert sorted(_links(log)) == ["bin_functional", "bin_perf", "bin_perf"]
+        perf = ex.compile_candidate(candidate, case, "perf", tag="t1-perf")
+        assert len(_links(log)) == 3
+        digest = hashlib.sha256(candidate.encode()).hexdigest()
+        assert perf.artifact_path == ex.work_dir / "mini" / "bin" / f"perf-{digest}" / "bin_perf"
+        assert ex.run_functional_tests(functional.artifact_path).all_passed
+        assert ex.run_perf(perf.artifact_path, perf.artifact_path, runs=1).speedup == 1
+        assert (perf.artifact_path.parent / "stdout.txt").read_text().endswith("120000\n")
+
+    def test_broken_link_reads_the_same_queued_or_not(self, tmp_path):
+        unlinkable = "int mini_missing(int x);\nint main(void) { return mini_missing(1); }\n"
+        case = make_case(tmp_path, TEST_HARNESS, unlinkable)
+        cc, log = _logging_cc(tmp_path)
+        ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
+        assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1").success
+        ex.drain()  # the perf link queued ahead has failed before anyone asked
+        # A failure is not kept: the first perf compile takes the queued
+        # failure, the second links again.
+        queued = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="t1-perf")
+        direct = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="t2-perf")
+        assert (queued.success, direct.success) == (False, False)
+        assert queued.diagnostics == direct.diagnostics
+        assert "mini_missing" in queued.diagnostics
+        assert _links(log).count("bin_perf") == 2
+
+    def test_a_build_queued_behind_a_held_one_is_built_by_its_asker(self, tmp_path):
+        case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+        cc, log = _logging_cc(tmp_path, hold="/test.c ")
+        ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
+        # The build thread holds on test.c, with bench.c queued behind it.
+        perf = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="t1-perf")
+        assert perf.success, perf.diagnostics
+        assert "released" not in log.read_text()
+        (tmp_path / "release").touch()
+        ex.drain()
+        calls = log.read_text().splitlines()
+        assert sum("bench.c" in c for c in calls) == 1
+        assert _links(log) == ["bin_perf"]
+        assert ex.run_perf(perf.artifact_path, perf.artifact_path, runs=1).speedup == 1
 
     def test_a_queued_build_that_cannot_start_is_a_configuration_error(
         self, tmp_path, monkeypatch
@@ -573,6 +659,40 @@ def test_gate_admits_writers_alone_and_before_new_readers():
     # even though the readers never stop on their own.
     assert not any(t.is_alive() for t in readers + writers)
     assert broken == []
+
+
+def test_each_step_is_built_once_however_many_threads_ask(tmp_path):
+    ex = CommandExecutor(_script_config(), tmp_path / "work")
+    built = []
+
+    def fake_cc(*args):
+        output = Path(args[args.index("-o") + 1])
+        built.append(output)
+        time.sleep(1e-4)  # stay inside while other threads ask
+        output.write_text("")
+        return True, ""
+
+    ex._cc = fake_cc
+    objects = [ex._compile_step("c", f"cand-{i}", tmp_path / f"{i}.c") for i in range(12)]
+    links = [ex._link_step(a, b) for a in objects[:4] for b in objects[4:]]
+    ex._queue(*objects[::2], *links[::3])
+
+    def ask(seed):
+        steps = objects + links
+        random.Random(seed).shuffle(steps)
+        return {step.key: ex._object(step)[0] for step in steps}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            answers = list(pool.map(ask, range(6), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+        ex.drain()
+    assert len(built) == len(set(built)) == len(objects) + len(links)
+    assert all(answer == answers[0] for answer in answers)
+    assert None not in answers[0].values()
 
 
 def _busy_corpus(tmp_path):

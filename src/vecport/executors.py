@@ -15,23 +15,24 @@ Systems a la Carte", ICFP 2018): each harness and each distinct candidate
 source is compiled to an object once per case (``work/<case>/obj/``), and
 each (harness, candidate) pair is linked once, into a directory of its own
 (``work/<case>/bin/<harness>-<sha256>/``) that also keeps the output of the
-last run of that binary. A failed step is not kept. Builds that can start
-before they are asked for are queued on the executor's one background
-thread: the two harness objects when a case first compiles, the native
-reference's object (from its own copy, ``work/<case>/native/native.c``) and
-its perf binary right after that first candidate compile, and the perf
-binary of each candidate that compiles for the functional harness. So they
-are built even when nothing asks for them. A queued step that has not
-started when it is asked for is built by its asker, and a candidate that
-fails to compile returns without waiting for any of them. The native
-reference's median-of-N cost is measured on the first ``run_perf`` of a case
-and reused for every later variant; each variant's own cost is always a
-fresh median of N runs.
+last run of that binary. One map holds each step's ``Future``: a finished
+one that holds an artifact is the kept build, and a failed one is dropped.
+Builds that can start before they are asked for are queued on the
+executor's one background thread: the two harness objects when a case first
+compiles, the native reference's object (from its own copy,
+``work/<case>/native/native.c``) and its perf binary right after that first
+candidate compile, and the perf binary of each candidate that compiles for
+the functional harness. So they are built even when nothing asks for them.
+A queued step that has not started when it is asked for is built by its
+asker, and a candidate that fails to compile returns without waiting for any
+of them. The native reference's median-of-``PERF_RUNS`` cost is measured on
+the first ``run_perf`` of a case and reused for every later variant; each
+variant's own cost is always a fresh median.
 
 Perf runs have the executor to themselves: every compiler and functional-test
 subprocess holds the shared side of a writer-preferring reader-writer gate,
-and each median-of-N loop holds its exclusive side, so under parallelism no
-compile or test of another case runs beside a timed run.
+and each median-of-``PERF_RUNS`` loop holds its exclusive side, so under
+parallelism no compile or test of another case runs beside a timed run.
 
 Functional pass/fail is the exit-code contract (0 = pass); benchmark cost is
 the final stdout line, a bare integer nanosecond count. Perf always runs both
@@ -49,8 +50,9 @@ import shutil
 import statistics
 import subprocess
 import threading
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -66,6 +68,7 @@ DEFAULT_RUNNER_TEMPLATE = (
     "{runner} -cpu rv64,v=true,vlen={vlen},elen=64,vext_spec=v1.0 {binary}"
 )
 OUTPUT_TAIL_BYTES = 4096
+PERF_RUNS = 5  # each perf cost is the median of this many runs
 _COST_RE = re.compile(r"^[0-9]+$")
 
 
@@ -140,7 +143,6 @@ class TestResult:
 class PerfResult:
     translated_cost_ns: int
     native_cost_ns: int
-    runs: int
 
     @cached_property
     def speedup(self) -> Fraction:
@@ -151,12 +153,26 @@ class PerfResult:
             "translated_cost_ns": self.translated_cost_ns,
             "native_cost_ns": self.native_cost_ns,
             "speedup": str(self.speedup),
-            "runs": self.runs,
+            "runs": PERF_RUNS,
         }
 
 
 def _tail(text: str, limit: int = OUTPUT_TAIL_BYTES) -> str:
     return text[-limit:] if len(text) > limit else text
+
+
+def _cost(code: int | None, stdout: str) -> int:
+    """The nanosecond cost one perf run reports: its last stdout line. A
+    failed run, or one that reports no positive cost, is a PerfError."""
+    if code != 0:
+        raise PerfError(f"benchmark binary exited with {code if code is not None else 'timeout'}")
+    lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
+    if not lines or not _COST_RE.match(lines[-1]):
+        raise PerfError(f"benchmark output has no nanosecond cost line: {_tail(stdout, 300)!r}")
+    cost = int(lines[-1])
+    if cost <= 0:
+        raise PerfError("benchmark reported a non-positive cost")
+    return cost
 
 
 def _harness_path(case: ValidatedCase, which: str) -> Path:
@@ -226,27 +242,25 @@ class CommandExecutor:
 
     Builds and native costs are cached per instance, keyed by case id. Each
     case runs on one thread; the background thread builds the steps queued
-    ahead, and ``_lock`` guards the built and pending maps. ``drain`` (which
+    ahead, and ``_lock`` guards the one map of builds. ``drain`` (which
     ``cleanup`` calls) waits for queued builds and stops the thread; a later
-    compile starts a new one.
+    compile starts a new one. Each perf cost is a median of ``PERF_RUNS``.
     """
 
     def __init__(self, config: ToolchainConfig, work_dir: Path | str):
         self.config = config
         self.work_dir = Path(work_dir)
         self._lock = threading.Lock()
-        # (case_id, name) -> (artifact, diagnostics); the name is a harness,
-        # "cand-<sha256>" for a candidate object, or "<harness>-<sha256>"
-        # for a binary.
-        self._built: dict[tuple[str, str], tuple[Path, str]] = {}
-        # Builds queued or running and not yet kept. A failed one is handed
-        # to those who asked for it, then dropped, so failures stay uncached.
-        self._pending: dict[tuple[str, str], Future] = {}
+        # (case_id, name) -> the Future of the build's (artifact, diagnostics);
+        # the name is a harness, "cand-<sha256>" for a candidate object, or
+        # "<harness>-<sha256>" for a binary. A failed build is handed to
+        # those who asked for it, then dropped, so failures stay uncached.
+        self._builds: dict[tuple[str, str], Future] = {}
         self._queued_cases: set[str] = set()
         self._builder: ThreadPoolExecutor | None = None
         self._gate = _Gate()
-        # (native artifact, vlen, runs) -> median cost in ns
-        self._native_costs: dict[tuple[Path, int, int], int] = {}
+        # native artifact -> median cost in ns
+        self._native_costs: dict[Path, int] = {}
 
     def probe(self) -> None:
         """Fail fast, and distinctly from a compile failure, on missing tools."""
@@ -285,9 +299,9 @@ class CommandExecutor:
         return code == 0, stderr + stdout
 
     def _build(self, step: _Step) -> tuple[Path | None, str]:
-        """Fetch the step's needs, then run it; keep its output if it built.
-        Returns the output (None on failure) and the diagnostics of the needs
-        and then the step's own; a need that failed ends the build."""
+        """Fetch the step's needs, then run it. Returns the output (None on
+        failure) and the diagnostics of the needs and then the step's own; a
+        need that failed ends the build."""
         args, diagnostics = list(step.args), ""
         for need in step.needs:
             artifact, diag = self._object(need)
@@ -300,38 +314,33 @@ class CommandExecutor:
         diagnostics += diag
         if not ok or not step.output.exists():
             return None, diagnostics
-        with self._lock:
-            self._built[step.key] = (step.output, diagnostics)
-            self._pending.pop(step.key, None)
         return step.output, diagnostics
 
     def _object(self, step: _Step) -> tuple[Path | None, str]:
-        """``_build`` once per case: the kept result, else the running build,
-        else the step built here, taking it off the queue if it has not
-        started. Only successes are kept."""
+        """``_build`` once per case: the kept or running build, else the step
+        built here, taking it off the queue if it has not started. Only
+        successes are kept; a failure or an exception goes to whoever asked,
+        then is dropped."""
         with self._lock:
-            hit = self._built.get(step.key)
-            if hit is not None:
-                return hit
-            future = self._pending.get(step.key)
+            future = self._builds.get(step.key)
             mine = future is None or future.cancel()
             if mine:
-                future = self._pending[step.key] = Future()
+                future = self._builds[step.key] = Future()
                 future.set_running_or_notify_cancel()
-        try:
-            if not mine:
-                return future.result()  # holds no gate while it waits
+        if mine:
             try:
-                built = self._build(step)
+                future.set_result(self._build(step))
             except BaseException as exc:
                 future.set_exception(exc)  # a thread waiting on it raises too
-                raise
-            future.set_result(built)
-            return built
+        built: tuple[Path | None, str] = (None, "")
+        try:
+            built = future.result()  # holds no gate while it waits
         finally:
-            with self._lock:  # a failure is not kept
-                if self._pending.get(step.key) is future:
-                    del self._pending[step.key]
+            if built[0] is None:  # a failure or an exception is not kept
+                with self._lock:
+                    if self._builds.get(step.key) is future:
+                        del self._builds[step.key]
+        return built
 
     def _queue(self, *steps: _Step) -> None:
         """Queue each step not yet built, queued or running."""
@@ -339,8 +348,8 @@ class CommandExecutor:
             if self._builder is None:
                 self._builder = ThreadPoolExecutor(1, thread_name_prefix="vecport-build")
             for step in steps:
-                if step.key not in self._built and step.key not in self._pending:
-                    self._pending[step.key] = self._builder.submit(self._build, step)
+                if step.key not in self._builds:
+                    self._builds[step.key] = self._builder.submit(self._build, step)
 
     def _compile_step(self, case_id: str, name: str, source: Path) -> _Step:
         return _Step((case_id, name), self.work_dir / case_id / "obj" / f"{name}.o",
@@ -404,83 +413,52 @@ class CommandExecutor:
         (scratch / "compile_stderr.txt").write_text(diagnostics)
         return CompileResult(binary is not None, _tail(diagnostics, 16384), artifact_path=binary)
 
-    def _run_binary(self, binary: Path, vlen: int) -> tuple[int | None, str, str]:
-        """Exit code (None on timeout), stdout and stderr of one run."""
-        cmd = self.config.runner_cmd_template.format(
-            runner=self.config.runner, vlen=vlen, binary=shlex.quote(str(binary))
-        )
-        return self._run(shlex.split(cmd), self.config.run_timeout_s, "runner")
-
-    @staticmethod
-    def _post_mortem(binary: Path, output: tuple[str, str] | None) -> None:
-        """Copy the stdout and stderr of a loop's last run that ended next to
-        its binary; a run that was killed leaves the copies as they were."""
-        if output is None:
-            return
-        try:
-            (binary.parent / "stdout.txt").write_text(output[0])
-            (binary.parent / "stderr.txt").write_text(output[1])
-        except OSError:
-            pass
-
-    def run_functional_tests(self, artifact: Path) -> TestResult:
-        per_vlen: dict[int, VlenRun] = {}
+    def _runs(
+        self, binary: Path, vlens: Iterable[int], gate: Callable[[], AbstractContextManager]
+    ) -> Iterator[tuple[int, int | None, str, str]]:
+        """Run ``binary`` at each VLEN in turn, each run inside ``gate()``, and
+        yield the VLEN, exit code (None on timeout), stdout and stderr. However
+        the loop ends, the output of its last run that ended is copied next to
+        the binary; a run that was killed leaves the copies as they were."""
         ended = None
         try:
-            for vlen in self.config.vlens:
-                with self._gate.shared():
-                    code, stdout, stderr = self._run_binary(artifact, vlen)
+            for vlen in vlens:
+                argv = shlex.split(self.config.runner_cmd_template.format(
+                    runner=self.config.runner, vlen=vlen, binary=shlex.quote(str(binary))
+                ))
+                with gate():
+                    code, stdout, stderr = self._run(argv, self.config.run_timeout_s, "runner")
                 if code is not None:
                     ended = stdout, stderr
-                per_vlen[vlen] = VlenRun(
-                    passed=(code == 0), exit_code=code, output_tail=_tail(stdout + stderr)
-                )
+                yield vlen, code, stdout, stderr
         finally:
-            self._post_mortem(artifact, ended)
-        return TestResult(per_vlen=per_vlen)
+            if ended is not None:
+                with suppress(OSError):
+                    (binary.parent / "stdout.txt").write_text(ended[0])
+                    (binary.parent / "stderr.txt").write_text(ended[1])
 
-    def _measure_cost(self, binary: Path, vlen: int, runs: int) -> int:
-        costs = []
-        ended = None
-        try:
-            with self._gate.exclusive():  # no compile or test runs beside the timed runs
-                for _ in range(runs):
-                    code, stdout, stderr = self._run_binary(binary, vlen)
-                    if code is not None:
-                        ended = stdout, stderr
-                    if code != 0:
-                        raise PerfError(
-                            f"benchmark binary exited with {code if code is not None else 'timeout'}"
-                        )
-                    lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
-                    if not lines or not _COST_RE.match(lines[-1]):
-                        raise PerfError(
-                            f"benchmark output has no nanosecond cost line: {_tail(stdout, 300)!r}"
-                        )
-                    cost = int(lines[-1])
-                    if cost <= 0:
-                        raise PerfError("benchmark reported a non-positive cost")
-                    costs.append(cost)
-        finally:
-            self._post_mortem(binary, ended)
-        return int(statistics.median(costs))
+    def run_functional_tests(self, artifact: Path) -> TestResult:
+        runs = self._runs(artifact, self.config.vlens, self._gate.shared)
+        return TestResult(per_vlen={
+            vlen: VlenRun(passed=(code == 0), exit_code=code, output_tail=_tail(stdout + stderr))
+            for vlen, code, stdout, stderr in runs
+        })
 
-    def run_perf(
-        self, translated_artifact: Path, native_artifact: Path, runs: int = 5
-    ) -> PerfResult:
-        """Median-of-N cost for both binaries at the largest configured VLEN.
+    def _measure_cost(self, binary: Path) -> int:
+        """Median of PERF_RUNS runs at the largest configured VLEN."""
+        runs = closing(self._runs(binary, [max(self.config.vlens)] * PERF_RUNS, nullcontext))
+        with runs as timed, self._gate.exclusive():  # no compile or test runs beside the timed runs
+            return int(statistics.median([_cost(code, stdout) for _, code, stdout, _ in timed]))
 
-        The native median is measured on the first call for an artifact and
-        reused after; the translated median is always fresh.
-        """
-        vlen = max(self.config.vlens)
-        key = (Path(native_artifact), vlen, runs)
-        native = self._native_costs.get(key)
+    def run_perf(self, translated_artifact: Path, native_artifact: Path) -> PerfResult:
+        """Each binary's ``_measure_cost``: the native one is measured on the
+        first call for an artifact and reused after, the translated one afresh."""
+        native = self._native_costs.get(Path(native_artifact))
         if native is None:  # measured once per case; failures are not kept
-            native = self._measure_cost(native_artifact, vlen, runs)
-            self._native_costs[key] = native
-        translated = self._measure_cost(translated_artifact, vlen, runs)
-        return PerfResult(translated_cost_ns=translated, native_cost_ns=native, runs=runs)
+            native = self._measure_cost(native_artifact)
+            self._native_costs[Path(native_artifact)] = native
+        translated = self._measure_cost(translated_artifact)
+        return PerfResult(translated_cost_ns=translated, native_cost_ns=native)
 
     def drain(self) -> None:
         """Wait for every queued build, then stop the background thread."""
@@ -494,8 +472,7 @@ class CommandExecutor:
         native costs made there."""
         self.drain()
         shutil.rmtree(self.work_dir, ignore_errors=True)
-        self._built.clear()
-        self._pending.clear()
+        self._builds.clear()
         self._queued_cases.clear()
         self._native_costs.clear()
 
@@ -595,14 +572,12 @@ class MockExecutor:
                 per_vlen[vlen] = VlenRun(True, 0, "ok")
         return TestResult(per_vlen=per_vlen)
 
-    def run_perf(
-        self, translated_artifact: Path, native_artifact: Path, runs: int = 5
-    ) -> PerfResult:
+    def run_perf(self, translated_artifact: Path, native_artifact: Path) -> PerfResult:
         native = self._builds[Path(native_artifact)].cost_ns
         translated = self._builds[Path(translated_artifact)].cost_ns
         if native <= 0 or translated <= 0:
             raise PerfError("mock cost must be positive")
-        return PerfResult(translated_cost_ns=translated, native_cost_ns=native, runs=runs)
+        return PerfResult(translated_cost_ns=translated, native_cost_ns=native)
 
     def cleanup(self) -> None:
         self._builds.clear()

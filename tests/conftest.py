@@ -108,7 +108,7 @@ DEEP_NESTING = {
 
 def speedup(native_cost_ns: int, translated_cost_ns: int):
     """``PerfResult.speedup`` for two costs: native over translated."""
-    return PerfResult(translated_cost_ns, native_cost_ns, runs=1).speedup
+    return PerfResult(translated_cost_ns, native_cost_ns).speedup
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ from vecport import executors
 from vecport.corpus import CaseManifest, ValidatedCase
 from vecport.errors import ConfigurationError, PerfError
 from vecport.executors import (
+    PERF_RUNS,
     CommandExecutor,
     MockExecutor,
     ToolchainConfig,
@@ -198,12 +199,12 @@ class TestCommandExecutorOnHost:
         translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="tp")
         native = ex.compile_candidate(case.native_text, case, "perf", tag="np")
         assert translated.success and native.success
-        perf = ex.run_perf(translated.artifact_path, native.artifact_path, runs=3)
+        perf = ex.run_perf(translated.artifact_path, native.artifact_path)
         # both harness builds print the same fixed cost line
         assert perf.translated_cost_ns == 120000
         assert perf.native_cost_ns == 120000
         assert perf.speedup == 1
-        assert perf.runs == 3
+        assert perf.to_dict()["runs"] == PERF_RUNS
 
     def test_harness_objects_built_once_per_case(self, tmp_path):
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
@@ -232,7 +233,7 @@ class TestCommandExecutorOnHost:
         calls = log.read_text().splitlines()
         assert sum("candidate.c" in c for c in calls) == 1
         assert ex.run_functional_tests(functional.artifact_path).all_passed
-        assert ex.run_perf(perf.artifact_path, perf.artifact_path, runs=1).speedup == 1
+        assert ex.run_perf(perf.artifact_path, perf.artifact_path).speedup == 1
 
     @pytest.mark.parametrize("which", ["functional", "perf"])
     def test_broken_harness_reads_the_same_queued_or_not(self, tmp_path, which):
@@ -288,7 +289,7 @@ class TestCommandExecutorOnHost:
         digest = hashlib.sha256(candidate.encode()).hexdigest()
         assert perf.artifact_path == ex.work_dir / "mini" / "bin" / f"perf-{digest}" / "bin_perf"
         assert ex.run_functional_tests(functional.artifact_path).all_passed
-        assert ex.run_perf(perf.artifact_path, perf.artifact_path, runs=1).speedup == 1
+        assert ex.run_perf(perf.artifact_path, perf.artifact_path).speedup == 1
         assert (perf.artifact_path.parent / "stdout.txt").read_text().endswith("120000\n")
 
     def test_broken_link_reads_the_same_queued_or_not(self, tmp_path):
@@ -320,13 +321,14 @@ class TestCommandExecutorOnHost:
         calls = log.read_text().splitlines()
         assert sum("bench.c" in c for c in calls) == 1
         assert _links(log) == ["bin_perf"]
-        assert ex.run_perf(perf.artifact_path, perf.artifact_path, runs=1).speedup == 1
+        assert ex.run_perf(perf.artifact_path, perf.artifact_path).speedup == 1
 
     def test_a_queued_build_that_cannot_start_is_a_configuration_error(
         self, tmp_path, monkeypatch
     ):
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-        ex = CommandExecutor(host_config(), tmp_path / "work")
+        cc, log = _logging_cc(tmp_path)
+        ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
         run = executors.subprocess.run
 
         def no_compiler_for_the_harness(argv, **kwargs):
@@ -338,6 +340,11 @@ class TestCommandExecutorOnHost:
         with pytest.raises(ConfigurationError, match="^compiler not runnable: "):
             ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
         ex.drain()
+        # The exception was handed over, not kept: the harness builds again.
+        monkeypatch.setattr(executors.subprocess, "run", run)
+        again = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t2")
+        assert again.success, again.diagnostics
+        assert sum("test.c" in c for c in log.read_text().splitlines()) == 1
 
     def test_failed_candidate_compile_is_not_cached(self, tmp_path):
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
@@ -367,7 +374,7 @@ class TestCommandExecutorOnHost:
         ex = CommandExecutor(host_config(), tmp_path / "work")
         translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="tp")
         with pytest.raises(PerfError, match="cost line"):
-            ex.run_perf(translated.artifact_path, translated.artifact_path, runs=1)
+            ex.run_perf(translated.artifact_path, translated.artifact_path)
 
     def test_zero_cost_is_a_perf_error(self, tmp_path):
         bench = '#include <stdio.h>\nint mini_identity(int x);\nint main(void) { printf("0\\n"); return 0; }\n'
@@ -375,7 +382,7 @@ class TestCommandExecutorOnHost:
         ex = CommandExecutor(host_config(), tmp_path / "work")
         translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="tp")
         with pytest.raises(PerfError, match="non-positive cost"):
-            ex.run_perf(translated.artifact_path, translated.artifact_path, runs=1)
+            ex.run_perf(translated.artifact_path, translated.artifact_path)
 
 
 # --- mock executor ---------------------------------------------------------
@@ -505,8 +512,8 @@ def test_perf_median_invariant_under_run_order(tmp_path):
     ordered = _cost_script(tmp_path / "ordered.py", [80000, 100000, 120000])
     shuffled = _cost_script(tmp_path / "shuffled.py", [120000, 80000, 100000])
     native = _cost_script(tmp_path / "native.py", [200000, 200000, 200000])
-    a = ex.run_perf(ordered, native, runs=3)
-    b = ex.run_perf(shuffled, native, runs=3)
+    a = ex.run_perf(ordered, native)
+    b = ex.run_perf(shuffled, native)
     assert a.translated_cost_ns == b.translated_cost_ns == 100000
     assert a.speedup == b.speedup == Fraction(2)
 
@@ -516,12 +523,12 @@ def test_native_reference_measured_once_per_artifact(tmp_path):
     first = _cost_script(tmp_path / "first.py", [100000])
     second = _cost_script(tmp_path / "second.py", [50000])
     native = _cost_script(tmp_path / "native.py", [200000])
-    a = ex.run_perf(first, native, runs=3)
-    b = ex.run_perf(second, native, runs=3)
+    a = ex.run_perf(first, native)
+    b = ex.run_perf(second, native)
     assert (a.speedup, b.speedup) == (Fraction(2), Fraction(4))
     assert a.native_cost_ns == b.native_cost_ns == 200000
-    assert (tmp_path / "native.py.count").read_text() == "3"
-    assert (tmp_path / "second.py.count").read_text() == "3"
+    assert (tmp_path / "native.py.count").read_text() == "5"
+    assert (tmp_path / "second.py.count").read_text() == "5"
 
 
 # --- hostile tool output -----------------------------------------------------
@@ -549,20 +556,24 @@ def test_non_utf8_perf_output_is_parsed_or_a_perf_error(tmp_path):
     ex = CommandExecutor(_script_config(), tmp_path / "work")
     native = _cost_script(tmp_path / "native.py", [200000])
     noisy = _script(tmp_path / "noisy", "printf '\\377\\377\\n100000\\n'\n")
-    assert ex.run_perf(noisy, native, runs=3).speedup == Fraction(2)
+    assert ex.run_perf(noisy, native).speedup == Fraction(2)
     garbage = _script(tmp_path / "garbage", "printf '\\377\\377\\n'\n")
     with pytest.raises(PerfError, match="cost line"):
-        ex.run_perf(garbage, native, runs=3)
+        ex.run_perf(garbage, native)
 
 
 def test_perf_cost_is_the_last_stdout_line_whatever_stderr_says(tmp_path):
     ex = CommandExecutor(_script_config(), tmp_path / "work")
     native = _cost_script(tmp_path / "native.py", [240000])
     warned = _script(tmp_path / "warned", "echo 120000\necho warning >&2\n")
-    assert ex.run_perf(warned, native, runs=3).translated_cost_ns == 120000
+    assert ex.run_perf(warned, native).translated_cost_ns == 120000
     only_stderr = _script(tmp_path / "only_stderr", "echo 120000 >&2\n")
-    with pytest.raises(PerfError, match="cost line"):
-        ex.run_perf(only_stderr, native, runs=3)
+    with pytest.raises(PerfError, match="cost line") as failed:
+        ex.run_perf(only_stderr, native)
+    # The failing run's output is beside its binary while ``failed`` still
+    # holds the error, so it was written before the error left run_perf.
+    assert (tmp_path / "stderr.txt").read_text() == "120000\n"
+    assert (tmp_path / "stdout.txt").read_text() == ""
 
 
 def test_functional_output_tail_keeps_stdout_and_stderr(tmp_path):

@@ -397,7 +397,6 @@ def _variant(vid, speedup=None):
         perf = PerfResult(
             translated_cost_ns=s.denominator * 10000,
             native_cost_ns=s.numerator * 10000,
-            runs=5,
         )
     return Variant(variant_id=vid, code=f"// v{vid}", perf=perf)
 

@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="mock executors: no compiler or emulator required")
     t.add_argument("--keep-scratch", dest="keep_scratch", action="store_const",
                    const=True,
-                   help="retain the real executor's per-attempt scratch directories; "
+                   help="retain the real executor's scratch, work/ under --out; "
                         "a --no-exec run writes only its logs and outputs")
 
     a = sub.add_parser("analyze", help="register pressure report for an RVV C file")

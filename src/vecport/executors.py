@@ -4,10 +4,13 @@ vector lengths, and benchmark runs.
 The compiler is driven as ``cc flags ...`` and the emulator through a command
 template, so a different compiler, emulator, or a real board behind an ssh
 wrapper slots in without code changes. Candidates never touch the case
-directory; each attempt of ``CommandExecutor`` writes its source and compile
-diagnostics to a scratch directory of its own, ``work/<case>/<tag>/``, and
-``cleanup`` removes ``work/`` whole. ``MockExecutor`` works in memory and
-creates no scratch.
+directory. A candidate has one name, the sha256 of its text:
+``CommandExecutor`` writes each distinct source once per case, to
+``work/<case>/obj/cand-<sha256>.c`` beside its object, and each build's own
+compiler output to ``<output>.log`` beside what it built. Diagnostics name
+work files relative to ``work/<case>/``, so they do not depend on where
+``work/`` is. ``cleanup`` removes ``work/`` whole. ``MockExecutor`` works in
+memory and creates no scratch.
 
 Nothing that cannot change within a case is rebuilt or re-measured. Each
 build is a step kept under a key (Mokhov, Mitchell and Peyton Jones, "Build
@@ -19,15 +22,15 @@ last run of that binary. One map holds each step's ``Future``: a finished
 one that holds an artifact is the kept build, and a failed one is dropped.
 Builds that can start before they are asked for are queued on the
 executor's one background thread: the two harness objects when a case first
-compiles, the native reference's object (from its own copy,
-``work/<case>/native/native.c``) and its perf binary right after that first
-candidate compile, and the perf binary of each candidate that compiles for
-the functional harness. So they are built even when nothing asks for them.
-A queued step that has not started when it is asked for is built by its
-asker, and a candidate that fails to compile returns without waiting for any
-of them. The native reference's median-of-``PERF_RUNS`` cost is measured on
-the first ``run_perf`` of a case and reused for every later variant; each
-variant's own cost is always a fresh median.
+compiles, the native reference's object (a candidate like any other) and its
+perf binary right after that first candidate compile, and the perf binary of
+each candidate that compiles for the functional harness. So they are built
+even when nothing asks for them. A queued step that has not started when it
+is asked for is built by its asker, and a candidate that fails to compile
+returns without waiting for any of them. The native reference's
+median-of-``PERF_RUNS`` cost is measured on the first ``run_perf`` of a case
+and reused for every later variant; each variant's own cost is always a
+fresh median.
 
 Perf runs have the executor to themselves: every compiler and functional-test
 subprocess holds the shared side of a writer-preferring reader-writer gate,
@@ -235,6 +238,7 @@ class _Step:
     output: Path
     args: tuple[str, ...] = ()
     needs: tuple[_Step, ...] = ()
+    text: str | None = None  # a candidate's source, compiled from output.with_suffix(".c")
 
 
 class CommandExecutor:
@@ -269,11 +273,6 @@ class CommandExecutor:
             if shutil.which(exe) is None and not Path(exe).is_file():
                 raise ConfigurationError(f"{what} not found: {exe}")
 
-    def _scratch(self, case_id: str, tag: str) -> Path:
-        d = self.work_dir / case_id / tag
-        d.mkdir(parents=True, exist_ok=True)
-        return d
-
     @staticmethod
     def _run(argv: list[str], timeout: int, what: str) -> tuple[int | None, str, str]:
         """Exit code (None on timeout), stdout and stderr of ``argv``; after a
@@ -299,9 +298,11 @@ class CommandExecutor:
         return code == 0, stderr + stdout
 
     def _build(self, step: _Step) -> tuple[Path | None, str]:
-        """Fetch the step's needs, then run it. Returns the output (None on
-        failure) and the diagnostics of the needs and then the step's own; a
-        need that failed ends the build."""
+        """Fetch the step's needs, then run it, writing its own compiler output
+        to ``<output>.log``. Returns the output (None on failure) and the
+        diagnostics of the needs and then the step's own; a need that failed
+        ends the build. A candidate's source is written here, right before
+        it compiles: only the one thread that builds a key writes its source."""
         args, diagnostics = list(step.args), ""
         for need in step.needs:
             artifact, diag = self._object(need)
@@ -310,7 +311,10 @@ class CommandExecutor:
                 return None, diagnostics
             args.append(str(artifact))
         step.output.parent.mkdir(parents=True, exist_ok=True)
+        if step.text is not None:
+            step.output.with_suffix(".c").write_text(step.text)
         ok, diag = self._cc(*args, "-o", str(step.output))
+        step.output.with_suffix(".log").write_text(diag)
         diagnostics += diag
         if not ok or not step.output.exists():
             return None, diagnostics
@@ -351,10 +355,6 @@ class CommandExecutor:
                 if step.key not in self._builds:
                     self._builds[step.key] = self._builder.submit(self._build, step)
 
-    def _compile_step(self, case_id: str, name: str, source: Path) -> _Step:
-        return _Step((case_id, name), self.work_dir / case_id / "obj" / f"{name}.o",
-                     ("-c", str(source)))
-
     def _link_step(self, candidate: _Step, harness: _Step) -> _Step:
         """The binary of a candidate object and a harness object, in a
         directory of its own: ``bin/<harness>-<sha256>/bin_<harness>``."""
@@ -364,18 +364,16 @@ class CommandExecutor:
         return _Step((case_id, name), output, needs=(candidate, harness))
 
     def _harness_step(self, case: ValidatedCase, which: str) -> _Step:
-        return self._compile_step(case.case_id, which, _harness_path(case, which))
+        output = self.work_dir / case.case_id / "obj" / f"{which}.o"
+        return _Step((case.case_id, which), output, ("-c", str(_harness_path(case, which))))
 
-    def _candidate_step(self, case_id: str, text: str, source: Path) -> _Step:
+    def _candidate_step(self, case_id: str, text: str) -> _Step:
         name = f"cand-{hashlib.sha256(text.encode()).hexdigest()}"
-        return self._compile_step(case_id, name, source)
+        output = self.work_dir / case_id / "obj" / f"{name}.o"
+        return _Step((case_id, name), output, ("-c", str(output.with_suffix(".c"))), text=text)
 
     def compile_candidate(
-        self,
-        candidate_source: str,
-        case: ValidatedCase,
-        which_harness: str,
-        tag: str,
+        self, candidate_source: str, case: ValidatedCase, which_harness: str
     ) -> CompileResult:
         """Build the candidate against one harness: one cached object per
         source, one cached binary per (harness, candidate).
@@ -385,7 +383,9 @@ class CommandExecutor:
         change: both harness objects before the candidate compiles, the
         native object and its perf binary after, so a candidate that is the
         native text is built once, as itself. A candidate that compiles for
-        the functional harness also queues its perf binary.
+        the functional harness also queues its perf binary. The diagnostics
+        name work files relative to the case's work directory, as
+        ``obj/cand-<sha256>.c``.
         """
         case_id = case.case_id
         harness = self._harness_step(case, which_harness)
@@ -394,23 +394,17 @@ class CommandExecutor:
         if first:
             self._queued_cases.add(case_id)
             self._queue(self._harness_step(case, "functional"), perf)
-        scratch = self._scratch(case_id, tag)
-        source = scratch / "candidate.c"
-        source.write_text(candidate_source)
-        candidate = self._candidate_step(case_id, candidate_source, source)
+        candidate = self._candidate_step(case_id, candidate_source)
         candidate_obj, diagnostics = self._object(candidate)
         if first:
-            native_source = self._scratch(case_id, "native") / "native.c"
-            # written once, so never while a build reads it
-            native_source.write_text(case.native_text)
-            native = self._candidate_step(case_id, case.native_text, native_source)
+            native = self._candidate_step(case_id, case.native_text)
             self._queue(native, self._link_step(native, perf))
         binary = None
         if candidate_obj is not None:
             if which_harness == "functional":
                 self._queue(self._link_step(candidate, perf))
             binary, diagnostics = self._object(self._link_step(candidate, harness))
-        (scratch / "compile_stderr.txt").write_text(diagnostics)
+        diagnostics = diagnostics.replace(f"{self.work_dir / case_id}/", "")
         return CompileResult(binary is not None, _tail(diagnostics, 16384), artifact_path=binary)
 
     def _runs(
@@ -511,11 +505,12 @@ class MockExecutor:
     cost ``MOCK_COST_NS``. Everything is pure string inspection, so a replay
     script fully determines the pipeline's behavior.
 
-    Nothing touches the disk. ``compile_candidate`` scans the markers once and
+    Nothing touches the disk. ``compile_candidate`` scans the markers and
     returns as its artifact an in-memory handle: a ``Path`` naming the case,
-    tag and harness, which is never created. The test and perf runs look the
-    handle up; ``cleanup`` forgets every handle. Handles are keyed by case id,
-    so cases may share one executor across threads.
+    harness and sha256 of the source, which is never created, so the same
+    text gives the same handle. The test and perf runs look the handle up;
+    ``cleanup`` forgets every handle. Handles are keyed by case id, so cases
+    may share one executor across threads.
     """
 
     def __init__(self, vlens: tuple[int, ...] = (128, 256)):
@@ -527,11 +522,7 @@ class MockExecutor:
         return None
 
     def compile_candidate(
-        self,
-        candidate_source: str,
-        case: ValidatedCase,
-        which_harness: str,
-        tag: str,
+        self, candidate_source: str, case: ValidatedCase, which_harness: str
     ) -> CompileResult:
         _harness_path(case, which_harness)  # validates the harness choice
         m = _MOCK_COMPILE_RE.search(candidate_source)
@@ -550,7 +541,8 @@ class MockExecutor:
                 fail_all = True
             fail_msg = (m.group(2) or "").removesuffix("*/").strip() or "mock test failure"
         cost = _MOCK_COST_RE.search(source)
-        handle = Path(case.case_id, tag, f"candidate_{which_harness}.c")
+        digest = hashlib.sha256(candidate_source.encode()).hexdigest()
+        handle = Path(case.case_id, f"{which_harness}-{digest}")
         self._builds[handle] = _MockBuild(
             timeout=_MOCK_TIMEOUT_RE.search(source) is not None,
             fail_vlen=fail_vlen,

@@ -176,7 +176,6 @@ class _Phase:
     """What differs between the correctness and the optimization loop."""
 
     name: str  # Attempt.phase
-    tag: str  # executor tag prefix: {tag}{n} and {tag}{n}-perf
     compile_state: FsmState
     test_state: FsmState
     no_code_hint: str
@@ -185,14 +184,14 @@ class _Phase:
 
 
 _TRANSLATION = _Phase(
-    "translation", "t", FsmState.COMPILE, FsmState.FUNC_TEST,
+    "translation", FsmState.COMPILE, FsmState.FUNC_TEST,
     "the previous reply contained no code block; reply with exactly one fenced "
     "code block holding the complete C file",
     "baseline perf unavailable: {exc}",
     "baseline perf harness failed to compile",
 )
 _OPTIMIZATION = _Phase(
-    "optimization", "opt", FsmState.OPT_COMPILE, FsmState.OPT_TEST,
+    "optimization", FsmState.OPT_COMPILE, FsmState.OPT_TEST,
     "the previous reply contained no code block",
     "variant {id}: no perf data ({exc})",
     "variant {id}: perf harness failed to compile",
@@ -257,9 +256,7 @@ def _run_fsm(case: ValidatedCase, budgets: Budgets, deps: TaskDeps, client, log)
             code, feedback = response, Diagnostics("compile", phase.no_code_hint)
         else:
             trace.append(phase.compile_state)
-            compiled: CompileResult = deps.executor.compile_candidate(
-                code, case, "functional", tag=f"{phase.tag}{attempt_no}"
-            )
+            compiled: CompileResult = deps.executor.compile_candidate(code, case, "functional")
             attempt.compile_ok = compiled.success
             attempt.compile_diagnostics = compiled.diagnostics
             if not compiled.success:
@@ -275,14 +272,14 @@ def _run_fsm(case: ValidatedCase, budgets: Budgets, deps: TaskDeps, client, log)
         log.write(json.dumps(attempt.to_record(), sort_keys=True) + "\n")
         return code, feedback
 
-    def measure(phase: _Phase, n: int, code: str) -> None:
+    def measure(phase: _Phase, code: str) -> None:
         """Add passing code as the next variant, with its speedup over the
         native reference when that compiled."""
         variant = Variant(variant_id=len(variants), code=code)
         variants.append(variant)
         if native_artifact is None:
             return
-        compiled = deps.executor.compile_candidate(code, case, "perf", tag=f"{phase.tag}{n}-perf")
+        compiled = deps.executor.compile_candidate(code, case, "perf")
         if not compiled.success:
             notes.append(phase.no_harness_note.format(id=variant.variant_id))
             return
@@ -316,11 +313,11 @@ def _run_fsm(case: ValidatedCase, budgets: Budgets, deps: TaskDeps, client, log)
 
     # --- baseline measurement ---------------------------------------------
     trace.append(FsmState.BASELINE_PERF)
-    native = deps.executor.compile_candidate(case.native_text, case, "perf", tag="native")
+    native = deps.executor.compile_candidate(case.native_text, case, "perf")
     native_artifact = native.artifact_path if native.success else None
     if native_artifact is None:
         notes.append("native reference failed to compile; no perf data for this case")
-    measure(_TRANSLATION, 0, code)
+    measure(_TRANSLATION, code)
 
     # --- optimization loop --------------------------------------------------
     feedback = None
@@ -342,7 +339,7 @@ def _run_fsm(case: ValidatedCase, budgets: Budgets, deps: TaskDeps, client, log)
             break
         if feedback is None:
             trace.append(FsmState.OPT_PERF)
-            measure(_OPTIMIZATION, opt_no, code)
+            measure(_OPTIMIZATION, code)
 
     # --- selection -----------------------------------------------------------
     trace.append(FsmState.SELECT_BEST)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -375,7 +376,8 @@ def test_keep_scratch_decides_what_the_real_executor_leaves(tmp_path, keep):
     runner = tmp_path / "run.sh"
     runner.write_text('#!/bin/sh\nshift 2\nexec "$@"\n')
     runner.chmod(0o755)
-    replay = write_replay(tmp_path, {"ident": [fenced("int ident(int x) { return x; }\n")]})
+    code = "int ident(int x) { return x; }\n"
+    replay = write_replay(tmp_path, {"ident": [fenced(code)]})
     out = tmp_path / "out"
     argv = ["translate", "--corpus", str(corpus), "--replay", str(replay),
             "--cc", HOST_GCC, "--flags=-O1", "--runner", str(runner), "--vlens", "128",
@@ -383,10 +385,11 @@ def test_keep_scratch_decides_what_the_real_executor_leaves(tmp_path, keep):
     assert main(argv + ["--keep-scratch"] * keep) == 0
     assert json.loads((out / "outcomes" / "ident.json").read_text())["passed"]
     assert (out / "attempts" / "ident.ndjson").is_file()
-    if keep:  # per-attempt artifacts survive for post-mortem
-        left = sorted(p.name for p in (out / "work" / "ident").iterdir())
-        assert {"obj", "bin", "native", "t1", "t0-perf"} <= set(left)
-        assert (out / "work" / "ident" / "t1" / "candidate.c").is_file()
+    if keep:  # sources, objects, binaries and build logs survive for post-mortem
+        work = out / "work" / "ident"
+        assert sorted(p.name for p in work.iterdir()) == ["bin", "obj"]
+        digest = hashlib.sha256(code.encode()).hexdigest()
+        assert (work / "obj" / f"cand-{digest}.c").read_text() == code
     else:
         assert not (out / "work").exists()
 
@@ -413,8 +416,9 @@ def test_no_build_or_build_thread_outlives_the_run(tmp_path, keep):
                 + ["--keep-scratch"] * keep) == 0
     assert threading.active_count() == threads
     started = [int(pid) for pid in pids.read_text().split()]
-    # test.c, bench.c, candidate.c and native.c; the candidate's functional
-    # link; the native and the candidate perf links, both queued ahead.
+    # test.c, bench.c, the candidate's source and the native's; the
+    # candidate's functional link; the native and the candidate perf links,
+    # both queued ahead.
     assert len(started) == 7
     for pid in started:
         with pytest.raises(ProcessLookupError):

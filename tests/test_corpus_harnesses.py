@@ -121,7 +121,7 @@ def host_executor(tmp_path) -> CommandExecutor:
 def test_functional_harness_accepts_a_correct_implementation(tmp_path, case_id, bundled_cases):
     case = bundled_cases[case_id]
     ex = host_executor(tmp_path)
-    compiled = ex.compile_candidate(SCALAR_IMPLS[case_id], case, "functional", tag="ok")
+    compiled = ex.compile_candidate(SCALAR_IMPLS[case_id], case, "functional")
     assert compiled.success, compiled.diagnostics
     tested = ex.run_functional_tests(compiled.artifact_path)
     assert tested.all_passed, tested.describe()
@@ -131,7 +131,7 @@ def test_functional_harness_accepts_a_correct_implementation(tmp_path, case_id, 
 def test_functional_harness_rejects_a_broken_implementation(tmp_path, case_id, bundled_cases):
     case = bundled_cases[case_id]
     ex = host_executor(tmp_path)
-    compiled = ex.compile_candidate(BROKEN_IMPLS[case_id], case, "functional", tag="bad")
+    compiled = ex.compile_candidate(BROKEN_IMPLS[case_id], case, "functional")
     assert compiled.success, compiled.diagnostics
     tested = ex.run_functional_tests(compiled.artifact_path)
     assert not tested.all_passed
@@ -141,7 +141,7 @@ def test_functional_harness_rejects_a_broken_implementation(tmp_path, case_id, b
 def test_bench_harness_emits_a_cost_line(tmp_path, case_id, bundled_cases):
     case = bundled_cases[case_id]
     ex = host_executor(tmp_path)
-    compiled = ex.compile_candidate(SCALAR_IMPLS[case_id], case, "perf", tag="perf")
+    compiled = ex.compile_candidate(SCALAR_IMPLS[case_id], case, "perf")
     assert compiled.success, compiled.diagnostics
     perf = ex.run_perf(compiled.artifact_path, compiled.artifact_path)
     assert perf.translated_cost_ns > 0

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import random
 import shutil
@@ -117,6 +118,11 @@ def _logging_cc(tmp_path, hold=None):
     return str(cc), log
 
 
+def _source(text: str) -> str:
+    """The file name a candidate's text is compiled from."""
+    return f"cand-{hashlib.sha256(text.encode()).hexdigest()}.c"
+
+
 def _links(log: Path) -> list[str]:
     """The output names of the logged link calls, in order."""
     calls = [c.split() for c in log.read_text().splitlines()]
@@ -148,7 +154,7 @@ class TestCommandExecutorOnHost:
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
         ex = CommandExecutor(host_config(), tmp_path / "work")
         ex.probe()
-        result = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+        result = ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
         assert result.success, result.diagnostics
         tested = ex.run_functional_tests(result.artifact_path)
         assert tested.all_passed
@@ -158,7 +164,7 @@ class TestCommandExecutorOnHost:
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
         ex = CommandExecutor(host_config(), tmp_path / "work")
         bad = "int mini_identity(int x) { return mini_identityy_helper(x); }\n"
-        result = ex.compile_candidate(bad, case, "functional", tag="t1")
+        result = ex.compile_candidate(bad, case, "functional")
         assert not result.success
         assert "mini_identityy_helper" in result.diagnostics
 
@@ -167,7 +173,7 @@ class TestCommandExecutorOnHost:
         case_dir = case.manifest.source_path.parent
         before = {p.name: p.read_bytes() for p in case_dir.iterdir()}
         ex = CommandExecutor(host_config(), tmp_path / "work")
-        ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+        ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
         after = {p.name: p.read_bytes() for p in case_dir.iterdir()}
         assert before == after
 
@@ -175,7 +181,7 @@ class TestCommandExecutorOnHost:
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
         ex = CommandExecutor(host_config(), tmp_path / "work")
         wrong = "int mini_identity(int x) { return x + 1; }\n"
-        result = ex.compile_candidate(wrong, case, "functional", tag="t1")
+        result = ex.compile_candidate(wrong, case, "functional")
         tested = ex.run_functional_tests(result.artifact_path)
         assert not tested.all_passed
         assert "wrong answer" in tested.per_vlen[128].output_tail
@@ -186,7 +192,7 @@ class TestCommandExecutorOnHost:
         config.run_timeout_s = 1
         ex = CommandExecutor(config, tmp_path / "work")
         spin = "int mini_identity(int x) { while (x != x + 1) {} return x; }\n"
-        result = ex.compile_candidate(spin, case, "functional", tag="t1")
+        result = ex.compile_candidate(spin, case, "functional")
         assert result.success
         tested = ex.run_functional_tests(result.artifact_path)
         assert not tested.all_passed
@@ -196,8 +202,8 @@ class TestCommandExecutorOnHost:
     def test_perf_medians_and_speedup(self, tmp_path):
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
         ex = CommandExecutor(host_config(), tmp_path / "work")
-        translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="tp")
-        native = ex.compile_candidate(case.native_text, case, "perf", tag="np")
+        translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf")
+        native = ex.compile_candidate(case.native_text, case, "perf")
         assert translated.success and native.success
         perf = ex.run_perf(translated.artifact_path, native.artifact_path)
         # both harness builds print the same fixed cost line
@@ -210,28 +216,31 @@ class TestCommandExecutorOnHost:
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
         cc, log = _logging_cc(tmp_path)
         ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
-        for n in range(3):
-            candidate = f"int mini_identity(int x) {{ return x + {n} - {n}; }}\n"
+        candidates = [f"int mini_identity(int x) {{ return x + {n} - {n}; }}\n" for n in range(3)]
+        for candidate in candidates:
             for which in ("functional", "perf"):
-                result = ex.compile_candidate(candidate, case, which, tag=f"t{n}-{which}")
+                result = ex.compile_candidate(candidate, case, which)
                 assert result.success, result.diagnostics
         ex.drain()  # the native build is queued ahead; let it finish
         calls = log.read_text().splitlines()
         assert sum("test.c" in c for c in calls) == 1
         assert sum("bench.c" in c for c in calls) == 1
-        assert sum("candidate.c" in c for c in calls) == 3
-        assert sum("native.c" in c for c in calls) == 1  # built ahead, never asked for
+        for candidate in candidates:
+            assert sum(_source(candidate) in c for c in calls) == 1
+        # built ahead, never asked for
+        assert sum(_source(case.native_text) in c for c in calls) == 1
+        assert sum(" -c " in c for c in calls) == 6  # two harnesses, three candidates, native
         assert ex.run_functional_tests(result.artifact_path).all_passed
 
     def test_candidate_compiled_once_for_both_harnesses(self, tmp_path):
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
         cc, log = _logging_cc(tmp_path)
         ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
-        functional = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
-        perf = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="t1-perf")
+        functional = ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
+        perf = ex.compile_candidate(GOOD_CANDIDATE, case, "perf")
         assert functional.success and perf.success
         calls = log.read_text().splitlines()
-        assert sum("candidate.c" in c for c in calls) == 1
+        assert sum(_source(GOOD_CANDIDATE) in c for c in calls) == 1
         assert ex.run_functional_tests(functional.artifact_path).all_passed
         assert ex.run_perf(perf.artifact_path, perf.artifact_path).speedup == 1
 
@@ -244,12 +253,14 @@ class TestCommandExecutorOnHost:
         ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
         # The first call's harness build was queued ahead; a failure is not
         # kept, so the second call builds the harness itself.
-        queued = ex.compile_candidate(GOOD_CANDIDATE, case, which, tag="t1")
-        direct = ex.compile_candidate(GOOD_CANDIDATE, case, which, tag="t2")
+        queued = ex.compile_candidate(GOOD_CANDIDATE, case, which)
+        direct = ex.compile_candidate(GOOD_CANDIDATE, case, which)
         ex.drain()
         assert (queued.success, direct.success) == (False, False)
         assert queued.diagnostics == direct.diagnostics
         assert "expected" in queued.diagnostics
+        # each build's own compiler output stays beside what it built
+        assert "expected" in (ex.work_dir / "mini" / "obj" / f"{which}.log").read_text()
         source = "test.c" if which == "functional" else "bench.c"
         assert sum(source in c for c in log.read_text().splitlines()) == 2
 
@@ -258,21 +269,21 @@ class TestCommandExecutorOnHost:
         broken = "int mini_identity(int x);\nint main(void) { return mini_identity(1) }\n"
         read = {}
         for state in ("queued", "built", "broken"):
-            # One work directory and tag, so the diagnostics name the same paths.
+            # One work directory, so the diagnostics name the same paths.
             case = make_case(tmp_path / state, broken if state == "broken" else TEST_HARNESS,
                              BENCH_HARNESS)
             cc, log = _logging_cc(tmp_path / state, hold="/test.c " if state == "queued" else None)
             ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
             if state == "built":
-                assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t0").success
-            read[state] = ex.compile_candidate(bad, case, "functional", tag="t1")
+                assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional").success
+            read[state] = ex.compile_candidate(bad, case, "functional")
             if state == "queued":
                 assert "released" not in log.read_text()  # the harness build is still held
                 (tmp_path / state / "release").touch()
             ex.cleanup()
         assert read["queued"] == read["built"] == read["broken"]
         assert not read["queued"].success
-        assert "t1/candidate.c" in read["queued"].diagnostics
+        assert f"obj/{_source(bad)}" in read["queued"].diagnostics
         assert "test.c" not in read["queued"].diagnostics
 
     def test_perf_binary_is_linked_ahead_by_the_functional_compile(self, tmp_path):
@@ -280,11 +291,11 @@ class TestCommandExecutorOnHost:
         cc, log = _logging_cc(tmp_path)
         ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
         candidate = "int mini_identity(int x) { return x + 0; }\n"  # not the native text
-        functional = ex.compile_candidate(candidate, case, "functional", tag="t1")
+        functional = ex.compile_candidate(candidate, case, "functional")
         ex.drain()  # the queued perf link has run
         # the native perf link, and the candidate's functional and perf links
         assert sorted(_links(log)) == ["bin_functional", "bin_perf", "bin_perf"]
-        perf = ex.compile_candidate(candidate, case, "perf", tag="t1-perf")
+        perf = ex.compile_candidate(candidate, case, "perf")
         assert len(_links(log)) == 3
         digest = hashlib.sha256(candidate.encode()).hexdigest()
         assert perf.artifact_path == ex.work_dir / "mini" / "bin" / f"perf-{digest}" / "bin_perf"
@@ -297,15 +308,18 @@ class TestCommandExecutorOnHost:
         case = make_case(tmp_path, TEST_HARNESS, unlinkable)
         cc, log = _logging_cc(tmp_path)
         ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
-        assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1").success
+        assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional").success
         ex.drain()  # the perf link queued ahead has failed before anyone asked
         # A failure is not kept: the first perf compile takes the queued
         # failure, the second links again.
-        queued = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="t1-perf")
-        direct = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="t2-perf")
+        queued = ex.compile_candidate(GOOD_CANDIDATE, case, "perf")
+        direct = ex.compile_candidate(GOOD_CANDIDATE, case, "perf")
         assert (queued.success, direct.success) == (False, False)
         assert queued.diagnostics == direct.diagnostics
         assert "mini_missing" in queued.diagnostics
+        digest = hashlib.sha256(GOOD_CANDIDATE.encode()).hexdigest()
+        link_log = ex.work_dir / "mini" / "bin" / f"perf-{digest}" / "bin_perf.log"
+        assert "mini_missing" in link_log.read_text()
         assert _links(log).count("bin_perf") == 2
 
     def test_a_build_queued_behind_a_held_one_is_built_by_its_asker(self, tmp_path):
@@ -313,7 +327,7 @@ class TestCommandExecutorOnHost:
         cc, log = _logging_cc(tmp_path, hold="/test.c ")
         ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
         # The build thread holds on test.c, with bench.c queued behind it.
-        perf = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="t1-perf")
+        perf = ex.compile_candidate(GOOD_CANDIDATE, case, "perf")
         assert perf.success, perf.diagnostics
         assert "released" not in log.read_text()
         (tmp_path / "release").touch()
@@ -338,41 +352,89 @@ class TestCommandExecutorOnHost:
 
         monkeypatch.setattr(executors.subprocess, "run", no_compiler_for_the_harness)
         with pytest.raises(ConfigurationError, match="^compiler not runnable: "):
-            ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+            ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
         ex.drain()
         # The exception was handed over, not kept: the harness builds again.
         monkeypatch.setattr(executors.subprocess, "run", run)
-        again = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t2")
+        again = ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
         assert again.success, again.diagnostics
         assert sum("test.c" in c for c in log.read_text().splitlines()) == 1
+
+    def test_diagnostics_do_not_name_the_work_directory(self, tmp_path, monkeypatch):
+        case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+        broken = {
+            "compile": "int mini_identity(int x) { return x }\n",
+            "link": "int mini_identty(int x) { return x; }\n",  # main calls mini_identity
+        }
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        read = []
+        for work_dir in (tmp_path / "abs-work", Path("rel-work")):
+            ex = CommandExecutor(host_config(), work_dir)
+            read.append({what: ex.compile_candidate(text, case, "functional").diagnostics
+                         for what, text in broken.items()})
+            ex.cleanup()
+        assert read[0] == read[1]
+        assert f"obj/{_source(broken['compile'])}:1:36: error:" in read[0]["compile"]
+        assert "obj/functional.o: in function" in read[0]["link"]
+        assert "undefined reference" in read[0]["link"]
+        for diagnostics in (*read[0].values(), *read[1].values()):
+            assert "abs-work" not in diagnostics and "rel-work" not in diagnostics
+
+    def test_only_the_thread_that_builds_a_candidate_writes_its_source(self, tmp_path):
+        case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+        native = _source(case.native_text)
+        cc, log = _logging_cc(tmp_path, hold=native)
+        ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
+        # The first compile queues the native object, and the build thread
+        # holds on it; the case thread then asks for the native text.
+        first = ex.compile_candidate("int mini_identity(int x) { return x + 0; }\n", case,
+                                     "functional")
+        assert first.success, first.diagnostics
+        deadline = time.monotonic() + 20
+        while native not in log.read_text():
+            assert time.monotonic() < deadline, "the native build never started"
+            time.sleep(0.01)
+        release = threading.Timer(0.2, (tmp_path / "release").touch)
+        release.start()
+        try:
+            asked = ex.compile_candidate(case.native_text, case, "perf")
+        finally:
+            release.join()
+            ex.drain()
+        assert asked.success, asked.diagnostics
+        calls = log.read_text().splitlines()
+        assert "released" in calls
+        assert sum(native in c for c in calls) == 1
+        assert (ex.work_dir / "mini" / "obj" / native).read_text() == case.native_text
 
     def test_failed_candidate_compile_is_not_cached(self, tmp_path):
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
         cc, log = _logging_cc(tmp_path)
         ex = CommandExecutor(host_config(cc=cc), tmp_path / "work")
         bad = "int mini_identity(int x) { return x }\n"
-        for tag in ("t1", "t2"):
-            result = ex.compile_candidate(bad, case, "functional", tag=tag)
+        for _ in range(2):
+            result = ex.compile_candidate(bad, case, "functional")
             assert not result.success
-            assert f"{tag}/candidate.c" in result.diagnostics
-        assert sum("candidate.c" in c for c in log.read_text().splitlines()) == 2
+            assert f"obj/{_source(bad)}" in result.diagnostics
+        assert sum(_source(bad) in c for c in log.read_text().splitlines()) == 2
 
     def test_cleanup_removes_work_dir(self, tmp_path):
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
         ex = CommandExecutor(host_config(), tmp_path / "work")
-        assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1").success
+        assert ex.compile_candidate(GOOD_CANDIDATE, case, "functional").success
         assert (tmp_path / "work" / case.case_id / "obj").is_dir()
         ex.cleanup()
         assert not (tmp_path / "work").exists()
         # the executor rebuilds what cleanup removed
-        again = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t2")
+        again = ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
         assert again.success and ex.run_functional_tests(again.artifact_path).all_passed
 
     def test_unparsable_cost_is_a_perf_error(self, tmp_path):
         bench = '#include <stdio.h>\nint mini_identity(int x);\nint main(void) { printf("no numbers here\\n"); return 0; }\n'
         case = make_case(tmp_path, TEST_HARNESS, bench)
         ex = CommandExecutor(host_config(), tmp_path / "work")
-        translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="tp")
+        translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf")
         with pytest.raises(PerfError, match="cost line"):
             ex.run_perf(translated.artifact_path, translated.artifact_path)
 
@@ -380,9 +442,19 @@ class TestCommandExecutorOnHost:
         bench = '#include <stdio.h>\nint mini_identity(int x);\nint main(void) { printf("0\\n"); return 0; }\n'
         case = make_case(tmp_path, TEST_HARNESS, bench)
         ex = CommandExecutor(host_config(), tmp_path / "work")
-        translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf", tag="tp")
+        translated = ex.compile_candidate(GOOD_CANDIDATE, case, "perf")
         with pytest.raises(PerfError, match="non-positive cost"):
             ex.run_perf(translated.artifact_path, translated.artifact_path)
+
+
+@pytest.mark.parametrize(
+    "name", ["probe", "compile_candidate", "run_functional_tests", "run_perf", "cleanup"]
+)
+def test_both_executors_take_the_same_parameters(name):
+    # The orchestrator calls either executor the same way, so a parameter on
+    # one of them only would break the pipeline on the other.
+    command = inspect.signature(getattr(CommandExecutor, name))
+    assert command == inspect.signature(getattr(MockExecutor, name))
 
 
 # --- mock executor ---------------------------------------------------------
@@ -391,7 +463,7 @@ def test_mock_compile_error_marker(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
     ex = MockExecutor()
     bad = "/* mock-compile-error: error: unknown intrinsic __riscv_vfoo */\nvoid f(void) {}\n"
-    result = ex.compile_candidate(bad, case, "functional", tag="t1")
+    result = ex.compile_candidate(bad, case, "functional")
     assert not result.success
     assert "__riscv_vfoo" in result.diagnostics
 
@@ -399,7 +471,7 @@ def test_mock_compile_error_marker(tmp_path):
 def test_mock_clean_source_passes_everything(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
     ex = MockExecutor()
-    result = ex.compile_candidate("void f(void) {}\n", case, "functional", tag="t1")
+    result = ex.compile_candidate("void f(void) {}\n", case, "functional")
     assert result.success
     tested = ex.run_functional_tests(result.artifact_path)
     assert tested.all_passed
@@ -410,7 +482,7 @@ def test_mock_vlen_specific_failure(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
     ex = MockExecutor()
     lanes = "/* mock-test-fail: vlen=256 hardcoded 4-lane tail went wrong */\nvoid f(void) {}\n"
-    result = ex.compile_candidate(lanes, case, "functional", tag="t1")
+    result = ex.compile_candidate(lanes, case, "functional")
     tested = ex.run_functional_tests(result.artifact_path)
     assert not tested.all_passed
     assert tested.per_vlen[128].passed
@@ -422,7 +494,7 @@ def test_mock_vlen_specific_failure(tmp_path):
 def test_mock_timeout_marker(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
     ex = MockExecutor()
-    result = ex.compile_candidate("/* mock-run-timeout */\n", case, "functional", tag="t")
+    result = ex.compile_candidate("/* mock-run-timeout */\n", case, "functional")
     tested = ex.run_functional_tests(result.artifact_path)
     assert not tested.all_passed
     assert all(r.exit_code is None for r in tested.per_vlen.values())
@@ -432,11 +504,21 @@ def test_mock_costs_and_speedup(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
     case = dataclasses.replace(case, native_text="/* mock-cost: 130000 */\n" + case.native_text)
     ex = MockExecutor()
-    fast = ex.compile_candidate("/* mock-cost: 100000 */\n", case, "perf", tag="a")
-    native = ex.compile_candidate(case.native_text, case, "perf", tag="n")
+    fast = ex.compile_candidate("/* mock-cost: 100000 */\n", case, "perf")
+    native = ex.compile_candidate(case.native_text, case, "perf")
     perf = ex.run_perf(fast.artifact_path, native.artifact_path)
     assert perf.speedup == Fraction(13, 10)
     assert perf.native_cost_ns == 130000
+
+
+def test_mock_handle_is_named_by_the_source(tmp_path):
+    case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+    ex = MockExecutor()
+    first, again = (ex.compile_candidate(GOOD_CANDIDATE, case, "perf") for _ in range(2))
+    other = ex.compile_candidate(GOOD_CANDIDATE + "\n", case, "perf")
+    functional = ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
+    assert first.artifact_path == again.artifact_path
+    assert len({first.artifact_path, other.artifact_path, functional.artifact_path}) == 3
 
 
 def test_mock_failure_message_ends_at_any_line_break(tmp_path):
@@ -444,7 +526,7 @@ def test_mock_failure_message_ends_at_any_line_break(tmp_path):
     ex = MockExecutor()
     for eol in ("\n", "\r\n", "\r"):
         source = f"/* mock-test-fail: vlen=128 lanes went wrong */{eol}void f(void) {{}}{eol}"
-        result = ex.compile_candidate(source, case, "functional", tag="t1")
+        result = ex.compile_candidate(source, case, "functional")
         tested = ex.run_functional_tests(result.artifact_path)
         assert tested.per_vlen[128].output_tail == "lanes went wrong"
         assert tested.per_vlen[256].passed
@@ -459,8 +541,8 @@ def test_mock_executor_creates_no_files(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
     monkeypatch.chdir(cwd)
     ex = MockExecutor()
-    fast = ex.compile_candidate("/* mock-cost: 50000 */\n", case, "perf", tag="t1-perf")
-    native = ex.compile_candidate(case.native_text, case, "perf", tag="native")
+    fast = ex.compile_candidate("/* mock-cost: 50000 */\n", case, "perf")
+    native = ex.compile_candidate(case.native_text, case, "perf")
     assert ex.run_functional_tests(fast.artifact_path).all_passed
     assert ex.run_perf(fast.artifact_path, native.artifact_path).speedup == 2
     ex.cleanup()
@@ -475,7 +557,7 @@ def test_mock_executor_shared_across_threads(tmp_path):
         base = 1000 * int(case.case_id[1:]) + 1000
         read = []
         for n in range(200):
-            built = ex.compile_candidate(f"/* mock-cost: {base + n} */\n", case, "perf", tag="t")
+            built = ex.compile_candidate(f"/* mock-cost: {base + n} */\n", case, "perf")
             read.append(ex.run_perf(built.artifact_path, built.artifact_path).translated_cost_ns)
         return read == [base + n for n in range(200)]
 
@@ -547,7 +629,7 @@ def test_non_utf8_compiler_diagnostics_are_a_failed_compile(tmp_path):
     cc = _script(tmp_path / "cc", "printf 'error: \\377 not here\\n' >&2\nexit 1\n")
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
     ex = CommandExecutor(_script_config(cc), tmp_path / "work")
-    result = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+    result = ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
     assert not result.success
     assert "error: \ufffd not here" in result.diagnostics
 
@@ -590,7 +672,7 @@ def test_tool_timeouts_are_failures_that_name_their_limit(tmp_path):
     )
     ex = CommandExecutor(config, tmp_path / "work")
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-    result = ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+    result = ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
     assert not result.success
     assert result.diagnostics.startswith("compile timeout after 1s")
     (tmp_path / "ran").mkdir()
@@ -610,7 +692,7 @@ def test_a_tool_that_cannot_start_is_a_configuration_error(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
     ex = CommandExecutor(_script_config(tmp_path / "no-cc"), tmp_path / "work")
     with pytest.raises(ConfigurationError, match="^compiler not runnable: "):
-        ex.compile_candidate(GOOD_CANDIDATE, case, "functional", tag="t1")
+        ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
     with pytest.raises(ConfigurationError, match="^runner not runnable: "):
         ex.run_functional_tests(tmp_path / "no-binary")
 
@@ -684,7 +766,7 @@ def test_each_step_is_built_once_however_many_threads_ask(tmp_path):
         return True, ""
 
     ex._cc = fake_cc
-    objects = [ex._compile_step("c", f"cand-{i}", tmp_path / f"{i}.c") for i in range(12)]
+    objects = [ex._candidate_step("c", f"int f{i};\n") for i in range(12)]
     links = [ex._link_step(a, b) for a in objects[:4] for b in objects[4:]]
     ex._queue(*objects[::2], *links[::3])
 

@@ -197,24 +197,30 @@ def test_variant_perf_error_is_a_note_and_keeps_the_baseline(tmp_path, vec_add_c
 
 
 class PerfHarnessBreaks(MockExecutor):
-    """Functional builds succeed; perf builds of chosen tags fail to compile."""
+    """Functional builds succeed; chosen perf builds fail to compile. The
+    native reference's perf build comes first; the ones after it are numbered
+    in order: 0 is the baseline, 1 the first variant."""
 
-    def __init__(self, broken_tags, **kw):
+    def __init__(self, broken, **kw):
         super().__init__(**kw)
-        self.broken_tags = set(broken_tags)
+        self.broken = set(broken)
+        self.perf_builds = -1  # the native reference's
 
-    def compile_candidate(self, candidate_source, case, which_harness, tag):
-        if which_harness == "perf" and tag in self.broken_tags:
-            return CompileResult(False, "bench.c: error: undefined reference to 'kernel'")
-        return super().compile_candidate(candidate_source, case, which_harness, tag)
+    def compile_candidate(self, candidate_source, case, which_harness):
+        if which_harness == "perf":
+            n, self.perf_builds = self.perf_builds, self.perf_builds + 1
+            if n in self.broken:
+                return CompileResult(False, "bench.c: error: undefined reference to 'kernel'")
+        return super().compile_candidate(candidate_source, case, which_harness)
 
 
 @pytest.mark.parametrize(
     ("broken", "note", "measured"),
     [
-        ("t0-perf", "baseline perf harness failed to compile", [False, True]),
-        ("opt1-perf", "variant 1: perf harness failed to compile", [True, False]),
+        (0, "baseline perf harness failed to compile", [False, True]),
+        (1, "variant 1: perf harness failed to compile", [True, False]),
     ],
+    ids=["baseline", "variant"],
 )
 def test_perf_harness_compile_failure_is_a_note(tmp_path, vec_add_case, broken, note, measured):
     deps = TaskDeps(
@@ -360,12 +366,12 @@ class ToolVanishes(MockExecutor):
         self.compiles = 0
         self.logged_before_abort = None
 
-    def compile_candidate(self, candidate_source, case, which_harness, tag):
+    def compile_candidate(self, candidate_source, case, which_harness):
         self.compiles += 1
         if self.compiles > 1:
             self.logged_before_abort = self.log.read_text()
             raise ConfigurationError("compiler not runnable: cc vanished")
-        return super().compile_candidate(candidate_source, case, which_harness, tag)
+        return super().compile_candidate(candidate_source, case, which_harness)
 
 
 def test_a_configuration_error_mid_case_leaves_a_complete_closed_log(tmp_path, vec_add_case):

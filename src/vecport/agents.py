@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .corpus import ValidatedCase
 from .errors import NoCodeError
-from .liveness import PressureReport, fmt_fraction
+from .liveness import REGISTER_BUDGET, PressureReport, fmt_fraction
 
 FEEDBACK_BUDGET = 8000  # characters kept from diagnostics
 
@@ -144,23 +144,22 @@ def build_optimize_prompt(
     ]
     if pressure is not None:
         parts += ["Vector register pressure report:", pressure.to_text(), ""]
-        budget = pressure.register_budget
         if pressure.spills_predicted:
             parts.append(
                 f"Peak demand {fmt_fraction(pressure.pressure)} exceeds the "
-                f"{budget}-register file: reduce the number of simultaneously "
+                f"{REGISTER_BUDGET}-register file: reduce the number of simultaneously "
                 f"live vector values (smaller LMUL, shorter live ranges, or "
                 f"recompute values instead of holding them)."
             )
-        elif pressure.pressure * 2 <= budget:
+        elif pressure.pressure * 2 <= REGISTER_BUDGET:
             parts.append(
-                f"Only {fmt_fraction(pressure.pressure)} of {budget} registers are "
+                f"Only {fmt_fraction(pressure.pressure)} of {REGISTER_BUDGET} registers are "
                 f"used at the hottest point, so there is headroom: try a larger "
                 f"LMUL or unroll the loop to keep more of the register file busy."
             )
         else:
             parts.append(
-                f"Peak demand {fmt_fraction(pressure.pressure)} of {budget} leaves "
+                f"Peak demand {fmt_fraction(pressure.pressure)} of {REGISTER_BUDGET} leaves "
                 f"little headroom; prefer optimizations that do not add live values."
             )
     else:

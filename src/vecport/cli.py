@@ -28,7 +28,8 @@ from pathlib import Path
 
 from .corpus import bundled_corpus_dir, load_corpus, read_key_values, validate_case
 from .errors import ConfigurationError, CorpusError, ParseError, UsageError, VecportError
-from .executors import CommandExecutor, MockExecutor, ToolchainConfig
+from .executors import (DEFAULT_CC, DEFAULT_FLAGS, DEFAULT_RUNNER, CommandExecutor,
+                        MockExecutor, ToolchainConfig)
 from .liveness import compute_pressure, solve_liveness
 from .llm_client import RemoteClient, ReplayClient
 from .metrics import DEFAULT_UP_LIMIT, REPORT_FORMAT, MetricsReport, OutcomeSummary, render_table
@@ -122,9 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--temperature", type=float)
     t.add_argument("--translate-max", type=int, dest="translate_max")
     t.add_argument("--optimize-max", type=int, dest="optimize_max")
-    t.add_argument("--cc", help="cross compiler (default riscv64-linux-gnu-gcc)")
-    t.add_argument("--flags", help="compiler flags (default '-march=rv64gcv -O3')")
-    t.add_argument("--runner", help="emulator/runner binary (default qemu-riscv64)")
+    t.add_argument("--cc", help=f"cross compiler (default {DEFAULT_CC})")
+    t.add_argument("--flags", help=f"compiler flags (default '{DEFAULT_FLAGS}')")
+    t.add_argument("--runner", help=f"emulator/runner binary (default {DEFAULT_RUNNER})")
     t.add_argument("--vlens", type=_FIELD_PARSERS["vlens"],
                    help="comma-separated VLENs for functional tests (default 128,256)")
     t.add_argument("--pressure-mode", dest="pressure_mode", choices=FOOTPRINT_MODES)
@@ -213,19 +214,16 @@ def cmd_translate(args: argparse.Namespace) -> int:
         parallelism = cfg.parallelism
 
     out_dir = Path(cfg.out)
-    tool_kwargs = {}
-    if cfg.cc:
-        tool_kwargs["cc"] = cfg.cc
-    if cfg.flags:
-        tool_kwargs["flags"] = cfg.flags
-    if cfg.runner:
-        tool_kwargs["runner"] = cfg.runner
     if cfg.no_exec:
         executor = MockExecutor(vlens=cfg.vlens)
     else:
-        executor = CommandExecutor(
-            ToolchainConfig(vlens=cfg.vlens, **tool_kwargs), work_dir=out_dir / "work"
+        toolchain = ToolchainConfig(
+            cc=cfg.cc or DEFAULT_CC,  # an empty value means the default
+            flags=cfg.flags or DEFAULT_FLAGS,
+            runner=cfg.runner or DEFAULT_RUNNER,
+            vlens=cfg.vlens,
         )
+        executor = CommandExecutor(toolchain, work_dir=out_dir / "work")
         executor.probe()
 
     cases = []

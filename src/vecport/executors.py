@@ -1,9 +1,10 @@
 """External toolchain drivers: cross-compile, emulated functional tests across
 vector lengths, and benchmark runs.
 
-The compiler is driven as ``cc flags ...`` and the emulator through a command
-template, so a different compiler, emulator, or a real board behind an ssh
-wrapper slots in without code changes. Candidates never touch the case
+The compiler is driven as ``cc flags ...`` and the runner with qemu's
+arguments, ``runner -cpu rv64,v=true,vlen=N,... binary``, so a different
+compiler, or a runner that takes those arguments (an ssh wrapper for a real
+board), slots in without code changes. Candidates never touch the case
 directory. A candidate has one name, the sha256 of its text:
 ``CommandExecutor`` writes each distinct source once per case, to
 ``work/<case>/obj/cand-<sha256>.c`` beside its object, and each build's own
@@ -67,9 +68,11 @@ from .errors import ConfigurationError, PerfError
 DEFAULT_CC = "riscv64-linux-gnu-gcc"
 DEFAULT_FLAGS = "-march=rv64gcv -O3"
 DEFAULT_RUNNER = "qemu-riscv64"
-DEFAULT_RUNNER_TEMPLATE = (
+RUNNER_TEMPLATE = (
     "{runner} -cpu rv64,v=true,vlen={vlen},elen=64,vext_spec=v1.0 {binary}"
 )
+COMPILE_TIMEOUT_S = 120
+RUN_TIMEOUT_S = 60
 OUTPUT_TAIL_BYTES = 4096
 PERF_RUNS = 5  # each perf cost is the median of this many runs
 _COST_RE = re.compile(r"^[0-9]+$")
@@ -91,10 +94,7 @@ class ToolchainConfig:
     cc: str = DEFAULT_CC
     flags: str = DEFAULT_FLAGS
     runner: str = DEFAULT_RUNNER
-    runner_cmd_template: str = DEFAULT_RUNNER_TEMPLATE
     vlens: tuple[int, ...] = (128, 256)
-    compile_timeout_s: int = 120
-    run_timeout_s: int = 60
 
     def __post_init__(self):
         validate_vlens(self.vlens)
@@ -292,9 +292,9 @@ class CommandExecutor:
         """Run ``cc flags args``; returns (exit status 0, stderr + stdout)."""
         argv = [*shlex.split(self.config.cc), *shlex.split(self.config.flags), *args]
         with self._gate.shared():
-            code, stdout, stderr = self._run(argv, self.config.compile_timeout_s, "compiler")
+            code, stdout, stderr = self._run(argv, COMPILE_TIMEOUT_S, "compiler")
         if code is None:
-            return False, f"compile timeout after {self.config.compile_timeout_s}s"
+            return False, f"compile timeout after {COMPILE_TIMEOUT_S}s"
         return code == 0, stderr + stdout
 
     def _build(self, step: _Step) -> tuple[Path | None, str]:
@@ -417,11 +417,11 @@ class CommandExecutor:
         ended = None
         try:
             for vlen in vlens:
-                argv = shlex.split(self.config.runner_cmd_template.format(
+                argv = shlex.split(RUNNER_TEMPLATE.format(
                     runner=self.config.runner, vlen=vlen, binary=shlex.quote(str(binary))
                 ))
                 with gate():
-                    code, stdout, stderr = self._run(argv, self.config.run_timeout_s, "runner")
+                    code, stdout, stderr = self._run(argv, RUN_TIMEOUT_S, "runner")
                 if code is not None:
                     ended = stdout, stderr
                 yield vlen, code, stdout, stderr

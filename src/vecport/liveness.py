@@ -53,14 +53,13 @@ class PressureReport:
     live_at_hot: frozenset[tuple[str, Fraction]]
     dead_defs: frozenset[str]
     spills_predicted: bool
-    register_budget: int = REGISTER_BUDGET
     hot_line: int | None = None
     hot_text: str | None = None
     mode: str = "literal"
 
     def to_text(self) -> str:
         lines = [
-            f"peak vector register pressure: {fmt_fraction(self.pressure)} of {self.register_budget}",
+            f"peak vector register pressure: {fmt_fraction(self.pressure)} of {REGISTER_BUDGET}",
         ]
         if self.hot_stmt is not None:
             where = f"statement {self.hot_stmt}"
@@ -86,7 +85,7 @@ class PressureReport:
             "pressure": str(self.pressure),
             "hot_stmt": self.hot_stmt,
             "spills_predicted": self.spills_predicted,
-            "register_budget": self.register_budget,
+            "register_budget": REGISTER_BUDGET,
             "dead_defs": sorted(self.dead_defs),
             "mode": self.mode,
         }

@@ -27,7 +27,9 @@ from pathlib import Path
 from .errors import ConfigurationError, LlmError, ReplayExhaustedError
 
 API_KEY_ENV = "VECPORT_API_KEY"
-DEFAULT_TIMEOUT_S = 120.0
+TIMEOUT_S = 120.0
+BACKOFF_BASE_S = 1.0  # the first retry waits this long, each later one twice the last
+MAX_TOKENS = 4096  # completion length asked of the model
 RETRIES = 3
 RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
 
@@ -86,7 +88,7 @@ class ReplayClient:
             )
         return self._children[case_id]
 
-    def complete(self, messages, temperature: float = 0.2, max_tokens: int = 4096) -> str:
+    def complete(self, messages, temperature: float = 0.2) -> str:
         if self._responses is None:
             raise ConfigurationError(
                 "per-case replay client must be narrowed with session(case_id) first"
@@ -113,13 +115,11 @@ class RemoteClient:
 
     endpoint: str
     model: str
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    backoff_base_s: float = 1.0
 
     def session(self, case_id: str) -> "RemoteClient":
         return self
 
-    def complete(self, messages, temperature: float = 0.2, max_tokens: int = 4096) -> str:
+    def complete(self, messages, temperature: float = 0.2) -> str:
         import http.client
         import urllib.error
         import urllib.request
@@ -128,7 +128,7 @@ class RemoteClient:
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": temperature,
-            "max_tokens": max_tokens,
+            "max_tokens": MAX_TOKENS,
         }
         body = json.dumps(payload).encode()
         headers = {"Content-Type": "application/json"}
@@ -139,12 +139,12 @@ class RemoteClient:
         last_error: Exception | None = None
         for attempt in range(RETRIES):
             if attempt:
-                time.sleep(self.backoff_base_s * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
             request = urllib.request.Request(self.endpoint, data=body, headers=headers,
                                              method="POST")
             try:
                 try:
-                    resp = urllib.request.urlopen(request, timeout=self.timeout_s)
+                    resp = urllib.request.urlopen(request, timeout=TIMEOUT_S)
                 except urllib.error.HTTPError as exc:
                     resp = exc  # a non-2xx reply; it carries the status and body
                 with resp:

@@ -44,7 +44,6 @@ from .errors import NoCodeError, PerfError, ReplayExhaustedError, VecportError
 from .executors import CompileResult, PerfResult, TestResult
 from .liveness import PressureReport, analyze_source
 
-MAX_TOKENS = 4096  # completion length asked of the model
 # Code points UTF-8 cannot encode: lone surrogates, which a reply's JSON can
 # carry as "\ud800". Like undecodable tool output, they become U+FFFD.
 _UNENCODABLE = re.compile("[\ud800-\udfff]")
@@ -237,7 +236,7 @@ def _run_fsm(case: ValidatedCase, budgets: Budgets, deps: TaskDeps, client, log)
         Returns the extracted code (the raw reply when it held none) and the
         repair feedback, which is None when the code passed at every VLEN.
         """
-        response = client.complete(bundle.messages, deps.temperature, MAX_TOKENS)
+        response = client.complete(bundle.messages, deps.temperature)
         response = _UNENCODABLE.sub("\ufffd", response)
         attempt = Attempt(
             attempt_no=attempt_no,

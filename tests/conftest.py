@@ -9,6 +9,8 @@ no example database between runs.
 from __future__ import annotations
 
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -20,6 +22,11 @@ from vecport.rvv_types import parse_vector_type
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+# The scalar riscv_vector.h shim, and the runner that takes qemu's arguments,
+# maps vlen=N onto VECPORT_VLEN and execs the binary on the host.
+SHIM = Path(__file__).resolve().parent.parent / "bench" / "shim"
+SHIM_RUNNER = f"sh {shlex.quote(str(SHIM / 'run-vlen.sh'))}"
 
 
 def make_ir(

@@ -73,7 +73,7 @@ def test_criterion_2_pressure_formula():
     hog_report = compute_pressure(hog, solve_liveness(hog))
     assert hog_report.pressure == 34
     assert hog_report.spills_predicted
-    assert hog_report.register_budget == 32
+    assert hog_report.to_dict()["register_budget"] == 32
     _verdict(2, "peak 6 at the combine; 17x m2 gives 34 with spills predicted")
 
 

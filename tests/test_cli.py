@@ -181,6 +181,13 @@ def test_translate_zero_budget_is_a_usage_error(tmp_path, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_translate_parallelism_below_one_is_a_usage_error(tmp_path, capsys):
+    replay = write_replay(tmp_path, {"vec_add": []})
+    assert main(["translate", "--replay", str(replay), "--no-exec",
+                 "--parallelism", "0", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: parallelism must be at least 1\n"
+
+
 @pytest.mark.parametrize("corpus", ["missing", "empty"])
 def test_translate_corpus_problem_is_a_usage_error(tmp_path, capsys, corpus):
     corpus_dir = tmp_path / "corpus"

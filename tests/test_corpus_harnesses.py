@@ -11,9 +11,9 @@ themselves run through ``translate`` on the host, built against the scalar
 import json
 import shlex
 import shutil
-from pathlib import Path
 
 import pytest
+from conftest import SHIM, SHIM_RUNNER
 
 from vecport.cli import main
 from vecport.corpus import bundled_corpus_dir
@@ -109,10 +109,8 @@ def host_executor(tmp_path) -> CommandExecutor:
     config = ToolchainConfig(
         cc=HOST_GCC,
         flags="-O2",
-        runner="/bin/sh",
-        runner_cmd_template="{binary}",
+        runner=SHIM_RUNNER,
         vlens=(128,),
-        run_timeout_s=60,
     )
     return CommandExecutor(config, tmp_path / "work")
 
@@ -149,9 +147,6 @@ def test_bench_harness_emits_a_cost_line(tmp_path, case_id, bundled_cases):
     assert perf.speedup > 0
 
 
-SHIM = Path(__file__).resolve().parent.parent / "bench" / "shim"
-
-
 def test_rvv_native_references_pass_translate_on_the_shim(tmp_path, capsys):
     # Each case's only reply is its own native.c. Timings on the shim are
     # noise, so no speedup is bounded.
@@ -166,7 +161,7 @@ def test_rvv_native_references_pass_translate_on_the_shim(tmp_path, capsys):
     assert main([
         "translate", "--replay", str(replay), "--cc", HOST_GCC,
         "--flags", f"-O2 -I {shlex.quote(str(SHIM))}",
-        "--runner", f"sh {shlex.quote(str(SHIM / 'run-vlen.sh'))}",
+        "--runner", SHIM_RUNNER,
         "--vlens", "128,256,512", "--translate-max", "1", "--optimize-max", "1",
         "--parallelism", "2", "--out", str(out),
     ]) == 0

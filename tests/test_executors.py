@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import SHIM_RUNNER
 
 from vecport import executors
 from vecport.corpus import CaseManifest, ValidatedCase
@@ -80,11 +81,8 @@ def host_config(cc=None, **kw) -> ToolchainConfig:
     return ToolchainConfig(
         cc=cc or HOST_GCC or "gcc",
         flags="-O1",
-        runner_cmd_template="{binary}",
-        runner="/bin/sh",  # probed but unused by the template
+        runner=SHIM_RUNNER,
         vlens=(128,),
-        compile_timeout_s=60,
-        run_timeout_s=5,
         **kw,
     )
 
@@ -96,11 +94,9 @@ def _script(path: Path, body: str) -> Path:
 
 
 def _script_config(cc="/bin/true") -> ToolchainConfig:
-    """Runs each binary directly; the script under test stands in for it."""
-    return ToolchainConfig(
-        cc=str(cc), runner="/bin/sh", runner_cmd_template="{binary}",
-        vlens=(128, 256), run_timeout_s=10,
-    )
+    """Runs each binary through the shim's runner; the script under test
+    stands in for it."""
+    return ToolchainConfig(cc=str(cc), runner=SHIM_RUNNER, vlens=(128, 256))
 
 
 def _logging_cc(tmp_path, hold=None):
@@ -186,11 +182,10 @@ class TestCommandExecutorOnHost:
         assert not tested.all_passed
         assert "wrong answer" in tested.per_vlen[128].output_tail
 
-    def test_infinite_loop_times_out(self, tmp_path):
+    def test_infinite_loop_times_out(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(executors, "RUN_TIMEOUT_S", 1)
         case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-        config = host_config()
-        config.run_timeout_s = 1
-        ex = CommandExecutor(config, tmp_path / "work")
+        ex = CommandExecutor(host_config(), tmp_path / "work")
         spin = "int mini_identity(int x) { while (x != x + 1) {} return x; }\n"
         result = ex.compile_candidate(spin, case, "functional")
         assert result.success
@@ -586,10 +581,7 @@ def _cost_script(path: Path, costs):
 
 
 def test_perf_median_invariant_under_run_order(tmp_path):
-    config = ToolchainConfig(
-        cc="/bin/true", runner="/bin/sh", runner_cmd_template="{binary}",
-        vlens=(128,), run_timeout_s=10,
-    )
+    config = ToolchainConfig(cc="/bin/true", runner=SHIM_RUNNER, vlens=(128,))
     ex = CommandExecutor(config, tmp_path / "work")
     ordered = _cost_script(tmp_path / "ordered.py", [80000, 100000, 120000])
     shuffled = _cost_script(tmp_path / "shuffled.py", [120000, 80000, 100000])
@@ -644,6 +636,14 @@ def test_non_utf8_perf_output_is_parsed_or_a_perf_error(tmp_path):
         ex.run_perf(garbage, native)
 
 
+def test_a_perf_run_that_fails_is_a_perf_error_naming_its_exit_code(tmp_path):
+    ex = CommandExecutor(_script_config(), tmp_path / "work")
+    native = _cost_script(tmp_path / "native.py", [200000])
+    failed = _script(tmp_path / "failed", "echo 100000\nexit 3\n")
+    with pytest.raises(PerfError, match="^benchmark binary exited with 3$"):
+        ex.run_perf(failed, native)
+
+
 def test_perf_cost_is_the_last_stdout_line_whatever_stderr_says(tmp_path):
     ex = CommandExecutor(_script_config(), tmp_path / "work")
     native = _cost_script(tmp_path / "native.py", [240000])
@@ -665,10 +665,11 @@ def test_functional_output_tail_keeps_stdout_and_stderr(tmp_path):
     assert "on-stdout" in tail and "on-stderr" in tail
 
 
-def test_tool_timeouts_are_failures_that_name_their_limit(tmp_path):
+def test_tool_timeouts_are_failures_that_name_their_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(executors, "COMPILE_TIMEOUT_S", 1)
+    monkeypatch.setattr(executors, "RUN_TIMEOUT_S", 1)
     config = dataclasses.replace(
-        _script_config(_script(tmp_path / "cc", "exec sleep 30\n")),
-        vlens=(128,), compile_timeout_s=1, run_timeout_s=1,
+        _script_config(_script(tmp_path / "cc", "exec sleep 30\n")), vlens=(128,)
     )
     ex = CommandExecutor(config, tmp_path / "work")
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
@@ -690,11 +691,15 @@ def test_tool_timeouts_are_failures_that_name_their_limit(tmp_path):
 
 def test_a_tool_that_cannot_start_is_a_configuration_error(tmp_path):
     case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
-    ex = CommandExecutor(_script_config(tmp_path / "no-cc"), tmp_path / "work")
+    config = dataclasses.replace(
+        _script_config(tmp_path / "no-cc"), runner=str(tmp_path / "no-runner")
+    )
+    ex = CommandExecutor(config, tmp_path / "work")
     with pytest.raises(ConfigurationError, match="^compiler not runnable: "):
         ex.compile_candidate(GOOD_CANDIDATE, case, "functional")
+    binary = _script(tmp_path / "bin_functional", "exit 0\n")
     with pytest.raises(ConfigurationError, match="^runner not runnable: "):
-        ex.run_functional_tests(tmp_path / "no-binary")
+        ex.run_functional_tests(binary)
 
 
 def test_adding_a_vlen_only_tightens_all_passed():
@@ -752,6 +757,41 @@ def test_gate_admits_writers_alone_and_before_new_readers():
     # even though the readers never stop on their own.
     assert not any(t.is_alive() for t in readers + writers)
     assert broken == []
+
+
+def test_gate_recovers_from_a_writer_interrupted_while_it_waits(monkeypatch):
+    gate = executors._Gate()
+    held, release, entered = threading.Event(), threading.Event(), threading.Event()
+
+    def hold():
+        with gate.shared():
+            held.set()
+            release.wait(20)
+
+    def read():
+        with gate.shared():
+            entered.set()
+
+    def interrupted(predicate, timeout=None):
+        raise KeyboardInterrupt
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(20)
+        with monkeypatch.context() as m, pytest.raises(KeyboardInterrupt):
+            m.setattr(gate._cond, "wait_for", interrupted)
+            with gate.exclusive():
+                pass
+        assert gate._writers == 0
+        # A waiting writer would hold off this reader; the interrupted one does not.
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=5)
+        assert entered.is_set()
+    finally:
+        release.set()
+        holder.join(timeout=20)
 
 
 def test_each_step_is_built_once_however_many_threads_ask(tmp_path):

@@ -143,6 +143,20 @@ def test_each_attempt_is_logged_once_in_order(golden_run):
         ], case_id
 
 
+def test_report_exclude_failed_scores_as_an_excluding_run(golden_run, tmp_path, capsys):
+    out, outcomes = golden_run
+    assert not all(o.passed for o in outcomes.values())  # max_s16 fails
+    excluded = tmp_path / "excluded"
+    assert main(["translate", "--no-exec", "--replay", str(GOLDEN / "replay.json"),
+                 "--translate-max", "3", "--optimize-max", "3", "--exclude-failed",
+                 "--out", str(excluded)]) == 0
+    expected = (excluded / "report.txt").read_text()
+    assert "efficiency score: 4.3 (budget 3, failed cases excluded)" in expected
+    capsys.readouterr()
+    assert main(["report", str(out), "--exclude-failed"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 @pytest.mark.parametrize("mode", ["literal", "physical"])
 @pytest.mark.parametrize("name", sorted(ANALYZED))
 def test_analyze_dump_ir_matches_golden(name, mode, capsys):

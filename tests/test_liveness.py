@@ -85,7 +85,7 @@ def test_seventeen_live_m2_values_predict_spills():
     report = compute_pressure(ir, solve_liveness(ir))
     assert report.pressure == 34
     assert report.spills_predicted
-    assert report.register_budget == 32
+    assert report.to_dict()["register_budget"] == 32
 
 
 def test_fractional_lmul_pressure_stays_fractional_in_literal_mode():

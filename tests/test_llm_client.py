@@ -11,10 +11,13 @@ from pathlib import Path
 import pytest
 
 import vecport
+from vecport import llm_client
 from vecport.agents import ChatMessage
+from vecport.cli import main
+from vecport.corpus import bundled_corpus_dir
 from vecport.errors import ConfigurationError, LlmError, ReplayExhaustedError
 from vecport.executors import MockExecutor
-from vecport.llm_client import RemoteClient, ReplayClient
+from vecport.llm_client import MAX_TOKENS, RemoteClient, ReplayClient
 from vecport.orchestrator import Budgets, TaskDeps, run_task
 
 MSGS = [ChatMessage("user", "hello")]
@@ -128,6 +131,11 @@ class _Server(http.server.ThreadingHTTPServer):
         pass  # a handler writing to a client that timed out
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(llm_client, "BACKOFF_BASE_S", 0.0)
+
+
 @pytest.fixture
 def no_proxy_env(monkeypatch):
     for var in PROXY_VARS + ("VECPORT_API_KEY",):
@@ -145,9 +153,8 @@ def server(no_proxy_env):
     srv.server_close()
 
 
-def _client(port, **kwargs):
-    return RemoteClient(endpoint=f"http://127.0.0.1:{port}/v1/chat", model="m",
-                        backoff_base_s=0.0, **kwargs)
+def _client(port):
+    return RemoteClient(endpoint=f"http://127.0.0.1:{port}/v1/chat", model="m")
 
 
 def _reply(srv, status, body=b"", delay=0.0):
@@ -157,13 +164,13 @@ def _reply(srv, status, body=b"", delay=0.0):
 def test_remote_success_first_try(server):
     _reply(server, 200, _completion("hi there"))
     client = _client(server.server_port)
-    assert client.complete(MSGS, temperature=0.2, max_tokens=64) == "hi there"
+    assert client.complete(MSGS, temperature=0.2) == "hi there"
     ((path, headers, payload),) = server.seen
     assert path == "/v1/chat"
     assert headers["Content-Type"] == "application/json"
     assert "Authorization" not in headers
     assert payload == {"model": "m", "messages": [{"role": "user", "content": "hello"}],
-                       "temperature": 0.2, "max_tokens": 64}
+                       "temperature": 0.2, "max_tokens": MAX_TOKENS}
 
 
 def test_remote_retries_on_server_error_then_succeeds(server):
@@ -227,11 +234,12 @@ def test_null_content_is_a_failed_attempt_not_a_crash(server, tmp_path, vec_add_
     assert [a.note for a in outcome.all_attempts] == ["no code emitted"]
 
 
-def test_remote_read_timeout_is_retried(server):
+def test_remote_read_timeout_is_retried(server, monkeypatch):
+    monkeypatch.setattr(llm_client, "TIMEOUT_S", 0.1)
     for _ in range(3):
         _reply(server, 200, _completion("late"), delay=0.5)
     with pytest.raises(LlmError, match="after 3 attempts.*timed out"):
-        _client(server.server_port, timeout_s=0.1).complete(MSGS)
+        _client(server.server_port).complete(MSGS)
 
 
 def test_remote_api_key_via_environment(server, monkeypatch):
@@ -244,6 +252,20 @@ def test_remote_api_key_via_environment(server, monkeypatch):
     (_, without_key, _), (_, with_key, _) = server.seen
     assert "Authorization" not in without_key
     assert with_key["Authorization"] == "Bearer sk-secret"
+
+
+def test_translate_asks_the_endpoint(server, tmp_path):
+    native = (bundled_corpus_dir() / "vec_add" / "native.c").read_text()
+    for _ in range(2):  # the translation, then one optimize round
+        _reply(server, 200, _completion(f"```c\n{native}```"))
+    out = tmp_path / "out"
+    assert main([
+        "translate", "--endpoint", f"http://127.0.0.1:{server.server_port}/v1/chat",
+        "--no-exec", "--case", "vec_add", "--translate-max", "1", "--optimize-max", "1",
+        "--out", str(out),
+    ]) == 0
+    assert json.loads((out / "outcomes" / "vec_add.json").read_text())["passed"]
+    assert [payload["max_tokens"] for _, _, payload in server.seen] == [MAX_TOKENS] * 2
 
 
 def test_remote_session_is_shared():

@@ -270,6 +270,16 @@ def test_use_def_store_through_pointer():
     assert defs == set()
 
 
+@pytest.mark.parametrize("stmt", ["n = c->v;", "n = c[0].v;"])
+def test_use_def_member_named_like_a_vector_is_not_a_use(stmt):
+    assert _last_use_def("vint32m2_t v", stmt) == (set(), set())
+
+
+def test_use_def_struct_declaration_declares_no_vector():
+    # The struct hides the vector parameter it shares a name with.
+    assert _last_use_def("vint32m2_t v", "{ struct pair v; n = v; }") == (set(), set())
+
+
 # --- signatures ----------------------------------------------------------
 
 def test_signature_name_variants():

@@ -9,16 +9,23 @@ redefinition. The solver iterates
 to a fixpoint over ``FunctionIr.successors``, whose nodes are statements,
 as the parser builds it; the solver and ``check_fixpoint`` share it. A
 statement that leaves the function has no successor, so nothing is live
-after it. The live sets are frozensets throughout: a statement with one
-successor takes that successor's IN set itself as its OUT, and only a
-statement with two or more successors builds a union. Sets grow monotonically inside a finite universe,
-so termination is bounded by |vars| * |stmts| sweeps. Register pressure at a
-statement is the sum of the LMUL-weighted footprints of IN(i) | OUT(i).
-Every footprint is a whole number of eighths of a register, so the sums are
-ints: the weight of each distinct OUT set is computed once, and a statement
-adds the weight of IN(i) - OUT(i) to it. ``Fraction``s are made only for the
-report, one per distinct value; the report carries the peak across the
-function against the 32-register file.
+after it. Every live set is a bit vector, one Python ``int``, over the
+function's vector names: bit k stands for ``names[k]``, the k-th IR name of
+the symbol table. Each statement has a use mask and a kill mask (every bit
+but its definitions), so a step is ``IN = (OUT & kill) | use`` and a union
+is an OR. Sets grow monotonically inside a finite universe, so termination
+is bounded by |vars| * |stmts| sweeps.
+
+Register pressure at a statement is the sum of the LMUL-weighted footprints
+of IN(i) | OUT(i). Every footprint is a whole number of eighths of a
+register, so the names fall into a few footprint classes, one mask each,
+and a statement's total in eighths is the sum over the classes of the
+class's eighths times the popcount of the live set masked by it.
+``Fraction``s are made only for the report, and shared between reports
+through a bounded cache; the report carries the peak across the function
+against the 32-register file. The one live set the report names, at the
+hot statement, is turned back into names once; the dead definitions are
+found from the statements' own name sets.
 
 The brute-force path-enumeration oracle that cross-checks the solver lives
 in the test suite (``tests/oracles.py``).
@@ -28,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import AnalysisError
-from .parser import FunctionIr
+from .parser import FunctionIr, Stmt
 from .rvv_types import footprint_eighths
 
 REGISTER_BUDGET = 32
@@ -39,8 +47,11 @@ REGISTER_BUDGET = 32
 
 @dataclass
 class LivenessResult:
-    live_in: dict[int, frozenset[str]]
-    live_out: dict[int, frozenset[str]]
+    """Live sets by statement id, as bit vectors: bit k stands for ``names[k]``."""
+
+    names: tuple[str, ...]
+    live_in: dict[int, int]
+    live_out: dict[int, int]
 
 
 @dataclass
@@ -95,18 +106,40 @@ def fmt_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-_NOTHING: frozenset[str] = frozenset()
+def _masks(stmts: Sequence[Stmt], names: Sequence[str]) -> tuple[dict[int, int], dict[int, int]]:
+    """Each statement's use and def masks over ``names``, by statement id."""
+    bit = {name: 1 << k for k, name in enumerate(names)}.__getitem__
+    # A frozenset holds each name once and the bits are distinct, so a sum is their OR.
+    uses = {s.stmt_id: sum(map(bit, s.uses)) for s in stmts}
+    defs = {s.stmt_id: sum(map(bit, s.defs)) for s in stmts}
+    return uses, defs
 
 
-def _live_after(live_in: dict[int, frozenset[str]], nexts: tuple[int, ...]) -> frozenset[str]:
-    """OUT of a statement whose successors are ``nexts``: nothing after a
-    statement that leaves the function, one successor's IN set itself, or
-    the union of several."""
-    if len(nexts) == 1:
-        return live_in[nexts[0]]
-    if not nexts:
-        return _NOTHING
-    return _NOTHING.union(*[live_in[j] for j in nexts])
+@lru_cache(maxsize=1024)
+def _eighths(n: int) -> Fraction:
+    """``n`` eighths of a register. A ``Fraction`` costs about a microsecond
+    to make, and a report needs one per statement; the cache is bounded, and
+    a ``Fraction`` is immutable, so reports may share them."""
+    return Fraction(n, 8)
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def _live_after(live_in: dict[int, int], nexts: tuple[int, ...]) -> int:
+    """OUT of a statement whose successors are ``nexts``: the OR of their IN
+    sets, nothing after a statement that leaves the function."""
+    out = 0
+    for j in nexts:
+        out |= live_in[j]
+    return out
 
 
 def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> LivenessResult:
@@ -117,46 +150,52 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
     fastest and is the default).
     """
     stmts = ir.stmts
+    names = tuple(ir.symbol_table)
     if not stmts:
-        return LivenessResult({}, {})
+        return LivenessResult(names, {}, {})
     succ = ir.successors
     if order is None:
         sweep = [s.stmt_id for s in reversed(stmts)]
     else:
         sweep = list(order)
 
-    live_in = {s.stmt_id: _NOTHING for s in stmts}
+    uses, defs = _masks(stmts, names)
+    kills = {i: ~d for i, d in defs.items()}
+    live_in = dict.fromkeys(uses, 0)
     live_out = dict(live_in)
-    uses = {s.stmt_id: s.uses for s in stmts}
-    defs = {s.stmt_id: s.defs for s in stmts}
 
-    n_vars = len(ir.symbol_table)
-    max_sweeps = n_vars * len(stmts) + 2
+    max_sweeps = len(names) * len(stmts) + 2
     for _ in range(max_sweeps):
         changed = False
         for i in sweep:
-            out = _live_after(live_in, succ[i])
-            new_in = (out - defs[i]) | uses[i]
+            nexts = succ[i]
+            if len(nexts) == 1:
+                out = live_in[nexts[0]]
+            else:
+                out = _live_after(live_in, nexts)
+            new_in = (out & kills[i]) | uses[i]
             if out != live_out[i] or new_in != live_in[i]:
                 live_out[i] = out
                 live_in[i] = new_in
                 changed = True
         if not changed:
-            return LivenessResult(live_in, live_out)
+            return LivenessResult(names, live_in, live_out)
     raise AssertionError("liveness failed to converge within its sweep bound")
 
 
 def check_fixpoint(ir: FunctionIr, live: LivenessResult) -> None:
-    """Raise AnalysisError unless ``live`` satisfies the dataflow equations exactly."""
+    """Raise AnalysisError unless ``live`` satisfies the dataflow equations exactly.
+
+    The masks are built afresh from ``ir.stmts`` and ``live.names``.
+    """
     succ = ir.successors
+    uses, defs = _masks(ir.stmts, live.names)
     live_in, live_out = live.live_in, live.live_out
-    for s in ir.stmts:
-        i = s.stmt_id
+    for i in uses:
         out = live_out[i]
-        if live_in[i] != (out - s.defs) | s.uses:
+        if live_in[i] != (out & ~defs[i]) | uses[i]:
             raise AnalysisError(f"liveness not a fixpoint at statement {i} (IN)")
-        after = _live_after(live_in, succ[i])
-        if out is not after and out != after:
+        if out != _live_after(live_in, succ[i]):
             raise AnalysisError(f"liveness not a fixpoint at statement {i} (OUT)")
 
 
@@ -173,36 +212,33 @@ def compute_pressure(
     """
     table = footprint_eighths(mode)
     check_fixpoint(ir, live)
-    eighths = {name: table[t] for name, t in ir.symbol_table.items()}
-    weigh = eighths.__getitem__
+    names = live.names
+    eighths = [table[ir.symbol_table[name]] for name in names]
+    classes: dict[int, int] = {}  # eighths -> the mask of the names with that footprint
+    for k, weight in enumerate(eighths):
+        classes[weight] = classes.get(weight, 0) | 1 << k
+    stmts = ir.stmts
+    ids = [s.stmt_id for s in stmts]
     live_in, live_out = live.live_in, live.live_out
-    out_weights: dict[frozenset[str], int] = {}
-    totals: dict[int, int] = {}
-    for s in ir.stmts:
-        i = s.stmt_id
-        out = live_out[i]
-        weight = out_weights.get(out)
-        if weight is None:
-            weight = out_weights[out] = sum(map(weigh, out))
-        totals[i] = weight + sum(map(weigh, live_in[i] - out))
-
-    all_defs = _NOTHING.union(*[s.defs for s in ir.stmts])
-    all_uses = _NOTHING.union(*[s.uses for s in ir.stmts])
-    dead = all_defs - all_uses
+    live_both = [live_in[i] | live_out[i] for i in ids]
+    totals = [0] * len(ids)
+    for weight, mask in classes.items():
+        totals = [t + weight * (b & mask).bit_count() for t, b in zip(totals, live_both)]
+    dead = frozenset().union(*[s.defs for s in stmts]).difference(*[s.uses for s in stmts])
 
     if totals:
-        peak = max(totals.values())
-        hot = min(i for i, total in totals.items() if total == peak)
-        as_fraction = {n: Fraction(n, 8) for n in {*totals.values(), *eighths.values()}}
-        pressure = as_fraction[peak]
-        hot_stmt = ir.stmts[hot]
+        peak = max(totals)
+        at = totals.index(peak)  # the first, so the smallest id, on a tie
+        hot = ids[at]
+        pressure = _eighths(peak)
+        hot_stmt = stmts[at]
         live_at_hot = frozenset(
-            (name, as_fraction[eighths[name]]) for name in live_in[hot] | live_out[hot]
+            (names[k], _eighths(eighths[k])) for k in _bit_indices(live_both[at])
         )
         return PressureReport(
             pressure=pressure,
             hot_stmt=hot,
-            per_stmt_pressure={i: as_fraction[total] for i, total in totals.items()},
+            per_stmt_pressure=dict(zip(ids, map(_eighths, totals))),
             live_at_hot=live_at_hot,
             dead_defs=dead,
             spills_predicted=pressure > REGISTER_BUDGET,

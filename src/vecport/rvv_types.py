@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Iterator
 
@@ -60,6 +60,15 @@ class VectorType:
     tuple_fields: int = 1
     elem_bits: int | None = None
     mask_ratio: int | None = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # The analyzer looks a type up once per vector name, and hashing the
+        # Fraction field is slow, so each instance hashes its fields once.
+        return hash((self.elem_kind, self.lmul, self.tuple_fields, self.elem_bits, self.mask_ratio))
 
     def is_mask(self) -> bool:
         return self.elem_kind == MASK

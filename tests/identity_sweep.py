@@ -14,7 +14,8 @@ so two trees can be swept over the same inputs. The texts are:
 
 The signatures are the bundled cases' and the names of the golden analyze
 sources. Each pair records a digest of the statement graph (see
-``fingerprint``) and both modes' ``to_text()``, with the head of the literal
+``fingerprint``) and both modes' ``to_text()``, a digest of what
+``to_text()`` leaves out (see ``report_digest``), and the head of the literal
 report, or the error's type and text. The graph is read from ``FunctionIr``
 fields, not from ``dump_ir``, so two trees whose listings differ in layout
 can still be compared. With ``--mutants N``, each distinct code text that
@@ -243,21 +244,32 @@ def fingerprint(ir) -> str:
     return json.dumps([stmts, table])
 
 
+def report_digest(reports) -> str:
+    """Each report's ``to_dict()``, ``per_stmt_pressure`` and ``live_at_hot``,
+    digested: ``to_text()`` shows no per-statement pressure."""
+    fields = [[r.to_dict(), sorted((i, str(p)) for i, p in r.per_stmt_pressure.items()),
+               sorted((name, str(fp)) for name, fp in r.live_at_hot)] for r in reports]
+    return hashlib.sha256(json.dumps(fields).encode()).hexdigest()[:16]
+
+
 def record(text: str, signature: str) -> list[str]:
-    """["ok", digest of the statement graph and both to_text(), the literal
-    report's first lines], or [error type, error text]."""
+    """["ok", digest of the statement graph and both to_text(), both reports'
+    ``report_digest``, the literal report's first lines], or [error type,
+    error text]."""
     from vecport.errors import VecportError
     from vecport.liveness import analyze_source
     from vecport.parser import parse_function
 
     try:
-        literal = analyze_source(text, signature, "literal").to_text()
+        reports = [analyze_source(text, signature, "literal")]
+        literal = reports[0].to_text()
         ir = parse_function(text, signature)
-        outputs = [fingerprint(ir), literal,
-                   analyze_source(text, signature, "physical").to_text()]
+        reports.append(analyze_source(text, signature, "physical"))
+        outputs = [fingerprint(ir), literal, reports[1].to_text()]
         digest = hashlib.sha256("\0".join(outputs).encode()).hexdigest()[:16]
         renames = " (renames)" if any("@" in name for name in ir.symbol_table) else ""
-        return ["ok", digest, " / ".join(literal.split("\n")[:3]) + renames]
+        return ["ok", digest, report_digest(reports),
+                " / ".join(literal.split("\n")[:3]) + renames]
     except VecportError as exc:
         return [type(exc).__name__, str(exc)]
     except Exception as exc:  # a crash is a finding, not a reason to stop
@@ -287,7 +299,7 @@ def run(args) -> None:
 def outcome(rec: list[str]) -> str:
     """A record's class: parsed (with shadowed names or not), or the error without its places."""
     if rec[0] == "ok":
-        return "ok, renames" if rec[2].endswith("(renames)") else "ok"
+        return "ok, renames" if rec[-1].endswith("(renames)") else "ok"
     return rec[0] + ": " + re.sub(r"'[^']*'|\(line \d+\)", "_", rec[1])
 
 

@@ -2,7 +2,9 @@
 
 ``oracle_liveness`` answers the liveness question by brute-force path
 enumeration, independently of ``vecport.liveness.solve_liveness``, so the
-property tests can cross-check the solver.
+property tests can cross-check the solver. It computes with names, as
+``LiveSets``; ``live_sets`` turns the solver's bit vectors into the same
+form, for the tests that compare or corrupt live sets.
 
 ``reference_parse`` is the two-pass front end that ``vecport.parser``
 replaced with a one-pass one: ``TreeParser`` reads a function body into a
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from vecport.errors import AnalysisError, ParseError
 from vecport.liveness import LivenessResult
@@ -57,11 +60,28 @@ class PathExplosionError(AnalysisError):
     """The path-enumeration oracle refused: too many paths within the bound."""
 
 
+class LiveSets(NamedTuple):
+    """Live sets as frozensets of IR names, by statement id."""
+
+    live_in: dict[int, frozenset[str]]
+    live_out: dict[int, frozenset[str]]
+
+
+def live_sets(live: LivenessResult) -> LiveSets:
+    """The solver's bit-vector live sets as names: bit k is ``live.names[k]``."""
+
+    def named(mask: int) -> frozenset[str]:
+        return frozenset(n for k, n in enumerate(live.names) if mask >> k & 1)
+
+    return LiveSets(*({i: named(m) for i, m in sets.items()}
+                      for sets in (live.live_in, live.live_out)))
+
+
 def oracle_liveness(
     ir: FunctionIr,
     path_bound: int | None = None,
     max_steps: int = 2_000_000,
-) -> LivenessResult:
+) -> LiveSets:
     """Liveness by explicit path enumeration; independent of the solver.
 
     A value is live at entry of statement i when some enumerated path starting
@@ -77,7 +97,7 @@ def oracle_liveness(
     """
     stmts = ir.stmts
     if not stmts:
-        return LivenessResult({}, {})
+        return LiveSets({}, {})
     succ = ir.successors
     if path_bound is None:
         path_bound = 2 * (len(stmts) + 2)
@@ -120,7 +140,7 @@ def oracle_liveness(
         for j in succ[s.stmt_id]:
             out |= entry_live[j]
         live_out[s.stmt_id] = frozenset(out)
-    return LivenessResult(entry_live, live_out)
+    return LiveSets(entry_live, live_out)
 
 
 # ---------------------------------------------------------------------------

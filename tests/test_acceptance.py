@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_ir, speedup, straight_line_ir
-from oracles import oracle_liveness, print_function
+from oracles import live_sets, oracle_liveness, print_function
 from vecport.corpus import bundled_corpus_dir, load_corpus, validate_case
 from vecport.errors import ParseError
 from vecport.executors import CommandExecutor, MockExecutor, ToolchainConfig
@@ -42,9 +42,9 @@ def test_criterion_1_liveness_oracle_equivalence():
         ir = random_ir(random.Random(seed))
         live = solve_liveness(ir)
         check_fixpoint(ir, live)  # IN(i) == (OUT(i) - DEF(i)) | USE(i) exactly
-        oracle = oracle_liveness(ir)
-        assert oracle.live_in == live.live_in, f"seed {seed}"
-        assert oracle.live_out == live.live_out, f"seed {seed}"
+        oracle, named = oracle_liveness(ir), live_sets(live)
+        assert oracle.live_in == named.live_in, f"seed {seed}"
+        assert oracle.live_out == named.live_out, f"seed {seed}"
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     _verdict(1, f"solver == oracle on {n_cfgs} random CFGs in {elapsed:.2f}s")

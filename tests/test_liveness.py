@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_ir, random_ir, straight_line_ir
-from oracles import PathExplosionError, oracle_liveness
+from oracles import PathExplosionError, live_sets, oracle_liveness
 from vecport.errors import AnalysisError
 from vecport.liveness import analyze_source, check_fixpoint, compute_pressure, solve_liveness
 from vecport.parser import parse_function
@@ -33,7 +33,7 @@ EXPECTED_OUT = [{"a"}, {"a", "b"}, {"c"}, set()]
 
 def test_straight_line_matches_hand_computation():
     ir = straight_line_ir(STRAIGHT_LINE, STRAIGHT_SYMBOLS)
-    live = solve_liveness(ir)
+    live = live_sets(solve_liveness(ir))
     for i in range(4):
         assert live.live_in[i] == EXPECTED_IN[i], f"IN(s{i})"
         assert live.live_out[i] == EXPECTED_OUT[i], f"OUT(s{i})"
@@ -72,7 +72,7 @@ def test_loop_carried_accumulator_is_live_around_the_back_edge():
         {0: (1, 2), 1: (0,)},
         {"acc": M2, "x": M2},
     )
-    live = solve_liveness(ir)
+    live = live_sets(solve_liveness(ir))
     assert "acc" in live.live_in[0]
     assert "acc" in live.live_out[1]
     assert oracle_liveness(ir).live_in == live.live_in
@@ -112,7 +112,8 @@ def test_dead_def_contributes_nothing_but_is_reported():
     live = solve_liveness(ir)
     report = compute_pressure(ir, live)
     assert report.dead_defs == {"dead"}
-    assert all("dead" not in live.live_in[i] | live.live_out[i] for i in range(3))
+    named = live_sets(live)
+    assert all("dead" not in named.live_in[i] | named.live_out[i] for i in range(3))
     assert report.pressure == 2
 
 
@@ -152,15 +153,15 @@ def test_compute_pressure_rejects_a_non_fixpoint(stmt, n_succ, which, name, wher
     live = solve_liveness(ir)
     check_fixpoint(ir, live)
     sets = getattr(live, which)
-    sets[stmt] = sets[stmt] ^ {name}
+    sets[stmt] ^= 1 << live.names.index(name)
     with pytest.raises(AnalysisError, match=re.escape(f"liveness not a fixpoint at {where}")):
         compute_pressure(ir, live)
 
 
 def test_a_single_successor_shares_its_live_in_set():
     ir = _branch_and_join_ir()
-    live = solve_liveness(ir)
-    assert live.live_out[1] is live.live_in[3] and live.live_out[2] is live.live_in[3]
+    live = live_sets(solve_liveness(ir))
+    assert live.live_out[1] == live.live_in[3] and live.live_out[2] == live.live_in[3]
     assert live.live_out[0] == live.live_in[1] | live.live_in[2]
 
 
@@ -177,10 +178,7 @@ def test_an_unknown_footprint_mode_is_rejected_up_front(source):
 
 def test_oracle_matches_on_straight_line():
     ir = straight_line_ir(STRAIGHT_LINE, STRAIGHT_SYMBOLS)
-    live = solve_liveness(ir)
-    oracle = oracle_liveness(ir)
-    assert oracle.live_in == live.live_in
-    assert oracle.live_out == live.live_out
+    assert oracle_liveness(ir) == live_sets(solve_liveness(ir))
 
 
 def test_oracle_diamond_variable_live_only_into_its_branch():
@@ -200,7 +198,7 @@ def test_oracle_diamond_variable_live_only_into_its_branch():
     assert live.live_out[0] == {"x"}
     assert live.live_in[1] == {"x"}
     assert live.live_in[2] == set()
-    assert solve_liveness(ir).live_out == live.live_out
+    assert live_sets(solve_liveness(ir)).live_out == live.live_out
 
 
 def test_oracle_self_loop_needs_one_unrolling():
@@ -210,7 +208,7 @@ def test_oracle_self_loop_needs_one_unrolling():
         {0: (0, 1)},
         {"x": M2, "y": M2},
     )
-    fixpoint = solve_liveness(ir)
+    fixpoint = live_sets(solve_liveness(ir))
     # Path bound of twice the statement count covers one unrolling.
     oracle = oracle_liveness(ir, path_bound=2 * len(ir.stmts) + 2)
     assert oracle.live_in == fixpoint.live_in
@@ -236,8 +234,9 @@ def test_property_solver_equals_oracle_and_fixpoint_holds(seed):
     live = solve_liveness(ir)
     check_fixpoint(ir, live)
     oracle = oracle_liveness(ir)
-    assert oracle.live_in == live.live_in
-    assert oracle.live_out == live.live_out
+    named = live_sets(live)
+    assert oracle.live_in == named.live_in
+    assert oracle.live_out == named.live_out
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,9 +273,10 @@ def test_property_adding_a_use_is_monotone(seed):
         tokens=stmt.tokens,
     )
     grown = solve_liveness(ir)
-    for i in base.live_in:
-        assert base.live_in[i] <= grown.live_in[i]
-        assert base.live_out[i] <= grown.live_out[i]
+    before, after = live_sets(base), live_sets(grown)
+    for i in before.live_in:
+        assert before.live_in[i] <= after.live_in[i]
+        assert before.live_out[i] <= after.live_out[i]
     assert compute_pressure(ir, grown).pressure >= base_pressure
 
 
@@ -285,6 +285,7 @@ ALL_TYPE_NAMES = tuple(t.name() for t in iter_vector_types())
 
 def _fraction_sum_report(ir, live, mode):
     """What compute_pressure must report, from Fraction sums of footprints."""
+    live = live_sets(live)
     footprint = {n: register_footprint(t, mode) for n, t in ir.symbol_table.items()}
     per_stmt = {}
     for s in ir.stmts:
@@ -320,6 +321,7 @@ def _assert_matches_fraction_sum(ir, mode):
     assert str(report.pressure) == str(peak)
     assert report.live_at_hot == live_at_hot
     assert report.to_dict() == as_dict
+    return report
 
 
 @pytest.mark.parametrize("mode", FOOTPRINT_MODES)
@@ -337,6 +339,39 @@ def test_property_pressure_equals_a_fraction_sum_over_every_type(seed):
     ir = random_ir(random.Random(seed), types=ALL_TYPE_NAMES)
     for mode in FOOTPRINT_MODES:
         _assert_matches_fraction_sum(ir, mode)
+
+
+WIDE_TYPES = ("vint32mf2_t", "vint32m1_t", "vint16mf4_t", "vint32m2_t", "vint8mf8_t",
+              "vint32m4_t", "vfloat32m1_t")
+
+
+def _wide_source(n_names):
+    """A function with ``n_names`` vectors of mixed LMUL: all loaded, every
+    third updated in a loop from another, every other stored after it, so
+    some are live past the loop and some are never read."""
+    lines = ["void wide(const int32_t *x, int32_t *y, size_t n) {",
+             "    size_t vl = __riscv_vsetvl_e32m1(n);"]
+    lines += [f"    {WIDE_TYPES[k % len(WIDE_TYPES)]} w{k} = load(x, vl);"
+              for k in range(n_names)]
+    lines.append("    for (size_t i = 0; i < n; i += vl) {")
+    lines += [f"        w{k} = op(w{k}, w{(7 * k + 3) % n_names}, vl);"
+              for k in range(0, n_names, 3)]
+    lines.append("    }")
+    lines += [f"    store(y, w{k}, vl);" for k in range(n_names - 1, 0, -2)]
+    return "\n".join(lines + ["}"])
+
+
+def test_live_sets_wider_than_a_machine_word():
+    ir = parse_function(_wide_source(72), "wide")
+    assert len(ir.symbol_table) == 72
+    assert any(j <= i for i, nexts in ir.successors.items() for j in nexts)  # a back edge
+    live = solve_liveness(ir)
+    assert max(live.live_out.values()).bit_length() > 64
+    assert live_sets(live) == oracle_liveness(ir)
+    for mode in FOOTPRINT_MODES:
+        report = _assert_matches_fraction_sum(ir, mode)
+        assert report.hot_stmt is not None and report.dead_defs
+        assert any(live.names.index(name) >= 64 for name, _ in report.live_at_hot)
 
 
 def test_successors_skip_empty_blocks():

@@ -7,12 +7,16 @@ assignments, calls, compound statements, if/else, for, while, do-while,
 break/continue, return. goto and switch are rejected with a located
 diagnostic rather than analyzed wrongly.
 
-The lexer is one pass of one master regex over the original source:
-comments, preprocessor directives and blanks are skipped in place, so every
-token's line is the line it is written on. The lexer also pairs
-every bracket, the one place nesting is decided: text whose brackets do not
-balance is rejected with its line, and each opener's ``span`` leads to its
-closer, so later scans step over whole groups. Parameters are read by the
+The lexer is one ``findall`` of one master regex over the original source,
+and makes no object per token: it returns three parallel columns, each
+token's text, its line and its bracket span. Comments, preprocessor
+directives and blanks are skipped in place, so every token's line is the
+line it is written on. A token's kind follows from its first character, so
+no column holds it. The lexer also pairs every bracket, the one place
+nesting is decided: text whose brackets do not balance is rejected with its
+line, and each opener's span leads to its closer, so later scans step over
+whole groups. The statement readers take ``(lo, hi)`` index ranges into the
+columns, and a statement keeps its token texts. Parameters are read by the
 same declaration reader as body statements.
 
 The body parser builds no statement tree: it emits each statement into its
@@ -40,6 +44,7 @@ import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import count
+from string import ascii_letters
 from .errors import ParseError
 from .rvv_types import VectorType, parse_vector_type
 
@@ -69,100 +74,100 @@ _SCALAR_TYPE_WORDS |= {f"{s}int{w}_t" for s in ("", "u") for w in (8, 16, 32, 64
 _SCALAR_TYPE_WORDS |= {f"{s}int_fast{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
 _SCALAR_TYPE_WORDS |= {f"{s}int_least{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
 
-# Multi-character operators first so the master regex prefers them.
-_OPERATORS = [
-    "<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
-    "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-]
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
-# One master pattern whose matches tile the source, so ``finditer`` walks it
-# with one match per piece. The directive alternative comes first, on its own:
-# it starts a line after spaces or tabs only and runs on through lines
-# continued by a backslash (LF or CRLF). Every other alternative shares one
-# blank-run prefix: a newline, a comment, the end (trailing blanks),
-# ``unclosed`` (a ``/*`` that no ``*/`` closes), a token, or ``bad``, one
-# character that starts nothing. Brackets have alternatives of their own, so
-# only they take the pairing branch of ``tokenize``. A string or char literal
-# ends on its line: neither a raw newline nor a backslash-newline continues it.
+# One master pattern whose matches tile the source, with two groups: a
+# directive, or else the piece after a run of blanks. The directive comes
+# first, on its own: it starts a line after spaces or tabs only and runs on
+# through lines continued by a backslash (LF or CRLF). It keeps its own group
+# because a null directive ``#`` and a stray ``#`` mid-line have the same
+# text. The piece is an identifier; a character that starts no longer token
+# (a newline among them); a comment, or a ``/*`` that no ``*/`` closes; a
+# number; a string or char literal; a multi-character operator, longest
+# first; or else any one character, or none at the end. A literal ends on its
+# line: neither a raw newline nor a backslash-newline continues it, so a lone
+# quote is left as one character.
 _LEX_RE = re.compile(
     r"""
-    (?P<directive>(?m:^)[ \t]*\#(?:[^\n]*\\[ \t]*\r?\n)*[^\n]*)
+    (?m:^)[ \t]*(\#(?:[^\n]*\\[ \t]*\r?\n)*[^\n]*)
   | [ \t\r\f\v]*
-    (?: (?P<newline>\n)
-      | (?P<comment>//[^\n]* | /\*(?s:.*?)\*/)
-      | (?P<end>\Z)
-      | (?P<unclosed>/\*)
-      | (?P<id>[A-Za-z_]\w*)
-      | (?P<num>0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFuUlL]*)
-      | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
-      | (?P<opener>[(\[{])
-      | (?P<closer>[)\]}])
-      | (?P<punct>""" + "|".join(re.escape(op) for op in _OPERATORS) + r"""
-          | [;,\.\+\-\*/%<>=!&\|\^~\?:])
-      | (?P<bad>.)
+    ( [A-Za-z_]\w*
+    | [;,()\[\]{}?:~\n]
+    | //[^\n]* | /\*(?s:.*?)\*/ | /\*
+    | 0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFuUlL]*
+    | "(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'
+    | <<=?|>>=?|[-+*/%&|^!=<>]=|->|\+\+|--|&&|\|\||\.\.\.
+    | [\s\S]?
     )
     """,
     re.VERBOSE,
 )
-_TOKEN_KINDS = frozenset({"id", "num", "str", "punct"})
+_ID_START = frozenset(ascii_letters + "_")
+# What a piece that is a token as it stands may start with: '.' starts a
+# number or a punctuator. A quote starts a literal only if more follows; '/'
+# may start a comment; brackets are paired.
+_TOKEN_START = _ID_START | frozenset("0123456789;,.+-*%<>=!&|^~?:")
+_QUOTES = frozenset("\"'")
 _CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
 _CLOSERS = frozenset(_CLOSER_OF.values())
 _GROUP_NAME = {"(": "parentheses", "[": "brackets", "{": "braces"}
 
 
-@dataclass(slots=True)
-class Token:
-    # Not frozen: a frozen dataclass pays a __setattr__ call per field on
-    # every token built, and slots read faster than NamedTuple fields.
-    text: str
-    kind: str  # id | num | str | punct
-    line: int
-    span: int = 0  # an opening bracket's offset to its closer; 0 otherwise
-
-
-def tokenize(source: str) -> list[Token]:
-    """The tokens of ``source``, each opening bracket paired with its closer."""
-    tokens = []
+def tokenize(source: str) -> tuple[list[str], list[int], list[int]]:
+    """The texts of the tokens of ``source``, each token's line, and each
+    token's span: an opening bracket's offset to its closer, 0 otherwise."""
+    texts: list[str] = []
+    lines: list[int] = []
     openers = []  # indices of the brackets still open, innermost last
+    pairs = []  # (opener, closer) indices
     line = 1
-    for m in _LEX_RE.finditer(source):
-        kind = m.lastgroup
-        if kind in _TOKEN_KINDS:
-            tokens.append(Token(m[kind], kind, line))
-        elif kind == "newline":
+    for directive, tok in _LEX_RE.findall(source):
+        first = tok[:1]
+        if first in _TOKEN_START or (first in _QUOTES and len(tok) > 1):
+            texts.append(tok)
+            lines.append(line)
+        elif tok == "\n":
             line += 1
-        elif kind == "opener":
-            openers.append(len(tokens))
-            tokens.append(Token(m[kind], "punct", line))
-        elif kind == "closer":
-            text = m[kind]
-            if not openers or _CLOSER_OF[tokens[openers[-1]].text] != text:
-                raise ParseError(f"mismatched {text!r}", line=line)
-            opened = openers.pop()
-            tokens[opened].span = len(tokens) - opened
-            tokens.append(Token(text, "punct", line))
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", line=line)
-        elif kind == "unclosed":
-            raise ParseError("unterminated block comment", line=line)
-        else:  # directive, comment or end: skipped, but may span lines
-            line += m[kind].count("\n")
+        elif first in _CLOSER_OF:
+            openers.append(len(texts))
+            texts.append(tok)
+            lines.append(line)
+        elif first in _CLOSERS:
+            if not openers or _CLOSER_OF[texts[openers[-1]]] != tok:
+                raise ParseError(f"mismatched {tok!r}", line=line)
+            pairs.append((openers.pop(), len(texts)))
+            texts.append(tok)
+            lines.append(line)
+        elif first == "/":
+            if tok == "/*":
+                raise ParseError("unterminated block comment", line=line)
+            if tok[1:2] in ("/", "*"):
+                line += tok.count("\n")
+            else:
+                texts.append(tok)
+                lines.append(line)
+        elif directive:
+            line += directive.count("\n")
+        elif tok:
+            raise ParseError(f"unexpected character {tok!r}", line=line)
     if openers:
-        tok = tokens[openers[-1]]
-        raise ParseError(f"unbalanced {_GROUP_NAME[tok.text]}", line=tok.line)
-    return tokens
+        opened = openers[-1]
+        raise ParseError(f"unbalanced {_GROUP_NAME[texts[opened]]}", line=lines[opened])
+    spans = [0] * len(texts)
+    for opened, closed in pairs:
+        spans[opened] = closed - opened
+    return texts, lines, spans
 
 
-def _top_level(tokens: list[Token], start: int = 0) -> Iterator[int]:
-    """Indices from ``start`` on; a group yields its opener only.
+def _top_level(spans: list[int], lo: int, hi: int) -> Iterator[int]:
+    """Indices in ``[lo, hi)``; a group yields its opener only.
 
-    A closer whose opener lies before ``start`` is yielded like any token.
+    A closer whose opener lies before ``lo`` is yielded like any token.
     """
-    i, end = start, len(tokens)
-    while i < end:
+    i = lo
+    while i < hi:
         yield i
-        i += tokens[i].span + 1
+        i += spans[i] + 1
 
 
 @dataclass(slots=True)
@@ -171,8 +176,8 @@ class Stmt:
 
     ``uses``/``defs`` name vector-typed values only, by IR name; both may
     mention the same name (an accumulator update reads and writes it).
-    ``tokens`` is the statement's slice of the source, a ``return``'s
-    without its keyword; ``text`` renders it when read, since the analysis
+    ``tokens`` holds the texts of the statement's tokens, a ``return``'s
+    without its keyword; ``text`` renders them when read, since the analysis
     itself reads the text of one statement at most.
     """
 
@@ -180,7 +185,7 @@ class Stmt:
     uses: frozenset[str]
     defs: frozenset[str]
     line: int
-    tokens: list[Token] = field(repr=False)
+    tokens: list[str] = field(repr=False)
     stmt_id: int = -1  # its place in layout order, set by link_statements; -1 if unreachable
 
     @property
@@ -258,133 +263,127 @@ class _Scopes:
             raise ParseError(f"vector value '{name}' referenced before its declaration",
                              line=self.unbound[name])
         ir = name
-        if self.table.get(name, vt) != vt or any(isinstance(h.get(name), str) for h in self.hidden):
+        # Only a name some vector has taken can be hidden as a vector.
+        if name in self.table and (self.table[name] != vt or any(
+                isinstance(h.get(name), str) for h in self.hidden)):
             ir = next(ir for k in count(2) if (ir := f"{name}@{k}") not in self.table)
         self.table[ir] = vt
         self.visible[name] = ir
         return ir
 
-    def reads(self, tokens: list[Token], line: int) -> set[str]:
-        """The IR names of the vectors ``tokens`` read; skips callees, members, keywords."""
+    def reads(self, texts: list[str], lo: int, hi: int, line: int) -> set[str]:
+        """The IR names of the vectors ``texts[lo:hi]`` reads; skips callees, members, keywords."""
         found = set()
         visible, unbound = self.visible, self.unbound
-        for i, tok in enumerate(tokens):
-            if tok.kind != "id" or tok.text in _KEYWORDS:
+        for i in range(lo, hi):
+            text = texts[i]
+            if text[0] not in _ID_START or text in _KEYWORDS:
                 continue
-            if i + 1 < len(tokens) and tokens[i + 1].text == "(":
+            if i + 1 < hi and texts[i + 1] == "(":
                 continue
-            if i > 0 and tokens[i - 1].text in (".", "->"):
+            if i > lo and texts[i - 1] in (".", "->"):
                 continue
-            ir = visible.get(tok.text, _FREE)
+            ir = visible.get(text, _FREE)
             if ir is _FREE:
-                unbound.setdefault(tok.text, line)
+                unbound.setdefault(text, line)
             elif ir is not None:
                 found.add(ir)
         return found
 
 
-def _top_level_assign_index(tokens: list[Token]) -> int | None:
-    for i in _top_level(tokens):
-        if tokens[i].text in _ASSIGN_OPS and tokens[i].kind == "punct":
-            return i
-    return None
+# The shared token columns: the texts, lines and spans that ``tokenize`` returns.
+Tokens = tuple[list[str], list[int], list[int]]
 
 
-def _split_top_level(tokens: list[Token], sep: str) -> list[list[Token]]:
-    parts, start = [], 0
-    for i in _top_level(tokens):
-        if tokens[i].text == sep:
-            parts.append(tokens[start:i])
+def _split_top_level(texts: list[str], spans: list[int], lo: int, hi: int,
+                     sep: str) -> list[tuple[int, int]]:
+    parts, start, i = [], lo, lo
+    while i < hi:  # _top_level, inline on this hot path
+        if texts[i] == sep:
+            parts.append((start, i))
             start = i + 1
-    parts.append(tokens[start:])
+        i += spans[i] + 1
+    parts.append((start, hi))
     return parts
 
 
-def _is_type_start(t: Token) -> bool:
-    return t.kind == "id" and (t.text in ("struct", "union", "enum")
-                               or t.text in _SCALAR_TYPE_WORDS
-                               or parse_vector_type(t.text) is not None)
+def _is_type_start(text: str) -> bool:
+    return (text in ("struct", "union", "enum") or text in _SCALAR_TYPE_WORDS
+            or parse_vector_type(text) is not None)
 
 
-def _parse_simple(tokens: list[Token], scopes: _Scopes) -> Stmt:
-    """One simple statement; a declaration enters its names in the innermost scope."""
-    line = tokens[0].line
-    i = 0
-    while i < len(tokens) and tokens[i].text in _QUALIFIERS:
+def _parse_simple(toks: Tokens, lo: int, hi: int, scopes: _Scopes) -> Stmt:
+    """The simple statement ``[lo, hi)``; a declaration enters its names in the
+    innermost scope."""
+    texts, lines, spans = toks
+    line = lines[lo]
+    i = lo
+    while i < hi and texts[i] in _QUALIFIERS:
         i += 1
-    if i < len(tokens) and _is_type_start(tokens[i]):
-        kind, uses, defs = _read_decl(tokens, i, scopes, line)
+    if i < hi and _is_type_start(texts[i]):
+        kind, uses, defs = _read_decl(texts, spans, i, hi, scopes, line)
     else:
-        kind, uses, defs = _read_expr_stmt(tokens, scopes, line)
-    return Stmt(kind, frozenset(uses), frozenset(defs), line, tokens)
+        kind, uses, defs = _read_expr_stmt(texts, spans, lo, hi, scopes, line)
+    return Stmt(kind, frozenset(uses), frozenset(defs), line, texts[lo:hi])
 
 
-def _cond_stmt(tokens: list[Token], at: Token, scopes: _Scopes) -> Stmt:
-    """A condition: it reads ``tokens``, declares nothing, and sits at ``at``."""
-    return Stmt("scalar_other", frozenset(scopes.reads(tokens, at.line)), frozenset(),
-                at.line, tokens)
+def _cond_stmt(texts: list[str], lo: int, hi: int, line: int, scopes: _Scopes) -> Stmt:
+    """A condition: it reads ``[lo, hi)``, declares nothing, and sits at ``line``."""
+    return Stmt("scalar_other", frozenset(scopes.reads(texts, lo, hi, line)), frozenset(),
+                line, texts[lo:hi])
 
 
-def _read_decl(tokens: list[Token], i: int, scopes: _Scopes,
+def _read_decl(texts: list[str], spans: list[int], i: int, hi: int, scopes: _Scopes,
                line: int) -> tuple[str, set[str], set[str]]:
-    """A declaration whose type words start at ``tokens[i]``: its kind, uses and defs."""
+    """A declaration whose type words start at ``i``: its kind, uses and defs."""
     base_vec: VectorType | None = None
-    while i < len(tokens):
-        t = tokens[i]
-        if t.text in ("struct", "union", "enum"):
+    while i < hi:
+        text = texts[i]
+        if text in ("struct", "union", "enum"):
             i += 2  # tag name follows
             continue
-        vt = parse_vector_type(t.text)
+        vt = parse_vector_type(text)
         if vt is not None:
             base_vec = vt
-        elif t.text not in _QUALIFIERS and t.text not in _SCALAR_TYPE_WORDS:
+        elif text not in _QUALIFIERS and text not in _SCALAR_TYPE_WORDS:
             break
         i += 1
 
     uses: set[str] = set()
     defs: set[str] = set()
-    for declarator in _split_top_level(tokens[i:], ","):
-        if not declarator:
-            continue
-        j = 0
-        stars = 0
-        while j < len(declarator) and declarator[j].text in _DECLARATOR_PREFIX:
-            if declarator[j].text == "*":
-                stars += 1
+    for lo, end in _split_top_level(texts, spans, i, hi, ","):
+        j = lo
+        while j < end and texts[j] in _DECLARATOR_PREFIX:
             j += 1
-        if j >= len(declarator) or declarator[j].kind != "id":
+        if j >= end or texts[j][0] not in _ID_START:
             continue
-        is_array = j + 1 < len(declarator) and declarator[j + 1].text == "["
-        init: list[Token] = []
-        for k in range(j + 1, len(declarator)):
-            if declarator[k].text == "=" and declarator[k].kind == "punct":
-                init = declarator[k + 1:]
-                break
-        ir = scopes.declare(declarator[j].text,
-                            base_vec if stars == 0 and not is_array else None, line)
-        if init:
+        pointer_or_array = "*" in texts[lo:j] or j + 1 < end and texts[j + 1] == "["
+        init = next((k + 1 for k in range(j + 1, end) if texts[k] == "="), end)
+        ir = scopes.declare(texts[j], None if pointer_or_array else base_vec, line)
+        if init < end:
             if ir is not None:
                 defs.add(ir)
-            uses |= scopes.reads(init, line)
+            uses |= scopes.reads(texts, init, end, line)
     return "decl", uses, defs
 
 
-def _read_expr_stmt(tokens: list[Token], scopes: _Scopes,
+def _read_expr_stmt(texts: list[str], spans: list[int], lo: int, hi: int, scopes: _Scopes,
                     line: int) -> tuple[str, set[str], set[str]]:
     """An expression statement: its kind, uses and defs."""
-    k = _top_level_assign_index(tokens)
-    if k is None:
-        has_call = any(t.kind == "id" and t.text not in _KEYWORDS and after.text == "("
-                       for t, after in zip(tokens, tokens[1:]))
-        return "call" if has_call else "scalar_other", scopes.reads(tokens, line), set()
-    lhs, rhs = tokens[:k], tokens[k + 1:]
-    uses = scopes.reads(rhs, line)
-    if len(lhs) == 1 and lhs[0].kind == "id":
-        defs = scopes.reads(lhs, line)
-        if tokens[k].text != "=":  # compound op reads the target too
+    k = lo
+    while k < hi and texts[k] not in _ASSIGN_OPS:  # the first top-level one
+        k += spans[k] + 1
+    if k >= hi:
+        has_call = any(texts[i][0] in _ID_START and texts[i] not in _KEYWORDS
+                       and texts[i + 1] == "(" for i in range(lo, hi - 1))
+        return "call" if has_call else "scalar_other", scopes.reads(texts, lo, hi, line), set()
+    uses = scopes.reads(texts, k + 1, hi, line)
+    if k == lo + 1 and texts[lo][0] in _ID_START:
+        defs = scopes.reads(texts, lo, k, line)
+        if texts[k] != "=":  # compound op reads the target too
             uses |= defs
         return "assign", uses, defs
-    return "assign", uses | scopes.reads(lhs, line), set()
+    return "assign", uses | scopes.reads(texts, lo, k, line), set()
 
 
 # ---------------------------------------------------------------------------
@@ -407,46 +406,44 @@ class _BodyParser:
     recursion limit surfaces as a RecursionError.
     """
 
-    def __init__(self, tokens: list[Token], scopes: _Scopes):
-        self.toks = tokens
-        self.pos = 0
+    def __init__(self, toks: Tokens, start: int, scopes: _Scopes):
+        self.toks = toks
+        self.texts, self.lines, self.spans = toks
+        self.pos = start
         self.scopes = scopes
         self.block_stmts: dict[int, list[Stmt]] = {}
         self.succs: dict[int, list[int]] = {}
         self.current: int | None = None
         self.loop_stack: list[dict[str, list[int]]] = []  # break/continue sources
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        return self.texts[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.peek()
+    def expect(self, text: str) -> int:
+        """Consumes ``text``; its index."""
+        at = self.pos
+        if self.texts[at] != text:
+            raise ParseError(f"expected {text!r}, found {self.texts[at]!r}",
+                             line=self.lines[at])
         self.pos += 1
-        return tok
+        return at
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", line=tok.line)
-        return self.advance()
-
-    def _collect_until(self, stop: str) -> list[Token]:
-        """Tokens up to an unnested ``stop``; consumes the stop token.
+    def _collect_until(self, stop: str) -> tuple[int, int]:
+        """The range of tokens up to an unnested ``stop``; consumes the stop token.
 
         Braces nest too: mid-statement they can only be initializer lists or
         compound literals, never block structure. The closer of the block
         being parsed is always reached at top level, so the walk ends there
         if not before.
         """
-        toks = self.toks
-        start = self.pos
-        for i in _top_level(toks, start):
-            text = toks[i].text
-            if text == stop:
-                self.pos = i + 1
-                return toks[start:i]
+        texts, spans = self.texts, self.spans
+        start = i = self.pos
+        while (text := texts[i]) != stop:
             if text in _CLOSERS:
-                raise ParseError(f"expected {stop!r} before {text!r}", line=toks[i].line)
+                raise ParseError(f"expected {stop!r} before {text!r}", line=self.lines[i])
+            i += spans[i] + 1
+        self.pos = i + 1
+        return start, i
 
     def new_block(self, *sources: int | None) -> int:
         """A new block, entered from each source that is still reachable."""
@@ -482,7 +479,7 @@ class _BodyParser:
 
     def parse_block(self) -> None:
         self.expect("{")
-        while self.peek().text != "}":
+        while self.peek() != "}":
             self.parse_statement()
         self.expect("}")
 
@@ -506,58 +503,58 @@ class _BodyParser:
 
     def _parse_cond(self, keyword: str) -> Stmt:
         """``keyword ( cond )``; the condition is placed at the keyword."""
-        tok = self.expect(keyword)
+        line = self.lines[self.expect(keyword)]
         self.expect("(")
-        return _cond_stmt(self._collect_until(")"), tok, self.scopes)
+        return _cond_stmt(self.texts, *self._collect_until(")"), line, self.scopes)
 
-    def _parse_loop_head(self, tok: Token) -> tuple[Stmt | None, Stmt | None]:
+    def _parse_loop_head(self, keyword: str, line: int) -> tuple[Stmt | None, Stmt | None]:
         """A loop's condition and step; a ``for`` init is emitted here, before the loop.
 
         A ``for`` opens the scope its init declares into, which the caller
         closes after the body. A ``while`` loop is a ``for`` loop with no
         init and no step.
         """
-        if tok.text == "while":
+        if keyword == "while":
             return self._parse_cond("while"), None
         self.expect("for")
         self.expect("(")
         self.scopes.open()
         init = self._collect_until(";")
-        if init:
-            self.emit(_parse_simple(init, self.scopes))
+        if init[0] < init[1]:
+            self.emit(_parse_simple(self.toks, *init, self.scopes))
         cond = self._collect_until(";")
         step = self._collect_until(")")
-        return (_cond_stmt(cond, tok, self.scopes) if cond else None,
-                _parse_simple(step, self.scopes) if step else None)
+        return (_cond_stmt(self.texts, *cond, line, self.scopes) if cond[0] < cond[1] else None,
+                _parse_simple(self.toks, *step, self.scopes) if step[0] < step[1] else None)
 
     def parse_statement(self) -> None:
-        tok = self.peek()
-        if tok.text in ("goto", "switch"):
-            raise ParseError(f"unsupported construct: {tok.text}", line=tok.line)
-        if tok.text in ("case", "default"):
-            raise ParseError(f"unsupported construct: {tok.text} label", line=tok.line)
+        text, line = self.texts[self.pos], self.lines[self.pos]
+        if text in ("goto", "switch"):
+            raise ParseError(f"unsupported construct: {text}", line=line)
+        if text in ("case", "default"):
+            raise ParseError(f"unsupported construct: {text} label", line=line)
         # An identifier is never the body's last token, its '}', so one follows.
-        if tok.kind == "id" and tok.text not in _KEYWORDS and self.toks[self.pos + 1].text == ":":
-            raise ParseError(f"unsupported construct: label '{tok.text}'", line=tok.line)
+        if text[0] in _ID_START and text not in _KEYWORDS and self.texts[self.pos + 1] == ":":
+            raise ParseError(f"unsupported construct: label '{text}'", line=line)
 
-        if tok.text == "{":
+        if text == "{":
             self.scopes.open()
             self.parse_block()
             self.scopes.close()
-        elif tok.text == ";":
-            self.advance()
-        elif tok.text == "if":
+        elif text == ";":
+            self.pos += 1
+        elif text == "if":
             self.emit(self._parse_cond("if"))
             cond_block = self.current
             ends = [self._parse_body(self.new_block(cond_block))]
-            if self.peek().text == "else":
-                self.advance()
+            if self.peek() == "else":
+                self.pos += 1
                 ends.append(self._parse_body(self.new_block(cond_block)))
             else:
                 ends.append(cond_block)  # a false condition goes straight to the join
             self.current = self.new_block(*ends)
-        elif tok.text in ("for", "while"):
-            cond, step = self._parse_loop_head(tok)
+        elif text in ("for", "while"):
+            cond, step = self._parse_loop_head(text, line)
             header = self.current = self.new_block(self.ensure_current())
             if cond is not None:
                 self.emit(cond)
@@ -572,10 +569,10 @@ class _BodyParser:
             # Taken even with an empty condition: liveness may-analysis only
             # gains safety from a conservative loop-exit edge.
             self.current = self.new_block(header, *jumps["break"])
-            if tok.text == "for":
+            if text == "for":
                 self.scopes.close()
-        elif tok.text == "do":
-            self.advance()
+        elif text == "do":
+            self.pos += 1
             body = self.new_block(self.ensure_current())
             jumps = {"break": [], "continue": []}
             end = self._parse_body(body, jumps)
@@ -584,21 +581,21 @@ class _BodyParser:
             self.expect(";")
             self.link([cond_block], body)
             self.current = self.new_block(cond_block, *jumps["break"])
-        elif tok.text == "return":
-            self.advance()
-            expr = self._collect_until(";")
-            uses = frozenset(self.scopes.reads(expr, tok.line))
-            self.emit(Stmt("return", uses, frozenset(), tok.line, expr))
+        elif text == "return":
+            self.pos += 1
+            lo, hi = self._collect_until(";")
+            uses = frozenset(self.scopes.reads(self.texts, lo, hi, line))
+            self.emit(Stmt("return", uses, frozenset(), line, self.texts[lo:hi]))
             self.current = None
-        elif tok.text in ("break", "continue"):
-            self.advance()
+        elif text in ("break", "continue"):
+            self.pos += 1
             self.expect(";")
             if not self.loop_stack:
-                raise ParseError(f"{tok.text} outside a loop", line=tok.line)
-            self.loop_stack[-1][tok.text].append(self.ensure_current())
+                raise ParseError(f"{text} outside a loop", line=line)
+            self.loop_stack[-1][text].append(self.ensure_current())
             self.current = None
         else:
-            self.emit(_parse_simple(self._collect_until(";"), self.scopes))
+            self.emit(_parse_simple(self.toks, *self._collect_until(";"), self.scopes))
 
 
 def link_statements(succs: dict[int, list[int]], block_stmts: dict[int, list[Stmt]],
@@ -681,21 +678,24 @@ def validate_signature(signature: str) -> str:
     return idents[-1]
 
 
-def _find_function(tokens: list[Token], name: str) -> tuple[int, int]:
+def _find_function(toks: Tokens, name: str) -> tuple[int, int]:
     """(body '{' index, params '(' index) of a top-level definition."""
-    for i in _top_level(tokens):
-        if tokens[i].text == name and i + 1 < len(tokens) and tokens[i + 1].text == "(":
-            body_open = i + tokens[i + 1].span + 2  # the token after the ')'
-            if body_open < len(tokens) and tokens[body_open].text == "{":
+    texts, _, spans = toks
+    n = len(texts)
+    for i in _top_level(spans, 0, n):
+        if texts[i] == name and i + 1 < n and texts[i + 1] == "(":
+            body_open = i + spans[i + 1] + 2  # the token after the ')'
+            if body_open < n and texts[body_open] == "{":
                 return body_open, i + 1
     raise ParseError(f"function '{name}' not found")
 
 
-def _parse_params(tokens: list[Token], scopes: _Scopes) -> None:
-    """Declare the parameters, each read as a declaration, in the outermost scope."""
-    for part in _split_top_level(tokens, ","):
-        if part:
-            _parse_simple(part, scopes)
+def _parse_params(toks: Tokens, lo: int, hi: int, scopes: _Scopes) -> None:
+    """Declare the parameters ``[lo, hi)``, each read as a declaration, in the outermost scope."""
+    texts, _, spans = toks
+    for start, end in _split_top_level(texts, spans, lo, hi, ","):
+        if start < end:
+            _parse_simple(toks, start, end, scopes)
     scopes.unbound.clear()  # a parameter that declares nothing reads nothing either
 
 
@@ -708,13 +708,12 @@ def parse_function(source: str, signature: str) -> FunctionIr:
     too deep for Python's recursion limit raises one too.
     """
     name = signature_name(signature)
-    tokens = tokenize(source)
-    body_open, paren_open = _find_function(tokens, name)
+    toks = tokenize(source)
+    body_open, paren_open = _find_function(toks, name)
     scopes = _Scopes()
-    _parse_params(tokens[paren_open + 1:body_open - 1], scopes)
-    body_close = body_open + tokens[body_open].span
+    _parse_params(toks, paren_open + 1, body_open - 1, scopes)
     try:
-        body = _BodyParser(tokens[body_open:body_close + 1], scopes).parse_function_body()
+        body = _BodyParser(toks, body_open, scopes).parse_function_body()
     except RecursionError:
         raise ParseError("nesting too deep") from None
     stmts, successors = link_statements(*body)
@@ -725,23 +724,23 @@ _NO_SPACE_AFTER = {"(", "[", ".", "->", "!", "~", "++", "--"}
 _NO_SPACE_BEFORE = {")", "]", ",", ";", ".", "->", "++", "--"}
 
 
-def _render_tokens(tokens: list[Token]) -> str:
+def _render_tokens(tokens: list[str]) -> str:
     out = []
-    for i, tok in enumerate(tokens):
-        if i and _needs_space(tokens[i - 1], tok):
+    for i, text in enumerate(tokens):
+        if i and _needs_space(tokens[i - 1], text):
             out.append(" ")
-        out.append(tok.text)
+        out.append(text)
     return "".join(out)
 
 
-def _needs_space(prev: Token, cur: Token) -> bool:
-    if prev.text in _NO_SPACE_AFTER:
+def _needs_space(prev: str, cur: str) -> bool:
+    if prev in _NO_SPACE_AFTER:
         return False
-    if cur.text in _NO_SPACE_BEFORE:
+    if cur in _NO_SPACE_BEFORE:
         return False
-    if cur.text in ("(", "[") and prev.kind == "id":
+    if cur in ("(", "[") and prev[0] in _ID_START:
         return False
-    if prev.text == "*" and cur.kind == "id":
+    if prev == "*" and cur[0] in _ID_START:
         return False
     return True
 

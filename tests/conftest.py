@@ -17,7 +17,7 @@ from hypothesis import settings
 
 from vecport.corpus import bundled_corpus_dir, load_corpus, validate_case
 from vecport.executors import PerfResult
-from vecport.parser import FunctionIr, Stmt, link_statements, tokenize
+from vecport.parser import FunctionIr, Stmt, link_statements
 from vecport.rvv_types import parse_vector_type
 
 settings.register_profile("tier1", derandomize=True, database=None)
@@ -55,7 +55,7 @@ def make_ir(
     stmts, successors = link_statements(succs, block_stmts, 0)
     for s in stmts:
         s.line = s.stmt_id + 1
-        s.tokens = tokenize(f"s{s.stmt_id}")
+        s.tokens = [f"s{s.stmt_id}"]
     table = {name: parse_vector_type(tname) for name, tname in symbols.items()}
     assert all(v is not None for v in table.values())
     return FunctionIr("synthetic", table, stmts, successors)

@@ -6,20 +6,27 @@ property tests can cross-check the solver. It computes with names, as
 ``LiveSets``; ``live_sets`` turns the solver's bit vectors into the same
 form, for the tests that compare or corrupt live sets.
 
+``reference_tokenize`` is the lexer that ``vecport.parser.tokenize``
+replaced: one ``finditer`` match and one ``Token``, kind included, per
+piece. The differential lexer test checks that both give the same (text,
+line, span) triples or the same error, and that each reference kind
+follows from its token's first character, as the parser reads kinds.
+
 ``reference_parse`` is the two-pass front end that ``vecport.parser``
 replaced with a one-pass one: ``TreeParser`` reads a function body into a
 statement tree, and ``_CfgBuilder`` walks that tree into basic blocks. Both
 are kept here in step with the pipeline's behaviour, so the differential
 tests can check that the one-pass parser gives the same IR and the same
-errors. The reference shares the lexer, the scoped statement readers
-(``_Scopes``, which resolve each name as it is read) and
-``link_statements``, which turns the blocks into statement successors, with
-the pipeline, and opens and closes scopes at the same places: each nested
-``{`` block, each ``for`` and each branch or loop body. It differs in how
-statements reach their blocks. One difference is by design: the reference
-reports a ``break`` or ``continue`` outside a loop only after the whole body
-has parsed, while the one-pass parser reports it where it stands, so with
-two errors in a body the two may name different ones.
+errors. The reference reads the pipeline's token columns, as ``(lo, hi)``
+ranges, and shares with it the scoped statement readers (``_Scopes``,
+which resolve each name as it is read) and ``link_statements``, which
+turns the blocks into statement successors. It opens and closes scopes at
+the same places as the pipeline: each nested ``{`` block, each ``for`` and
+each branch or loop body. It differs in how statements reach their blocks.
+One difference is by design: the reference reports a ``break`` or
+``continue`` outside a loop only after the whole body has parsed, while the
+one-pass parser reports it where it stands, so with two errors in a body
+the two may name different ones.
 
 ``print_function`` emits C from the reference tree, so the parser tests can
 check that structure and use/def sets survive a round trip; it reads the
@@ -31,6 +38,7 @@ a ``ForNode`` with no init and no step, so ``print_function`` prints every
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -40,8 +48,9 @@ from vecport.liveness import LivenessResult
 from vecport.parser import (
     FunctionIr,
     Stmt,
-    Token,
+    Tokens,
     _CLOSERS,
+    _ID_START,
     _KEYWORDS,
     _Scopes,
     _cond_stmt,
@@ -144,6 +153,90 @@ def oracle_liveness(
 
 
 # ---------------------------------------------------------------------------
+# The reference lexer: one match object per piece, one Token per token.
+
+# Multi-character operators first so the master regex prefers them.
+_OPERATORS = [
+    "<<=", ">>=", "...", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=",
+    "&&", "||", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+]
+
+# One master pattern whose matches tile the source, so ``finditer`` walks it
+# with one match per piece. The directive alternative comes first, on its own:
+# it starts a line after spaces or tabs only and runs on through lines
+# continued by a backslash (LF or CRLF). Every other alternative shares one
+# blank-run prefix: a newline, a comment, the end (trailing blanks),
+# ``unclosed`` (a ``/*`` that no ``*/`` closes), a token, or ``bad``, one
+# character that starts nothing. Brackets have alternatives of their own, so
+# only they take the pairing branch of ``tokenize``. A string or char literal
+# ends on its line: neither a raw newline nor a backslash-newline continues it.
+_LEX_RE = re.compile(
+    r"""
+    (?P<directive>(?m:^)[ \t]*\#(?:[^\n]*\\[ \t]*\r?\n)*[^\n]*)
+  | [ \t\r\f\v]*
+    (?: (?P<newline>\n)
+      | (?P<comment>//[^\n]* | /\*(?s:.*?)\*/)
+      | (?P<end>\Z)
+      | (?P<unclosed>/\*)
+      | (?P<id>[A-Za-z_]\w*)
+      | (?P<num>0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFuUlL]*)
+      | (?P<str>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+      | (?P<opener>[(\[{])
+      | (?P<closer>[)\]}])
+      | (?P<punct>""" + "|".join(re.escape(op) for op in _OPERATORS) + r"""
+          | [;,\.\+\-\*/%<>=!&\|\^~\?:])
+      | (?P<bad>.)
+    )
+    """,
+    re.VERBOSE,
+)
+_TOKEN_KINDS = frozenset({"id", "num", "str", "punct"})
+_CLOSER_OF = {"(": ")", "[": "]", "{": "}"}
+_GROUP_NAME = {"(": "parentheses", "[": "brackets", "{": "braces"}
+
+
+@dataclass(slots=True)
+class Token:
+    text: str
+    kind: str  # id | num | str | punct
+    line: int
+    span: int = 0  # an opening bracket's offset to its closer; 0 otherwise
+
+
+def reference_tokenize(source: str) -> list[Token]:
+    """The tokens of ``source``, each opening bracket paired with its closer."""
+    tokens = []
+    openers = []  # indices of the brackets still open, innermost last
+    line = 1
+    for m in _LEX_RE.finditer(source):
+        kind = m.lastgroup
+        if kind in _TOKEN_KINDS:
+            tokens.append(Token(m[kind], kind, line))
+        elif kind == "newline":
+            line += 1
+        elif kind == "opener":
+            openers.append(len(tokens))
+            tokens.append(Token(m[kind], "punct", line))
+        elif kind == "closer":
+            text = m[kind]
+            if not openers or _CLOSER_OF[tokens[openers[-1]].text] != text:
+                raise ParseError(f"mismatched {text!r}", line=line)
+            opened = openers.pop()
+            tokens[opened].span = len(tokens) - opened
+            tokens.append(Token(text, "punct", line))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line=line)
+        elif kind == "unclosed":
+            raise ParseError("unterminated block comment", line=line)
+        else:  # directive, comment or end: skipped, but may span lines
+            line += m[kind].count("\n")
+    if openers:
+        tok = tokens[openers[-1]]
+        raise ParseError(f"unbalanced {_GROUP_NAME[tok.text]}", line=tok.line)
+    return tokens
+
+
+# ---------------------------------------------------------------------------
 # The reference front end: a statement tree, then its layout into blocks.
 
 
@@ -189,47 +282,45 @@ class TreeParser:
     loop body.
     """
 
-    def __init__(self, tokens: list[Token], scopes: _Scopes):
-        self.toks = tokens
-        self.pos = 0
+    def __init__(self, toks: Tokens, start: int, scopes: _Scopes):
+        self.toks = toks
+        self.texts, self.lines, self.spans = toks
+        self.pos = start
         self.scopes = scopes
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        return self.texts[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.peek()
+    def expect(self, text: str) -> int:
+        """Consumes ``text``; its index."""
+        at = self.pos
+        if self.texts[at] != text:
+            raise ParseError(f"expected {text!r}, found {self.texts[at]!r}",
+                             line=self.lines[at])
         self.pos += 1
-        return tok
+        return at
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", line=tok.line)
-        return self.advance()
-
-    def _collect_until(self, stop: str) -> list[Token]:
-        """Tokens up to an unnested ``stop``; consumes the stop token.
+    def _collect_until(self, stop: str) -> tuple[int, int]:
+        """The range of tokens up to an unnested ``stop``; consumes the stop token.
 
         Braces nest too: mid-statement they can only be initializer lists or
         compound literals, never block structure. The closer of the block
         being parsed is always reached at top level, so the walk ends there
         if not before.
         """
-        toks = self.toks
-        start = self.pos
-        for i in _top_level(toks, start):
-            text = toks[i].text
+        texts, start = self.texts, self.pos
+        for i in _top_level(self.spans, start, len(texts)):
+            text = texts[i]
             if text == stop:
                 self.pos = i + 1
-                return toks[start:i]
+                return start, i
             if text in _CLOSERS:
-                raise ParseError(f"expected {stop!r} before {text!r}", line=toks[i].line)
+                raise ParseError(f"expected {stop!r} before {text!r}", line=self.lines[i])
 
     def parse_block(self) -> BlockNode:
         self.expect("{")
         node = BlockNode()
-        while self.peek().text != "}":
+        while self.peek() != "}":
             item = self.parse_statement()
             if item is not None:
                 node.items.append(item)
@@ -248,68 +339,68 @@ class TreeParser:
 
     def _parse_cond(self, keyword: str) -> Stmt:
         """``keyword ( cond )``; the condition is placed at the keyword."""
-        tok = self.expect(keyword)
+        line = self.lines[self.expect(keyword)]
         self.expect("(")
-        return _cond_stmt(self._collect_until(")"), tok, self.scopes)
+        return _cond_stmt(self.texts, *self._collect_until(")"), line, self.scopes)
 
     def parse_statement(self):
-        tok = self.peek()
-        if tok.text in ("goto", "switch"):
-            raise ParseError(f"unsupported construct: {tok.text}", line=tok.line)
-        if tok.text in ("case", "default"):
-            raise ParseError(f"unsupported construct: {tok.text} label", line=tok.line)
+        text, line = self.texts[self.pos], self.lines[self.pos]
+        if text in ("goto", "switch"):
+            raise ParseError(f"unsupported construct: {text}", line=line)
+        if text in ("case", "default"):
+            raise ParseError(f"unsupported construct: {text} label", line=line)
         # An identifier is never the body's last token, its '}', so one follows.
-        if tok.kind == "id" and tok.text not in _KEYWORDS and self.toks[self.pos + 1].text == ":":
-            raise ParseError(f"unsupported construct: label '{tok.text}'", line=tok.line)
+        if text[0] in _ID_START and text not in _KEYWORDS and self.texts[self.pos + 1] == ":":
+            raise ParseError(f"unsupported construct: label '{text}'", line=line)
 
-        if tok.text == "{":
+        if text == "{":
             self.scopes.open()
             node = self.parse_block()
             self.scopes.close()
             return node
-        if tok.text == ";":
-            self.advance()
+        if text == ";":
+            self.pos += 1
             return None
-        if tok.text == "if":
+        if text == "if":
             cond = self._parse_cond("if")
             then = self._parse_body()
             orelse = None
-            if self.peek().text == "else":
-                self.advance()
+            if self.peek() == "else":
+                self.pos += 1
                 orelse = self._parse_body()
             return IfNode(cond, then, orelse)
-        if tok.text == "while":
+        if text == "while":
             cond = self._parse_cond("while")
             return ForNode(None, cond, None, self._parse_body())
-        if tok.text == "do":
-            self.advance()
+        if text == "do":
+            self.pos += 1
             body = self._parse_body()
             cond = self._parse_cond("while")
             self.expect(";")
             return DoWhileNode(body, cond)
-        if tok.text == "for":
+        if text == "for":
             return self._parse_for()
-        if tok.text == "return":
-            self.advance()
-            expr = self._collect_until(";")
-            uses = frozenset(self.scopes.reads(expr, tok.line))
-            return Stmt("return", uses, frozenset(), tok.line, expr)
-        if tok.text in ("break", "continue"):
-            self.advance()
+        if text == "return":
+            self.pos += 1
+            lo, hi = self._collect_until(";")
+            uses = frozenset(self.scopes.reads(self.texts, lo, hi, line))
+            return Stmt("return", uses, frozenset(), line, self.texts[lo:hi])
+        if text in ("break", "continue"):
+            self.pos += 1
             self.expect(";")
-            return JumpNode(tok.text, tok.line)
-        return _parse_simple(self._collect_until(";"), self.scopes)
+            return JumpNode(text, line)
+        return _parse_simple(self.toks, *self._collect_until(";"), self.scopes)
 
     def _parse_for(self) -> ForNode:
-        tok = self.expect("for")
+        line = self.lines[self.expect("for")]
         self.expect("(")
         self.scopes.open()
-        init = self._collect_until(";")
-        init = _parse_simple(init, self.scopes) if init else None
-        cond = self._collect_until(";")
-        cond = _cond_stmt(cond, tok, self.scopes) if cond else None
-        step = self._collect_until(")")
-        step = _parse_simple(step, self.scopes) if step else None
+        lo, hi = self._collect_until(";")
+        init = _parse_simple(self.toks, lo, hi, self.scopes) if lo < hi else None
+        lo, hi = self._collect_until(";")
+        cond = _cond_stmt(self.texts, lo, hi, line, self.scopes) if lo < hi else None
+        lo, hi = self._collect_until(")")
+        step = _parse_simple(self.toks, lo, hi, self.scopes) if lo < hi else None
         node = ForNode(init, cond, step, self._parse_body())
         self.scopes.close()
         return node
@@ -434,13 +525,12 @@ class _CfgBuilder:
 def reference_parse(source: str, signature: str) -> tuple[FunctionIr, BlockNode]:
     """``vecport.parser.parse_function`` by way of a statement tree; the IR and the tree."""
     name = signature_name(signature)
-    tokens = tokenize(source)
-    body_open, paren_open = _find_function(tokens, name)
+    toks = tokenize(source)
+    body_open, paren_open = _find_function(toks, name)
     scopes = _Scopes()
-    _parse_params(tokens[paren_open + 1:body_open - 1], scopes)
-    body_close = body_open + tokens[body_open].span
+    _parse_params(toks, paren_open + 1, body_open - 1, scopes)
     try:
-        structure = TreeParser(tokens[body_open:body_close + 1], scopes).parse_block()
+        structure = TreeParser(toks, body_open, scopes).parse_block()
         stmts, successors = link_statements(*_CfgBuilder().build(structure))
     except RecursionError:
         raise ParseError("nesting too deep") from None
@@ -451,15 +541,15 @@ def reference_parse(source: str, signature: str) -> tuple[FunctionIr, BlockNode]
 def _signature_text(source: str, name: str) -> str:
     """The declarator of the definition of ``name``: its tokens after the
     last top-level ';' or '{...}' group before it, up to the body."""
-    tokens = tokenize(source)
-    body_open, paren_open = _find_function(tokens, name)
+    toks = texts, _, spans = tokenize(source)
+    body_open, paren_open = _find_function(toks, name)
     start = 0
-    for i in _top_level(tokens[:paren_open]):
-        if tokens[i].text == "{":
-            start = i + tokens[i].span + 1
-        elif tokens[i].text == ";":
+    for i in _top_level(spans, 0, paren_open):
+        if texts[i] == "{":
+            start = i + spans[i] + 1
+        elif texts[i] == ";":
             start = i + 1
-    return _render_tokens(tokens[start:body_open])
+    return _render_tokens(texts[start:body_open])
 
 
 def print_function(source: str, signature: str) -> str:

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEEP_NESTING
-from oracles import print_function, reference_parse
+from oracles import print_function, reference_parse, reference_tokenize
 from vecport.errors import ParseError
 from vecport.liveness import analyze_source
 from vecport.parser import (
-    FunctionIr, parse_function, signature_name, tokenize, validate_signature,
+    _ID_START, FunctionIr, parse_function, signature_name, tokenize, validate_signature,
 )
 
 VEC_ADD_SIG = "void vec_add_s32(const int32_t *a, const int32_t *b, int32_t *c, size_t n)"
@@ -22,8 +22,18 @@ GOLDEN_ANALYZE = GOLDEN / "analyze"
 
 # --- lexer ------------------------------------------------------------------
 
+def _kind(text):
+    """A token's kind, as its first character tells it (after a '.', its second)."""
+    if text[0] in _ID_START:
+        return "id"
+    if text[0].isdigit() or text[0] == "." and text[1:2].isdigit():
+        return "num"
+    return "str" if text[0] in "\"'" else "punct"
+
+
 def _spans(source):
-    return [(t.text, t.kind, t.line) for t in tokenize(source)]
+    texts, lines, _ = tokenize(source)
+    return [(text, _kind(text), line) for text, line in zip(texts, lines)]
 
 
 def test_tokens_after_multiline_block_comment_keep_their_line():
@@ -37,17 +47,17 @@ def test_tokens_after_multiline_block_comment_keep_their_line():
 
 def test_comment_markers_inside_literals_are_not_comments():
     src = 's = "//"; t = \'/*\'; u = "/* x */"; // gone\nv = \'/\';'
-    assert [t.text for t in tokenize(src) if t.kind == "str"] == [
+    assert [t for t in tokenize(src)[0] if _kind(t) == "str"] == [
         '"//"', "'/*'", '"/* x */"', "'/'",
     ]
-    assert [t.text for t in tokenize(src)][-4:] == ["v", "=", "'/'", ";"]
+    assert tokenize(src)[0][-4:] == ["v", "=", "'/'", ";"]
 
 
 def test_continued_directive_is_skipped():
     src = "  #define A \\\n  1 \\  \t\n  + 2\nint x;"
     assert _spans(src) == [("int", "id", 4), ("x", "id", 4), (";", "punct", 4)]
     # A backslash that is not the last non-blank character continues nothing.
-    assert [t.text for t in tokenize("#define A \\ x\nint y;")] == ["int", "y", ";"]
+    assert tokenize("#define A \\ x\nint y;")[0] == ["int", "y", ";"]
 
 
 def test_crlf_continued_directive_is_skipped():
@@ -79,7 +89,7 @@ def test_literal_cannot_span_a_newline(source):
 
 @pytest.mark.parametrize("source", ["", "   ", " \t\n\n  \t \n", "\f\v\r\n"])
 def test_blank_source_has_no_tokens(source):
-    assert tokenize(source) == []
+    assert tokenize(source) == ([], [], [])
 
 
 @pytest.mark.parametrize("tail", ["  ", "\t", " \t \t", "\n  \t"])
@@ -156,10 +166,11 @@ def test_token_positions_address_their_text_on_random_splices():
         src = "".join(parts)
         lines = src.split("\n")
         ends = {}  # line number -> where the previous token on that line ended
-        for tok in tokenize(src):
-            at = lines[tok.line - 1].find(tok.text, ends.get(tok.line, 0))
-            assert at >= 0, (src, tok)
-            ends[tok.line] = at + len(tok.text)
+        texts, tok_lines, _ = tokenize(src)
+        for text, line in zip(texts, tok_lines):
+            at = lines[line - 1].find(text, ends.get(line, 0))
+            assert at >= 0, (src, text, line)
+            ends[line] = at + len(text)
 
 
 _BRACKET_ATOMS = ["x", "n1", ";"]
@@ -209,9 +220,61 @@ def test_tokenize_pairs_exactly_the_balanced_bracket_strings(pieces):
         with pytest.raises(ParseError, match=message):
             tokenize(" ".join(pieces))
     else:
-        tokens = tokenize(" ".join(pieces))
-        assert [t.text for t in tokens] == pieces
-        assert {i: i + t.span for i, t in enumerate(tokens) if t.span} == partner
+        texts, _, spans = tokenize(" ".join(pieces))
+        assert texts == pieces
+        assert {i: i + span for i, span in enumerate(spans) if span} == partner
+
+
+_DIFF_SEPARATORS = ["", " ", "\t", "\n", "\r\n", " \f", "\v", "\r"]
+_DIFF_FRAGMENTS = [
+    "x", "_y1", "vint32m1_t", "if", "0x1Fu", "1.5e3f", "1.", "12", ".5", "1e+5", ".", "...",
+    "..", "/", "/=", "*", "*/", "/* c\r\n d */", "// line", '"//"', "'/*'", '"/* x */"',
+    "'//'", '"a\\"b"', "'\\''", "<<=", ">>=", "->", "++", "--", "<<", ">>", "<=", ">=",
+    "==", "!=", "&&", "||", "+=", "-=", "*=", "%=", "&=", "|=", "^=", "=", "<", ">", "+",
+    "-", "&", "|", "^", "!", "~", "?", ":", ";", ",", "%",
+    "\n#", "\n#define X 1", "\n  #if 0 // x", "\n\t#endif", "\n \t# define M(a) \\\n (a)",
+    "\n#x \\ \t\r\n y \\\n", "\n#y \\ z",
+]
+# Each makes the text fail, or may: the reference decides which error, and where.
+_DIFF_HOSTILE = [
+    '"', "'", '"\n"', "'\\\n'", "@", "$", "`", "\\", "\0", "#", "x #", "\n\f#define X",
+    "\n\r#", "/*", "/* never closed\n", "(", ")", "[", "]", "{", "}", "(]", "{)", "é",
+]
+_DIFF_CLOSER_OF = {"(": ")", "[": "]", "{": "}", "(\n": ")", "{\r\n": "}"}
+
+
+@st.composite
+def _lexer_texts(draw):
+    """Fragments after blank runs, in brackets that each ``None`` closes (the
+    rest close at the end), then maybe one hostile fragment inserted."""
+    pieces, closers = [], []
+    choices = st.sampled_from([*_DIFF_FRAGMENTS, *_DIFF_CLOSER_OF, None, None])
+    for sep, frag in draw(st.lists(st.tuples(st.sampled_from(_DIFF_SEPARATORS), choices),
+                                   max_size=20)):
+        if frag is None:
+            pieces.append(sep + (closers.pop() if closers else ""))
+        else:
+            pieces.append(sep + frag)
+            if frag in _DIFF_CLOSER_OF:
+                closers.append(_DIFF_CLOSER_OF[frag])
+    pieces += reversed(closers)
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_DIFF_HOSTILE)))
+    return "".join(pieces)
+
+
+@settings(max_examples=600, deadline=None, report_multiple_bugs=False)
+@given(_lexer_texts())
+def test_lexer_matches_the_reference_lexer(text):
+    try:
+        want = reference_tokenize(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            tokenize(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return
+    assert list(zip(*tokenize(text))) == [(t.text, t.line, t.span) for t in want]
+    assert [_kind(t.text) for t in want] == [t.kind for t in want]
 
 
 # --- use/def extraction -----------------------------------------------------
@@ -556,6 +619,13 @@ _SCOPE_RULES = {
         __riscv_vse32_v_i32m8(q, x, vl);""",
         {"symbols": {"x": "vint32m8_t", "x@2": "vint32m8_t"},
          "uses": [set(), set(), set(), {"x@2"}, {"x"}], "pressure": 16, "live": {"x", "x@2"}}),
+    "vector_hidden_two_scopes_up_is_renamed": ("""
+        vint32m1_t x = __riscv_vle32_v_i32m1(p, vl);
+        { int x = 0; { g(x); { vint32m1_t x = __riscv_vle32_v_i32m1(p, vl); g(x); } } }
+        __riscv_vse32_v_i32m1(q, x, vl);""",
+        {"symbols": {"x": "vint32m1_t", "x@2": "vint32m1_t"},
+         "uses": [set(), set(), set(), set(), {"x@2"}, {"x"}], "pressure": 2,
+         "live": {"x", "x@2"}}),
     "sibling_blocks_with_different_types": ("""
         { vint32m1_t x = __riscv_vle32_v_i32m1(p, vl); __riscv_vse32_v_i32m1(q, x, vl); }
         { vint32m2_t x = __riscv_vle32_v_i32m2(p, vl); __riscv_vse32_v_i32m2(q, x, vl); }""",

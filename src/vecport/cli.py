@@ -20,8 +20,10 @@ unless ``--keep-scratch`` is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -60,8 +62,6 @@ class RunConfig:
     keep_scratch: bool = False
 
 
-_DEFAULTS = RunConfig()
-
 # The config spellings of a boolean, in any case; anything else is a bad value.
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -95,19 +95,13 @@ def load_config_file(path: Path | str) -> dict:
 
 
 def resolve_config(flag_values: dict, file_values: dict) -> RunConfig:
-    """Flag beats config file beats built-in default, field by field."""
-    out = {}
-    for f in fields(RunConfig):
-        flag = flag_values.get(f.name)
-        if flag is not None:
-            out[f.name] = flag
-        elif f.name in file_values:
-            out[f.name] = file_values[f.name]
-        else:
-            out[f.name] = getattr(_DEFAULTS, f.name)
-    return RunConfig(**out)
+    """Flag beats config file beats built-in default, field by field; a flag
+    of None is one not given."""
+    flags = {name: value for name, value in flag_values.items() if value is not None}
+    return RunConfig(**{**file_values, **flags})
 
 
+@functools.cache  # one parser per process: building one leaves cyclic garbage
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="vecport", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -359,9 +353,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_translate(args)
         if args.command == "analyze":
             return cmd_analyze(args)
-        if args.command == "report":
-            return cmd_report(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_report(args)  # the subcommand is required, so it is the third
     except (UsageError, ConfigurationError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -374,6 +366,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        traceback.print_exc()
+        print("error: internal error", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

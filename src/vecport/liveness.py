@@ -20,12 +20,12 @@ Register pressure at a statement is the sum of the LMUL-weighted footprints
 of IN(i) | OUT(i). Every footprint is a whole number of eighths of a
 register, so the names fall into a few footprint classes, one mask each,
 and a statement's total in eighths is the sum over the classes of the
-class's eighths times the popcount of the live set masked by it.
-``Fraction``s are made only for the report, and shared between reports
-through a bounded cache; the report carries the peak across the function
-against the 32-register file. The one live set the report names, at the
-hot statement, is turned back into names once; the dead definitions are
-found from the statements' own name sets.
+class's eighths times the popcount of the live set masked by it. The
+report keeps those totals in eighths and makes ``Fraction``s only for what
+it prints: the peak across the function, against the 32-register file, and
+the footprints live at the hot statement, whose live set is turned back
+into names once. The dead definitions are found from the statements' own
+name sets.
 
 The brute-force path-enumeration oracle that cross-checks the solver lives
 in the test suite (``tests/oracles.py``).
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import AnalysisError
@@ -60,13 +59,17 @@ class PressureReport:
 
     pressure: Fraction
     hot_stmt: int | None
-    per_stmt_pressure: dict[int, Fraction]
+    stmt_eighths: dict[int, int]  # each statement's demand, in eighths of a register
     live_at_hot: frozenset[tuple[str, Fraction]]
     dead_defs: frozenset[str]
     spills_predicted: bool
-    hot_line: int | None = None
-    hot_text: str | None = None
-    mode: str = "literal"
+    hot_line: int | None
+    hot_text: str | None
+    mode: str
+
+    @property
+    def per_stmt_pressure(self) -> dict[int, Fraction]:
+        return {i: Fraction(n, 8) for i, n in self.stmt_eighths.items()}
 
     def to_text(self) -> str:
         lines = [
@@ -113,14 +116,6 @@ def _masks(stmts: Sequence[Stmt], names: Sequence[str]) -> tuple[dict[int, int],
     uses = {s.stmt_id: sum(map(bit, s.uses)) for s in stmts}
     defs = {s.stmt_id: sum(map(bit, s.defs)) for s in stmts}
     return uses, defs
-
-
-@lru_cache(maxsize=1024)
-def _eighths(n: int) -> Fraction:
-    """``n`` eighths of a register. A ``Fraction`` costs about a microsecond
-    to make, and a report needs one per statement; the cache is bounded, and
-    a ``Fraction`` is immutable, so reports may share them."""
-    return Fraction(n, 8)
 
 
 def _bit_indices(mask: int) -> list[int]:
@@ -225,34 +220,20 @@ def compute_pressure(
     for weight, mask in classes.items():
         totals = [t + weight * (b & mask).bit_count() for t, b in zip(totals, live_both)]
     dead = frozenset().union(*[s.defs for s in stmts]).difference(*[s.uses for s in stmts])
-
-    if totals:
-        peak = max(totals)
-        at = totals.index(peak)  # the first, so the smallest id, on a tie
-        hot = ids[at]
-        pressure = _eighths(peak)
-        hot_stmt = stmts[at]
-        live_at_hot = frozenset(
-            (names[k], _eighths(eighths[k])) for k in _bit_indices(live_both[at])
-        )
-        return PressureReport(
-            pressure=pressure,
-            hot_stmt=hot,
-            per_stmt_pressure=dict(zip(ids, map(_eighths, totals))),
-            live_at_hot=live_at_hot,
-            dead_defs=dead,
-            spills_predicted=pressure > REGISTER_BUDGET,
-            hot_line=hot_stmt.line,
-            hot_text=hot_stmt.text,
-            mode=mode,
-        )
+    peak = max(totals, default=0)
+    # The first statement at the peak, so the smallest id on a tie; none if there is no statement.
+    hot = stmts[totals.index(peak)] if totals else None
+    hot_live = live_in[hot.stmt_id] | live_out[hot.stmt_id] if hot else 0
+    class_fp = {weight: Fraction(weight, 8) for weight in classes}
     return PressureReport(
-        pressure=Fraction(0),
-        hot_stmt=None,
-        per_stmt_pressure={},
-        live_at_hot=frozenset(),
+        pressure=Fraction(peak, 8),
+        hot_stmt=hot.stmt_id if hot else None,
+        stmt_eighths=dict(zip(ids, totals)),
+        live_at_hot=frozenset((names[k], class_fp[eighths[k]]) for k in _bit_indices(hot_live)),
         dead_defs=dead,
-        spills_predicted=False,
+        spills_predicted=peak > REGISTER_BUDGET * 8,
+        hot_line=hot.line if hot else None,
+        hot_text=hot.text if hot else None,
         mode=mode,
     )
 

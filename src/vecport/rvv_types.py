@@ -5,15 +5,15 @@ plus the mask family ``vbool{1,2,4,8,16,32,64}_t``. The legal names are exactly
 the names of ``iter_vector_types()``, which holds every legality rule once;
 ``parse_vector_type`` looks a name up in that enumeration. A type's register
 footprint is its group multiplier (LMUL) times its tuple field count; masks
-always occupy one register. The analyzer reads footprints as whole eighths of a
-register from ``footprint_eighths``.
+always occupy one register. Every legal LMUL is a whole number of eighths of a
+register, so a type stores its LMUL in eighths, and the analyzer reads
+footprints as whole eighths from ``footprint_eighths``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from typing import Iterator
 
@@ -24,15 +24,8 @@ MASK = "mask"
 
 INT_WIDTHS = (8, 16, 32, 64)
 FLOAT_WIDTHS = (16, 32, 64)
-LMULS = (
-    Fraction(1, 8),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(2),
-    Fraction(4),
-    Fraction(8),
-)
+# mf8 to m8, in eighths of a register.
+LMULS = (1, 2, 4, 8, 16, 32, 64)
 MASK_RATIOS = (1, 2, 4, 8, 16, 32, 64)
 
 # Maximum element width; SEW/LMUL may not exceed it, which rules out
@@ -56,19 +49,14 @@ class VectorType:
     """
 
     elem_kind: str
-    lmul: Fraction
+    lmul_eighths: int
     tuple_fields: int = 1
     elem_bits: int | None = None
     mask_ratio: int | None = None
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # The analyzer looks a type up once per vector name, and hashing the
-        # Fraction field is slow, so each instance hashes its fields once.
-        return hash((self.elem_kind, self.lmul, self.tuple_fields, self.elem_bits, self.mask_ratio))
+    @property
+    def lmul(self) -> Fraction:
+        return Fraction(self.lmul_eighths, 8)
 
     def is_mask(self) -> bool:
         return self.elem_kind == MASK
@@ -90,17 +78,10 @@ def register_footprint(t: VectorType, mode: str = "literal") -> Fraction:
     literal mode keeps fractional LMUL as a fraction; physical mode rounds each
     field up to a whole register.
     """
-    _check_mode(mode)
-    if mode == "physical":
-        per_field = Fraction(max(1, math.ceil(t.lmul)))
-    else:
-        per_field = t.lmul
-    return per_field * t.tuple_fields
-
-
-def _check_mode(mode: str) -> None:
     if mode not in FOOTPRINT_MODES:
         raise ValueError(f"unknown footprint mode: {mode!r}")
+    per_field = max(8, t.lmul_eighths) if mode == "physical" else t.lmul_eighths
+    return Fraction(per_field * t.tuple_fields, 8)
 
 
 def iter_vector_types() -> Iterator[VectorType]:
@@ -109,13 +90,14 @@ def iter_vector_types() -> Iterator[VectorType]:
         widths = FLOAT_WIDTHS if kind == FLOAT else INT_WIDTHS
         for bits in widths:
             # SEW/LMUL <= ELEN; LMUL * fields <= 8, with at most 8 fields.
-            for lmul in (m for m in LMULS if m >= Fraction(bits, ELEN)):
-                for fields in range(1, min(8, int(8 / lmul)) + 1):
+            # LMUL counts eighths here.
+            for lmul in (m for m in LMULS if m * ELEN >= bits * 8):
+                for fields in range(1, min(8, 64 // lmul) + 1):
                     yield VectorType(
-                        elem_kind=kind, lmul=lmul, tuple_fields=fields, elem_bits=bits
+                        elem_kind=kind, lmul_eighths=lmul, tuple_fields=fields, elem_bits=bits
                     )
     for ratio in MASK_RATIOS:
-        yield VectorType(elem_kind=MASK, lmul=Fraction(1), mask_ratio=ratio)
+        yield VectorType(elem_kind=MASK, lmul_eighths=8, mask_ratio=ratio)
 
 
 # Every legal name, built once from the enumeration (292 entries).
@@ -139,5 +121,4 @@ def footprint_eighths(mode: str) -> dict[VectorType, int]:
     number of eighths. The table is built on first use, once per mode, and
     shared by every caller, who must not modify it.
     """
-    _check_mode(mode)
     return {t: int(register_footprint(t, mode) * 8) for t in _BY_NAME.values()}

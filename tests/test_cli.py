@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import vecport.cli as cli
 from conftest import DEEP_NESTING
 from vecport.cli import RunConfig, load_config_file, main, resolve_config
 from vecport.corpus import bundled_corpus_dir
+from vecport.errors import AnalysisError
 from vecport.executors import MockExecutor
 
 GOOD_RVV = (bundled_corpus_dir() / "vec_add" / "native.c").read_text()
@@ -199,6 +201,27 @@ def test_translate_corpus_problem_is_a_usage_error(tmp_path, capsys, corpus):
     assert rc == 1
     problem = "corpus directory not found:" if corpus == "missing" else "no cases found under"
     assert capsys.readouterr().err == f"error: {problem} {corpus_dir}\n"
+
+
+def test_translate_skips_bad_manifests_and_runs_the_good_case(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(bundled_corpus_dir() / "vec_add", corpus / "vec_add")
+    for name in ("no_keys", "sve"):
+        shutil.copytree(bundled_corpus_dir() / "vec_add", corpus / name)
+    (corpus / "no_keys" / "manifest.txt").write_text('id = "no_keys"\n')
+    sve = corpus / "sve" / "manifest.txt"
+    sve.write_text(sve.read_text().replace('arch = "neon"', 'arch = "sve"'))
+    replay = write_replay(tmp_path, {"vec_add": [fenced(GOOD_RVV), fenced(GOOD_RVV)]})
+    out = tmp_path / "out"
+    assert main(["translate", "--replay", str(replay), "--no-exec", "--optimize-max", "1",
+                 "--corpus", str(corpus), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    manifest = corpus / "no_keys" / "manifest.txt"
+    assert f"warning: skipping no_keys: {manifest}: missing keys: arch, source, test, " \
+           f"bench, native, signature\n" in err
+    assert f"warning: skipping sve: {corpus / 'sve'}: unsupported source arch 'sve'\n" in err
+    assert [p.name for p in (out / "outcomes").iterdir()] == ["vec_add.json"]
+    assert json.loads((out / "outcomes" / "vec_add.json").read_text())["passed"] is True
 
 
 def test_list_form_replay_runs_serially_under_parallelism(tmp_path, capsys):
@@ -439,6 +462,47 @@ def test_bad_flag_value_is_a_usage_error():
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("exc, code, tail", [
+    (KeyError("boom"), 2, "KeyError: 'boom'\nerror: internal error\n"),
+    (AnalysisError("solver gave up"), 2, "error: solver gave up\n"),
+    (OSError("disk gone"), 1, "error: disk gone\n"),
+], ids=["internal", "analysis", "os"])
+def test_exit_code_of_an_exception_from_a_command(tmp_path, capsys, monkeypatch, exc, code,
+                                                  tail):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    assert main(["report", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    # Only an exception outside the tool's own errors shows its traceback.
+    if isinstance(exc, KeyError):
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith(tail)
+    else:
+        assert err == tail
+
+
+def test_repeated_calls_leave_no_cyclic_garbage(capsys):
+    # Building an argparse parser leaves cyclic garbage, so main builds one
+    # per process; analysis and printing leave none.
+    argv = ["analyze", str(bundled_corpus_dir() / "vec_add" / "native.c"), "vec_add_s32"]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        main(argv)  # warm-up: imports and first-use tables
+        gc.collect()
+        main(argv)
+        once = gc.collect()
+        for _ in range(5):
+            main(argv)
+        five = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert once == five <= 10
+
+
 # --- analyze ----------------------------------------------------------------
 
 def test_analyze_vec_add_native_golden(capsys):
@@ -632,6 +696,15 @@ def test_report_skips_outcomes_of_the_wrong_shape(tmp_path, capsys):
     for name in bad:
         assert f"warning: skipping corrupt outcome {name}: " in captured.err
     assert captured.out == (out / "report.txt").read_text() + "\n"
+
+
+def test_report_with_no_readable_outcome_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "outcomes").mkdir()
+    (tmp_path / "outcomes" / "only.json").write_text("[]")
+    assert main(["report", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("warning: skipping corrupt outcome only.json: ")
+    assert err.endswith(f"error: no readable outcomes under {tmp_path}\n")
 
 
 DAMAGED_FIELDS = {

@@ -110,6 +110,22 @@ def test_malformed_manifest_recorded(tmp_path):
     assert 'line 1: expected key = "value"' in listing.problems[0][1]
 
 
+@pytest.mark.parametrize("fault", ["missing_keys", "sve"])
+def test_manifest_faults_are_problems_with_their_message(tmp_path, fault):
+    d = write_case(tmp_path, "bad")
+    write_case(tmp_path, "good")
+    manifest = d / "manifest.txt"
+    if fault == "missing_keys":
+        manifest.write_text('id = "bad"\narch = "neon"\nsource = "neon.c"\n')
+        message = f"{manifest}: missing keys: test, bench, native, signature"
+    else:
+        manifest.write_text(manifest.read_text().replace('"neon"', '"sve"'))
+        message = f"{d}: unsupported source arch 'sve'"
+    listing = load_corpus(tmp_path)
+    assert [m.case_id for m in listing.manifests] == ["good"]
+    assert listing.problems == [("bad", message)]
+
+
 def test_bad_signature_rejected(tmp_path):
     write_case(tmp_path, "sig", signature="definitely not C")
     listing = load_corpus(tmp_path)

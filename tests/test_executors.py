@@ -452,6 +452,20 @@ def test_both_executors_take_the_same_parameters(name):
     assert command == inspect.signature(getattr(MockExecutor, name))
 
 
+@pytest.mark.parametrize("kind", ["command", "mock"])
+def test_an_unknown_harness_is_a_value_error_on_both_executors(tmp_path, kind):
+    # The harness is checked before anything is compiled, so no compiler runs.
+    case = make_case(tmp_path, TEST_HARNESS, BENCH_HARNESS)
+    if kind == "command":
+        ex = CommandExecutor(_script_config(), work_dir=tmp_path / "work")
+    else:
+        ex = MockExecutor()
+    with pytest.raises(ValueError) as info:
+        ex.compile_candidate(GOOD_CANDIDATE, case, "bogus")
+    assert str(info.value) == "unknown harness 'bogus'"
+    assert not (tmp_path / "work").exists()
+
+
 # --- mock executor ---------------------------------------------------------
 
 def test_mock_compile_error_marker(tmp_path):

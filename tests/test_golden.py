@@ -16,9 +16,11 @@ once: as a line of its case's log, ``attempts/<case>.ndjson``, not again in
 the outcome. ``golden/analyze/`` holds the analyze stdout, in both modes, for
 each bundled ``native.c``, for ``constructs.c``, which uses every construct
 the parser accepts, for ``spills.c``, whose peak exceeds the register file
-and which defines a vector it never reads, and for ``stripmine.c``, the
-idiomatic strip-mined ``for`` loop after an early ``return``. After an
-intended behaviour change, regenerate both with
+and which defines a vector it never reads, for ``stripmine.c``, the
+idiomatic strip-mined ``for`` loop after an early ``return``, and for
+``unrolled.c``, the largest kernel that the seed-5 ``mock_optimize``
+benchmark workload analyzes: 228 statements at LMUL m8, far past the
+register file. After an intended behaviour change, regenerate both with
 
     VECPORT_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 """
@@ -41,6 +43,7 @@ ANALYZED = {m.case_id: (m.native_reference_path, m.function_signature)
 ANALYZED["constructs"] = (ANALYZE / "constructs.c", "constructs")
 ANALYZED["spills"] = (ANALYZE / "spills.c", "spills")
 ANALYZED["stripmine"] = (ANALYZE / "stripmine.c", "stripmine")
+ANALYZED["unrolled"] = (ANALYZE / "unrolled.c", "vec_add_s32")
 COMPARED = ("outcomes/*.json", "attempts/*.ndjson", "report.json", "report.txt")
 
 

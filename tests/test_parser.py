@@ -118,6 +118,13 @@ def test_only_spaces_and_tabs_may_indent_a_directive(blank):
         tokenize(f"int a;\n{blank}#define X 1\nint b;")
 
 
+@pytest.mark.parametrize("source, line", [
+    ("  #include <x>\nint a;", 2), ("#define X\nint a;", 2), ("\t# x \\\n y\nint a;", 3),
+])
+def test_directive_at_the_start_of_the_text_is_skipped(source, line):
+    assert _spans(source) == [("int", "id", line), ("a", "id", line), (";", "punct", line)]
+
+
 def test_indented_directive_after_a_blank_line_is_skipped():
     assert _spans("int a;\n\n \t #define X \\\n 1\n  b;") == [
         ("int", "id", 1), ("a", "id", 1), (";", "punct", 1),
@@ -234,6 +241,9 @@ _DIFF_FRAGMENTS = [
     "-", "&", "|", "^", "!", "~", "?", ":", ";", ",", "%",
     "\n#", "\n#define X 1", "\n  #if 0 // x", "\n\t#endif", "\n \t# define M(a) \\\n (a)",
     "\n#x \\ \t\r\n y \\\n", "\n#y \\ z",
+    # No newline of their own: a directive at the start of the text or after a
+    # newline separator, a stray '#' mid-line.
+    "#define X 1", "  #if 0 // x", "\t# x \\\n y",
 ]
 # Each makes the text fail, or may: the reference decides which error, and where.
 _DIFF_HOSTILE = [

@@ -34,7 +34,8 @@ from .executors import (DEFAULT_CC, DEFAULT_FLAGS, DEFAULT_RUNNER, CommandExecut
                         MockExecutor, ToolchainConfig)
 from .liveness import compute_pressure, solve_liveness
 from .llm_client import RemoteClient, ReplayClient
-from .metrics import DEFAULT_UP_LIMIT, REPORT_FORMAT, MetricsReport, OutcomeSummary, render_table
+from .metrics import (DEFAULT_UP_LIMIT, REPORT_FORMAT, MetricsReport, OutcomeSummary,
+                      indented_json, render_table)
 from .orchestrator import Budgets, TaskDeps, run_task
 from .parser import dump_ir, parse_function
 from .rvv_types import FOOTPRINT_MODES
@@ -245,7 +246,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     def run_case(case) -> None:
         record = run_task(case, budgets, deps).to_dict()
         path = outcome_dir / f"{case.case_id}.json"
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        path.write_text(indented_json(record) + "\n")
         summaries.append(OutcomeSummary.from_record(record))
 
     try:

@@ -7,14 +7,15 @@ redefinition. The solver iterates
     OUT(i) = union of IN(j) over successor statements j
 
 to a fixpoint over ``FunctionIr.successors``, whose nodes are statements,
-as the parser builds it; the solver and ``check_fixpoint`` share it. A
-statement that leaves the function has no successor, so nothing is live
-after it. Every live set is a bit vector, one Python ``int``, over the
-function's vector names: bit k stands for ``names[k]``, the k-th IR name of
-the symbol table. Each statement has a use mask and a kill mask (every bit
-but its definitions), so a step is ``IN = (OUT & kill) | use`` and a union
-is an OR. Sets grow monotonically inside a finite universe, so termination
-is bounded by |vars| * |stmts| sweeps.
+as the parser builds it. A statement that leaves the function has no
+successor, so nothing is live after it. Every live set is a bit vector, one
+Python ``int``, over the function's vector names: bit k stands for
+``names[k]``, the k-th IR name of the symbol table, the bit the parser
+gave that name in each statement's use and def masks. The solver reads
+those masks as they are, so a step is ``IN = (OUT & ~def) | use`` and a
+union is an OR; ``check_fixpoint`` holds the result to both equations at
+every statement against the same masks. Sets grow monotonically inside a
+finite universe, so termination is bounded by |vars| * |stmts| sweeps.
 
 Register pressure at a statement is the sum of the LMUL-weighted footprints
 of IN(i) | OUT(i). Every footprint is a whole number of eighths of a
@@ -24,8 +25,8 @@ class's eighths times the popcount of the live set masked by it. The
 report keeps those totals in eighths and makes ``Fraction``s only for what
 it prints: the peak across the function, against the 32-register file, and
 the footprints live at the hot statement, whose live set is turned back
-into names once. The dead definitions are found from the statements' own
-name sets.
+into names once. The dead definitions are the bits some statement defines
+and none uses.
 
 The brute-force path-enumeration oracle that cross-checks the solver lives
 in the test suite (``tests/oracles.py``).
@@ -38,7 +39,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AnalysisError
-from .parser import FunctionIr, Stmt
+from .parser import FunctionIr
 from .rvv_types import footprint_eighths
 
 REGISTER_BUDGET = 32
@@ -109,26 +110,7 @@ def fmt_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _masks(stmts: Sequence[Stmt], names: Sequence[str]) -> tuple[dict[int, int], dict[int, int]]:
-    """Each statement's use and def masks over ``names``, by statement id."""
-    bit = {name: 1 << k for k, name in enumerate(names)}.__getitem__
-    # A frozenset holds each name once and the bits are distinct, so a sum is their OR.
-    uses = {s.stmt_id: sum(map(bit, s.uses)) for s in stmts}
-    defs = {s.stmt_id: sum(map(bit, s.defs)) for s in stmts}
-    return uses, defs
-
-
-def _bit_indices(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(low.bit_length() - 1)
-        mask ^= low
-    return found
-
-
-def _live_after(live_in: dict[int, int], nexts: tuple[int, ...]) -> int:
+def _live_after(live_in: Sequence[int] | dict[int, int], nexts: tuple[int, ...]) -> int:
     """OUT of a statement whose successors are ``nexts``: the OR of their IN
     sets, nothing after a statement that leaves the function."""
     out = 0
@@ -146,18 +128,13 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
     """
     stmts = ir.stmts
     names = tuple(ir.symbol_table)
-    if not stmts:
-        return LivenessResult(names, {}, {})
     succ = ir.successors
-    if order is None:
-        sweep = [s.stmt_id for s in reversed(stmts)]
-    else:
-        sweep = list(order)
-
-    uses, defs = _masks(stmts, names)
-    kills = {i: ~d for i, d in defs.items()}
-    live_in = dict.fromkeys(uses, 0)
-    live_out = dict(live_in)
+    sweep = range(len(stmts) - 1, -1, -1) if order is None else list(order)
+    # Lists indexed by statement id: ids are positions in layout order.
+    uses = [s.uses for s in stmts]
+    kills = [~s.defs for s in stmts]
+    live_in = [0] * len(stmts)
+    live_out = [0] * len(stmts)
 
     max_sweeps = len(names) * len(stmts) + 2
     for _ in range(max_sweeps):
@@ -174,21 +151,22 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
                 live_in[i] = new_in
                 changed = True
         if not changed:
-            return LivenessResult(names, live_in, live_out)
+            return LivenessResult(names, dict(enumerate(live_in)), dict(enumerate(live_out)))
     raise AssertionError("liveness failed to converge within its sweep bound")
 
 
 def check_fixpoint(ir: FunctionIr, live: LivenessResult) -> None:
     """Raise AnalysisError unless ``live`` satisfies the dataflow equations exactly.
 
-    The masks are built afresh from ``ir.stmts`` and ``live.names``.
+    Both equations are checked at every statement, against the statements'
+    own use and def masks.
     """
     succ = ir.successors
-    uses, defs = _masks(ir.stmts, live.names)
     live_in, live_out = live.live_in, live.live_out
-    for i in uses:
+    for s in ir.stmts:
+        i = s.stmt_id
         out = live_out[i]
-        if live_in[i] != (out & ~defs[i]) | uses[i]:
+        if live_in[i] != (out & ~s.defs) | s.uses:
             raise AnalysisError(f"liveness not a fixpoint at statement {i} (IN)")
         if out != _live_after(live_in, succ[i]):
             raise AnalysisError(f"liveness not a fixpoint at statement {i} (OUT)")
@@ -207,10 +185,9 @@ def compute_pressure(
     """
     table = footprint_eighths(mode)
     check_fixpoint(ir, live)
-    names = live.names
-    eighths = [table[ir.symbol_table[name]] for name in names]
+    eighths = {name: table[vt] for name, vt in ir.symbol_table.items()}  # in bit order
     classes: dict[int, int] = {}  # eighths -> the mask of the names with that footprint
-    for k, weight in enumerate(eighths):
+    for k, weight in enumerate(eighths.values()):
         classes[weight] = classes.get(weight, 0) | 1 << k
     stmts = ir.stmts
     ids = [s.stmt_id for s in stmts]
@@ -219,7 +196,10 @@ def compute_pressure(
     totals = [0] * len(ids)
     for weight, mask in classes.items():
         totals = [t + weight * (b & mask).bit_count() for t, b in zip(totals, live_both)]
-    dead = frozenset().union(*[s.defs for s in stmts]).difference(*[s.uses for s in stmts])
+    used = defined = 0
+    for s in stmts:
+        used |= s.uses
+        defined |= s.defs
     peak = max(totals, default=0)
     # The first statement at the peak, so the smallest id on a tie; none if there is no statement.
     hot = stmts[totals.index(peak)] if totals else None
@@ -229,8 +209,8 @@ def compute_pressure(
         pressure=Fraction(peak, 8),
         hot_stmt=hot.stmt_id if hot else None,
         stmt_eighths=dict(zip(ids, totals)),
-        live_at_hot=frozenset((names[k], class_fp[eighths[k]]) for k in _bit_indices(hot_live)),
-        dead_defs=dead,
+        live_at_hot=frozenset((name, class_fp[eighths[name]]) for name in ir.names_in(hot_live)),
+        dead_defs=ir.names_in(defined & ~used),
         spills_predicted=peak > REGISTER_BUDGET * 8,
         hot_line=hot.line if hot else None,
         hot_text=hot.text if hot else None,

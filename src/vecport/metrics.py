@@ -168,7 +168,26 @@ class MetricsReport:
             "up_limit": self.up_limit,
             "include_failed": self.include_failed,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return indented_json(payload) + "\n"
+
+
+def indented_json(value, indent: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    With an indent, ``json`` encodes in pure Python, whose closures leave
+    cyclic garbage on every call. Here containers are laid out by hand and
+    scalars go through the compact encoder, which leaves none.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        parts = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{indented_json(v, inner)}" for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)) and value:
+        parts = [indented_json(v, inner) for v in value]
+    else:
+        return json.dumps(value)
+    opener, closer = "{}" if isinstance(value, dict) else "[]"
+    return f"{opener}\n{inner}" + f",\n{inner}".join(parts) + f"\n{indent}{closer}"
 
 
 def _fmt1(x: Fraction) -> str:

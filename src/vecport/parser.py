@@ -7,11 +7,12 @@ assignments, calls, compound statements, if/else, for, while, do-while,
 break/continue, return. goto and switch are rejected with a located
 diagnostic rather than analyzed wrongly.
 
-The lexer is one ``findall`` of one master regex over the original source,
-and makes no object per token: it returns three parallel columns, each
-token's text, its line and its bracket span. Comments, preprocessor
-directives and blanks are skipped in place, so every token's line is the
-line it is written on. A token's kind follows from its first character, so
+The lexer is one ``findall`` of one master regex with one capture group,
+so it yields plain strings, and makes no object per token: it returns three
+parallel columns, each token's text, its line and its bracket span.
+Comments, preprocessor directives (carried on the newline before them) and
+blanks are skipped in place, so every token's line is the line it is
+written on. A token's kind follows from its first character, so
 no column holds it. The lexer also pairs every bracket, the one place
 nesting is decided: text whose brackets do not balance is rejected with its
 line, and each opener's span leads to its closer, so later scans step over
@@ -33,9 +34,11 @@ statements, ``FunctionIr.successors``: the flow graph the solver reads has
 statements for nodes, so the blocks are gone once it is built. A statement
 that leaves the function has no successor.
 
-Scalar and pointer-typed values are invisible to the analysis: use/def sets
-hold only the IR names of vectors, so a ``vsetvl`` result or a pointer bump
-contributes nothing.
+Each statement carries its uses and defs as two ``int`` masks: each new IR
+name takes the next bit as it is declared, so bit k stands for the k-th
+name of the symbol table, and ``FunctionIr.names_in`` turns a mask back into
+names. Scalar and pointer-typed values are invisible to the analysis: they
+have no bit, so a ``vsetvl`` result or a pointer bump contributes nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from string import ascii_letters
 from .errors import ParseError
-from .rvv_types import VectorType, parse_vector_type
+from .rvv_types import VECTOR_TYPES, VectorType
 
 
 _KEYWORDS = {
@@ -73,26 +76,36 @@ _SCALAR_TYPE_WORDS = {
 _SCALAR_TYPE_WORDS |= {f"{s}int{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
 _SCALAR_TYPE_WORDS |= {f"{s}int_fast{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
 _SCALAR_TYPE_WORDS |= {f"{s}int_least{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
+# The words of a declaration's type: tags, qualifiers, scalar and vector type names.
+_DECL_WORDS = frozenset({"struct", "union", "enum", *_QUALIFIERS, *_SCALAR_TYPE_WORDS,
+                         *VECTOR_TYPES})
+
+# What starts a statement that is not a simple one, or that the parser rejects.
+_STATEMENT_WORDS = frozenset({
+    "{", ";", "if", "for", "while", "do", "return", "break", "continue",
+    "goto", "switch", "case", "default",
+})
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
 
-# One master pattern whose matches tile the source, with two groups: a
-# directive, or else the piece after a run of blanks. The directive comes
-# first, on its own: it starts a line after spaces or tabs only and runs on
-# through lines continued by a backslash (LF or CRLF). It keeps its own group
-# because a null directive ``#`` and a stray ``#`` mid-line have the same
-# text. The piece is an identifier; a character that starts no longer token
-# (a newline among them); a comment, or a ``/*`` that no ``*/`` closes; a
-# number; a string or char literal; a multi-character operator, longest
-# first; or else any one character, or none at the end. A literal ends on its
-# line: neither a raw newline nor a backslash-newline continues it, so a lone
-# quote is left as one character.
+# One master pattern whose matches tile the source, with one group: the
+# piece after a run of blanks. The piece is an identifier; a character that
+# starts no longer token; a newline, with the directive on the line it opens,
+# if any; a comment, or a ``/*`` that no ``*/`` closes; a number; a string or
+# char literal; a multi-character operator, longest first; or else any one
+# character, or none at the end. A directive starts a line after spaces or
+# tabs only and runs on through lines continued by a backslash (LF or CRLF).
+# It rides on its newline because a null directive ``#`` and a stray ``#``
+# mid-line have the same text; ``tokenize`` puts a newline before the source,
+# so a directive on the first line has one too. A literal ends on its line:
+# neither a raw newline nor a backslash-newline continues it, so a lone quote
+# is left as one character.
 _LEX_RE = re.compile(
     r"""
-    (?m:^)[ \t]*(\#(?:[^\n]*\\[ \t]*\r?\n)*[^\n]*)
-  | [ \t\r\f\v]*
+    [ \t\r\f\v]*
     ( [A-Za-z_]\w*
-    | [;,()\[\]{}?:~\n]
+    | [;,()\[\]{}?:~]
+    | \n(?:[ \t]*\#(?:[^\n]*\\[ \t]*\r?\n)*[^\n]*)?
     | //[^\n]* | /\*(?s:.*?)\*/ | /\*
     | 0[xX][0-9a-fA-F]+[uUlL]*|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?[fFuUlL]*
     | "(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*'
@@ -120,14 +133,14 @@ def tokenize(source: str) -> tuple[list[str], list[int], list[int]]:
     lines: list[int] = []
     openers = []  # indices of the brackets still open, innermost last
     pairs = []  # (opener, closer) indices
-    line = 1
-    for directive, tok in _LEX_RE.findall(source):
+    line = 0  # the newline put before the source starts line 1
+    for tok in _LEX_RE.findall("\n" + source):
         first = tok[:1]
         if first in _TOKEN_START or (first in _QUOTES and len(tok) > 1):
             texts.append(tok)
             lines.append(line)
-        elif tok == "\n":
-            line += 1
+        elif first == "\n":  # and the directive it carries, if any
+            line += tok.count("\n")
         elif first in _CLOSER_OF:
             openers.append(len(texts))
             texts.append(tok)
@@ -146,8 +159,6 @@ def tokenize(source: str) -> tuple[list[str], list[int], list[int]]:
             else:
                 texts.append(tok)
                 lines.append(line)
-        elif directive:
-            line += directive.count("\n")
         elif tok:
             raise ParseError(f"unexpected character {tok!r}", line=line)
     if openers:
@@ -174,16 +185,17 @@ def _top_level(spans: list[int], lo: int, hi: int) -> Iterator[int]:
 class Stmt:
     """One statement of the analyzed function.
 
-    ``uses``/``defs`` name vector-typed values only, by IR name; both may
-    mention the same name (an accumulator update reads and writes it).
+    ``uses``/``defs`` are masks over the function's vectors: bit k stands
+    for the k-th IR name of the symbol table (``FunctionIr.names_in``). Both
+    may hold the same bit (an accumulator update reads and writes it).
     ``tokens`` holds the texts of the statement's tokens, a ``return``'s
     without its keyword; ``text`` renders them when read, since the analysis
     itself reads the text of one statement at most.
     """
 
     kind: str
-    uses: frozenset[str]
-    defs: frozenset[str]
+    uses: int
+    defs: int
     line: int
     tokens: list[str] = field(repr=False)
     stmt_id: int = -1  # its place in layout order, set by link_statements; -1 if unreachable
@@ -210,30 +222,34 @@ class FunctionIr:
     stmts: list[Stmt]
     successors: dict[int, tuple[int, ...]]
 
+    def names_in(self, mask: int) -> frozenset[str]:
+        """The IR names whose bits ``mask`` sets: bit k is the k-th name of ``symbol_table``."""
+        return frozenset(name for k, name in enumerate(self.symbol_table) if mask >> k & 1)
+
 
 # ---------------------------------------------------------------------------
 # Names, block by block, and the statement readers that resolve them.
 
-_FREE = object()  # what a declaration hid when nothing declared its name before
-
-
 class _Scopes:
     """The names a function body sees, block by block (C11 §6.2.1).
 
-    ``visible`` maps each name in scope to its vector's IR name, or to None
-    if its innermost declaration is no vector. Each open scope keeps what
-    its declarations hid, for ``close`` to restore, so a read is one lookup.
-    ``table`` maps IR names to vector types. A vector keeps its source name
-    unless a vector of that name is in scope, visible or hidden, or the
-    table gives the name another type; then it is the first ``name@k``
-    (k >= 2) the table lacks. ``unbound`` maps each name read where nothing
-    declares it to the line of its first read.
+    ``table`` maps IR names to vector types, and each new IR name takes the
+    next bit, so bit k stands for the k-th name of the table. ``visible``
+    maps each name in scope to its vector's bit, or to 0 if its innermost
+    declaration is no vector. Each open scope keeps what its declarations
+    hid (None where nothing was declared), for ``close`` to restore, so a
+    read is one lookup. A vector keeps its source name unless a vector of
+    that name is in scope, visible or hidden, or the table gives the name
+    another type; then it is the first ``name@k`` (k >= 2) the table lacks.
+    ``unbound`` maps each name read where nothing declares it to the line of
+    its first read.
     """
 
     def __init__(self):
         self.table: dict[str, VectorType] = {}
-        self.visible: dict[str, str | None] = {}
-        self.hidden: list[dict[str, object]] = [{}]  # one per open scope, innermost last
+        self.bits: dict[str, int] = {}  # the bit of each IR name, in table order
+        self.visible: dict[str, int] = {}
+        self.hidden: list[dict[str, int | None]] = [{}]  # one per open scope, innermost last
         self.unbound: dict[str, int] = {}
 
     def open(self) -> None:
@@ -241,39 +257,40 @@ class _Scopes:
 
     def close(self) -> None:
         for name, prior in self.hidden.pop().items():
-            if prior is _FREE:
+            if prior is None:
                 del self.visible[name]
             else:
                 self.visible[name] = prior
 
-    def declare(self, name: str, vt: VectorType | None, line: int) -> str | None:
+    def declare(self, name: str, vt: VectorType | None, line: int) -> int:
         """Enter a declarator in the innermost scope, where it is visible from its
-        initializer on (C11 §6.2.1p7); its IR name if it is a vector."""
+        initializer on (C11 §6.2.1p7); its bit if it is a vector, else 0."""
         hid = self.hidden[-1]
         if name not in hid:
-            hid[name] = self.visible.get(name, _FREE)
-        elif vt is not None and (ir := self.visible[name]) is not None:
-            if self.table[ir] != vt:
+            hid[name] = self.visible.get(name)
+        elif vt is not None and (bit := self.visible[name]):
+            if [*self.table.values()][bit.bit_length() - 1] != vt:
                 raise ParseError(f"'{name}' redeclared with a different vector type", line=line)
-            return ir
+            return bit
         if vt is None:
-            self.visible[name] = None
-            return None
+            self.visible[name] = 0
+            return 0
         if name in self.unbound:
             raise ParseError(f"vector value '{name}' referenced before its declaration",
                              line=self.unbound[name])
         ir = name
         # Only a name some vector has taken can be hidden as a vector.
         if name in self.table and (self.table[name] != vt or any(
-                isinstance(h.get(name), str) for h in self.hidden)):
+                h.get(name) for h in self.hidden)):
             ir = next(ir for k in count(2) if (ir := f"{name}@{k}") not in self.table)
+        # A name the table has keeps its bit: sibling blocks share it.
+        bit = self.visible[name] = self.bits.setdefault(ir, 1 << len(self.bits))
         self.table[ir] = vt
-        self.visible[name] = ir
-        return ir
+        return bit
 
-    def reads(self, texts: list[str], lo: int, hi: int, line: int) -> set[str]:
-        """The IR names of the vectors ``texts[lo:hi]`` reads; skips callees, members, keywords."""
-        found = set()
+    def reads(self, texts: list[str], lo: int, hi: int, line: int) -> int:
+        """The mask of the vectors ``texts[lo:hi]`` reads; skips callees, members, keywords."""
+        found = 0
         visible, unbound = self.visible, self.unbound
         for i in range(lo, hi):
             text = texts[i]
@@ -283,33 +300,16 @@ class _Scopes:
                 continue
             if i > lo and texts[i - 1] in (".", "->"):
                 continue
-            ir = visible.get(text, _FREE)
-            if ir is _FREE:
+            bit = visible.get(text)
+            if bit is None:
                 unbound.setdefault(text, line)
-            elif ir is not None:
-                found.add(ir)
+            else:
+                found |= bit
         return found
 
 
 # The shared token columns: the texts, lines and spans that ``tokenize`` returns.
 Tokens = tuple[list[str], list[int], list[int]]
-
-
-def _split_top_level(texts: list[str], spans: list[int], lo: int, hi: int,
-                     sep: str) -> list[tuple[int, int]]:
-    parts, start, i = [], lo, lo
-    while i < hi:  # _top_level, inline on this hot path
-        if texts[i] == sep:
-            parts.append((start, i))
-            start = i + 1
-        i += spans[i] + 1
-    parts.append((start, hi))
-    return parts
-
-
-def _is_type_start(text: str) -> bool:
-    return (text in ("struct", "union", "enum") or text in _SCALAR_TYPE_WORDS
-            or parse_vector_type(text) is not None)
 
 
 def _parse_simple(toks: Tokens, lo: int, hi: int, scopes: _Scopes) -> Stmt:
@@ -320,55 +320,52 @@ def _parse_simple(toks: Tokens, lo: int, hi: int, scopes: _Scopes) -> Stmt:
     i = lo
     while i < hi and texts[i] in _QUALIFIERS:
         i += 1
-    if i < hi and _is_type_start(texts[i]):
+    if i < hi and texts[i] in _DECL_WORDS:  # a type word: the qualifiers are behind
         kind, uses, defs = _read_decl(texts, spans, i, hi, scopes, line)
     else:
         kind, uses, defs = _read_expr_stmt(texts, spans, lo, hi, scopes, line)
-    return Stmt(kind, frozenset(uses), frozenset(defs), line, texts[lo:hi])
+    return Stmt(kind, uses, defs, line, texts[lo:hi])
 
 
 def _cond_stmt(texts: list[str], lo: int, hi: int, line: int, scopes: _Scopes) -> Stmt:
     """A condition: it reads ``[lo, hi)``, declares nothing, and sits at ``line``."""
-    return Stmt("scalar_other", frozenset(scopes.reads(texts, lo, hi, line)), frozenset(),
-                line, texts[lo:hi])
+    return Stmt("scalar_other", scopes.reads(texts, lo, hi, line), 0, line, texts[lo:hi])
 
 
 def _read_decl(texts: list[str], spans: list[int], i: int, hi: int, scopes: _Scopes,
-               line: int) -> tuple[str, set[str], set[str]]:
+               line: int) -> tuple[str, int, int]:
     """A declaration whose type words start at ``i``: its kind, uses and defs."""
     base_vec: VectorType | None = None
-    while i < hi:
-        text = texts[i]
+    while i < hi and (text := texts[i]) in _DECL_WORDS:
         if text in ("struct", "union", "enum"):
             i += 2  # tag name follows
             continue
-        vt = parse_vector_type(text)
-        if vt is not None:
-            base_vec = vt
-        elif text not in _QUALIFIERS and text not in _SCALAR_TYPE_WORDS:
-            break
+        base_vec = VECTOR_TYPES.get(text, base_vec)
         i += 1
 
-    uses: set[str] = set()
-    defs: set[str] = set()
-    for lo, end in _split_top_level(texts, spans, i, hi, ","):
-        j = lo
-        while j < end and texts[j] in _DECLARATOR_PREFIX:
-            j += 1
-        if j >= end or texts[j][0] not in _ID_START:
-            continue
-        pointer_or_array = "*" in texts[lo:j] or j + 1 < end and texts[j + 1] == "["
-        init = next((k + 1 for k in range(j + 1, end) if texts[k] == "="), end)
-        ir = scopes.declare(texts[j], None if pointer_or_array else base_vec, line)
-        if init < end:
-            if ir is not None:
-                defs.add(ir)
-            uses |= scopes.reads(texts, init, end, line)
+    uses = defs = 0
+    while i < hi:  # one declarator, up to its top-level ',' or the end
+        pointer = False
+        while i < hi and texts[i] in _DECLARATOR_PREFIX:
+            pointer = pointer or texts[i] == "*"
+            i += 1
+        name, init = i, 0  # init: just past the declarator's first '=', at any depth
+        while i < hi and (text := texts[i]) != ",":
+            if not init and (text == "=" or spans[i] and "=" in texts[i:i + spans[i]]):
+                init = texts.index("=", i) + 1
+            i += spans[i] + 1
+        if name < i and texts[name][0] in _ID_START:
+            array = name + 1 < i and texts[name + 1] == "["
+            bit = scopes.declare(texts[name], None if pointer or array else base_vec, line)
+            if init:
+                defs |= bit
+                uses |= scopes.reads(texts, init, i, line)
+        i += 1
     return "decl", uses, defs
 
 
 def _read_expr_stmt(texts: list[str], spans: list[int], lo: int, hi: int, scopes: _Scopes,
-                    line: int) -> tuple[str, set[str], set[str]]:
+                    line: int) -> tuple[str, int, int]:
     """An expression statement: its kind, uses and defs."""
     k = lo
     while k < hi and texts[k] not in _ASSIGN_OPS:  # the first top-level one
@@ -376,14 +373,14 @@ def _read_expr_stmt(texts: list[str], spans: list[int], lo: int, hi: int, scopes
     if k >= hi:
         has_call = any(texts[i][0] in _ID_START and texts[i] not in _KEYWORDS
                        and texts[i + 1] == "(" for i in range(lo, hi - 1))
-        return "call" if has_call else "scalar_other", scopes.reads(texts, lo, hi, line), set()
+        return "call" if has_call else "scalar_other", scopes.reads(texts, lo, hi, line), 0
     uses = scopes.reads(texts, k + 1, hi, line)
     if k == lo + 1 and texts[lo][0] in _ID_START:
         defs = scopes.reads(texts, lo, k, line)
         if texts[k] != "=":  # compound op reads the target too
             uses |= defs
         return "assign", uses, defs
-    return "assign", uses | scopes.reads(texts, lo, k, line), set()
+    return "assign", uses | scopes.reads(texts, lo, k, line), 0
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +526,16 @@ class _BodyParser:
 
     def parse_statement(self) -> None:
         text, line = self.texts[self.pos], self.lines[self.pos]
-        if text in ("goto", "switch"):
+        if text not in _STATEMENT_WORDS:  # a simple statement, or a label
+            # An identifier is never the body's last token, its '}', so one follows.
+            if self.texts[self.pos + 1] == ":" and text[0] in _ID_START and text not in _KEYWORDS:
+                raise ParseError(f"unsupported construct: label '{text}'", line=line)
+            self.emit(_parse_simple(self.toks, *self._collect_until(";"), self.scopes))
+        elif text in ("goto", "switch"):
             raise ParseError(f"unsupported construct: {text}", line=line)
-        if text in ("case", "default"):
+        elif text in ("case", "default"):
             raise ParseError(f"unsupported construct: {text} label", line=line)
-        # An identifier is never the body's last token, its '}', so one follows.
-        if text[0] in _ID_START and text not in _KEYWORDS and self.texts[self.pos + 1] == ":":
-            raise ParseError(f"unsupported construct: label '{text}'", line=line)
-
-        if text == "{":
+        elif text == "{":
             self.scopes.open()
             self.parse_block()
             self.scopes.close()
@@ -584,8 +582,8 @@ class _BodyParser:
         elif text == "return":
             self.pos += 1
             lo, hi = self._collect_until(";")
-            uses = frozenset(self.scopes.reads(self.texts, lo, hi, line))
-            self.emit(Stmt("return", uses, frozenset(), line, self.texts[lo:hi]))
+            uses = self.scopes.reads(self.texts, lo, hi, line)
+            self.emit(Stmt("return", uses, 0, line, self.texts[lo:hi]))
             self.current = None
         elif text in ("break", "continue"):
             self.pos += 1
@@ -594,8 +592,6 @@ class _BodyParser:
                 raise ParseError(f"{text} outside a loop", line=line)
             self.loop_stack[-1][text].append(self.ensure_current())
             self.current = None
-        else:
-            self.emit(_parse_simple(self.toks, *self._collect_until(";"), self.scopes))
 
 
 def link_statements(succs: dict[int, list[int]], block_stmts: dict[int, list[Stmt]],
@@ -693,7 +689,8 @@ def _find_function(toks: Tokens, name: str) -> tuple[int, int]:
 def _parse_params(toks: Tokens, lo: int, hi: int, scopes: _Scopes) -> None:
     """Declare the parameters ``[lo, hi)``, each read as a declaration, in the outermost scope."""
     texts, _, spans = toks
-    for start, end in _split_top_level(texts, spans, lo, hi, ","):
+    commas = [k for k in _top_level(spans, lo, hi) if texts[k] == ","]
+    for start, end in zip([lo, *(k + 1 for k in commas)], [*commas, hi]):
         if start < end:
             _parse_simple(toks, start, end, scopes)
     scopes.unbound.clear()  # a parameter that declares nothing reads nothing either
@@ -750,13 +747,14 @@ def _needs_space(prev: str, cur: str) -> bool:
 
 
 def dump_ir(ir: FunctionIr) -> str:
-    """Each statement with its use/def sets and successors, for the --dump-ir flag."""
+    """Each statement with its use and def masks, decoded into sorted IR names,
+    and its successors, for the --dump-ir flag."""
     lines = [f"function {ir.name}", "vector symbols:"]
     for name in sorted(ir.symbol_table):
         lines.append(f"  {name}: {ir.symbol_table[name].name()}")
     for s in ir.stmts:
-        use = ", ".join(sorted(s.uses)) or "-"
-        deff = ", ".join(sorted(s.defs)) or "-"
+        use = ", ".join(sorted(ir.names_in(s.uses))) or "-"
+        deff = ", ".join(sorted(ir.names_in(s.defs))) or "-"
         nxt = ", ".join(f"s{t}" for t in ir.successors[s.stmt_id]) or "-"
         lines.append(f"s{s.stmt_id} [{s.kind}] line {s.line}: {s.text}")
         lines.append(f"    use: {use}   def: {deff}   next: {nxt}")

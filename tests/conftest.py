@@ -37,13 +37,15 @@ def make_ir(
     """Synthetic FunctionIr from per-block (uses, defs) statement specs.
 
     ``block_specs[k]`` holds block k's statements and block 0 is the entry.
+    Each name set becomes a mask: bit k stands for the k-th name of ``symbols``.
     An edge may target block ``len(block_specs)``, an empty block with no
     successors, where paths leave the function. ``link_statements`` turns
     the blocks into statement successors, as the parser does.
     """
+    bit = {name: 1 << k for k, name in enumerate(symbols)}
     block_stmts = {
         block_id: [
-            Stmt(kind="assign", uses=frozenset(uses), defs=frozenset(defs),
+            Stmt(kind="assign", uses=sum(bit[n] for n in uses), defs=sum(bit[n] for n in defs),
                  line=0, tokens=[])
             for uses, defs in spec
         ]

@@ -235,11 +235,16 @@ def mutants(texts: list[str], per_kind: int, seed: int) -> list[tuple[str, str]]
 # Sweeping and comparing.
 
 
+def _sorted_names(ir, names) -> list[str]:
+    """Sorted IR names of a use or def mask; a tree from before the masks holds a set."""
+    return sorted(ir.names_in(names) if isinstance(names, int) else names)
+
+
 def fingerprint(ir) -> str:
     """The statement graph: for each statement its id, kind, line, text, sorted
     uses and defs and sorted successors, then the symbol table."""
-    stmts = [[s.stmt_id, s.kind, s.line, s.text, sorted(s.uses), sorted(s.defs),
-              sorted(ir.successors[s.stmt_id])] for s in ir.stmts]
+    stmts = [[s.stmt_id, s.kind, s.line, s.text, _sorted_names(ir, s.uses),
+              _sorted_names(ir, s.defs), sorted(ir.successors[s.stmt_id])] for s in ir.stmts]
     table = sorted((name, vt.name()) for name, vt in ir.symbol_table.items())
     return json.dumps([stmts, table])
 

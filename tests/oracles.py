@@ -111,8 +111,8 @@ def oracle_liveness(
     if path_bound is None:
         path_bound = 2 * (len(stmts) + 2)
 
-    uses = {s.stmt_id: s.uses for s in stmts}
-    defs = {s.stmt_id: s.defs for s in stmts}
+    uses = {s.stmt_id: ir.names_in(s.uses) for s in stmts}
+    defs = {s.stmt_id: ir.names_in(s.defs) for s in stmts}
     steps = 0
 
     def live_from(start: int) -> frozenset[str]:
@@ -383,8 +383,8 @@ class TreeParser:
         if text == "return":
             self.pos += 1
             lo, hi = self._collect_until(";")
-            uses = frozenset(self.scopes.reads(self.texts, lo, hi, line))
-            return Stmt("return", uses, frozenset(), line, self.texts[lo:hi])
+            uses = self.scopes.reads(self.texts, lo, hi, line)
+            return Stmt("return", uses, 0, line, self.texts[lo:hi])
         if text in ("break", "continue"):
             self.pos += 1
             self.expect(";")

@@ -212,7 +212,8 @@ def test_criterion_6_parser_round_trip_and_type_grammar():
     ir2 = parse_function(print_function(case.native_text, case.function_signature),
                          case.function_signature)
     assert ir2.successors == loop
-    assert [(s.uses, s.defs) for s in ir.stmts] == [(s.uses, s.defs) for s in ir2.stmts]
+    assert [(ir.names_in(s.uses), ir.names_in(s.defs)) for s in ir.stmts] == [
+        (ir2.names_in(s.uses), ir2.names_in(s.defs)) for s in ir2.stmts]
 
     with pytest.raises(ParseError) as err:
         parse_function("void f(void) {\n    goto x;\n}", "f")

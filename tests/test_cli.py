@@ -503,6 +503,31 @@ def test_repeated_calls_leave_no_cyclic_garbage(capsys):
     assert once == five <= 10
 
 
+def test_translate_leaves_no_cyclic_garbage_per_case(tmp_path, capsys):
+    # Outcomes and the report are written without json's indenting encoder,
+    # whose closures leave cyclic garbage on every call.
+    replay = str(Path(__file__).parent / "golden" / "replay.json")
+
+    def translate(out, *cases):
+        argv = ["translate", "--no-exec", "--replay", replay, "--translate-max", "3",
+                "--optimize-max", "3", "--out", str(tmp_path / out)]
+        assert main(argv + [f"--case={c}" for c in cases]) == 0
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        translate("warm")  # imports and first-use tables
+        gc.collect()
+        translate("one", "vec_add")
+        one = gc.collect()
+        translate("seven")
+        seven = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert one == seven <= 10
+
+
 # --- analyze ----------------------------------------------------------------
 
 def test_analyze_vec_add_native_golden(capsys):

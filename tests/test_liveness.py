@@ -267,7 +267,7 @@ def test_property_adding_a_use_is_monotone(seed):
     ir.stmts[k] = type(stmt)(
         stmt_id=stmt.stmt_id,
         kind=stmt.kind,
-        uses=stmt.uses | {var},
+        uses=stmt.uses | 1 << base.names.index(var),
         defs=stmt.defs,
         line=stmt.line,
         tokens=stmt.tokens,
@@ -298,8 +298,8 @@ def _fraction_sum_report(ir, live, mode):
     live_at_hot = frozenset() if hot is None else frozenset(
         (n, footprint[n]) for n in live.live_in[hot] | live.live_out[hot]
     )
-    defs = set().union(*(s.defs for s in ir.stmts))
-    uses = set().union(*(s.uses for s in ir.stmts))
+    defs = set().union(*(ir.names_in(s.defs) for s in ir.stmts))
+    uses = set().union(*(ir.names_in(s.uses) for s in ir.stmts))
     as_dict = {
         "pressure": str(peak),
         "hot_stmt": hot,

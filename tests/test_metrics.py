@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from vecport.metrics import (
     OutcomeSummary,
     bucket_of,
     efficiency_score,
+    indented_json,
     pass_rate,
     render_table,
 )
@@ -190,3 +192,21 @@ def test_outcome_summary_from_record_checks_field_types():
         with pytest.raises(ValueError):
             OutcomeSummary.from_record(bad)
 
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+def test_indented_json_matches_json_dumps(value):
+    assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_indented_json_writes_int_keys_and_tuples_as_json_does():
+    value = {2: (1, {}), 10: [[], {"b": None}]}
+    assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -9,13 +9,14 @@ redefinition. The solver iterates
 to a fixpoint over ``FunctionIr.successors``, whose nodes are statements,
 as the parser builds it. A statement that leaves the function has no
 successor, so nothing is live after it. Every live set is a bit vector, one
-Python ``int``, over the function's vector names: bit k stands for
-``names[k]``, the k-th IR name of the symbol table, the bit the parser
-gave that name in each statement's use and def masks. The solver reads
-those masks as they are, so a step is ``IN = (OUT & ~def) | use`` and a
-union is an OR; ``check_fixpoint`` holds the result to both equations at
-every statement against the same masks. Sets grow monotonically inside a
-finite universe, so termination is bounded by |vars| * |stmts| sweeps.
+Python ``int``, over the function's vector names: bit k stands for the k-th
+IR name of the symbol table, the bit the parser gave that name in each
+statement's use and def masks. The solver reads those masks as they are, so
+a step is ``IN = (OUT & ~def) | use`` and a union is an OR; the live sets
+are lists indexed by statement id. ``check_fixpoint`` holds the result to
+both equations at every statement against the same masks. Sets grow
+monotonically inside a finite universe, so termination is bounded by
+|vars| * |stmts| sweeps.
 
 Register pressure at a statement is the sum of the LMUL-weighted footprints
 of IN(i) | OUT(i). Every footprint is a whole number of eighths of a
@@ -47,11 +48,11 @@ REGISTER_BUDGET = 32
 
 @dataclass
 class LivenessResult:
-    """Live sets by statement id, as bit vectors: bit k stands for ``names[k]``."""
+    """Live sets indexed by statement id, as bit vectors: bit k stands for the
+    k-th IR name of the symbol table (``FunctionIr.names_in`` decodes one)."""
 
-    names: tuple[str, ...]
-    live_in: dict[int, int]
-    live_out: dict[int, int]
+    live_in: list[int]
+    live_out: list[int]
 
 
 @dataclass
@@ -110,7 +111,7 @@ def fmt_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _live_after(live_in: Sequence[int] | dict[int, int], nexts: tuple[int, ...]) -> int:
+def _live_after(live_in: list[int], nexts: tuple[int, ...]) -> int:
     """OUT of a statement whose successors are ``nexts``: the OR of their IN
     sets, nothing after a statement that leaves the function."""
     out = 0
@@ -127,16 +128,15 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
     fastest and is the default).
     """
     stmts = ir.stmts
-    names = tuple(ir.symbol_table)
     succ = ir.successors
     sweep = range(len(stmts) - 1, -1, -1) if order is None else list(order)
-    # Lists indexed by statement id: ids are positions in layout order.
+    # Indexed by statement id: ids are positions in layout order.
     uses = [s.uses for s in stmts]
     kills = [~s.defs for s in stmts]
     live_in = [0] * len(stmts)
     live_out = [0] * len(stmts)
 
-    max_sweeps = len(names) * len(stmts) + 2
+    max_sweeps = len(ir.symbol_table) * len(stmts) + 2
     for _ in range(max_sweeps):
         changed = False
         for i in sweep:
@@ -151,7 +151,7 @@ def solve_liveness(ir: FunctionIr, order: Sequence[int] | None = None) -> Livene
                 live_in[i] = new_in
                 changed = True
         if not changed:
-            return LivenessResult(names, dict(enumerate(live_in)), dict(enumerate(live_out)))
+            return LivenessResult(live_in, live_out)
     raise AssertionError("liveness failed to converge within its sweep bound")
 
 
@@ -190,10 +190,9 @@ def compute_pressure(
     for k, weight in enumerate(eighths.values()):
         classes[weight] = classes.get(weight, 0) | 1 << k
     stmts = ir.stmts
-    ids = [s.stmt_id for s in stmts]
     live_in, live_out = live.live_in, live.live_out
-    live_both = [live_in[i] | live_out[i] for i in ids]
-    totals = [0] * len(ids)
+    live_both = [a | b for a, b in zip(live_in, live_out)]  # by statement id
+    totals = [0] * len(stmts)
     for weight, mask in classes.items():
         totals = [t + weight * (b & mask).bit_count() for t, b in zip(totals, live_both)]
     used = defined = 0
@@ -208,7 +207,7 @@ def compute_pressure(
     return PressureReport(
         pressure=Fraction(peak, 8),
         hot_stmt=hot.stmt_id if hot else None,
-        stmt_eighths=dict(zip(ids, totals)),
+        stmt_eighths=dict(enumerate(totals)),
         live_at_hot=frozenset((name, class_fp[eighths[name]]) for name in ir.names_in(hot_live)),
         dead_defs=ir.names_in(defined & ~used),
         spills_predicted=peak > REGISTER_BUDGET * 8,

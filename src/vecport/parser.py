@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from string import ascii_letters
 from .errors import ParseError
-from .rvv_types import VECTOR_TYPES, VectorType
+from .rvv_types import _BY_NAME, VectorType
 
 
 _KEYWORDS = {
@@ -68,17 +68,17 @@ _QUALIFIERS = {
 # What may precede a declarator's name: pointer stars and their qualifiers.
 _DECLARATOR_PREFIX = frozenset({"*"} | _QUALIFIERS)
 
-_SCALAR_TYPE_WORDS = {
+# The words of a declaration's type other than a vector type name: tags,
+# qualifiers and scalar type names.
+_DECL_WORDS = {
+    "struct", "union", "enum", *_QUALIFIERS,
     "void", "char", "short", "int", "long", "float", "double", "_Bool", "bool",
     "unsigned", "signed", "size_t", "ptrdiff_t", "ssize_t", "intptr_t",
     "uintptr_t", "wchar_t",
 }
-_SCALAR_TYPE_WORDS |= {f"{s}int{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
-_SCALAR_TYPE_WORDS |= {f"{s}int_fast{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
-_SCALAR_TYPE_WORDS |= {f"{s}int_least{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
-# The words of a declaration's type: tags, qualifiers, scalar and vector type names.
-_DECL_WORDS = frozenset({"struct", "union", "enum", *_QUALIFIERS, *_SCALAR_TYPE_WORDS,
-                         *VECTOR_TYPES})
+_DECL_WORDS |= {f"{s}int{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
+_DECL_WORDS |= {f"{s}int_fast{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
+_DECL_WORDS |= {f"{s}int_least{w}_t" for s in ("", "u") for w in (8, 16, 32, 64)}
 
 # What starts a statement that is not a simple one, or that the parser rejects.
 _STATEMENT_WORDS = frozenset({
@@ -269,7 +269,7 @@ class _Scopes:
         if name not in hid:
             hid[name] = self.visible.get(name)
         elif vt is not None and (bit := self.visible[name]):
-            if [*self.table.values()][bit.bit_length() - 1] != vt:
+            if self.table[next(ir for ir, b in self.bits.items() if b == bit)] != vt:
                 raise ParseError(f"'{name}' redeclared with a different vector type", line=line)
             return bit
         if vt is None:
@@ -320,7 +320,7 @@ def _parse_simple(toks: Tokens, lo: int, hi: int, scopes: _Scopes) -> Stmt:
     i = lo
     while i < hi and texts[i] in _QUALIFIERS:
         i += 1
-    if i < hi and texts[i] in _DECL_WORDS:  # a type word: the qualifiers are behind
+    if i < hi and ((text := texts[i]) in _DECL_WORDS or text in _BY_NAME):  # a type word
         kind, uses, defs = _read_decl(texts, spans, i, hi, scopes, line)
     else:
         kind, uses, defs = _read_expr_stmt(texts, spans, lo, hi, scopes, line)
@@ -336,11 +336,14 @@ def _read_decl(texts: list[str], spans: list[int], i: int, hi: int, scopes: _Sco
                line: int) -> tuple[str, int, int]:
     """A declaration whose type words start at ``i``: its kind, uses and defs."""
     base_vec: VectorType | None = None
-    while i < hi and (text := texts[i]) in _DECL_WORDS:
-        if text in ("struct", "union", "enum"):
-            i += 2  # tag name follows
-            continue
-        base_vec = VECTOR_TYPES.get(text, base_vec)
+    while i < hi:
+        text = texts[i]
+        if text in _BY_NAME:
+            base_vec = _BY_NAME[text]
+        elif text in ("struct", "union", "enum"):
+            i += 1  # tag name follows
+        elif text not in _DECL_WORDS:
+            break
         i += 1
 
     uses = defs = 0
@@ -528,7 +531,7 @@ class _BodyParser:
         text, line = self.texts[self.pos], self.lines[self.pos]
         if text not in _STATEMENT_WORDS:  # a simple statement, or a label
             # An identifier is never the body's last token, its '}', so one follows.
-            if self.texts[self.pos + 1] == ":" and text[0] in _ID_START and text not in _KEYWORDS:
+            if text[0] in _ID_START and text not in _KEYWORDS and self.texts[self.pos + 1] == ":":
                 raise ParseError(f"unsupported construct: label '{text}'", line=line)
             self.emit(_parse_simple(self.toks, *self._collect_until(";"), self.scopes))
         elif text in ("goto", "switch"):

@@ -101,7 +101,7 @@ def iter_vector_types() -> Iterator[VectorType]:
 
 
 # Every legal name, built once from the enumeration (292 entries).
-VECTOR_TYPES = {t.name(): t for t in iter_vector_types()}
+_BY_NAME = {t.name(): t for t in iter_vector_types()}
 
 
 def parse_vector_type(type_name: str) -> VectorType | None:
@@ -110,7 +110,7 @@ def parse_vector_type(type_name: str) -> VectorType | None:
     A non-match is an expected outcome (callers use it to filter scalar
     declarations), so illegal names never raise.
     """
-    return VECTOR_TYPES.get(type_name)
+    return _BY_NAME.get(type_name)
 
 
 @cache
@@ -121,4 +121,4 @@ def footprint_eighths(mode: str) -> dict[VectorType, int]:
     number of eighths. The table is built on first use, once per mode, and
     shared by every caller, who must not modify it.
     """
-    return {t: int(register_footprint(t, mode) * 8) for t in VECTOR_TYPES.values()}
+    return {t: int(register_footprint(t, mode) * 8) for t in _BY_NAME.values()}

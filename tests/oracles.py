@@ -76,13 +76,9 @@ class LiveSets(NamedTuple):
     live_out: dict[int, frozenset[str]]
 
 
-def live_sets(live: LivenessResult) -> LiveSets:
-    """The solver's bit-vector live sets as names: bit k is ``live.names[k]``."""
-
-    def named(mask: int) -> frozenset[str]:
-        return frozenset(n for k, n in enumerate(live.names) if mask >> k & 1)
-
-    return LiveSets(*({i: named(m) for i, m in sets.items()}
+def live_sets(ir: FunctionIr, live: LivenessResult) -> LiveSets:
+    """The solver's bit-vector live sets for ``ir`` as names."""
+    return LiveSets(*({i: ir.names_in(m) for i, m in enumerate(sets)}
                       for sets in (live.live_in, live.live_out)))
 
 

@@ -42,7 +42,7 @@ def test_criterion_1_liveness_oracle_equivalence():
         ir = random_ir(random.Random(seed))
         live = solve_liveness(ir)
         check_fixpoint(ir, live)  # IN(i) == (OUT(i) - DEF(i)) | USE(i) exactly
-        oracle, named = oracle_liveness(ir), live_sets(live)
+        oracle, named = oracle_liveness(ir), live_sets(ir, live)
         assert oracle.live_in == named.live_in, f"seed {seed}"
         assert oracle.live_out == named.live_out, f"seed {seed}"
     elapsed = time.monotonic() - started

@@ -33,7 +33,7 @@ EXPECTED_OUT = [{"a"}, {"a", "b"}, {"c"}, set()]
 
 def test_straight_line_matches_hand_computation():
     ir = straight_line_ir(STRAIGHT_LINE, STRAIGHT_SYMBOLS)
-    live = live_sets(solve_liveness(ir))
+    live = live_sets(ir, solve_liveness(ir))
     for i in range(4):
         assert live.live_in[i] == EXPECTED_IN[i], f"IN(s{i})"
         assert live.live_out[i] == EXPECTED_OUT[i], f"OUT(s{i})"
@@ -55,7 +55,7 @@ def test_straight_line_pressure_peaks_at_the_combine():
 def test_empty_function_has_empty_maps_and_zero_pressure():
     ir = make_ir([[]], {0: (1,)}, {})
     live = solve_liveness(ir)
-    assert live.live_in == {} and live.live_out == {}
+    assert live.live_in == [] and live.live_out == []
     report = compute_pressure(ir, live)
     assert report.pressure == 0
     assert report.hot_stmt is None
@@ -72,7 +72,7 @@ def test_loop_carried_accumulator_is_live_around_the_back_edge():
         {0: (1, 2), 1: (0,)},
         {"acc": M2, "x": M2},
     )
-    live = live_sets(solve_liveness(ir))
+    live = live_sets(ir, solve_liveness(ir))
     assert "acc" in live.live_in[0]
     assert "acc" in live.live_out[1]
     assert oracle_liveness(ir).live_in == live.live_in
@@ -112,7 +112,7 @@ def test_dead_def_contributes_nothing_but_is_reported():
     live = solve_liveness(ir)
     report = compute_pressure(ir, live)
     assert report.dead_defs == {"dead"}
-    named = live_sets(live)
+    named = live_sets(ir, live)
     assert all("dead" not in named.live_in[i] | named.live_out[i] for i in range(3))
     assert report.pressure == 2
 
@@ -153,14 +153,14 @@ def test_compute_pressure_rejects_a_non_fixpoint(stmt, n_succ, which, name, wher
     live = solve_liveness(ir)
     check_fixpoint(ir, live)
     sets = getattr(live, which)
-    sets[stmt] ^= 1 << live.names.index(name)
+    sets[stmt] ^= 1 << list(ir.symbol_table).index(name)
     with pytest.raises(AnalysisError, match=re.escape(f"liveness not a fixpoint at {where}")):
         compute_pressure(ir, live)
 
 
 def test_a_single_successor_shares_its_live_in_set():
     ir = _branch_and_join_ir()
-    live = live_sets(solve_liveness(ir))
+    live = live_sets(ir, solve_liveness(ir))
     assert live.live_out[1] == live.live_in[3] and live.live_out[2] == live.live_in[3]
     assert live.live_out[0] == live.live_in[1] | live.live_in[2]
 
@@ -178,7 +178,7 @@ def test_an_unknown_footprint_mode_is_rejected_up_front(source):
 
 def test_oracle_matches_on_straight_line():
     ir = straight_line_ir(STRAIGHT_LINE, STRAIGHT_SYMBOLS)
-    assert oracle_liveness(ir) == live_sets(solve_liveness(ir))
+    assert oracle_liveness(ir) == live_sets(ir, solve_liveness(ir))
 
 
 def test_oracle_diamond_variable_live_only_into_its_branch():
@@ -198,7 +198,7 @@ def test_oracle_diamond_variable_live_only_into_its_branch():
     assert live.live_out[0] == {"x"}
     assert live.live_in[1] == {"x"}
     assert live.live_in[2] == set()
-    assert live_sets(solve_liveness(ir)).live_out == live.live_out
+    assert live_sets(ir, solve_liveness(ir)).live_out == live.live_out
 
 
 def test_oracle_self_loop_needs_one_unrolling():
@@ -208,7 +208,7 @@ def test_oracle_self_loop_needs_one_unrolling():
         {0: (0, 1)},
         {"x": M2, "y": M2},
     )
-    fixpoint = live_sets(solve_liveness(ir))
+    fixpoint = live_sets(ir, solve_liveness(ir))
     # Path bound of twice the statement count covers one unrolling.
     oracle = oracle_liveness(ir, path_bound=2 * len(ir.stmts) + 2)
     assert oracle.live_in == fixpoint.live_in
@@ -234,7 +234,7 @@ def test_property_solver_equals_oracle_and_fixpoint_holds(seed):
     live = solve_liveness(ir)
     check_fixpoint(ir, live)
     oracle = oracle_liveness(ir)
-    named = live_sets(live)
+    named = live_sets(ir, live)
     assert oracle.live_in == named.live_in
     assert oracle.live_out == named.live_out
 
@@ -267,13 +267,13 @@ def test_property_adding_a_use_is_monotone(seed):
     ir.stmts[k] = type(stmt)(
         stmt_id=stmt.stmt_id,
         kind=stmt.kind,
-        uses=stmt.uses | 1 << base.names.index(var),
+        uses=stmt.uses | 1 << list(ir.symbol_table).index(var),
         defs=stmt.defs,
         line=stmt.line,
         tokens=stmt.tokens,
     )
     grown = solve_liveness(ir)
-    before, after = live_sets(base), live_sets(grown)
+    before, after = live_sets(ir, base), live_sets(ir, grown)
     for i in before.live_in:
         assert before.live_in[i] <= after.live_in[i]
         assert before.live_out[i] <= after.live_out[i]
@@ -285,7 +285,7 @@ ALL_TYPE_NAMES = tuple(t.name() for t in iter_vector_types())
 
 def _fraction_sum_report(ir, live, mode):
     """What compute_pressure must report, from Fraction sums of footprints."""
-    live = live_sets(live)
+    live = live_sets(ir, live)
     footprint = {n: register_footprint(t, mode) for n, t in ir.symbol_table.items()}
     per_stmt = {}
     for s in ir.stmts:
@@ -366,12 +366,12 @@ def test_live_sets_wider_than_a_machine_word():
     assert len(ir.symbol_table) == 72
     assert any(j <= i for i, nexts in ir.successors.items() for j in nexts)  # a back edge
     live = solve_liveness(ir)
-    assert max(live.live_out.values()).bit_length() > 64
-    assert live_sets(live) == oracle_liveness(ir)
+    assert max(live.live_out).bit_length() > 64
+    assert live_sets(ir, live) == oracle_liveness(ir)
     for mode in FOOTPRINT_MODES:
         report = _assert_matches_fraction_sum(ir, mode)
         assert report.hot_stmt is not None and report.dead_defs
-        assert any(live.names.index(name) >= 64 for name, _ in report.live_at_hot)
+        assert any(list(ir.symbol_table).index(name) >= 64 for name, _ in report.live_at_hot)
 
 
 def test_successors_skip_empty_blocks():

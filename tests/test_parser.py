@@ -866,6 +866,12 @@ def test_unbalanced_parameter_list_names_its_line():
     ("void f(int *a) {\n    a[0] = 1;\n}\nint t[4", "f", ParseError,
      "unbalanced brackets (line 4)"),
     ("void f(int x) {\n    x = 1\n}", "f", ParseError, "expected ';' before '}' (line 3)"),
+    # A missing body whose '}' is the last token of the text.
+    ("void f(int c) {\n    if (c)\n}", "f", ParseError, "expected ';' before '}' (line 3)"),
+    ("void f(int c) {\n    if (c) c = 1; else\n}", "f", ParseError,
+     "expected ';' before '}' (line 3)"),
+    ("void f(void) {\n    for (;;)\n}", "f", ParseError, "expected ';' before '}' (line 3)"),
+    ("void f(void) {\n    do\n}", "f", ParseError, "expected ';' before '}' (line 3)"),
     ("void f(int x) {\n    L: x = 1;\n}", "f", ParseError,
      "unsupported construct: label 'L' (line 2)"),
     ("void f(void) { }", "int f", ParseError, "cannot read a function name from 'int f'"),

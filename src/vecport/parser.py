@@ -20,19 +20,18 @@ whole groups. The statement readers take ``(lo, hi)`` index ranges into the
 columns, and a statement keeps its token texts. Parameters are read by the
 same declaration reader as body statements.
 
-The body parser builds no statement tree: it emits each statement into its
-basic block as it reads it, and wires each construct's edges as its parts
-arrive. A ``for`` step is read before the loop body but emitted after it,
-and a ``while`` loop is a ``for`` with no init and no step. Each name
-resolves as it is read, through a stack of block scopes (``_Scopes``), so a
-statement is final when it is read. Each ``{`` block, each ``for`` and each
-branch or loop body opens a scope; a vector that shadows another, or that
-reuses a name the function gave another type, gets an IR name ``x@k``.
-``link_statements`` then keeps the blocks reachable from the entry, numbers
-their statements in layout order and gives each statement its successor
-statements, ``FunctionIr.successors``: the flow graph the solver reads has
-statements for nodes, so the blocks are gone once it is built. A statement
-that leaves the function has no successor.
+The body parser builds no statement tree and no basic blocks: it numbers
+each statement as it reads it and adds its id to the successor sets of the
+statements that lead to it, so each statement's successors,
+``FunctionIr.successors``, are complete once the body is read. A ``for``
+step is read before the loop body but emitted after it, and a ``while``
+loop is a ``for`` with no init and no step. Each name resolves as it is
+read, through a stack of block scopes (``_Scopes``), so a statement is final
+when it is read. Each ``{`` block, each ``for`` and each branch or loop body
+opens a scope; a vector that shadows another, or that reuses a name the
+function gave another type, gets an IR name ``x@k``. A statement that
+leaves the function has no successor, and one that no path reaches is
+dropped.
 
 Each statement carries its uses and defs as two ``int`` masks: each new IR
 name takes the next bit as it is declared, so bit k stands for the k-th
@@ -44,7 +43,7 @@ have no bit, so a ``vsetvl`` result or a pointer bump contributes nothing.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import count
 from string import ascii_letters
@@ -198,7 +197,7 @@ class Stmt:
     defs: int
     line: int
     tokens: list[str] = field(repr=False)
-    stmt_id: int = -1  # its place in layout order, set by link_statements; -1 if unreachable
+    stmt_id: int = -1  # its place in layout order, set as it is read; -1 if unreachable
 
     @property
     def text(self) -> str:
@@ -387,19 +386,24 @@ def _read_expr_stmt(texts: list[str], spans: list[int], lo: int, hi: int, scopes
 
 
 # ---------------------------------------------------------------------------
-# Function-body parsing, straight into basic blocks.
-
+# Function-body parsing, straight into statement successors.
 
 class _BodyParser:
-    """Reads a function body and lays each statement into a basic block as it goes.
+    """Reads a function body and gives each statement its id and successors as it goes.
 
     This is syntax-directed translation with backpatching (Aho et al.,
-    *Compilers*, 2nd ed., §6.6–6.7): a construct's blocks and edges are made
-    as its parts are read, and each open loop keeps its break and continue
-    sources until its join and back-edge targets exist. Blocks are numbered
-    in layout order. ``current`` is the block that takes the next statement;
-    after a jump or a return it is None, and a statement that follows opens
-    an unreachable block, which ``link_statements`` drops.
+    *Compilers*, 2nd ed., §6.7), applied to statements: ``pending`` holds
+    the keys of the successor sets that lead to the next statement read, and
+    ``emit`` numbers that statement, adds its id to each of them and leaves
+    only its own set pending. Each open loop keeps its break and continue
+    sources until its exit and its back edges are known. After a jump or a
+    return nothing is pending, and a statement read then is unreachable: it
+    is read for its scopes and dropped. Since control flow is structured,
+    that is all reachability takes, and ids come out in layout order.
+
+    Each loop gets a "first statements" set, which its back edges take:
+    pending where the loop starts, it gathers the loop's test, or what the
+    body begins with where no test comes first (``for (;;)``, ``do``).
 
     Each nesting level costs two Python frames (``parse_statement`` and
     ``parse_block`` or ``_parse_body``), so nesting too deep for the
@@ -411,10 +415,13 @@ class _BodyParser:
         self.texts, self.lines, self.spans = toks
         self.pos = start
         self.scopes = scopes
-        self.block_stmts: dict[int, list[Stmt]] = {}
-        self.succs: dict[int, list[int]] = {}
-        self.current: int | None = None
-        self.loop_stack: list[dict[str, list[int]]] = []  # break/continue sources
+        self.stmts: list[Stmt] = []
+        # Successor ids by statement id, and by a negative key for each "first
+        # statements" set; -1 is the function's entry, which nothing reads.
+        self.succs: dict[int, set[int]] = {-1: set()}
+        self.keys = count(-2, -1)
+        self.pending = {-1}  # replaced, never changed in place
+        self.loop_stack: list[dict[str, set[int]]] = []  # break/continue sources
 
     def peek(self) -> str:
         return self.texts[self.pos]
@@ -445,37 +452,34 @@ class _BodyParser:
         self.pos = i + 1
         return start, i
 
-    def new_block(self, *sources: int | None) -> int:
-        """A new block, entered from each source that is still reachable."""
-        bid = len(self.succs)
-        self.block_stmts[bid] = []
-        self.succs[bid] = []
-        self.link(sources, bid)
-        return bid
-
-    def link(self, sources: Iterable[int | None], target: int) -> None:
-        """Edges into ``target`` from each source that is still reachable."""
-        for src in sources:
-            if src is not None:
-                self.succs[src].append(target)
-
-    def ensure_current(self) -> int:
-        if self.current is None:
-            self.current = self.new_block()  # unreachable; dropped later
-        return self.current
-
     def emit(self, stmt: Stmt) -> None:
-        self.block_stmts[self.ensure_current()].append(stmt)
+        if self.pending:  # else it is unreachable
+            stmt.stmt_id = sid = len(self.stmts)
+            self.stmts.append(stmt)
+            succs = self.succs
+            for key in self.pending:
+                succs[key].add(sid)
+            succs[sid] = set()
+            self.pending = {sid}
 
-    def parse_function_body(self) -> tuple[dict[int, list[int]], dict[int, list[Stmt]], int]:
-        """The function body's block edges, its blocks' statements and its entry.
+    def _first(self) -> set[int]:
+        """A "first statements" set: pending from here on, if code reaches here,
+        it gathers the ids of the statements read next."""
+        first: set[int] = set()
+        if self.pending:
+            key = next(self.keys)
+            self.succs[key] = first
+            self.pending = self.pending | {key}
+        return first
 
-        A block that leaves the function has no edge out. The body's
-        outermost block shares the parameters' scope.
-        """
-        entry = self.current = self.new_block()
-        self.parse_block()
-        return self.succs, self.block_stmts, entry
+    def _loop_back(self, jumps: dict[str, set[int]], last: Stmt | None, first: set[int]) -> None:
+        """Ends a loop body: ``last`` (a step or a ``do`` condition) follows the
+        body and its continue sources, and each back edge leads to ``first``."""
+        self.pending = self.pending | jumps["continue"]
+        if last is not None:
+            self.emit(last)
+        for key in self.pending:
+            self.succs[key] |= first
 
     def parse_block(self) -> None:
         self.expect("{")
@@ -483,23 +487,20 @@ class _BodyParser:
             self.parse_statement()
         self.expect("}")
 
-    def _parse_body(self, entry: int, loop: dict[str, list[int]] | None = None) -> int | None:
-        """One statement, a branch's or a loop's body, laid out from ``entry``.
+    def _parse_body(self, loop: dict[str, set[int]] | None = None) -> None:
+        """One statement, a branch's or a loop's body.
 
         The statement is a block scope of its own even without braces (C11
-        §6.8.4p3, §6.8.5p5), so what it declares ends with it. Returns the
-        block the body ends in, None if it ends in a jump. A loop body's
+        §6.8.4p3, §6.8.5p5), so what it declares ends with it. A loop body's
         break and continue sources are collected in ``loop``.
         """
         if loop is not None:
             self.loop_stack.append(loop)
-        self.current = entry
         self.scopes.open()
         self.parse_statement()
         self.scopes.close()
         if loop is not None:
             self.loop_stack.pop()
-        return self.current
 
     def _parse_cond(self, keyword: str) -> Stmt:
         """``keyword ( cond )``; the condition is placed at the keyword."""
@@ -546,108 +547,53 @@ class _BodyParser:
             self.pos += 1
         elif text == "if":
             self.emit(self._parse_cond("if"))
-            cond_block = self.current
-            ends = [self._parse_body(self.new_block(cond_block))]
+            branch = self.pending
+            self._parse_body()
             if self.peek() == "else":
                 self.pos += 1
-                ends.append(self._parse_body(self.new_block(cond_block)))
+                then_end, self.pending = self.pending, branch
+                self._parse_body()
+                self.pending = self.pending | then_end
             else:
-                ends.append(cond_block)  # a false condition goes straight to the join
-            self.current = self.new_block(*ends)
+                self.pending = self.pending | branch  # a false condition goes straight to the join
         elif text in ("for", "while"):
             cond, step = self._parse_loop_head(text, line)
-            header = self.current = self.new_block(self.ensure_current())
+            first = self._first()  # what the loop's head leads to: its test, or its body
             if cond is not None:
                 self.emit(cond)
-            jumps = {"break": [], "continue": []}
-            end = self._parse_body(self.new_block(header), jumps)
-            if step is None:
-                self.link([end, *jumps["continue"]], header)
-            else:
-                self.current = self.new_block(end, *jumps["continue"])
-                self.emit(step)
-                self.link([self.current], header)
-            # Taken even with an empty condition: liveness may-analysis only
-            # gains safety from a conservative loop-exit edge.
-            self.current = self.new_block(header, *jumps["break"])
+            head = self.pending
+            jumps: dict[str, set[int]] = {"break": set(), "continue": set()}
+            self._parse_body(jumps)
+            self._loop_back(jumps, step, first)
+            # With no test the loop is still left from its head, which its
+            # entry and back edges reach: liveness may-analysis only gains
+            # safety from a conservative loop-exit edge.
+            exits = head if cond is not None else head | self.pending
+            self.pending = exits | jumps["break"]
             if text == "for":
                 self.scopes.close()
         elif text == "do":
             self.pos += 1
-            body = self.new_block(self.ensure_current())
-            jumps = {"break": [], "continue": []}
-            end = self._parse_body(body, jumps)
-            cond_block = self.current = self.new_block(end, *jumps["continue"])
-            self.emit(self._parse_cond("while"))
+            first = self._first()
+            jumps = {"break": set(), "continue": set()}
+            self._parse_body(jumps)
+            cond = self._parse_cond("while")
             self.expect(";")
-            self.link([cond_block], body)
-            self.current = self.new_block(cond_block, *jumps["break"])
+            self._loop_back(jumps, cond, first)
+            self.pending = self.pending | jumps["break"]
         elif text == "return":
             self.pos += 1
             lo, hi = self._collect_until(";")
             uses = self.scopes.reads(self.texts, lo, hi, line)
             self.emit(Stmt("return", uses, 0, line, self.texts[lo:hi]))
-            self.current = None
+            self.pending = set()
         elif text in ("break", "continue"):
             self.pos += 1
             self.expect(";")
             if not self.loop_stack:
                 raise ParseError(f"{text} outside a loop", line=line)
-            self.loop_stack[-1][text].append(self.ensure_current())
-            self.current = None
-
-
-def link_statements(succs: dict[int, list[int]], block_stmts: dict[int, list[Stmt]],
-                    entry: int) -> tuple[list[Stmt], dict[int, tuple[int, ...]]]:
-    """The statements of the blocks reachable from ``entry``, and their successors.
-
-    Blocks are numbered in layout order, and so are the statements they keep:
-    a for-loop's step lands after its body, everything else follows source
-    order. A statement is followed by the next one in its block, or else by
-    the first statements of its block's successors, where an empty block
-    leads on to its own successors. What an empty block leads to is a least
-    fixpoint, since empty blocks can form a cycle (``for (;;) { }``): the
-    sweeps go in reverse layout order, so only a back edge costs another one.
-    """
-    reachable = {entry}
-    stack = [entry]
-    while stack:
-        for b in succs[stack.pop()]:
-            if b not in reachable:
-                reachable.add(b)
-                stack.append(b)
-    order = sorted(reachable)
-
-    stmts: list[Stmt] = []
-    heads: dict[int, frozenset[int]] = {}  # the statements a block starts with, or leads to
-    empty = []
-    for b in order:
-        if block_stmts[b]:
-            heads[b] = frozenset((len(stmts),))
-            for stmt in block_stmts[b]:
-                stmt.stmt_id = len(stmts)
-                stmts.append(stmt)
-        else:
-            heads[b] = frozenset()
-            empty.append(b)
-    empty.reverse()
-    changed = True
-    while changed:
-        changed = False
-        for b in empty:
-            led = heads[b].union(*(heads[t] for t in succs[b]))
-            if led != heads[b]:
-                heads[b] = led
-                changed = True
-
-    successors: dict[int, tuple[int, ...]] = {}
-    for b in order:
-        ids = [stmt.stmt_id for stmt in block_stmts[b]]
-        for sid, nxt in zip(ids, ids[1:]):
-            successors[sid] = (nxt,)
-        if ids:
-            successors[ids[-1]] = tuple(sorted(frozenset().union(*(heads[t] for t in succs[b]))))
-    return stmts, successors
+            self.loop_stack[-1][text].update(self.pending)
+            self.pending = set()
 
 
 # ---------------------------------------------------------------------------
@@ -712,12 +658,16 @@ def parse_function(source: str, signature: str) -> FunctionIr:
     body_open, paren_open = _find_function(toks, name)
     scopes = _Scopes()
     _parse_params(toks, paren_open + 1, body_open - 1, scopes)
+    body = _BodyParser(toks, body_open, scopes)
     try:
-        body = _BodyParser(toks, body_open, scopes).parse_function_body()
+        body.parse_block()  # the outermost block shares the parameters' scope
     except RecursionError:
         raise ParseError("nesting too deep") from None
-    stmts, successors = link_statements(*body)
-    return FunctionIr(name, scopes.table, stmts, successors)
+    successors = {  # most statements have one successor, which needs no sort
+        sid: tuple(sorted(succ) if len(succ := body.succs[sid]) > 1 else succ)
+        for sid in range(len(body.stmts))
+    }
+    return FunctionIr(name, scopes.table, body.stmts, successors)
 
 
 _NO_SPACE_AFTER = {"(", "[", ".", "->", "!", "~", "++", "--"}

@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from oracles import link_statements
 from vecport.corpus import bundled_corpus_dir, load_corpus, validate_case
 from vecport.executors import PerfResult
-from vecport.parser import FunctionIr, Stmt, link_statements
+from vecport.parser import FunctionIr, Stmt
 from vecport.rvv_types import parse_vector_type
 
 settings.register_profile("tier1", derandomize=True, database=None)
@@ -39,8 +40,9 @@ def make_ir(
     ``block_specs[k]`` holds block k's statements and block 0 is the entry.
     Each name set becomes a mask: bit k stands for the k-th name of ``symbols``.
     An edge may target block ``len(block_specs)``, an empty block with no
-    successors, where paths leave the function. ``link_statements`` turns
-    the blocks into statement successors, as the parser does.
+    successors, where paths leave the function. The reference front end's
+    ``link_statements`` (``oracles.py``) turns the blocks into statement
+    successors.
     """
     bit = {name: 1 << k for k, name in enumerate(symbols)}
     block_stmts = {
@@ -112,6 +114,10 @@ DEEP_NESTING = {
     "while_chain": lambda depth: "while (n) " * depth + "n = 1;",
     "do_chain": lambda depth: "do " * depth + "n = 1;" + " while (n);" * depth,
     "else_chain": lambda depth: "if (n) n = 1; else " * depth + "n = 1;",
+    # Empty bodies, where the most paths meet at the next statement.
+    "empty_for_chain": lambda depth: "for (;;) " * depth + ";",
+    "empty_do_chain": lambda depth: "do " * depth + ";" + " while (n);" * depth,
+    "empty_else_chain": lambda depth: "if (n) ; else " * depth + ";",
 }
 
 

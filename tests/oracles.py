@@ -12,21 +12,23 @@ piece. The differential lexer test checks that both give the same (text,
 line, span) triples or the same error, and that each reference kind
 follows from its token's first character, as the parser reads kinds.
 
-``reference_parse`` is the two-pass front end that ``vecport.parser``
+``reference_parse`` is the multi-pass front end that ``vecport.parser``
 replaced with a one-pass one: ``TreeParser`` reads a function body into a
-statement tree, and ``_CfgBuilder`` walks that tree into basic blocks. Both
-are kept here in step with the pipeline's behaviour, so the differential
-tests can check that the one-pass parser gives the same IR and the same
-errors. The reference reads the pipeline's token columns, as ``(lo, hi)``
-ranges, and shares with it the scoped statement readers (``_Scopes``,
-which resolve each name as it is read) and ``link_statements``, which
-turns the blocks into statement successors. It opens and closes scopes at
-the same places as the pipeline: each nested ``{`` block, each ``for`` and
-each branch or loop body. It differs in how statements reach their blocks.
-One difference is by design: the reference reports a ``break`` or
-``continue`` outside a loop only after the whole body has parsed, while the
-one-pass parser reports it where it stands, so with two errors in a body
-the two may name different ones.
+statement tree, ``_CfgBuilder`` walks that tree into basic blocks, and
+``link_statements`` keeps the blocks reachable from the entry, numbers
+their statements in layout order and gives each statement its successors,
+passing through empty blocks by a least fixpoint. All three are kept here
+in step with the pipeline's behaviour, so the differential tests can check
+that the one-pass parser, which wires each statement's successors as it
+reads it, gives the same IR and the same errors; the two derive the
+successors independently. The reference reads the pipeline's token columns,
+as ``(lo, hi)`` ranges, and shares with it only the scoped statement
+readers (``_Scopes``, which resolve each name as it is read). It opens and
+closes scopes at the same places as the pipeline: each nested ``{`` block,
+each ``for`` and each branch or loop body. One difference is by design: the
+reference reports a ``break`` or ``continue`` outside a loop only after the
+whole body has parsed, while the one-pass parser reports it where it
+stands, so with two errors in a body the two may name different ones.
 
 ``print_function`` emits C from the reference tree, so the parser tests can
 check that structure and use/def sets survive a round trip; it reads the
@@ -59,7 +61,6 @@ from vecport.parser import (
     _parse_simple,
     _render_tokens,
     _top_level,
-    link_statements,
     signature_name,
     tokenize,
 )
@@ -400,6 +401,59 @@ class TreeParser:
         node = ForNode(init, cond, step, self._parse_body())
         self.scopes.close()
         return node
+
+
+def link_statements(succs: dict[int, list[int]], block_stmts: dict[int, list[Stmt]],
+                    entry: int) -> tuple[list[Stmt], dict[int, tuple[int, ...]]]:
+    """The statements of the blocks reachable from ``entry``, and their successors.
+
+    Blocks are numbered in layout order, and so are the statements they keep:
+    a for-loop's step lands after its body, everything else follows source
+    order. A statement is followed by the next one in its block, or else by
+    the first statements of its block's successors, where an empty block
+    leads on to its own successors. What an empty block leads to is a least
+    fixpoint, since empty blocks can form a cycle (``for (;;) { }``): the
+    sweeps go in reverse layout order, so only a back edge costs another one.
+    """
+    reachable = {entry}
+    stack = [entry]
+    while stack:
+        for b in succs[stack.pop()]:
+            if b not in reachable:
+                reachable.add(b)
+                stack.append(b)
+    order = sorted(reachable)
+
+    stmts: list[Stmt] = []
+    heads: dict[int, frozenset[int]] = {}  # the statements a block starts with, or leads to
+    empty = []
+    for b in order:
+        if block_stmts[b]:
+            heads[b] = frozenset((len(stmts),))
+            for stmt in block_stmts[b]:
+                stmt.stmt_id = len(stmts)
+                stmts.append(stmt)
+        else:
+            heads[b] = frozenset()
+            empty.append(b)
+    empty.reverse()
+    changed = True
+    while changed:
+        changed = False
+        for b in empty:
+            led = heads[b].union(*(heads[t] for t in succs[b]))
+            if led != heads[b]:
+                heads[b] = led
+                changed = True
+
+    successors: dict[int, tuple[int, ...]] = {}
+    for b in order:
+        ids = [stmt.stmt_id for stmt in block_stmts[b]]
+        for sid, nxt in zip(ids, ids[1:]):
+            successors[sid] = (nxt,)
+        if ids:
+            successors[ids[-1]] = tuple(sorted(frozenset().union(*(heads[t] for t in succs[b]))))
+    return stmts, successors
 
 
 class _CfgBuilder:

@@ -536,13 +536,34 @@ def test_break_and_continue_edges():
     }
 
 
-def test_successors_pass_through_cycles_of_empty_blocks():
-    src = "void f(int n) { n = 1; for (;;) { } n = 2; while (n) { } do { } while (0); n = 3; }"
-    ir = parse_function(src, "f")
-    assert [s.text for s in ir.stmts] == ["n = 1", "n = 2", "n", "0", "n = 3"]
-    # ``for (;;) { }`` is two empty blocks in a cycle, left by its exit
-    # edge; the empty bodies of the other two loops lead back to their tests
-    assert ir.successors == {0: (1,), 1: (2,), 2: (2, 3), 3: (3, 4), 4: ()}
+@pytest.mark.parametrize("body, texts, successors", [
+    # ``for (;;) { }`` is a cycle with no statement, left by its exit edge;
+    # the empty bodies of the other two loops lead back to their tests
+    pytest.param("n = 1; for (;;) { } n = 2; while (n) { } do { } while (0); n = 3;",
+                 ["n = 1", "n = 2", "n", "0", "n = 3"],
+                 {0: (1,), 1: (2,), 2: (2, 3), 3: (3, 4), 4: ()}, id="empty_loops"),
+    # the inner loop's head leads to its body and, past both heads, to n = 3
+    pytest.param("n = 1; for (;;) { for (;;) { n = 2; } } n = 3;",
+                 ["n = 1", "n = 2", "n = 3"], {0: (1, 2), 1: (1, 2), 2: ()},
+                 id="nested_endless_loops"),
+    # the step is reached only by the continue, and leads back through the head
+    pytest.param("for (; ; n -= 1) { continue; } n = 2;",
+                 ["n -= 1", "n = 2"], {0: (0, 1), 1: ()}, id="step_after_continue"),
+    # n = 2 is reached through the head's exit edge alone
+    pytest.param("for (;;) { return; } n = 2;",
+                 ["return", "n = 2"], {0: (), 1: ()}, id="return_in_endless_loop"),
+    pytest.param("do { for (;;) ; } while (n); n = 1;",
+                 ["n", "n = 1"], {0: (0, 1), 1: ()}, id="endless_loop_in_do"),
+    # the condition is unreachable, so it is dropped
+    pytest.param("do { break; } while (n); n = 1;",
+                 ["n = 1"], {0: ()}, id="break_in_do"),
+    pytest.param("if (n) ; else ; n = 1;",
+                 ["n", "n = 1"], {0: (1,), 1: ()}, id="empty_if_else"),
+])
+def test_successors_pass_through_cycles_of_empty_blocks(body, texts, successors):
+    ir = parse_function(f"void f(int n) {{ {body} }}", "f")
+    assert [s.text for s in ir.stmts] == texts
+    assert ir.successors == successors
 
 
 def test_unreachable_code_after_return_is_dropped():

@@ -4,7 +4,10 @@ A class field or method, or a module-level function or class, that no code
 of the package references is surface kept alive only by tests, or by
 nothing. Names are matched by their last part, so a method counts as used
 when any attribute of that name appears; the scan is a floor, not proof of
-use. Dunders are skipped: the language calls them.
+use. A reference inside the definition itself, as in a recursion, does not
+count. Dunders are skipped: the language calls them. A module, too, imports
+only names it reads or lists in ``__all__``; ``__future__`` imports are
+skipped.
 
 Likewise a parameter with a default that no call in the package passes is an
 option only tests set. A call passes it when its callee has the function's
@@ -18,6 +21,7 @@ one the package assigns as an attribute after construction, and one with a
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import vecport
@@ -34,24 +38,28 @@ ALLOWED: dict[str, str] = {
     "liveness.PressureReport.per_stmt_pressure": (
         "the Fraction-sum oracle tests and tests/identity_sweep.py read it"
     ),
+    "llm_client.ReplayClient.calls_made": (
+        "tests count the replies a run consumed, and the replay-consumption gate"
+        " of ROADMAP item 7 reads it"
+    ),
 }
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, bare name) of each module-level function and class
-    and of each class's methods and annotated fields."""
+    """(qualified name, bare name, node) of each module-level function and
+    class and of each class's methods and annotated fields."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.name
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, item
                 elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    yield f"{node.name}.{item.target.id}", item.target.id
+                    yield f"{node.name}.{item.target.id}", item.target.id, item
 
 
-def _references(tree: ast.Module):
+def _references(tree: ast.AST):
     """Every name read, attribute, keyword argument and imported name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -67,15 +75,43 @@ def _references(tree: ast.Module):
 
 
 def unreferenced(src: Path) -> list[str]:
-    defined, used = [], set()
+    defined, used = [], Counter()
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        defined += [(f"{path.stem}.{qual}", bare) for qual, bare in _definitions(tree)]
+        defined += [(f"{path.stem}.{qual}", bare, list(_references(node)).count(bare))
+                    for qual, bare, node in _definitions(tree)]
         used.update(_references(tree))
     return [
-        qual for qual, bare in defined
-        if bare not in used and not (bare.startswith("__") and bare.endswith("__"))
+        qual for qual, bare, own in defined
+        if used[bare] == own and not (bare.startswith("__") and bare.endswith("__"))
     ]
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module-level ``__all__`` lists."""
+    return {
+        elt.value for node in tree.body if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in getattr(node.value, "elts", ()) if isinstance(elt, ast.Constant)
+    }
+
+
+def unread_imports(src: Path) -> list[str]:
+    """"<module>.<name>" of each name a module imports, but neither reads nor exports."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        kept = read | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound != "*" and bound not in kept:
+                        found.append(f"{path.stem}.{bound}")
+    return found
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -178,6 +214,10 @@ def test_every_definition_in_src_is_referenced_in_src():
     assert [q for q in unreferenced(SRC) if q not in ALLOWED] == []
 
 
+def test_every_import_in_src_is_read_or_exported():
+    assert unread_imports(SRC) == []
+
+
 def test_every_default_in_src_is_passed_in_src():
     assert [q for q in unpassed_defaults(SRC) if q not in ALLOWED] == []
 
@@ -199,10 +239,24 @@ def test_the_scan_sees_each_kind_of_reference(tmp_path):
         "    def __eq__(self, other): return True\n"
         "def by_keyword(): pass\n"
         "def unused(): pass\n"
+        "def recursive(): return recursive()\n"
         "def called(): return C(by_keyword=1).method()\n"
         "called()\n"
     )
-    assert unreferenced(tmp_path) == ["m.C.unused_field", "m.unused"]
+    assert unreferenced(tmp_path) == ["m.C.unused_field", "m.unused", "m.recursive"]
+
+
+def test_the_import_scan_sees_reads_and_exports(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from m import annotated, exported, unread\n"
+        "from m import original as unread_alias\n"
+        "__all__ = ['exported']\n"
+        "def f(x: annotated) -> None: return os.path.join(js.dumps(x))\n"
+    )
+    assert unread_imports(tmp_path) == ["a.unread", "a.unread_alias"]
 
 
 def test_the_default_scan_sees_each_way_to_pass(tmp_path):
